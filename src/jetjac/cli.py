@@ -12,6 +12,7 @@ variable index mentioned.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import re
 import sys
@@ -34,7 +35,19 @@ from .jetscheme import (
 from .linalg import TooManyMinors, eval_matrix, generic_rank, minors, rank
 from .poly import MissingCoordinate, ParseError, Point, Polynomial, parse_poly
 
+
+class BadCoordinate(ValueError):
+    """A point coordinate is neither an integer nor a fraction a/b."""
+
+
+class BadMatrixJSON(ValueError):
+    """An inline --matrix value is not a {rows, cols, entries} object
+    with integer sizes and rows of polynomial strings."""
+
+
 DOMAIN_ERRORS = (
+    BadCoordinate,
+    BadMatrixJSON,
     FieldError,
     ParseError,
     NotBasePolynomial,
@@ -50,6 +63,8 @@ DOMAIN_ERRORS = (
 )
 
 _VAR_MENTION = re.compile(r"x(\d+)(?:_\d+)?")
+_COORDINATE = re.compile(r"[-+]?\d+(?:/0*[1-9]\d*)?")
+_COORDINATE_FLAGS = ("--point", "--base")
 
 
 def infer_base_count(source: str) -> int:
@@ -71,7 +86,12 @@ def parse_polys(text: str, spec: FieldSpec) -> list[Polynomial]:
 
 
 def parse_point(text: str, s: int, n: int, spec: FieldSpec) -> Point:
+    """Coordinates are integers or fractions a/b (b > 0), each with an
+    optional sign."""
     values = [v.strip() for v in text.split(",")]
+    for v in values:
+        if not _COORDINATE.fullmatch(v):
+            raise BadCoordinate(f"coordinate {v!r} is not an integer or a fraction a/b")
     return Point.from_flat(values, s, n, spec)
 
 
@@ -92,12 +112,35 @@ def build_matrix(spec_text: str, field: FieldSpec) -> PolyMatrix:
     if spec_text.startswith("dnl:"):
         _, n_text, m_text, polys_text = spec_text.split(":", 3)
         return dn_matrix(jac_m(parse_polys(polys_text, field), int(m_text)), int(n_text))
-    obj = json.loads(spec_text)
-    rows, cols = obj["rows"], obj["cols"]
-    flat = [entry for row in obj["entries"] for entry in row]
-    s = max(infer_base_count(entry) for entry in flat)
+    rows, cols, flat = _matrix_json_fields(spec_text)
+    s = max((infer_base_count(entry) for entry in flat), default=1)
     entries = tuple(parse_poly(entry, s, field) for entry in flat)
     return PolyMatrix(rows, cols, entries, provenance="json")
+
+
+def _matrix_json_fields(text: str) -> tuple[int, int, list[str]]:
+    """Check an inline matrix against its schema; return rows, cols and
+    the entries in row-major order."""
+    try:
+        obj = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise BadMatrixJSON(f"not a builder reference or JSON: {exc}") from None
+    if not isinstance(obj, dict):
+        raise BadMatrixJSON("expected a JSON object {rows, cols, entries}")
+    missing = [key for key in ("rows", "cols", "entries") if key not in obj]
+    if missing:
+        raise BadMatrixJSON(f"missing key(s): {', '.join(missing)}")
+    rows, cols, table = obj["rows"], obj["cols"], obj["entries"]
+    if not all(type(size) is int and size >= 0 for size in (rows, cols)):
+        raise BadMatrixJSON("rows and cols must be non-negative integers")
+    if not isinstance(table, list) or not all(isinstance(row, list) for row in table):
+        raise BadMatrixJSON("entries must be a list of rows, each a list")
+    if len(table) != rows or any(len(row) != cols for row in table):
+        raise BadMatrixJSON(f"entries do not form a {rows}x{cols} table")
+    flat = [entry for row in table for entry in row]
+    if not all(isinstance(entry, str) for entry in flat):
+        raise BadMatrixJSON("every entry must be a polynomial string")
+    return rows, cols, flat
 
 
 def matrix_json(mx: PolyMatrix) -> dict:
@@ -286,7 +329,10 @@ def cmd_rank_remark(args) -> int:
 # -- parser wiring -----------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    # Built once per process: a parser is a web of reference cycles, and
+    # one left behind by every run() waits for the cyclic collector.
     parser = argparse.ArgumentParser(
         prog="jetjac",
         description="Exact jet-scheme equations, blocked higher-order Jacobians, "
@@ -379,10 +425,22 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def attach_coordinates(argv: list[str]) -> list[str]:
+    """Rewrite "--point -9,1" as "--point=-9,1": argparse would read a
+    value that starts with "-" as a flag."""
+    out = []
+    for arg in argv:
+        if out and out[-1] in _COORDINATE_FLAGS and re.match(r"-\d", arg):
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
+
+
 def run(argv: list[str]) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(attach_coordinates(argv))
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:

@@ -1,10 +1,13 @@
 """Exact linear algebra over the coefficient field.
 
-Rank uses one fraction-free (Bareiss-style) elimination path for both Q
-and GF(p); determinants of polynomial matrices use cofactor expansion at
-small sizes and fraction-free elimination with exact polynomial division
-above that.  Generic rank is probabilistic: the maximum exact rank over
-seeded random evaluation points, always reported with its seed.
+Rank uses one elimination routine per scalar kind: over Q each row is
+cleared of denominators and integer Bareiss elimination runs with exact
+integer division; over GF(p) plain Gaussian elimination runs with one
+inverse per pivot.  Determinants of polynomial matrices use cofactor
+expansion at small sizes and fraction-free elimination with exact
+polynomial division above that.  Generic rank is probabilistic: the
+maximum exact rank over seeded random evaluation points, always reported
+with its seed.
 """
 
 from __future__ import annotations
@@ -74,32 +77,76 @@ def eval_matrix(mx: PolyMatrix, point: Point) -> ScalarMatrix:
 
 
 def rank(mx: ScalarMatrix) -> int:
-    """Exact rank by fraction-free Gaussian elimination."""
+    """Exact rank: integer Bareiss over Q, Gaussian elimination over GF(p)."""
     rows, cols = mx.rows, mx.cols
     if rows == 0 or cols == 0:
         return 0
+    values = iter(mx.entries)
     p = mx.spec.characteristic
-    a = [[mx.entries[i * cols + j].value for j in range(cols)] for i in range(rows)]
+    if p:
+        a = [[e.value for e in itertools.islice(values, cols)] for _ in range(rows)]
+        return _rank_mod_p(a, cols, p)
+    a = [_integer_row(itertools.islice(values, cols)) for _ in range(rows)]
+    return _rank_integer(a, cols)
+
+
+def _integer_row(entries) -> list[int]:
+    # scaling a row by the lcm of its denominators leaves the rank unchanged
+    fracs = [e.value for e in entries]
+    scale = math.lcm(*(x.denominator for x in fracs))
+    return [x.numerator * (scale // x.denominator) for x in fracs]
+
+
+def _rank_integer(a: list[list[int]], cols: int) -> int:
+    """Bareiss elimination on integer rows.  After each step every entry
+    below the pivots is a minor of the input, so dividing by the previous
+    pivot is exact.  That holds for every row, so a row whose head is
+    already zero must still be rescaled by pivot/prev."""
+    rows = len(a)
     r = 0
     prev = 1
     for c in range(cols):
         pivot_row = next((i for i in range(r, rows) if a[i][c]), None)
         if pivot_row is None:
             continue
-        if pivot_row != r:
-            a[pivot_row], a[r] = a[r], a[pivot_row]
-        pivot = a[r][c]
+        a[pivot_row], a[r] = a[r], a[pivot_row]
+        top = a[r]
+        pivot = top[c]
+        tail = top[c + 1 :]
         for i in range(r + 1, rows):
-            head = a[i][c]
-            if p:
-                inv_prev = pow(prev, -1, p)
-                for j in range(c + 1, cols):
-                    a[i][j] = (pivot * a[i][j] - head * a[r][j]) * inv_prev % p
-            else:
-                for j in range(c + 1, cols):
-                    a[i][j] = (pivot * a[i][j] - head * a[r][j]) / prev
-            a[i][c] = 0
+            row = a[i]
+            head = row[c]
+            if head:
+                row[c + 1 :] = [
+                    (pivot * x - head * y) // prev for x, y in zip(row[c + 1 :], tail)
+                ]
+            elif pivot != prev:
+                row[c + 1 :] = [pivot * x // prev for x in row[c + 1 :]]
         prev = pivot
+        r += 1
+        if r == rows:
+            break
+    return r
+
+
+def _rank_mod_p(a: list[list[int]], cols: int, p: int) -> int:
+    """Gaussian elimination on residue rows, one inverse per pivot; rows
+    whose head is already zero are left untouched."""
+    rows = len(a)
+    r = 0
+    for c in range(cols):
+        pivot_row = next((i for i in range(r, rows) if a[i][c]), None)
+        if pivot_row is None:
+            continue
+        a[pivot_row], a[r] = a[r], a[pivot_row]
+        top = a[r]
+        inv = pow(top[c], -1, p)
+        tail = top[c + 1 :]
+        for i in range(r + 1, rows):
+            row = a[i]
+            if row[c]:
+                factor = row[c] * inv % p
+                row[c + 1 :] = [(x - factor * y) % p for x, y in zip(row[c + 1 :], tail)]
         r += 1
         if r == rows:
             break

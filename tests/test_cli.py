@@ -316,3 +316,81 @@ class TestErrorHandling:
         assert infer_base_count("x1^3 - x2^2") == 2
         assert infer_base_count("x7_2 + x3") == 7
         assert infer_base_count("5") == 1
+
+
+class TestCoordinateGrammar:
+    MATRIX = "jacm:1:x1^2-x2"
+
+    @pytest.mark.parametrize("coords", ["1,2", "-3,+4", "1/2,-7/3", " 5 , 6/1 "])
+    def test_accepts_integers_and_fractions(self, capsys, coords):
+        code, out, err = invoke(
+            capsys, "rank-at-point", "--matrix", self.MATRIX, f"--point={coords}"
+        )
+        assert (code, out, err) == (0, "rank = 1\n", "")
+
+    @pytest.mark.parametrize(
+        "coords", ["0.5,1e1", "1e1,2", ".5,1", "1_0,2", "1/0,2", "2/-3,1", "x,1", "1,"]
+    )
+    def test_rejects_other_numerals(self, capsys, coords):
+        code, out, err = invoke(
+            capsys, "rank-at-point", "--matrix", self.MATRIX, f"--point={coords}"
+        )
+        assert code == 1 and out == ""
+        assert err.startswith("BadCoordinate:")
+
+    def test_base_coordinates_use_the_same_grammar(self, capsys):
+        code, _, err = invoke(
+            capsys, "nobile", "--f", "x1^3 - x2^2", "--n", "1", "--base", "0,0.0"
+        )
+        assert code == 1
+        assert err.startswith("BadCoordinate:")
+
+
+class TestNegativeLeadingCoordinate:
+    CASES = [
+        ("rank-at-point", "--matrix", "jacm:1:x1^2-x2", "--point", "-9,1"),
+        ("singular-check", "--f", "x1^2 - x2", "--n", "1", "--point", "-1,1,1,-2"),
+        ("nobile", "--f", "x1^2 + 2*x1 + 1 - x2^3", "--n", "1", "--base", "-1,0", "--json"),
+    ]
+
+    @pytest.mark.parametrize("argv", CASES, ids=lambda argv: argv[0])
+    def test_space_form_matches_equals_form(self, capsys, argv):
+        joined = list(argv)
+        flag = joined.index("--point" if "--point" in joined else "--base")
+        joined[flag : flag + 2] = [f"{joined[flag]}={joined[flag + 1]}"]
+        spaced = invoke(capsys, *argv)
+        assert spaced[0] == 0 and spaced[2] == ""
+        assert spaced == invoke(capsys, *joined)
+
+    def test_missing_value_is_still_a_usage_error(self, capsys):
+        code, _, _ = invoke(capsys, "rank-at-point", "--matrix", "jacm:1:x1", "--point")
+        assert code == 2
+
+
+class TestInlineMatrixSchema:
+    @pytest.mark.parametrize(
+        "matrix",
+        [
+            "[[\"x1\"]]",
+            "{\"rows\": 1, \"cols\": 1}",
+            "{\"rows\": 1, \"cols\": 1, \"entries\": [[3]]}",
+            "{\"rows\": 1, \"cols\": 1, \"entries\": [\"x1\"]}",
+            "{\"rows\": 1, \"cols\": 2, \"entries\": [[\"x1\"], [\"1\"]]}",
+            "{\"rows\": \"1\", \"cols\": 1, \"entries\": [[\"x1\"]]}",
+            "{\"rows\": 1, \"cols\": 1, \"entries\": [[\"x1\"]]",
+        ],
+        ids=[
+            "not-an-object", "missing-key", "non-string-entry", "row-not-a-list",
+            "ragged", "non-integer-size", "not-json",
+        ],
+    )
+    def test_malformed_matrix_is_a_domain_error(self, capsys, matrix):
+        code, out, err = invoke(capsys, "rank-at-point", "--matrix", matrix, "--point", "1")
+        assert code == 1 and out == ""
+        assert err.startswith("BadMatrixJSON:")
+        assert "Traceback" not in err
+
+    def test_empty_matrix_has_rank_zero(self, capsys):
+        matrix = json.dumps({"rows": 0, "cols": 0, "entries": []})
+        code, out, _ = invoke(capsys, "rank-at-point", "--matrix", matrix, "--point", "1")
+        assert (code, out) == (0, "rank = 0\n")

@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from jetjac import (
     FieldSpec,
@@ -24,6 +26,7 @@ from jetjac.linalg import random_point, trial_rng
 from _corpus import GF5, Q, random_base_polynomial
 
 CUSP = parse_poly("x1^3 - x2^2", 2, Q)
+GF101 = FieldSpec.prime_field(101)
 
 
 def scalar(rows, spec=Q):
@@ -31,8 +34,9 @@ def scalar(rows, spec=Q):
     return ScalarMatrix(len(rows), len(rows[0]), entries, spec)
 
 
-def int_matrix_rank_oracle(rows):
-    """Row-reduce over Fraction, independently of the library path."""
+def rational_rank_oracle(rows):
+    """Row-reduce over Fraction, independently of the library path.
+    Entries may be ints, Fractions or "a/b" strings."""
     a = [[Fraction(v) for v in row] for row in rows]
     rank_count = 0
     cols = len(a[0]) if a else 0
@@ -99,7 +103,7 @@ class TestRank:
             nrows = rng.randint(1, 5)
             ncols = rng.randint(1, 5)
             rows = [[rng.randint(-6, 6) for _ in range(ncols)] for _ in range(nrows)]
-            assert rank(scalar(rows)) == int_matrix_rank_oracle(rows)
+            assert rank(scalar(rows)) == rational_rank_oracle(rows)
 
     def test_gf_p_rank(self):
         # rows become dependent mod 5: (1, 2) and (6, 12) differ by 5k
@@ -115,6 +119,131 @@ class TestRank:
             over_q = rank(scalar(rows))
             over_p = rank(scalar(rows, big))
             assert over_p == over_q
+
+
+def mod_p_rank_oracle(rows, p):
+    """Column-reduce residues with Fermat inverses: a different route
+    from the library's row elimination."""
+    cols = [[v % p for v in col] for col in zip(*rows)]
+    rank_count = 0
+    for i in range(len(rows)):
+        pivot = next((k for k in range(rank_count, len(cols)) if cols[k][i]), None)
+        if pivot is None:
+            continue
+        cols[rank_count], cols[pivot] = cols[pivot], cols[rank_count]
+        pc = cols[rank_count]
+        inv = pow(pc[i], p - 2, p)
+        for k in range(rank_count + 1, len(cols)):
+            factor = cols[k][i] * inv % p
+            cols[k] = [(x - factor * y) % p for x, y in zip(cols[k], pc)]
+        rank_count += 1
+    return rank_count
+
+
+INTEGERS = st.integers(-6, 6)
+RATIONALS = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 7))
+
+
+def grid(draw, rows, cols, entries):
+    flat = draw(st.lists(entries, min_size=rows * cols, max_size=rows * cols))
+    return [flat[i * cols : (i + 1) * cols] for i in range(rows)]
+
+
+@st.composite
+def planted_rank(draw, entries=RATIONALS, max_rows=8, max_cols=10):
+    """B·C with B rows x k and C k x cols, so the rank is at most k."""
+    rows = draw(st.integers(1, max_rows))
+    cols = draw(st.integers(1, max_cols))
+    k = draw(st.integers(0, min(rows, cols)))
+    b, c = grid(draw, rows, k, entries), grid(draw, k, cols, entries)
+    return [
+        [sum(b[i][t] * c[t][j] for t in range(k)) for j in range(cols)]
+        for i in range(rows)
+    ]
+
+
+@st.composite
+def with_zero_lines(draw, matrices):
+    """Insert zero rows and zero columns at drawn positions."""
+    rows = [list(row) for row in draw(matrices)]
+    for _ in range(draw(st.integers(0, 3))):
+        j = draw(st.integers(0, len(rows[0])))
+        for row in rows:
+            row.insert(j, 0)
+    for _ in range(draw(st.integers(0, 3))):
+        rows.insert(draw(st.integers(0, len(rows))), [0] * len(rows[0]))
+    return rows
+
+
+@st.composite
+def block_diagonal(draw, entries=RATIONALS):
+    """Entries below each pivot of a later block are already zero, so
+    elimination has to rescale rows it does not otherwise touch."""
+    blocks = draw(
+        st.lists(planted_rank(entries, max_rows=4, max_cols=4), min_size=2, max_size=3)
+    )
+    width = sum(len(block[0]) for block in blocks)
+    out, offset = [], 0
+    for block in blocks:
+        for row in block:
+            out.append([0] * offset + list(row) + [0] * (width - offset - len(row)))
+        offset += len(block[0])
+    return out
+
+
+RATIONAL_MATRICES = st.one_of(
+    planted_rank(), with_zero_lines(planted_rank()), block_diagonal()
+)
+INTEGER_MATRICES = st.one_of(
+    planted_rank(INTEGERS),
+    with_zero_lines(planted_rank(INTEGERS)),
+    block_diagonal(INTEGERS),
+)
+
+
+class TestRankProperties:
+    @settings(max_examples=200, deadline=None)
+    @given(RATIONAL_MATRICES)
+    def test_rational_rank_matches_fraction_oracle(self, rows):
+        text = [[str(v) for v in row] for row in rows]  # "a/b" entries
+        assert rank(scalar(rows)) == rational_rank_oracle(text)
+
+    @pytest.mark.parametrize("p", [2, 5, 101, 32003])
+    @settings(max_examples=60, deadline=None)
+    @given(rows=INTEGER_MATRICES)
+    def test_mod_p_rank_matches_oracle_and_bounds_rational_rank(self, p, rows):
+        over_p = rank(scalar(rows, FieldSpec.prime_field(p)))
+        assert over_p == mod_p_rank_oracle(rows, p)
+        assert over_p <= rank(scalar(rows))
+
+    def test_rescaling_rows_below_a_zero_head(self):
+        # both lower rows have a zero head under the first pivot 2 and must
+        # still be doubled; unscaled, the next step floors 1/2 to 0 and
+        # reports rank 2
+        rows = [[2, 0, 0], [0, -1, -1], [0, 1, 0]]
+        assert rank(scalar(rows)) == rational_rank_oracle(rows) == 3
+
+
+QUARTIC = "x1^3 - x2^2 + x1*x2*x3 + x3^4"
+
+
+class TestZeroJetClosedForm:
+    """With every coordinate of order >= 1 zero, each d_k(Jac_m f) with
+    k >= 1 vanishes, so D_n(Jac_m f) is block diagonal with n + 1 copies
+    of Jac_m f at the base point."""
+
+    @pytest.mark.parametrize("spec", [Q, GF101], ids=str)
+    @pytest.mark.parametrize("source", ["x1^3 - x2^2", QUARTIC])
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_rank_is_n_plus_one_copies(self, spec, source, m):
+        s = 3 if "x3" in source else 2
+        jac = jac_m([parse_poly(source, s, spec)], m)
+        for base in ([0] * s, [1] * s):
+            base_rank = rank(eval_matrix(jac, Point.from_base(base, spec)))
+            for n in range(5):
+                zero_jet = Point.from_flat(base + [0] * (s * n), s, n, spec)
+                got = rank(eval_matrix(dn_matrix(jac, n), zero_jet))
+                assert got == (n + 1) * base_rank
 
 
 class TestPolyDet:
