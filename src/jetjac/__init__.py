@@ -7,6 +7,7 @@ determinantal minors, and rank-based singularity certificates.
 """
 
 from .field import (
+    CharacteristicTooLarge,
     DivisionByZero,
     FieldElement,
     FieldError,
@@ -21,8 +22,8 @@ from .hasse import (
     NotBasePolynomial,
     check_commutation,
     hs_components,
-    hs_components_leibniz,
-    jet_partial,
+    hs_values,
+    jet_series,
 )
 from .jacobian import (
     EmptyInput,
@@ -34,10 +35,11 @@ from .jacobian import (
     jac_m,
 )
 from .jetmatrix import (
-    BlockSpec,
+    DnMatrix,
     FdbdReport,
     check_fdbd,
     dn_matrix,
+    dn_matrix_at,
     jet_jacobian,
     reverse_blocks,
 )
@@ -68,6 +70,7 @@ from .linalg import (
     MinorSet,
     ScalarMatrix,
     TooManyMinors,
+    at_point,
     eval_matrix,
     generic_rank,
     minors,
@@ -83,6 +86,7 @@ from .poly import (
     Point,
     Polynomial,
     UnknownVariable,
+    WrongCoordinateCount,
     base_variables,
     jet_grid,
     parse_poly,

@@ -20,7 +20,7 @@ import sys
 from .field import FieldError, FieldSpec
 from .hasse import NotBasePolynomial, check_commutation, hs_components
 from .jacobian import EmptyInput, PolyMatrix, jac_m
-from .jetmatrix import check_fdbd, dn_matrix
+from .jetmatrix import DnMatrix, check_fdbd, dn_matrix
 from .jetscheme import (
     ConstantPolynomial,
     NoSmoothPointFound,
@@ -32,8 +32,15 @@ from .jetscheme import (
     on_jet_scheme,
     rank_counterexample_check,
 )
-from .linalg import TooManyMinors, eval_matrix, generic_rank, minors, rank
-from .poly import MissingCoordinate, ParseError, Point, Polynomial, parse_poly
+from .linalg import TooManyMinors, at_point, generic_rank, minors, rank
+from .poly import (
+    MissingCoordinate,
+    ParseError,
+    Point,
+    Polynomial,
+    WrongCoordinateCount,
+    parse_poly,
+)
 
 
 class BadCoordinate(ValueError):
@@ -54,6 +61,7 @@ DOMAIN_ERRORS = (
     EmptyInput,
     TooManyMinors,
     MissingCoordinate,
+    WrongCoordinateCount,
     ConstantPolynomial,
     PointNotOnScheme,
     NotSingularBase,
@@ -76,7 +84,7 @@ def infer_base_count(source: str) -> int:
 def parse_field(text: str) -> FieldSpec:
     try:
         return FieldSpec.parse(text)
-    except ValueError as exc:
+    except (ValueError, FieldError) as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
@@ -95,7 +103,7 @@ def parse_point(text: str, s: int, n: int, spec: FieldSpec) -> Point:
     return Point.from_flat(values, s, n, spec)
 
 
-def matrix_dims(mx: PolyMatrix) -> tuple[int, int]:
+def matrix_dims(mx: PolyMatrix | DnMatrix) -> tuple[int, int]:
     """(s, max jet order) across all entries of the matrix."""
     variables = mx.variables()
     s = max((v.base for v in variables), default=1)
@@ -103,19 +111,25 @@ def matrix_dims(mx: PolyMatrix) -> tuple[int, int]:
     return s, order
 
 
-def build_matrix(spec_text: str, field: FieldSpec) -> PolyMatrix:
-    """Materialize a matrix argument: "jacm:<m>:<polys>",
-    "dnl:<n>:<m>:<polys>", or an inline JSON {rows, cols, entries}."""
+def matrix_argument(spec_text: str, field: FieldSpec) -> PolyMatrix | DnMatrix:
+    """Read a matrix argument: "jacm:<m>:<polys>", "dnl:<n>:<m>:<polys>"
+    (kept unexpanded), or an inline JSON {rows, cols, entries}."""
     if spec_text.startswith("jacm:"):
         _, m_text, polys_text = spec_text.split(":", 2)
         return jac_m(parse_polys(polys_text, field), int(m_text))
     if spec_text.startswith("dnl:"):
         _, n_text, m_text, polys_text = spec_text.split(":", 3)
-        return dn_matrix(jac_m(parse_polys(polys_text, field), int(m_text)), int(n_text))
+        return DnMatrix(jac_m(parse_polys(polys_text, field), int(m_text)), int(n_text))
     rows, cols, flat = _matrix_json_fields(spec_text)
     s = max((infer_base_count(entry) for entry in flat), default=1)
     entries = tuple(parse_poly(entry, s, field) for entry in flat)
     return PolyMatrix(rows, cols, entries, provenance="json")
+
+
+def build_matrix(spec_text: str, field: FieldSpec) -> PolyMatrix:
+    """Materialize a matrix argument, expanding a dnl: builder."""
+    mx = matrix_argument(spec_text, field)
+    return dn_matrix(mx.L, mx.n) if isinstance(mx, DnMatrix) else mx
 
 
 def _matrix_json_fields(text: str) -> tuple[int, int, list[str]]:
@@ -220,10 +234,10 @@ def cmd_jet_equations(args) -> int:
 
 
 def cmd_rank_at_point(args) -> int:
-    mx = build_matrix(args.matrix, args.field)
+    mx = matrix_argument(args.matrix, args.field)
     s, order = matrix_dims(mx)
     point = parse_point(args.point, s, order, args.field)
-    r = rank(eval_matrix(mx, point))
+    r = rank(at_point(mx, point))
     emit(args, f"rank = {r}", {"rank": r})
     return 0
 
@@ -247,7 +261,7 @@ def cmd_minors(args) -> int:
 
 
 def cmd_generic_rank(args) -> int:
-    mx = build_matrix(args.matrix, args.field)
+    mx = matrix_argument(args.matrix, args.field)
     r = generic_rank(mx, trials=args.trials, seed=args.seed)
     emit(
         args,

@@ -27,11 +27,18 @@ class DivisionByZero(FieldError):
     """Division by the zero element of the field."""
 
 
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+class CharacteristicTooLarge(FieldError):
+    """The characteristic is at or above PRIME_BOUND, where is_prime is no
+    longer known to be exact."""
+
+
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+# the least strong pseudoprime to all of _MR_BASES (Sorenson & Webster 2017)
+PRIME_BOUND = 3317044064679887385961981
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin; exact for n < 3.3e24."""
+    """Miller-Rabin to the prime bases 2..41, exact for n < PRIME_BOUND."""
     if n < 2:
         return False
     for p in _MR_BASES:
@@ -62,6 +69,11 @@ class FieldSpec:
 
     def __post_init__(self):
         p = self.characteristic
+        if p >= PRIME_BOUND:
+            raise CharacteristicTooLarge(
+                f"characteristic {p} is at or above {PRIME_BOUND}, "
+                "where the primality test is no longer exact"
+            )
         if p != 0 and not is_prime(p):
             raise ValueError(f"characteristic must be 0 or a prime, got {p}")
 

@@ -1,10 +1,13 @@
 """Hasse-Schmidt derivation components d_k(f) of base polynomials.
 
-Two independent algorithms produce the components: truncated-series
-substitution (the production route) and structural recursion on terms
-with the convolution Leibniz rule (the oracle route).  d_0 renames every
-base variable x_i to x_i^(0), which is the identity in this encoding;
-d_k(x_i) = x_i^(k); products expand by d_k(fg) = sum_{i+j=k} d_i(f) d_j(g).
+d_k(f) is the t^k coefficient of f(a_1(t), ..., a_s(t)) with
+a_i(t) = sum_j x_i^(j) t^j, truncated after t^n.  One truncated-series
+kernel computes it over two coefficient rings: polynomial series give the
+symbolic components (hs_components), and raw-scalar series give their
+values at a jet directly (hs_values, Taylor mode), since evaluation at a
+point is a ring homomorphism and commutes with taking t^k coefficients.
+The tests keep an independent oracle: structural recursion through the
+convolution Leibniz rule d_k(fg) = sum_{i+j=k} d_i(f) d_j(g).
 
 check_commutation verifies the derivative interchange rule
 partial_{x_i^(j)} (d_k f) = d_{k-j} (partial_{x_i} f) for all admissible
@@ -15,7 +18,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .poly import JetVariable, Polynomial, jet_grid
+from .field import FieldSpec, MixedFields
+from .poly import JetVariable, MissingCoordinate, Point, Polynomial, jet_grid
 
 
 class NotBasePolynomial(ValueError):
@@ -48,29 +52,55 @@ def _require_base(f: Polynomial):
         )
 
 
-def _series_mul(a, b, n, zero):
-    # product of polynomial t-series, truncated after t^n
+def _series_mul(a, b, n, zero, p=0):
+    """Product of two t-series truncated after t^n.  Coefficients are
+    polynomials, or raw scalars that are reduced mod p when p > 0."""
     out = [zero] * (n + 1)
     for i, ai in enumerate(a):
-        if ai.is_zero:
+        if not ai:
             continue
         for j in range(n + 1 - i):
             bj = b[j]
-            if not bj.is_zero:
+            if bj:
                 out[i + j] = out[i + j] + ai * bj
+    if p:
+        out = [c % p for c in out]
     return out
 
 
-def _series_pow(base, e, n, one, zero):
+def _series_pow(base, e, n, one, zero, p=0):
     result = [one] + [zero] * n
     square = base
     while e:
         if e & 1:
-            result = _series_mul(result, square, n, zero)
+            result = _series_mul(result, square, n, zero, p)
         e >>= 1
         if e:
-            square = _series_mul(square, square, n, zero)
+            square = _series_mul(square, square, n, zero, p)
     return result
+
+
+def _substituted(f, n, var_series, powers, one, zero, p=0):
+    """The t-series of f(a_1(t), ..., a_s(t)) truncated after t^n, where
+    var_series[i] is the series a_i(t).  powers caches a_i(t)^e by (i, e)
+    and may be shared by every f substituted into the same series."""
+    acc = [zero] * (n + 1)
+    for exps, coeff in f.terms.items():
+        prod = [one * coeff] + [zero] * n
+        for idx, e in enumerate(exps):
+            if e:
+                key = (f.ambient[idx].base, e)
+                powed = powers.get(key)
+                if powed is None:
+                    powed = _series_pow(var_series[key[0]], e, n, one, zero, p)
+                    powers[key] = powed
+                prod = _series_mul(prod, powed, n, zero, p)
+        for k in range(n + 1):
+            if prod[k]:
+                acc[k] = acc[k] + prod[k]
+    if p:
+        acc = [c % p for c in acc]
+    return acc
 
 
 def hs_components(f: Polynomial, n: int) -> HSExpansion:
@@ -88,64 +118,38 @@ def hs_components(f: Polynomial, n: int) -> HSExpansion:
         i: [Polynomial.variable(spec, JetVariable(i, j), grid) for j in range(n + 1)]
         for i in range(1, s + 1)
     }
-    pow_cache: dict[tuple[int, int], list] = {}
-    acc = [zero] * (n + 1)
-    for exps, coeff in f.terms.items():
-        prod = [one] + [zero] * n
-        for idx, e in enumerate(exps):
-            if e:
-                i = f.ambient[idx].base
-                powed = pow_cache.get((i, e))
-                if powed is None:
-                    powed = _series_pow(var_series[i], e, n, one, zero)
-                    pow_cache[(i, e)] = powed
-                prod = _series_mul(prod, powed, n, zero)
-        for k in range(n + 1):
-            if not prod[k].is_zero:
-                acc[k] = acc[k] + prod[k]._scaled(coeff)
+    acc = _substituted(f, n, var_series, {}, one, zero)
     components = tuple(acc[k].restricted(jet_grid(s, k)) for k in range(n + 1))
     return HSExpansion(f, n, components)
 
 
-def hs_components_leibniz(f: Polynomial, n: int) -> HSExpansion:
-    """Same components by structural recursion: the derivation sends
-    x_i to x_i^(k), kills constants for k >= 1, is additive over terms
-    and expands products one variable factor at a time through the
-    convolution rule.  Serves as the independent oracle."""
-    _require_base(f)
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    s = f.base_count
-    spec = f.spec
-    grid = jet_grid(s, n)
-    zero = Polynomial.zero(spec, grid)
-    dvar = {
-        i: [Polynomial.variable(spec, JetVariable(i, k), grid) for k in range(n + 1)]
+def jet_series(point: Point, spec: FieldSpec, s: int, n: int) -> dict[int, list]:
+    """The jet as raw coefficient lists a_i = [a_i^(0), ..., a_i^(n)],
+    i = 1..s, for hs_values.  The point must be over `spec` and assign
+    every x_i^(j) with j <= n."""
+    if point.spec != spec:
+        raise MixedFields(f"point over {point.spec}, polynomial over {spec}")
+    coords = point.coords
+    for v in jet_grid(s, n):
+        if v not in coords:
+            raise MissingCoordinate(f"point assigns no value to {v.name}")
+    return {
+        i: [coords[JetVariable(i, j)].value for j in range(n + 1)]
         for i in range(1, s + 1)
     }
-    acc = [zero] * (n + 1)
-    for exps, coeff in f.terms.items():
-        vec = [Polynomial.constant(spec, coeff, grid)] + [zero] * n
-        for idx, e in enumerate(exps):
-            base_vec = dvar.get(f.ambient[idx].base)
-            for _ in range(e):
-                nxt = [zero] * (n + 1)
-                for i in range(n + 1):
-                    vi = base_vec[i]
-                    for j in range(n + 1 - i):
-                        if not vec[j].is_zero:
-                            nxt[i + j] = nxt[i + j] + vi * vec[j]
-                vec = nxt
-        for k in range(n + 1):
-            if not vec[k].is_zero:
-                acc[k] = acc[k] + vec[k]
-    components = tuple(acc[k].restricted(jet_grid(s, k)) for k in range(n + 1))
-    return HSExpansion(f, n, components)
 
 
-def jet_partial(g: Polynomial, v: JetVariable) -> Polynomial:
-    """Formal partial derivative of a jet polynomial."""
-    return g.partial(v)
+def hs_values(g: Polynomial, n: int, series: dict[int, list], powers: dict) -> list:
+    """Raw values [d_0(g)(a), ..., d_n(g)(a)] at the jet a given by
+    `series` (from jet_series): the t-coefficients of g(a(t)), with
+    a_i(t) = sum_j a_i^(j) t^j.  Evaluation is a ring homomorphism, so
+    they equal the components evaluated at a, without building them.
+    `powers` caches a_i(t)^e; pass one dict for every g at the same jet."""
+    _require_base(g)
+    spec = g.spec
+    return _substituted(
+        g, n, series, powers, spec.one.value, spec.zero.value, spec.characteristic
+    )
 
 
 @dataclass(frozen=True)

@@ -7,6 +7,9 @@ derivative of f by alpha - beta, or 0 when alpha does not dominate beta.
 Both index families are enumerated by degree and then lexicographically
 descending with x1 heaviest, which pins the matrix layout; other sources
 may order them differently.
+
+PolyMatrix and ScalarMatrix are the dense matrix types of the package:
+polynomial entries, and raw field values such as a matrix at a point.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .field import FieldSpec, MixedFields
+from .field import FieldElement, FieldSpec, MixedFields
 from .poly import JetVariable, MultiIndex, Polynomial
 
 
@@ -115,6 +118,50 @@ class PolyMatrix:
         for e in self.entries:
             seen.update(e.ambient)
         return tuple(sorted(seen))
+
+    def __str__(self) -> str:
+        return "\n".join(
+            "[" + ", ".join(str(e) for e in self.row(i)) + "]"
+            for i in range(self.rows)
+        )
+
+
+@dataclass(frozen=True)
+class ScalarMatrix:
+    """Dense matrix over the field, such as a PolyMatrix at a point.
+
+    `values` holds raw scalars in row-major order (Fraction over Q,
+    canonical residue int over GF(p)), which is what elimination reads;
+    at, row and str give field elements.
+    """
+
+    rows: int
+    cols: int
+    values: tuple
+    spec: FieldSpec
+
+    def __post_init__(self):
+        if self.rows * self.cols != len(self.values):
+            raise ValueError("entry count does not match the shape")
+
+    def at(self, i: int, j: int) -> FieldElement:
+        if not (0 <= i < self.rows and 0 <= j < self.cols):
+            raise IndexError(f"entry ({i}, {j}) outside {self.rows}x{self.cols}")
+        return FieldElement(self.spec, self.values[i * self.cols + j])
+
+    def row(self, i: int) -> tuple[FieldElement, ...]:
+        return tuple(
+            FieldElement(self.spec, v)
+            for v in self.values[i * self.cols : (i + 1) * self.cols]
+        )
+
+    def transpose(self) -> "ScalarMatrix":
+        values = tuple(
+            self.values[i * self.cols + j]
+            for j in range(self.cols)
+            for i in range(self.rows)
+        )
+        return ScalarMatrix(self.cols, self.rows, values, self.spec)
 
     def __str__(self) -> str:
         return "\n".join(

@@ -6,42 +6,27 @@ differentiates the components d_k(f_l) by every jet variable, which comes
 out lower block-triangular.  The two constructions contain the same data:
 reversing the block order on both axes of one of them makes them equal
 entrywise, and check_fdbd verifies exactly that.
+
+dn_matrix_at gives D_n(L) at a point by Taylor mode, from the values of
+d_0, ..., d_n of each entry of L at the jet, and never builds the
+symbolic blocks; DnMatrix stands for D_n(L) until it is put at a point.
+dn_matrix, the symbolic construction, serves printing and the tests.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .hasse import HSExpansion, hs_components
-from .jacobian import PolyMatrix, jac
-from .poly import JetVariable, Polynomial, jet_grid
-
-
-@dataclass(frozen=True)
-class BlockSpec:
-    """Block layout of a (n+1)b x (n+1)a matrix of b x a blocks."""
-
-    n: int
-    b: int
-    a: int
-
-    def block(self, mx: PolyMatrix, i: int, j: int) -> PolyMatrix:
-        if not (0 <= i <= self.n and 0 <= j <= self.n):
-            raise IndexError(f"block ({i}, {j}) outside {self.n + 1} blocks per axis")
-        entries = tuple(
-            mx.at(i * self.b + r, j * self.a + c)
-            for r in range(self.b)
-            for c in range(self.a)
-        )
-        return PolyMatrix(self.b, self.a, entries)
+from .field import FieldSpec
+from .hasse import HSExpansion, _require_base, hs_components, hs_values, jet_series
+from .jacobian import PolyMatrix, ScalarMatrix, jac
+from .poly import JetVariable, Point, Polynomial, jet_grid
 
 
 def dn_matrix(L: PolyMatrix, n: int) -> PolyMatrix:
     """The (n+1)b x (n+1)a block matrix with block (i, j) = d_{j-i}(L)
     for j >= i and 0 otherwise; d is applied to each entry of L."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    s = max((v.base for v in L.variables()), default=0)
+    s = _base_count(L, n)
     zero = Polynomial.zero(L.spec, jet_grid(s, 0))
     cache: dict[Polynomial, HSExpansion] = {}
 
@@ -68,6 +53,75 @@ def dn_matrix(L: PolyMatrix, n: int) -> PolyMatrix:
         tuple(entries),
         provenance=f"D_{n}({L.provenance or 'L'})",
     )
+
+
+def _base_count(L: PolyMatrix, n: int) -> int:
+    # s of D_n(L), after the checks dn_matrix makes on its input
+    if n < 0:
+        raise ValueError("n must be >= 0")
+    for g in L.entries:
+        _require_base(g)
+    return max((v.base for v in L.variables()), default=0)
+
+
+def dn_matrix_at(L: PolyMatrix, n: int, point: Point) -> ScalarMatrix:
+    """D_n(L) at a point, equal entry for entry to
+    eval_matrix(dn_matrix(L, n), point) but computed by Taylor mode: each
+    entry g of L contributes the values d_0(g)(a), ..., d_n(g)(a), and no
+    symbolic d_k is built.  The point must assign the variables of
+    dn_matrix(L, n), which are jet_grid(s, n) with s the largest base
+    index of L."""
+    series = jet_series(point, L.spec, _base_count(L, n), n)
+    powers: dict = {}
+    cache: dict[Polynomial, list] = {}
+    entry_values = []  # [d_0(g), ..., d_n(g)] at the point, per entry g of L
+    for g in L.entries:
+        vals = cache.get(g)
+        if vals is None:
+            vals = hs_values(g, n, series, powers)
+            cache[g] = vals
+        entry_values.append(vals)
+    b, a = L.rows, L.cols
+    # row r of the top block row; block row bi shifts it right by bi blocks
+    top = [
+        [vals[k] for k in range(n + 1) for vals in entry_values[r * a : (r + 1) * a]]
+        for r in range(b)
+    ]
+    zero = L.spec.zero.value
+    values = []
+    for bi in range(n + 1):
+        for r in range(b):
+            values.extend([zero] * (bi * a))
+            values.extend(top[r][: (n + 1 - bi) * a])
+    return ScalarMatrix((n + 1) * b, (n + 1) * a, tuple(values), point.spec)
+
+
+@dataclass(frozen=True)
+class DnMatrix:
+    """D_n(L) left unexpanded: rows, cols, spec and variables() are those
+    of dn_matrix(L, n), and dn_matrix_at puts it at a point without
+    building its polynomial entries."""
+
+    L: PolyMatrix
+    n: int
+
+    def __post_init__(self):
+        _base_count(self.L, self.n)
+
+    @property
+    def rows(self) -> int:
+        return (self.n + 1) * self.L.rows
+
+    @property
+    def cols(self) -> int:
+        return (self.n + 1) * self.L.cols
+
+    @property
+    def spec(self) -> FieldSpec:
+        return self.L.spec
+
+    def variables(self) -> tuple[JetVariable, ...]:
+        return jet_grid(_base_count(self.L, self.n), self.n)
 
 
 def jet_jacobian(fs: list[Polynomial], n: int) -> PolyMatrix:

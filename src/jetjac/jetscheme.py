@@ -9,20 +9,27 @@ evidence that blowing up the higher-differentials module cannot be an
 isomorphism over a singular base point: zero-jet membership, rank
 deficiency there, the expected generic cokernel rank, and a rank jump
 between singular and generic jets.
+
+Every test at a point works in Taylor mode and builds no symbolic d_k:
+membership checks f(a(t)) = 0 mod t^(n+1), jet lifting solves for the
+t^k coefficient, and the rank criteria put D_n(Jac_m f) at the jet with
+jetmatrix.dn_matrix_at.  The symbolic equations and presentation
+matrices are built only when a caller reads them.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .field import FieldElement
-from .hasse import hs_components
+from .hasse import hs_components, hs_values, jet_series
 from .jacobian import PolyMatrix, index_families, jac_m
-from .jetmatrix import dn_matrix, jet_jacobian
+from .jetmatrix import dn_matrix, dn_matrix_at, jet_jacobian
 from .linalg import SAMPLE_RANGE, eval_matrix, rank, trial_rng
-from .poly import JetVariable, MissingCoordinate, Point, Polynomial, jet_grid
+from .poly import JetVariable, MissingCoordinate, Point, Polynomial
 
 
 class ConstantPolynomial(ValueError):
@@ -54,7 +61,11 @@ class JetSchemeDesc:
     f: Polynomial
     s: int
     n: int
-    equations: tuple[Polynomial, ...]
+
+    @functools.cached_property
+    def equations(self) -> tuple[Polynomial, ...]:
+        """The symbolic d_0(f), ..., d_n(f), built on first read."""
+        return hs_components(self.f, self.n).components
 
     @property
     def expected_dimension(self) -> int:
@@ -68,20 +79,16 @@ def jet_equations(f: Polynomial, n: int) -> JetSchemeDesc:
         raise ConstantPolynomial("the hypersurface equation is constant")
     if f.max_order > 0:
         raise ValueError("the hypersurface equation must use base variables only")
-    expansion = hs_components(f, n)
-    return JetSchemeDesc(f, f.base_count, n, expansion.components)
-
-
-def _require_coverage(desc: JetSchemeDesc, point: Point):
-    for v in jet_grid(desc.s, desc.n):
-        if v not in point.coords:
-            raise MissingCoordinate(f"point assigns no value to {v.name}")
+    if n < 0:
+        raise ValueError("n must be >= 0")
+    return JetSchemeDesc(f, f.base_count, n)
 
 
 def on_jet_scheme(desc: JetSchemeDesc, point: Point) -> bool:
-    """Whether every defining equation vanishes at the point."""
-    _require_coverage(desc, point)
-    return all(eq.evaluate(point).is_zero for eq in desc.equations)
+    """Whether every defining equation vanishes at the point, that is
+    f(a(t)) = 0 mod t^(n+1) for the jet a."""
+    series = jet_series(point, desc.f.spec, desc.s, desc.n)
+    return not any(hs_values(desc.f, desc.n, series, {}))
 
 
 @dataclass(frozen=True)
@@ -115,8 +122,7 @@ def higher_rank_test(desc: JetSchemeDesc, point: Point, m: int) -> RankReport:
         raise ValueError("m must be >= 1")
     if not on_jet_scheme(desc, point):
         raise PointNotOnScheme("the point does not lie on the jet scheme")
-    mx = dn_matrix(jac_m([desc.f], m), desc.n)
-    r = rank(eval_matrix(mx, point))
+    r = rank(dn_matrix_at(jac_m([desc.f], m), desc.n, point))
     fam = index_families(desc.s, m)
     bound = (desc.n + 1) * fam.M
     return RankReport(r, bound, r == bound, (IRREDUCIBILITY_ASSUMPTION,))
@@ -124,16 +130,22 @@ def higher_rank_test(desc: JetSchemeDesc, point: Point, m: int) -> RankReport:
 
 @dataclass(frozen=True)
 class Presentation:
-    """A module presented as the cokernel of the transpose of `matrix`."""
+    """A module presented as the cokernel of the transpose of
+    `matrix` = D_n(L)."""
 
     name: str
-    matrix: PolyMatrix
+    L: PolyMatrix
     gens: int
     rels: int
     module_label: str
     f: Polynomial
     n: int
     m: int
+
+    @functools.cached_property
+    def matrix(self) -> PolyMatrix:
+        """The symbolic D_n(L), built on first read."""
+        return dn_matrix(self.L, self.n)
 
 
 def presentation_of(f: Polynomial, n: int, m: int) -> Presentation:
@@ -143,7 +155,6 @@ def presentation_of(f: Polynomial, n: int, m: int) -> Presentation:
         raise ValueError("m must be >= 1")
     if n < 0:
         raise ValueError("n must be >= 0")
-    matrix = dn_matrix(jac_m([f], m), n)
     fam = index_families(f.base_count, m)
     if n == 0:
         label = "Omega1" if m == 1 else "OmegaM"
@@ -153,7 +164,7 @@ def presentation_of(f: Polynomial, n: int, m: int) -> Presentation:
         name = f"order-{m} differentials over order-{n} jets"
     return Presentation(
         name=name,
-        matrix=matrix,
+        L=jac_m([f], m),
         gens=(n + 1) * fam.N,
         rels=(n + 1) * fam.M,
         module_label=label,
@@ -310,7 +321,9 @@ def extend_to_jet(f: Polynomial, base, n: int, seed=0, fill=None) -> Point:
     order k the missing coordinates are filled with seeded random values
     except one at a nonzero gradient position, which is solved from the
     order-k equation (the equation is affine in the order-k coordinates
-    with the first partials of f as coefficients).
+    with the first partials of f as coefficients).  Its value d_k(f) at
+    the jet so far is the t^k coefficient of f(a(t)), computed by Taylor
+    mode with the solved coordinate set to 0.
     """
     spec = f.spec
     p = spec.characteristic
@@ -333,7 +346,14 @@ def extend_to_jet(f: Polynomial, base, n: int, seed=0, fill=None) -> Point:
                 return spec.element(rng.randrange(p))
             return spec.element(rng.randint(-SAMPLE_RANGE, SAMPLE_RANGE))
 
-    expansion = hs_components(f, n)
+    if n < 0:
+        raise ValueError("n must be >= 0")
+
+    def order_k_value(k):
+        # d_k(f) at the coordinates of orders <= k: the t^k coefficient of f(a(t))
+        series = jet_series(Point(spec, coords), spec, s, k)
+        return spec.element(hs_values(f, k, series, {})[k])
+
     for k in range(1, n + 1):
         unknown = [i for i in range(1, s + 1) if JetVariable(i, k) not in coords]
         solvable = [i for i in unknown if not grad[i].is_zero]
@@ -342,13 +362,13 @@ def extend_to_jet(f: Polynomial, base, n: int, seed=0, fill=None) -> Point:
             for i in unknown:
                 if i != solve_i:
                     coords[JetVariable(i, k)] = spec.element(fill(i, k))
-            coords[JetVariable(solve_i, k)] = spec.zero
-            offset = expansion[k].evaluate(Point(spec, coords))
-            coords[JetVariable(solve_i, k)] = -offset / grad[solve_i]
+            target = JetVariable(solve_i, k)
+            coords[target] = spec.zero  # the offset is d_k(f) with the target at 0
+            coords[target] = -order_k_value(k) / grad[solve_i]
         else:
             for i in unknown:
                 coords[JetVariable(i, k)] = spec.element(fill(i, k))
-            if not expansion[k].evaluate(Point(spec, coords)).is_zero:
+            if not order_k_value(k).is_zero:
                 raise PointNotOnScheme(
                     f"the order-{k} coordinates violate the jet equation"
                 )
@@ -385,7 +405,7 @@ def generic_cokernel_rank(pres: Presentation, trials: int = 20, seed=0) -> Coker
     for t in range(trials):
         base = find_smooth_point(pres.f, seed=f"{seed}:{t}")
         jet = extend_to_jet(pres.f, base, pres.n, seed=f"{seed}:{t}")
-        sm = eval_matrix(pres.matrix, jet)
+        sm = dn_matrix_at(pres.L, pres.n, jet)
         samples.append(sm.cols - rank(sm))
     observed = min(samples)
     return CokernelReport(
@@ -526,7 +546,7 @@ def nobile_certificate(
     try:
         wbase = find_smooth_point(f, seed=f"{seed}:witness")
         witness_jet = extend_to_jet(f, wbase, n, seed=f"{seed}:witness")
-        witness_rank = rank(eval_matrix(pres.matrix, witness_jet))
+        witness_rank = rank(dn_matrix_at(pres.L, pres.n, witness_jet))
     except NoSmoothPointFound:
         pass
     rank_jump = (

@@ -1,13 +1,16 @@
 """Exact linear algebra over the coefficient field.
 
-Rank uses one elimination routine per scalar kind: over Q each row is
-cleared of denominators and integer Bareiss elimination runs with exact
-integer division; over GF(p) plain Gaussian elimination runs with one
-inverse per pivot.  Determinants of polynomial matrices use cofactor
-expansion at small sizes and fraction-free elimination with exact
-polynomial division above that.  Generic rank is probabilistic: the
-maximum exact rank over seeded random evaluation points, always reported
-with its seed.
+A matrix at a point is a ScalarMatrix of raw scalars, which rank reads
+without wrapping them in field elements.  D_n(L) reaches a point by
+Taylor mode (jetmatrix.dn_matrix_at); any other polynomial matrix is
+evaluated entry by entry (eval_matrix).  Rank uses one elimination
+routine per scalar kind: over Q each row is cleared of denominators and
+integer Bareiss elimination runs with exact integer division; over GF(p)
+plain Gaussian elimination runs with one inverse per pivot.  Determinants
+of polynomial matrices use cofactor expansion at small sizes and
+fraction-free elimination with exact polynomial division above that.
+Generic rank is probabilistic: the maximum exact rank over seeded random
+evaluation points, always reported with its seed.
 """
 
 from __future__ import annotations
@@ -19,8 +22,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .field import FieldElement, FieldSpec
-from .jacobian import PolyMatrix
-from .poly import JetVariable, Point, Polynomial
+from .jacobian import PolyMatrix, ScalarMatrix
+from .jetmatrix import DnMatrix, dn_matrix_at
+from .poly import Point, Polynomial
 
 MINOR_CAP = 100_000
 SAMPLE_RANGE = 10  # rational evaluation coordinates are drawn from [-10, 10]
@@ -34,46 +38,18 @@ class TooManyMinors(ValueError):
         self.count = count
 
 
-@dataclass(frozen=True)
-class ScalarMatrix:
-    """Dense matrix of field elements."""
-
-    rows: int
-    cols: int
-    entries: tuple[FieldElement, ...]
-    spec: FieldSpec
-
-    def __post_init__(self):
-        if self.rows * self.cols != len(self.entries):
-            raise ValueError("entry count does not match the shape")
-
-    def at(self, i: int, j: int) -> FieldElement:
-        if not (0 <= i < self.rows and 0 <= j < self.cols):
-            raise IndexError(f"entry ({i}, {j}) outside {self.rows}x{self.cols}")
-        return self.entries[i * self.cols + j]
-
-    def row(self, i: int) -> tuple[FieldElement, ...]:
-        return self.entries[i * self.cols : (i + 1) * self.cols]
-
-    def transpose(self) -> "ScalarMatrix":
-        entries = tuple(
-            self.entries[i * self.cols + j]
-            for j in range(self.cols)
-            for i in range(self.rows)
-        )
-        return ScalarMatrix(self.cols, self.rows, entries, self.spec)
-
-    def __str__(self) -> str:
-        return "\n".join(
-            "[" + ", ".join(str(e) for e in self.row(i)) + "]"
-            for i in range(self.rows)
-        )
-
-
 def eval_matrix(mx: PolyMatrix, point: Point) -> ScalarMatrix:
     """Entrywise evaluation of a polynomial matrix at a point."""
-    entries = tuple(e.evaluate(point) for e in mx.entries)
-    return ScalarMatrix(mx.rows, mx.cols, entries, point.spec)
+    values = tuple(e.evaluate(point).value for e in mx.entries)
+    return ScalarMatrix(mx.rows, mx.cols, values, point.spec)
+
+
+def at_point(mx: PolyMatrix | DnMatrix, point: Point) -> ScalarMatrix:
+    """A matrix at a point: D_n(L) by Taylor mode, any other polynomial
+    matrix entry by entry."""
+    if isinstance(mx, DnMatrix):
+        return dn_matrix_at(mx.L, mx.n, point)
+    return eval_matrix(mx, point)
 
 
 def rank(mx: ScalarMatrix) -> int:
@@ -81,18 +57,16 @@ def rank(mx: ScalarMatrix) -> int:
     rows, cols = mx.rows, mx.cols
     if rows == 0 or cols == 0:
         return 0
-    values = iter(mx.entries)
+    values = mx.values
+    row_values = [values[i * cols : (i + 1) * cols] for i in range(rows)]
     p = mx.spec.characteristic
     if p:
-        a = [[e.value for e in itertools.islice(values, cols)] for _ in range(rows)]
-        return _rank_mod_p(a, cols, p)
-    a = [_integer_row(itertools.islice(values, cols)) for _ in range(rows)]
-    return _rank_integer(a, cols)
+        return _rank_mod_p([list(row) for row in row_values], cols, p)
+    return _rank_integer([_integer_row(row) for row in row_values], cols)
 
 
-def _integer_row(entries) -> list[int]:
+def _integer_row(fracs) -> list[int]:
     # scaling a row by the lcm of its denominators leaves the rank unchanged
-    fracs = [e.value for e in entries]
     scale = math.lcm(*(x.denominator for x in fracs))
     return [x.numerator * (scale // x.denominator) for x in fracs]
 
@@ -254,8 +228,10 @@ def trial_rng(seed: int, trial: int, label: str = "trial") -> random.Random:
     return random.Random(f"{label}:{seed}:{trial}")
 
 
-def generic_rank(mx: PolyMatrix, trials: int = 20, seed: int = 0) -> int:
-    """Rank at a random point, maximized over seeded trials.
+def generic_rank(mx: PolyMatrix | DnMatrix, trials: int = 20, seed: int = 0) -> int:
+    """Rank at a random point, maximized over seeded trials.  The points
+    are drawn over mx.variables(), so a DnMatrix gives the same result as
+    the dn_matrix it stands for.
 
     This is a probabilistic lower bound for the rank over the fraction
     field; it equals it with high probability.  Deterministic in seed.
@@ -267,7 +243,7 @@ def generic_rank(mx: PolyMatrix, trials: int = 20, seed: int = 0) -> int:
     limit = min(mx.rows, mx.cols)
     for t in range(trials):
         point = random_point(mx.spec, variables, trial_rng(seed, t, "generic-rank"))
-        best = max(best, rank(eval_matrix(mx, point)))
+        best = max(best, rank(at_point(mx, point)))
         if best == limit:
             break
     return best

@@ -57,6 +57,10 @@ class MissingCoordinate(KeyError):
         return self.args[0] if self.args else ""
 
 
+class WrongCoordinateCount(ValueError):
+    """A flat point lists more or fewer coordinates than its variables."""
+
+
 @total_ordering
 @dataclass(frozen=True)
 class JetVariable:
@@ -576,7 +580,7 @@ class Point:
         order-1 coordinates x_1^(1)..x_s^(1), and so on up to order n."""
         values = list(values)
         if len(values) != s * (n + 1):
-            raise ValueError(f"expected {s * (n + 1)} coordinates, got {len(values)}")
+            raise WrongCoordinateCount(f"expected {s * (n + 1)} coordinates, got {len(values)}")
         coords = {}
         for j in range(n + 1):
             for i in range(1, s + 1):

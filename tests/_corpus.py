@@ -1,8 +1,11 @@
 """Deterministic random polynomial corpus shared across test modules."""
 
 import random
+from fractions import Fraction
 
-from jetjac import FieldSpec, JetVariable, Polynomial, base_variables
+from hypothesis import strategies as st
+
+from jetjac import FieldSpec, JetVariable, Point, Polynomial, base_variables
 
 MASTER_SEED = 20260810
 
@@ -54,3 +57,46 @@ def random_base_polynomial(rng, s, max_deg, max_terms, spec, nonzero=False):
     if nonzero and poly.is_zero:
         return Polynomial.constant(spec, 1, base_variables(s))
     return poly
+
+
+# -- hypothesis strategies for the Taylor-mode oracle tests -------------
+
+GF3 = FieldSpec.prime_field(3)
+GF32003 = FieldSpec.prime_field(32003)
+ORACLE_FIELDS = (Q, GF2, GF3, GF32003)
+
+
+def _coefficients(spec):
+    ints = st.integers(-9, 9)
+    if spec.characteristic:
+        return ints
+    return st.builds(Fraction, ints, st.integers(1, 5))
+
+
+@st.composite
+def base_polynomials(draw, spec, s):
+    """Random polynomials in x1..xs.  Some terms carry a p-th power of a
+    variable, such as x1^2*x2 over GF(2), whose low d_k vanish."""
+    p = spec.characteristic
+    terms = {}
+    for _ in range(draw(st.integers(1, 5))):
+        exps = [draw(st.integers(0, 3)) for _ in range(s)]
+        if p and draw(st.booleans()):
+            exps[draw(st.integers(0, s - 1))] = p
+        c = draw(_coefficients(spec))
+        key = tuple(exps)
+        terms[key] = terms.get(key, 0) + c
+    return poly_from_int_terms(s, terms, spec)
+
+
+@st.composite
+def jets(draw, spec, s, n):
+    """A point assigning x_i^(j) for i <= s, j <= n: the zero jet over a
+    random base point, or random coordinates (a/b over Q)."""
+    coords = _coefficients(spec)
+    base = [draw(coords) for _ in range(s)]
+    if draw(st.booleans()):
+        rest = [0] * (s * n)
+    else:
+        rest = [draw(coords) for _ in range(s * n)]
+    return Point.from_flat(base + rest, s, n, spec)

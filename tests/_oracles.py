@@ -1,0 +1,42 @@
+"""Slow reference implementations that the library's fast paths are
+checked against."""
+
+from jetjac import HSExpansion, JetVariable, NotBasePolynomial, Polynomial, jet_grid
+
+
+def hs_components_leibniz(f: Polynomial, n: int) -> HSExpansion:
+    """The components d_0(f), ..., d_n(f) by structural recursion: the
+    derivation sends x_i to x_i^(k), kills constants for k >= 1, is
+    additive over terms and expands products one variable factor at a
+    time through the convolution rule d_k(gh) = sum_{i+j=k} d_i(g) d_j(h).
+    Independent of the series substitution that hs_components uses."""
+    if f.max_order > 0:
+        raise NotBasePolynomial(f"found jet order {f.max_order}")
+    if n < 0:
+        raise ValueError("n must be >= 0")
+    s = f.base_count
+    spec = f.spec
+    grid = jet_grid(s, n)
+    zero = Polynomial.zero(spec, grid)
+    dvar = {
+        i: [Polynomial.variable(spec, JetVariable(i, k), grid) for k in range(n + 1)]
+        for i in range(1, s + 1)
+    }
+    acc = [zero] * (n + 1)
+    for exps, coeff in f.terms.items():
+        vec = [Polynomial.constant(spec, coeff, grid)] + [zero] * n
+        for idx, e in enumerate(exps):
+            base_vec = dvar.get(f.ambient[idx].base)
+            for _ in range(e):
+                nxt = [zero] * (n + 1)
+                for i in range(n + 1):
+                    vi = base_vec[i]
+                    for j in range(n + 1 - i):
+                        if not vec[j].is_zero:
+                            nxt[i + j] = nxt[i + j] + vi * vec[j]
+                vec = nxt
+        for k in range(n + 1):
+            if not vec[k].is_zero:
+                acc[k] = acc[k] + vec[k]
+    components = tuple(acc[k].restricted(jet_grid(s, k)) for k in range(n + 1))
+    return HSExpansion(f, n, components)

@@ -20,7 +20,6 @@ from jetjac import (
     find_smooth_point,
     generic_cokernel_rank,
     hs_components,
-    hs_components_leibniz,
     index_families,
     jac,
     jac_m,
@@ -36,6 +35,7 @@ from jetjac.cli import infer_base_count, run
 from jetjac.linalg import random_point, trial_rng
 
 from _corpus import GF2, GF5, Q, corpus_params, poly_from_int_terms
+from _oracles import hs_components_leibniz
 
 CUSP_SRC = "x1^3 - x2^2"
 CUSP = parse_poly(CUSP_SRC, 2, Q)

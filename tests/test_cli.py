@@ -310,7 +310,41 @@ class TestErrorHandling:
             "--point", "0,0",
         )
         assert code == 1
-        assert "ValueError" in err
+        assert err == "WrongCoordinateCount: expected 4 coordinates, got 2\n"
+
+    @pytest.mark.parametrize(
+        "point, got", [("1", 1), ("1,0,1", 3), ("1,0,1,1,0", 5), ("1,0,1,1,0,0,0", 7)]
+    )
+    def test_dnl_point_of_the_wrong_length(self, capsys, point, got):
+        # dnl:1:1 over x1, x2 has the 4 variables x1, x2, x1_1, x2_1
+        code, out, err = invoke(
+            capsys, "rank-at-point", "--field", "Fp:2", "--matrix", "dnl:1:1:x1^2*x2",
+            "--point", point,
+        )
+        assert (code, out) == (1, "")
+        assert err == f"WrongCoordinateCount: expected 4 coordinates, got {got}\n"
+
+    @pytest.mark.parametrize(
+        "command", [["rank-at-point", "--point", "1"], ["generic-rank"], ["minors", "--k", "1"]]
+    )
+    def test_dnl_of_jet_variables_is_rejected_first(self, capsys, command):
+        # before any point is read, as when dnl: matrices were expanded up front
+        code, out, err = invoke(capsys, command[0], "--matrix", "dnl:1:1:x1_1", *command[1:])
+        assert (code, out) == (1, "")
+        assert err.startswith("NotBasePolynomial: ")
+
+    @pytest.mark.parametrize(
+        "p",
+        [
+            "318665857834031151167461",  # 399165290221 * 798330580441
+            "3317044064679887385961981",  # strong pseudoprime to the bases 2..41
+            str(2**89 - 1),  # a prime above the bound
+        ],
+    )
+    def test_field_outside_the_exact_prime_range_is_a_usage_error(self, capsys, p):
+        code, out, err = invoke(capsys, "jacm", "--f", "x1", "--m", "1", "--field", f"Fp:{p}")
+        assert (code, out) == (2, "")
+        assert "argument --field" in err
 
     def test_infer_base_count(self):
         assert infer_base_count("x1^3 - x2^2") == 2

@@ -6,12 +6,15 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from jetjac import (
+    CharacteristicTooLarge,
     DivisionByZero,
+    FieldError,
     FieldSpec,
     MixedFields,
     binomial,
     is_prime,
 )
+from jetjac.field import PRIME_BOUND
 
 Q = FieldSpec.rationals()
 GF2 = FieldSpec.prime_field(2)
@@ -55,6 +58,30 @@ class TestFieldSpec:
     def test_str_round_trip(self):
         for spec in (Q, GF2, FieldSpec.prime_field(10007)):
             assert FieldSpec.parse(str(spec)) == spec
+
+
+class TestPrimeBound:
+    PSEUDOPRIME_2_TO_37 = 318665857834031151167461
+    PSEUDOPRIME_2_TO_41 = 3317044064679887385961981
+
+    def test_strong_pseudoprime_to_the_bases_below_41_is_composite(self):
+        assert self.PSEUDOPRIME_2_TO_37 == 399165290221 * 798330580441
+        assert not is_prime(self.PSEUDOPRIME_2_TO_37)
+        with pytest.raises(ValueError):
+            FieldSpec(self.PSEUDOPRIME_2_TO_37)
+
+    def test_characteristics_from_the_bound_up_are_rejected(self):
+        assert self.PSEUDOPRIME_2_TO_41 == PRIME_BOUND
+        for p in (PRIME_BOUND, 2**89 - 1):
+            with pytest.raises(CharacteristicTooLarge):
+                FieldSpec(p)
+            with pytest.raises(FieldError):
+                FieldSpec.parse(f"Fp:{p}")
+
+    def test_large_primes_below_the_bound_are_accepted(self):
+        for p in (2**61 - 1, 2**31 - 1, 1000000007):
+            assert FieldSpec(p).characteristic == p
+        assert not is_prime((2**31 - 1) * (2**61 - 1))
 
 
 def test_is_prime_small_table():

@@ -1,0 +1,88 @@
+"""Byte-identical CLI outputs against recorded golden files.
+
+Each case is an argv; tests/golden/<name>.out holds the exit code on its
+first line and the exact stdout after it.  The cases are the README
+examples and one query of each benchmark template kind (seeded values
+taken from the benchmark's query mix), plus a few small dnl: queries in
+characteristic 2 and at jets with nonzero coordinates.
+
+Record the outputs of the current code with
+    PYTHONPATH=src python tests/test_golden.py
+"""
+
+import contextlib
+import io
+import sys
+from pathlib import Path
+
+import pytest
+
+from jetjac.cli import run
+
+GOLDEN = Path(__file__).with_name("golden")
+
+QUARTIC = "x1^3 - x2^2 + x1*x2*x3 + x3^4"
+
+CASES = {
+    # README examples
+    "readme_hs_derive": ["hs-derive", "--f", "x1^2", "--n", "2"],
+    "readme_jacm": ["jacm", "--f", "x1^3 - x2^2", "--m", "2"],
+    "readme_rank_at_point": ["rank-at-point", "--matrix", "dnl:1:2:x1^3 - x2^2", "--point", "1,1,2,3"],
+    "readme_nobile": ["nobile", "--f", "x1^3 - x2^2", "--n", "1", "--m", "2", "--base", "0,0", "--json"],
+    # one query per benchmark template kind
+    "rank_at_point_dnl_q": [
+        "rank-at-point", "--matrix", "dnl:3:3:-12743/729 + x1*x2*x3 + x1^3 - x2^2 + x3^4",
+        "--point=8/9,-1,-2,4,-3/8,8/7,-7,0,-9,-1/2,3/4,-1/3",
+    ],
+    "singular_check_q": [
+        "singular-check", "--field", "Q", "--f", "-3*x1*x2*x3 - 3*x1^3 - 3*x2^2 + 3*x3^4",
+        "--n", "3", "--m", "3", "--point=" + ",".join(["0"] * 12),
+    ],
+    "singular_check_f32003": [
+        "singular-check", "--field", "Fp:32003", "--f", "-3*x1*x2*x3 + 3*x1^3 + 3*x2^2 - 3*x3^4",
+        "--n", "8", "--m", "3", "--point=" + ",".join(["0"] * 27),
+    ],
+    "generic_rank_dnl_f32003": [
+        "generic-rank", "--field", "Fp:32003", "--matrix", f"dnl:4:2:{QUARTIC}", "--seed", "526283",
+    ],
+    "nobile_q": [
+        "nobile", "--json", "--field", "Q", "--f", "x1^2 - x2^4", "--n", "1", "--m", "2",
+        "--base=0,0", "--seed", "203018", "--trials", "5",
+    ],
+    "nobile_f101": [
+        "nobile", "--json", "--field", "Fp:101", "--f", "-2*x1^3 + 2*x2^2", "--n", "3", "--m", "3",
+        "--base=0,0", "--seed", "839493", "--trials", "20",
+    ],
+    # small extras: text reports, nonzero jets, characteristic 2, Q sampling
+    "nobile_umbrella_text": [
+        "nobile", "--field", "Q", "--f", "3*x1^2 + 3*x2^2*x3", "--n", "1", "--m", "2",
+        "--base=0,0,0", "--seed", "873296", "--trials", "5",
+    ],
+    "singular_check_smooth_jet": [
+        "singular-check", "--f", "x1^3 - x2^2", "--n", "1", "--m", "2", "--point", "1,1,2,3", "--json",
+    ],
+    "rank_at_point_dnl_gf2": ["rank-at-point", "--field", "Fp:2", "--matrix", "dnl:2:2:x1^2*x2 + x2^3", "--point", "1,1,1,0,1,1"],
+    "generic_rank_dnl_q": ["generic-rank", "--matrix", "dnl:2:2:x1^3 - x2^2", "--seed", "7", "--trials", "3"],
+    "minors_dnl": ["minors", "--matrix", "dnl:1:1:x1^3 - x2^2", "--k", "2"],
+    "jet_equations": ["jet-equations", "--f", "x1^3 - x2^2", "--n", "3"],
+}
+
+
+def capture(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = run(argv)
+    return f"{code}\n{out.getvalue()}"
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_output_is_byte_identical(name):
+    want = (GOLDEN / f"{name}.out").read_text()
+    assert capture(CASES[name]) == want
+
+
+if __name__ == "__main__":
+    GOLDEN.mkdir(exist_ok=True)
+    for case, argv in CASES.items():
+        (GOLDEN / f"{case}.out").write_text(capture(argv))
+        print(f"wrote {case}", file=sys.stderr)

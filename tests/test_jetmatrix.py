@@ -1,15 +1,24 @@
 import random
 from collections import Counter
+from dataclasses import dataclass
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from jetjac import (
-    BlockSpec,
+    DnMatrix,
+    FieldSpec,
     JetVariable,
+    MissingCoordinate,
+    MixedFields,
+    NotBasePolynomial,
+    Point,
     PolyMatrix,
     Polynomial,
     check_fdbd,
     dn_matrix,
+    dn_matrix_at,
     eval_matrix,
     hs_components,
     jac,
@@ -22,9 +31,28 @@ from jetjac import (
 )
 from jetjac.linalg import random_point, trial_rng
 
-from _corpus import GF2, Q, random_base_polynomial
+from _corpus import GF2, ORACLE_FIELDS, Q, base_polynomials, jets, random_base_polynomial
 
 CUSP = parse_poly("x1^3 - x2^2", 2, Q)
+
+
+@dataclass(frozen=True)
+class BlockSpec:
+    """Block layout of a (n+1)b x (n+1)a matrix of b x a blocks."""
+
+    n: int
+    b: int
+    a: int
+
+    def block(self, mx: PolyMatrix, i: int, j: int) -> PolyMatrix:
+        if not (0 <= i <= self.n and 0 <= j <= self.n):
+            raise IndexError(f"block ({i}, {j}) outside {self.n + 1} blocks per axis")
+        entries = tuple(
+            mx.at(i * self.b + r, j * self.a + c)
+            for r in range(self.b)
+            for c in range(self.a)
+        )
+        return PolyMatrix(self.b, self.a, entries)
 
 
 def jp(src, s, spec=Q):
@@ -84,6 +112,70 @@ class TestDnMatrix:
                 block = spec.block(D, i, j)
                 for idx, ex in enumerate(expansions):
                     assert block.entries[idx] == ex[j - i]
+
+
+@st.composite
+def dn_cases(draw):
+    """(L, n, point): L = Jac_m of one or two random polynomials, n <= 5,
+    m <= 3, and a zero or random jet over the variables of D_n(L)."""
+    spec = draw(st.sampled_from(ORACLE_FIELDS))
+    s = draw(st.integers(1, 3))
+    n = draw(st.integers(0, 5))
+    m = draw(st.integers(1, 3))
+    fs = draw(st.lists(base_polynomials(spec, s), min_size=1, max_size=2))
+    return jac_m(fs, m), n, draw(jets(spec, s, n))
+
+
+class TestDnMatrixAt:
+    """Taylor mode against the symbolic oracle eval_matrix(dn_matrix(...))."""
+
+    @settings(max_examples=100)
+    @given(dn_cases())
+    def test_matches_the_symbolic_path_entry_for_entry(self, case):
+        L, n, point = case
+        got = dn_matrix_at(L, n, point)
+        want = eval_matrix(dn_matrix(L, n), point)
+        assert got == want
+        assert [type(v) for v in got.values] == [type(v) for v in want.values]
+
+    @settings(max_examples=50)
+    @given(dn_cases())
+    def test_unexpanded_shape_and_grid_match_dn_matrix(self, case):
+        L, n, _ = case
+        D = dn_matrix(L, n)
+        lazy = DnMatrix(L, n)
+        s = max(v.base for v in L.variables())
+        assert D.variables() == lazy.variables() == jet_grid(s, n)
+        assert (D.rows, D.cols, D.spec) == (lazy.rows, lazy.cols, lazy.spec)
+
+    def test_p_th_powers_over_gf2(self):
+        # Jac = [0, x1^2] in characteristic 2, and (x1 + x1_1 t + x1_2 t^2)^2
+        # = x1^2 + x1_1^2 t^2, so d_1(x1^2) vanishes
+        L = jac_m([parse_poly("x1^2*x2", 2, GF2)], 1)
+        point = Point.from_flat([1, 1, 1, 0, 1, 1], 2, 2, GF2)
+        got = dn_matrix_at(L, 2, point)
+        assert got == eval_matrix(dn_matrix(L, 2), point)
+        assert str(got) == "\n".join(
+            ["[0, 1, 0, 0, 0, 1]", "[0, 0, 0, 1, 0, 0]", "[0, 0, 0, 0, 0, 1]"]
+        )
+
+    def test_rejects_what_the_symbolic_path_rejects(self):
+        L = jac_m([CUSP], 2)
+        gf5 = Point.from_flat([0] * 4, 2, 1, FieldSpec.prime_field(5))
+        short = Point.from_base([0, 0], Q)
+        for point, error in ((gf5, MixedFields), (short, MissingCoordinate)):
+            with pytest.raises(error):
+                eval_matrix(dn_matrix(L, 1), point)
+            with pytest.raises(error):
+                dn_matrix_at(L, 1, point)
+        jet_entry = PolyMatrix(1, 1, (jp("x1_1", 1),))
+        for build in (dn_matrix, DnMatrix):
+            with pytest.raises(NotBasePolynomial):
+                build(jet_entry, 1)
+            with pytest.raises(ValueError):
+                build(L, -1)
+        with pytest.raises(NotBasePolynomial):
+            dn_matrix_at(jet_entry, 1, Point.from_flat([0, 0], 1, 1, Q))
 
 
 class TestJetJacobian:

@@ -2,12 +2,15 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from jetjac import (
     ConstantPolynomial,
     FieldSpec,
     JetVariable,
     MissingCoordinate,
+    MixedFields,
     NoSmoothPointFound,
     NotSingularBase,
     Point,
@@ -22,9 +25,11 @@ from jetjac import (
     generic_cokernel_rank,
     higher_rank_test,
     hs_components,
+    hs_values,
     index_families,
     jac_m,
     jet_equations,
+    jet_series,
     nobile_certificate,
     on_jet_scheme,
     parse_poly,
@@ -34,7 +39,9 @@ from jetjac import (
     zero_jet_over,
 )
 
-from _corpus import GF2, GF5, Q
+from jetjac.linalg import SAMPLE_RANGE, trial_rng
+
+from _corpus import GF2, GF5, ORACLE_FIELDS, Q, base_polynomials, jets
 
 CUSP = parse_poly("x1^3 - x2^2", 2, Q)
 ORIGIN = Point.from_base([0, 0], Q)
@@ -87,6 +94,42 @@ class TestOnJetScheme:
         desc = jet_equations(CUSP, 1)
         with pytest.raises(MissingCoordinate):
             on_jet_scheme(desc, ORIGIN)
+
+
+@st.composite
+def jets_over_the_hypersurface(draw):
+    """(f, n, point): f is shifted by a constant so that the base of the
+    drawn jet lies on V(f); half of the jets are zero jets, which lie on
+    the jet scheme."""
+    spec = draw(st.sampled_from(ORACLE_FIELDS))
+    s = draw(st.integers(1, 3))
+    n = draw(st.integers(0, 5))
+    point = draw(jets(spec, s, n))
+    g = draw(base_polynomials(spec, s))
+    base = Point(spec, {JetVariable(i, 0): point[JetVariable(i, 0)] for i in range(1, s + 1)})
+    f = g - g.evaluate(base)
+    assume(not f.is_constant)
+    return f, n, point
+
+
+class TestSeriesMembership:
+    @settings(max_examples=150)
+    @given(jets_over_the_hypersurface())
+    def test_series_values_match_the_symbolic_equations(self, case):
+        f, n, point = case
+        want = [c.evaluate(point).value for c in hs_components(f, n)]
+        got = hs_values(f, n, jet_series(point, f.spec, f.base_count, n), {})
+        assert got == want
+        assert on_jet_scheme(jet_equations(f, n), point) == (not any(want))
+
+    def test_mixed_fields_rejected(self):
+        with pytest.raises(MixedFields):
+            on_jet_scheme(jet_equations(CUSP, 1), Point.from_flat([0] * 4, 2, 1, GF5))
+
+    def test_equations_are_built_when_read(self):
+        desc = jet_equations(CUSP, 2)
+        assert "equations" not in vars(desc)
+        assert desc.equations == hs_components(CUSP, 2).components
 
 
 class TestClassicalRankTest:
@@ -249,6 +292,99 @@ class TestSmoothSampling:
         jet = zero_jet_over(ORIGIN, 2)
         assert jet[JetVariable(1, 2)] == 0
         assert on_jet_scheme(jet_equations(CUSP, 2), jet)
+
+
+# The jet lifting before Taylor mode, kept verbatim as the oracle.
+def extend_to_jet_oracle(f: Polynomial, base, n: int, seed=0, fill=None) -> Point:
+    """Extend coordinates over a smooth base point to a jet on the scheme.
+
+    `base` is a Point (or coordinate mapping) that must assign all base
+    variables; it may also fix some higher-order coordinates.  At each
+    order k the missing coordinates are filled with seeded random values
+    except one at a nonzero gradient position, which is solved from the
+    order-k equation (the equation is affine in the order-k coordinates
+    with the first partials of f as coefficients).
+    """
+    spec = f.spec
+    p = spec.characteristic
+    coords = dict(base.coords) if isinstance(base, Point) else dict(base)
+    s = f.base_count
+    for i in range(1, s + 1):
+        if JetVariable(i, 0) not in coords:
+            raise MissingCoordinate(f"base coordinate x{i} is not assigned")
+    base_point = Point(spec, {JetVariable(i, 0): coords[JetVariable(i, 0)] for i in range(1, s + 1)})
+    if not f.evaluate(base_point).is_zero:
+        raise PointNotOnScheme("the base point is not on the hypersurface")
+    grad = {
+        i: f.partial(JetVariable(i, 0)).evaluate(base_point) for i in range(1, s + 1)
+    }
+    if fill is None:
+        rng = trial_rng(seed, n, "jet-fill")
+
+        def fill(i, k):
+            if p:
+                return spec.element(rng.randrange(p))
+            return spec.element(rng.randint(-SAMPLE_RANGE, SAMPLE_RANGE))
+
+    expansion = hs_components(f, n)
+    for k in range(1, n + 1):
+        unknown = [i for i in range(1, s + 1) if JetVariable(i, k) not in coords]
+        solvable = [i for i in unknown if not grad[i].is_zero]
+        if unknown and solvable:
+            solve_i = solvable[0]
+            for i in unknown:
+                if i != solve_i:
+                    coords[JetVariable(i, k)] = spec.element(fill(i, k))
+            coords[JetVariable(solve_i, k)] = spec.zero
+            offset = expansion[k].evaluate(Point(spec, coords))
+            coords[JetVariable(solve_i, k)] = -offset / grad[solve_i]
+        else:
+            for i in unknown:
+                coords[JetVariable(i, k)] = spec.element(fill(i, k))
+            if not expansion[k].evaluate(Point(spec, coords)).is_zero:
+                raise PointNotOnScheme(
+                    f"the order-{k} coordinates violate the jet equation"
+                )
+    return Point(spec, coords)
+
+
+@st.composite
+def lifting_cases(draw):
+    """(f, base coordinates, n, seed): the base lies on V(f), and may be
+    singular; some coordinates of positive order may be given."""
+    f, n, point = draw(jets_over_the_hypersurface())
+    s = f.base_count
+    coords = {JetVariable(i, 0): point[JetVariable(i, 0)] for i in range(1, s + 1)}
+    for j in range(1, n + 1):
+        for i in range(1, s + 1):
+            if draw(st.integers(0, 3)) == 0:
+                coords[JetVariable(i, j)] = point[JetVariable(i, j)]
+    return f, coords, n, draw(st.integers(0, 10**6))
+
+
+def lifted(extend, f, coords, n, seed):
+    try:
+        return extend(f, dict(coords), n, seed=seed)
+    except PointNotOnScheme:
+        return PointNotOnScheme
+
+
+class TestExtendToJetOracle:
+    @settings(max_examples=150)
+    @given(lifting_cases())
+    def test_matches_the_symbolic_lifting(self, case):
+        f, coords, n, seed = case
+        got = lifted(extend_to_jet, f, coords, n, seed)
+        assert got == lifted(extend_to_jet_oracle, f, coords, n, seed)
+        if got is not PointNotOnScheme:
+            assert on_jet_scheme(jet_equations(f, n), got)
+
+    def test_smooth_points_of_the_benchmark_cusp(self):
+        for spec in (Q, GF5, FieldSpec.prime_field(101)):
+            f = parse_poly("x1^3 - x2^2", 2, spec)
+            for t in range(5):
+                base = find_smooth_point(f, seed=f"0:{t}")
+                assert extend_to_jet(f, base, 3, seed=t) == extend_to_jet_oracle(f, base, 3, seed=t)
 
 
 class TestGenericCokernelRank:
