@@ -198,13 +198,17 @@ def jac_m(fs: list[Polynomial], m: int) -> PolyMatrix:
     fam = index_families(s, m)
     entries = []
     for f in fs:
+        zero = Polynomial.zero(f.spec, f.ambient)
+        partials = {}  # delta -> divided partial; many (beta, alpha) share one
         for beta in fam.lambda0:
             for alpha in fam.lambda_:
                 if all(a >= b for a, b in zip(alpha, beta)):
                     delta = tuple(a - b for a, b in zip(alpha, beta))
-                    entries.append(f.divided_partial(delta))
+                    if delta not in partials:
+                        partials[delta] = f.divided_partial(delta)
+                    entries.append(partials[delta])
                 else:
-                    entries.append(Polynomial.zero(f.spec, f.ambient))
+                    entries.append(zero)
     return PolyMatrix(
         len(fs) * fam.M, fam.N, tuple(entries), provenance=f"jac_{m}"
     )

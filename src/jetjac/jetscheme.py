@@ -15,6 +15,12 @@ membership checks f(a(t)) = 0 mod t^(n+1), jet lifting solves for the
 t^k coefficient, and the rank criteria put D_n(Jac_m f) at the jet with
 jetmatrix.dn_matrix_at.  The symbolic equations and presentation
 matrices are built only when a caller reads them.
+
+Smooth points are sampled by solving f for one coordinate with the others
+frozen.  Over GF(p) the roots of that univariate polynomial g come from
+gcd(g, x^p - x), computed by powering x modulo g, and equal-degree
+splitting (von zur Gathen & Gerhard, Modern Computer Algebra, ch. 14),
+so the cost grows with log p, not with p.
 """
 
 from __future__ import annotations
@@ -26,9 +32,9 @@ from fractions import Fraction
 
 from .field import FieldElement
 from .hasse import hs_components, hs_values, jet_series
-from .jacobian import PolyMatrix, index_families, jac_m
-from .jetmatrix import dn_matrix, dn_matrix_at, jet_jacobian
-from .linalg import SAMPLE_RANGE, eval_matrix, rank, trial_rng
+from .jacobian import PolyMatrix, index_families, jac, jac_m
+from .jetmatrix import dn_matrix, dn_matrix_at
+from .linalg import SAMPLE_RANGE, rank, trial_rng
 from .poly import JetVariable, MissingCoordinate, Point, Polynomial
 
 
@@ -108,8 +114,8 @@ def classical_rank_test(desc: JetSchemeDesc, point: Point) -> RankReport:
     jet scheme; full rank n+1 is the usual smoothness criterion."""
     if not on_jet_scheme(desc, point):
         raise PointNotOnScheme("the point does not lie on the jet scheme")
-    mx = jet_jacobian([desc.f], desc.n)
-    r = rank(eval_matrix(mx, point))
+    # D_n(Jac f) is jet_jacobian with its block rows and columns reversed
+    r = rank(dn_matrix_at(jac([desc.f]), desc.n, point))
     bound = desc.n + 1
     return RankReport(r, bound, r == bound, (IRREDUCIBILITY_ASSUMPTION,))
 
@@ -243,17 +249,102 @@ def _rational_roots(coeffs: list[Fraction]) -> list[Fraction]:
     return roots
 
 
-def _residue_roots(coeffs: list[int], p: int) -> list[int]:
-    if all(c % p == 0 for c in coeffs):
-        return list(range(p))
-    roots = []
-    for x in range(p):
-        acc = 0
-        for c in reversed(coeffs):
-            acc = (acc * x + c) % p
-        if acc == 0:
-            roots.append(x)
-    return roots
+# Dense univariate polynomials over GF(p): coefficient lists, ascending,
+# reduced mod p, without trailing zeros; divisors are monic.
+
+
+def _trim(a: list[int]) -> list[int]:
+    while a and not a[-1]:
+        a.pop()
+    return a
+
+
+def _monic(a: list[int], p: int) -> list[int]:
+    inv = pow(a[-1], -1, p)
+    return [c * inv % p for c in a]
+
+
+def _divmod(a: list[int], b: list[int], p: int) -> tuple[list[int], list[int]]:
+    """Quotient and remainder of a by the monic b."""
+    r = list(a)
+    db = len(b) - 1
+    q = [0] * max(len(a) - db, 0)
+    for i in range(len(q) - 1, -1, -1):
+        c = r[i + db]
+        if c:
+            q[i] = c
+            for j in range(db):
+                r[i + j] = (r[i + j] - c * b[j]) % p
+    return q, _trim(r[:db])
+
+
+def _mulmod(a: list[int], b: list[int], g: list[int], p: int) -> list[int]:
+    prod = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            prod[i + j] += x * y
+    return _divmod([c % p for c in prod], g, p)[1]
+
+
+def _powmod(a: list[int], e: int, g: list[int], p: int) -> list[int]:
+    """a^e mod the monic g (of positive degree), by repeated squaring."""
+    out = [1]
+    while e:
+        if e & 1:
+            out = _mulmod(out, a, g, p)
+        e >>= 1
+        if e:
+            a = _mulmod(a, a, g, p)
+    return out
+
+
+def _minus(a: list[int], k: int, c: int, p: int) -> list[int]:
+    """a - c*x^k."""
+    a = a + [0] * (k + 1 - len(a))
+    a[k] = (a[k] - c) % p
+    return _trim(a)
+
+
+def _gcd(a: list[int], b: list[int], p: int) -> list[int]:
+    """Monic gcd of a nonzero a and b."""
+    a = _monic(a, p)
+    while b:
+        b = _monic(b, p)
+        a, b = b, _divmod(a, b, p)[1]
+    return a
+
+
+def _split(h: list[int], p: int, delta: int = 0) -> list[int]:
+    """Roots of the monic h, a product of distinct linear factors, by
+    equal-degree splitting: for odd p, gcd(h, (x + d)^((p-1)/2) - 1)
+    keeps the roots r with r + d a nonzero square.  Some d < p separates
+    any two roots; the d already tried separate none of the roots of a
+    factor, so its search goes on from the next one."""
+    if len(h) <= 2:
+        return [-h[0] % p] if len(h) == 2 else []
+    if p == 2:
+        return [0, 1]  # h divides x^2 - x, so h = x^2 + x
+    while True:
+        w = _minus(_powmod([delta, 1], (p - 1) // 2, h, p), 0, 1, p)
+        d = _gcd(h, w, p)
+        delta += 1
+        if 1 < len(d) < len(h):
+            return _split(d, p, delta) + _split(_divmod(h, d, p)[0], p, delta)
+
+
+def _residue_roots(coeffs: list[int], p: int) -> list[int] | range:
+    """Roots in GF(p), ascending, of the polynomial with these integer
+    coefficients (ascending), in O(deg^2 log p) field operations: its
+    distinct linear factors are gcd(g, x^p - x), split by _split.  A
+    polynomial that vanishes mod p gives the lazy range(p)."""
+    g = _trim([c % p for c in coeffs])
+    if not g:
+        return range(p)
+    g = _monic(g, p)
+    if len(g) == 1:
+        return []
+    h = _gcd(g, _minus(_powmod([0, 1], p, g, p), 1, 1, p), p)
+    return sorted(_split(h, p))
 
 
 def _univariate_in(f: Polynomial, target: JetVariable, fixed: dict[JetVariable, object]):
@@ -279,8 +370,10 @@ def find_smooth_point(f: Polynomial, seed=0, attempts: int = 200) -> Point:
     """A point of V(f) where some first partial is nonzero.
 
     Freezes all but one coordinate at seeded random values and solves the
-    remaining univariate equation: by rational root search over Q, by
-    scanning residues over GF(p).  Deterministic in seed.
+    remaining univariate equation: by rational root search over Q, over
+    GF(p) by splitting gcd(g, x^p - x) into its linear factors, in time
+    polynomial in log p.  The roots are tried in ascending order.
+    Deterministic in seed.
     """
     s = f.base_count
     spec = f.spec

@@ -40,3 +40,19 @@ def hs_components_leibniz(f: Polynomial, n: int) -> HSExpansion:
                 acc[k] = acc[k] + vec[k]
     components = tuple(acc[k].restricted(jet_grid(s, k)) for k in range(n + 1))
     return HSExpansion(f, n, components)
+
+
+def residue_roots_scan(coeffs: list[int], p: int) -> list[int]:
+    """Roots in GF(p), ascending, of the univariate polynomial with the
+    given integer coefficients (ascending), by evaluating it at every
+    residue; every residue when it vanishes identically mod p."""
+    if all(c % p == 0 for c in coeffs):
+        return list(range(p))
+    roots = []
+    for x in range(p):
+        acc = 0
+        for c in reversed(coeffs):
+            acc = (acc * x + c) % p
+        if acc == 0:
+            roots.append(x)
+    return roots

@@ -1,5 +1,9 @@
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -250,6 +254,20 @@ class TestSchemeCommands:
         _, first, _ = invoke(capsys, *args)
         _, second, _ = invoke(capsys, *args)
         assert first == second
+
+    def test_nobile_in_large_characteristic(self):
+        # smooth-point sampling must not scan all p residues; a subprocess
+        # bounds the wall time even if it does
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        argv = [
+            "nobile", "--field", "Fp:1000000007", "--f", "x1^3 - x2^2", "--n", "1", "--m", "1", "--base=0,0",
+        ]
+        done = subprocess.run(
+            [sys.executable, "-m", "jetjac.cli", *argv], env=env, capture_output=True, text=True, timeout=10
+        )
+        assert done.returncode == 0, done.stderr
+        assert "verdict: blowup not an isomorphism (under stated assumptions)" in done.stdout.splitlines()
 
     def test_rank_remark(self, capsys):
         code, out, _ = invoke(capsys, "rank-remark", "--json")

@@ -53,6 +53,19 @@ CASES = {
         "nobile", "--json", "--field", "Fp:101", "--f", "-2*x1^3 + 2*x2^2", "--n", "3", "--m", "3",
         "--base=0,0", "--seed", "839493", "--trials", "20",
     ],
+    # smooth-point sampling by root finding over GF(p), small and large p
+    "nobile_cusp_f32003": [
+        "nobile", "--json", "--field", "Fp:32003", "--f", "x1^3 - x2^2", "--n", "3", "--m", "3",
+        "--base=0,0", "--seed", "20261018", "--trials", "20",
+    ],
+    "nobile_cusp_f2": [
+        "nobile", "--json", "--field", "Fp:2", "--f", "x1^3 - x2^2", "--n", "2", "--m", "2",
+        "--base=0,0", "--seed", "20261018", "--trials", "20",
+    ],
+    "nobile_cusp_f3": [
+        "nobile", "--json", "--field", "Fp:3", "--f", "x1^3 - x2^2", "--n", "2", "--m", "2",
+        "--base=0,0", "--seed", "20261018", "--trials", "20",
+    ],
     # small extras: text reports, nonzero jets, characteristic 2, Q sampling
     "nobile_umbrella_text": [
         "nobile", "--field", "Q", "--f", "3*x1^2 + 3*x2^2*x3", "--n", "1", "--m", "2",

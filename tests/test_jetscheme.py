@@ -29,6 +29,7 @@ from jetjac import (
     index_families,
     jac_m,
     jet_equations,
+    jet_jacobian,
     jet_series,
     nobile_certificate,
     on_jet_scheme,
@@ -132,7 +133,36 @@ class TestSeriesMembership:
         assert desc.equations == hs_components(CUSP, 2).components
 
 
+def classical_rank_oracle(f: Polynomial, n: int, point: Point) -> int:
+    """Rank of the symbolic Jacobian of (d_0 f, ..., d_n f), evaluated
+    entry by entry at the point."""
+    return rank(eval_matrix(jet_jacobian([f], n), point))
+
+
+@st.composite
+def jets_on_the_scheme(draw):
+    """(f, n, jet) with the jet on the order-n jet scheme of V(f): the
+    drawn jet when it lies there, else a seeded lift of its base point,
+    else the zero jet over that base point."""
+    f, n, point = draw(jets_over_the_hypersurface())
+    if not on_jet_scheme(jet_equations(f, n), point):
+        base = Point(f.spec, {v: c for v, c in point.coords.items() if v.order == 0})
+        try:
+            point = extend_to_jet(f, base, n, seed=draw(st.integers(0, 99)))
+        except PointNotOnScheme:
+            point = zero_jet_over(base, n)
+    return f, n, point
+
+
 class TestClassicalRankTest:
+    @settings(max_examples=150)
+    @given(jets_on_the_scheme())
+    def test_matches_the_symbolic_jet_jacobian(self, case):
+        f, n, point = case
+        report = classical_rank_test(jet_equations(f, n), point)
+        assert report.rank == classical_rank_oracle(f, n, point)
+        assert report.full == (report.rank == n + 1)
+
     def test_zero_jet_is_singular(self):
         desc = jet_equations(CUSP, 1)
         report = classical_rank_test(desc, cusp_point(0, 0, 0, 0, n=1))

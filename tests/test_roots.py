@@ -1,0 +1,123 @@
+"""Root finding over GF(p) for smooth-point sampling.
+
+`_residue_roots` is checked against the residue scan in `_oracles`, and
+`find_smooth_point` against points recorded from the scan-based sampler,
+so the root order (ascending) and with it every seeded output stay fixed.
+"""
+
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+from jetjac import FieldSpec, JetVariable, NoSmoothPointFound, find_smooth_point, parse_poly
+from jetjac.jetscheme import _residue_roots
+
+from _oracles import residue_roots_scan
+
+SMALL_PRIMES = (2, 3, 5, 7)
+PRIMES = SMALL_PRIMES + (101, 32003)
+
+SEEDS = (0, 1, 2, "a:7", 12345)
+
+# base coordinates of find_smooth_point(f, seed) for each seed in SEEDS,
+# recorded from the sampler that scanned every residue; None means
+# NoSmoothPointFound (x1^5 - x1 + x2^3 - x2 - 1 has no points over GF(2)
+# or GF(3))
+RECORDED_POINTS = {
+    (2, "x1^3 - x2^2"): [(1, 1), (1, 1), (1, 1), (1, 1), (1, 1)],
+    (2, "x1^3 - x2^2 + x1*x2*x3 + x3^4"): [(1, 1, 0), (1, 1, 0), (1, 0, 1), (0, 1, 1), (1, 0, 1)],
+    (2, "x1^5 - x1 + x2^3 - x2 - 1"): [None, None, None, None, None],
+    (2, "x1*x2 - x2^2*x1^2"): [(0, 1), (1, 0), (1, 0), (0, 1), (1, 0)],
+    (3, "x1^3 - x2^2"): [(1, 1), (1, 1), (1, 2), (1, 2), (1, 2)],
+    (3, "x1^3 - x2^2 + x1*x2*x3 + x3^4"): [(1, 1, 0), (2, 0, 1), (2, 0, 2), (0, 2, 1), (2, 0, 1)],
+    (3, "x1^5 - x1 + x2^3 - x2 - 1"): [None, None, None, None, None],
+    (3, "x1*x2 - x2^2*x1^2"): [(0, 1), (1, 0), (1, 0), (0, 2), (1, 0)],
+    (101, "x1^3 - x2^2"): [(24, 47), (9, 27), (25, 24), (30, 72), (58, 9)],
+    (101, "x1^3 - x2^2 + x1*x2*x3 + x3^4"): [(15, 47, 4), (74, 17, 45), (68, 24, 74), (77, 72, 58), (0, 9, 3)],
+    (101, "x1^5 - x1 + x2^3 - x2 - 1"): [(28, 85), (29, 27), (3, 24), (100, 20), (74, 9)],
+    (101, "x1*x2 - x2^2*x1^2"): [(0, 47), (0, 27), (0, 24), (0, 72), (0, 9)],
+    (32003, "x1^3 - x2^2"): [(2040, 12224), (13846, 7100), (26161, 6398), (24397, 18619), (20524, 2480)],
+    (32003, "x1^3 - x2^2 + x1*x2*x3 + x3^4"): [
+        (6203, 12224, 1268), (5844, 7100, 25493), (5920, 24622, 10109), (12215, 18619, 27916), (8336, 2480, 800),
+    ],
+    (32003, "x1^5 - x1 + x2^3 - x2 - 1"): [(22897, 12224), (8709, 7100), (7402, 6398), (31261, 26438), (28484, 2480)],
+    (32003, "x1*x2 - x2^2*x1^2"): [(0, 12224), (0, 7100), (0, 6398), (0, 18619), (0, 2480)],
+}
+
+
+@pytest.mark.parametrize("p, text", sorted(RECORDED_POINTS))
+def test_find_smooth_point_matches_the_recorded_points(p, text):
+    f = parse_poly(text, 3 if "x3" in text else 2, FieldSpec.prime_field(p))
+    for seed, want in zip(SEEDS, RECORDED_POINTS[p, text]):
+        if want is None:
+            with pytest.raises(NoSmoothPointFound):
+                find_smooth_point(f, seed=seed)
+            continue
+        point = find_smooth_point(f, seed=seed)
+        got = tuple(point[JetVariable(i, 0)].value for i in range(1, f.base_count + 1))
+        assert got == want, seed
+
+
+def _times(a, b, p):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] = (out[i + j] + x * y) % p
+    return out
+
+
+@st.composite
+def univariates(draw, p):
+    """Coefficient lists (ascending) of univariate polynomials: random
+    ones of degree up to 2p for small p (up to 12 otherwise), products
+    of planted and repeated linear factors with a random cofactor,
+    constants and multiples of x^p - x.  Coefficients are arbitrary
+    integers, and the top ones may vanish mod p."""
+    ints = st.integers(-3 * p, 3 * p)
+    top = 2 * p if p in SMALL_PRIMES else 12
+    kind = draw(st.sampled_from(("random", "planted", "constant", "x^p - x")))
+    if kind == "random":
+        return draw(st.lists(ints, min_size=1, max_size=top + 1))
+    if kind == "constant":
+        return [draw(ints)] + [draw(st.sampled_from((0, p, -p)))] * draw(st.integers(0, 2))
+    out = draw(st.lists(ints, min_size=1, max_size=4))
+    if kind == "x^p - x" and p <= 101:
+        return _times(out, [0, -1] + [0] * (p - 2) + [1], p)
+    for root in draw(st.lists(st.integers(0, p - 1), max_size=6)):
+        for _ in range(draw(st.integers(1, 3))):
+            out = _times(out, [-root, 1], p)
+    return out
+
+
+@pytest.mark.parametrize("p", PRIMES)
+@given(data=st.data())
+def test_residue_roots_match_the_scan(p, data):
+    coeffs = data.draw(univariates(p))
+    want = residue_roots_scan(coeffs, p)
+    got = _residue_roots(coeffs, p)
+    assert list(got) == want
+    if all(c % p == 0 for c in coeffs):
+        assert isinstance(got, range)
+    else:
+        assert isinstance(got, list)
+
+
+@pytest.mark.parametrize("p", SMALL_PRIMES)
+def test_x_to_the_p_minus_x_has_every_residue_as_root(p):
+    assert _residue_roots([0, -1] + [0] * (p - 2) + [1], p) == list(range(p))
+
+
+@pytest.mark.parametrize("p", PRIMES + (1000000007,))
+def test_zero_polynomial_gives_every_residue_without_a_list(p):
+    for coeffs in ([], [0], [0, p, -2 * p]):
+        assert _residue_roots(coeffs, p) == range(p)
+
+
+def test_large_characteristic():
+    p = 1000000007
+    roots = [3, 5, 5, 999999999]
+    g = [7]
+    for r in roots:
+        g = _times(g, [-r, 1], p)
+    assert _residue_roots(g, p) == [3, 5, 999999999]
+    assert _residue_roots([1, 0, 1], p) == []  # p = 3 mod 4: -1 is no square
