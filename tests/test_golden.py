@@ -6,8 +6,11 @@ examples and one query of each benchmark template kind (seeded values
 taken from the benchmark's query mix), plus a few small dnl: queries in
 characteristic 2 and at jets with nonzero coordinates.
 
-Record the outputs of the current code with
+Record the outputs of the current code for every case that has no file
+yet with
     PYTHONPATH=src python tests/test_golden.py
+An existing file is overwritten only when its case is named:
+    PYTHONPATH=src python tests/test_golden.py minors_dnl
 """
 
 import contextlib
@@ -78,6 +81,18 @@ CASES = {
     "generic_rank_dnl_q": ["generic-rank", "--matrix", "dnl:2:2:x1^3 - x2^2", "--seed", "7", "--trials", "3"],
     "minors_dnl": ["minors", "--matrix", "dnl:1:1:x1^3 - x2^2", "--k", "2"],
     "jet_equations": ["jet-equations", "--f", "x1^3 - x2^2", "--n", "3"],
+    # minors at every size: all 6x6 minors of a 6x9 matrix, a square 9x9
+    # determinant, and the 3x3 minors of a 3x5 matrix
+    "minors_jacm_k6_f101": [
+        "minors", "--json", "--field", "Fp:101", "--matrix", "jacm:3:3*x1^3 - 2*x2^2 + 5*x1*x2^2", "--k", "6",
+    ],
+    "minors_dnl_square_k9": ["minors", "--matrix", "dnl:2:3:x1^4 - 2*x1^3 + 3/2*x1^2", "--k", "9"],
+    "minors_jacm_k3_json": ["minors", "--json", "--matrix", "jacm:2:x1^3 - x2^2", "--k", "3"],
+    # the remaining subcommands
+    "verify_identities": ["verify-identities", "--f", "x1^3 - x2^2 + x1*x2", "--n", "2"],
+    "check_fdbd_f3": ["check-fdbd", "--field", "Fp:3", "--f", "x1^3 - x2^2", "--n", "2", "--json"],
+    "dnl": ["dnl", "--f", "x1^3 - x2^2", "--n", "1", "--m", "2"],
+    "rank_remark": ["rank-remark", "--n", "2", "--m", "2", "--json"],
 }
 
 
@@ -94,8 +109,18 @@ def test_output_is_byte_identical(name):
     assert capture(CASES[name]) == want
 
 
-if __name__ == "__main__":
+def record(named: list[str]) -> None:
+    """Write the missing golden files, and the files of the named cases."""
+    unknown = [name for name in named if name not in CASES]
+    if unknown:
+        sys.exit(f"unknown case(s): {', '.join(unknown)}")
     GOLDEN.mkdir(exist_ok=True)
     for case, argv in CASES.items():
-        (GOLDEN / f"{case}.out").write_text(capture(argv))
-        print(f"wrote {case}", file=sys.stderr)
+        path = GOLDEN / f"{case}.out"
+        if case in named or not path.exists():
+            path.write_text(capture(argv))
+            print(f"wrote {case}", file=sys.stderr)
+
+
+if __name__ == "__main__":
+    record(sys.argv[1:])
