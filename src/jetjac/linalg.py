@@ -6,9 +6,9 @@ Taylor mode (jetmatrix.dn_matrix_at); any other polynomial matrix is
 evaluated entry by entry (eval_matrix).  Rank uses one elimination
 routine per scalar kind: over Q each row is cleared of denominators and
 integer Bareiss elimination runs with exact integer division; over GF(p)
-plain Gaussian elimination runs with one inverse per pivot.  Determinants
-of polynomial matrices use cofactor expansion at small sizes and
-fraction-free elimination with exact polynomial division above that.
+plain Gaussian elimination runs with one inverse per pivot.  Minors and
+determinants of polynomial matrices come from one division-free Laplace
+expansion, shared between all row selections with a common prefix.
 Generic rank is probabilistic: the maximum exact rank over seeded random
 evaluation points, always reported with its seed.
 """
@@ -127,55 +127,11 @@ def _rank_mod_p(a: list[list[int]], cols: int, p: int) -> int:
     return r
 
 
-def _det_cofactor(rows: list[list[Polynomial]]) -> Polynomial:
-    k = len(rows)
-    if k == 1:
-        return rows[0][0]
-    spec = rows[0][0].spec
-    total = Polynomial.zero(spec)
-    for j in range(k):
-        entry = rows[0][j]
-        if entry.is_zero:
-            continue
-        minor = [[row[c] for c in range(k) if c != j] for row in rows[1:]]
-        term = entry * _det_cofactor(minor)
-        total = total + term if j % 2 == 0 else total - term
-    return total
-
-
-def _det_bareiss(rows: list[list[Polynomial]]) -> Polynomial:
-    # fraction-free elimination; previous-pivot divisions are exact
-    k = len(rows)
-    spec = rows[0][0].spec
-    a = [row[:] for row in rows]
-    sign = 1
-    prev = Polynomial.constant(spec, 1)
-    for c in range(k - 1):
-        pivot_row = next((i for i in range(c, k) if not a[i][c].is_zero), None)
-        if pivot_row is None:
-            return Polynomial.zero(spec)
-        if pivot_row != c:
-            a[pivot_row], a[c] = a[c], a[pivot_row]
-            sign = -sign
-        pivot = a[c][c]
-        for i in range(c + 1, k):
-            for j in range(c + 1, k):
-                num = pivot * a[i][j] - a[i][c] * a[c][j]
-                a[i][j] = num.exact_div(prev)
-            a[i][c] = Polynomial.zero(spec)
-        prev = pivot
-    det = a[k - 1][k - 1]
-    return det if sign == 1 else -det
-
-
 def poly_det(mx: PolyMatrix) -> Polynomial:
-    """Determinant of a square polynomial matrix."""
+    """Determinant of a square polynomial matrix: its one full-size minor."""
     if mx.rows != mx.cols:
         raise ValueError("determinant needs a square matrix")
-    rows = [list(mx.row(i)) for i in range(mx.rows)]
-    if mx.rows < 6:
-        return _det_cofactor(rows)
-    return _det_bareiss(rows)
+    return minors(mx, mx.rows).values[0]
 
 
 @dataclass(frozen=True)
@@ -192,22 +148,86 @@ class MinorSet:
 
 def minors(mx: PolyMatrix, k: int, cap: int = MINOR_CAP) -> MinorSet:
     """Every k x k minor of mx as a polynomial (the determinantal
-    generators of the rank-deficiency locus)."""
+    generators of the rank-deficiency locus), listed by row selection and
+    then column selection, each in itertools.combinations order.
+
+    At most cap minors are listed, and at most cap intermediate minors
+    are stored while computing them (TooManyMinors otherwise)."""
     if k < 0 or k > min(mx.rows, mx.cols):
         raise ValueError(f"k must be between 0 and min({mx.rows}, {mx.cols})")
     count = math.comb(mx.rows, k) * math.comb(mx.cols, k)
     if count > cap:
         raise TooManyMinors(count, cap)
+    found = _laplace_walk(mx, k, cap)
+    zero = Polynomial.zero(mx.spec)
     selections = []
     values = []
     for row_sel in itertools.combinations(range(mx.rows), k):
+        by_columns = found.get(row_sel, {})
         for col_sel in itertools.combinations(range(mx.cols), k):
-            sub = PolyMatrix(
-                k, k, tuple(mx.at(i, j) for i in row_sel for j in col_sel)
-            )
             selections.append((row_sel, col_sel))
-            values.append(poly_det(sub))
+            values.append(by_columns.get(sum(1 << c for c in col_sel), zero))
     return MinorSet(k, tuple(selections), tuple(values))
+
+
+def _laplace_walk(mx: PolyMatrix, k: int, cap: int) -> dict:
+    """The nonzero k x k minors of mx as {row selection: {column bitmask:
+    minor}}.
+
+    Rows are taken one at a time, depth first.  For the rows R taken so
+    far, a level maps each column set S with minor(R, S) != 0 to that
+    minor.  Expanding along the new row r needs no division:
+        minor(R + r, S) = sum over c in S of
+                          (-1)^#{c' in S : c' > c} * a[r][c] * minor(R, S - c).
+    A prefix is expanded once for every selection that starts with it,
+    and is dropped with its extensions once its level is empty, since
+    every larger minor on those rows expands into it.  R is in walk
+    order, so a finished minor takes the sign of that permutation."""
+    one = Polynomial.constant(mx.spec, 1)
+    if k == 0:
+        return {(): {0: one}}
+    nonzero = [[(c, e) for c, e in enumerate(mx.row(i)) if e] for i in range(mx.rows)]
+    # sparsest rows first: a sparse row extends each minor in few ways, so
+    # the levels near the root, which the most selections share, stay small
+    order = sorted(range(mx.rows), key=lambda i: (len(nonzero[i]), i))
+    found = {}
+    stored = 0
+    # a frame is [next position in order, rows taken, their inversions, level]
+    stack = [[0, (), 0, {0: one}]]
+    while stack:
+        frame = stack[-1]
+        pos, taken, inversions, level = frame
+        if pos > len(order) - (k - len(taken)):
+            stack.pop()
+            continue
+        frame[0] = pos + 1
+        r = order[pos]
+        grown = {}
+        for cols, minor in level.items():
+            for c, entry in nonzero[r]:
+                bit = 1 << c
+                if cols & bit:
+                    continue
+                term = entry * minor
+                if (cols >> c).bit_count() & 1:
+                    term = -term
+                key = cols | bit
+                grown[key] = grown[key] + term if key in grown else term
+        grown = {cols: value for cols, value in grown.items() if value}
+        if not grown:
+            continue
+        stored += len(grown)
+        if stored > cap:
+            raise TooManyMinors(stored, cap)
+        row_sel = taken + (r,)
+        inversions += sum(1 for q in taken if q > r)
+        if len(row_sel) < k:
+            stack.append([pos + 1, row_sel, inversions, grown])
+        elif inversions & 1:
+            found[tuple(sorted(row_sel))] = {cols: -value for cols, value in grown.items()}
+        else:
+            found[tuple(sorted(row_sel))] = grown
+    return found
 
 
 def random_point(spec: FieldSpec, variables, rng: random.Random) -> Point:

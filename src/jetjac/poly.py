@@ -473,36 +473,6 @@ class Polynomial:
             acc = (acc + t) % p if p else acc + t
         return FieldElement(self.spec, acc)
 
-    # -- exact division (used for fraction-free determinants) ---------
-
-    def _leading(self):
-        key = max(self.terms, key=lambda e: (sum(e), e))
-        return key, self.terms[key]
-
-    def exact_div(self, other: "Polynomial") -> "Polynomial":
-        """Quotient self/other when the division is exact.
-
-        Raises ArithmeticError when other does not divide self; only
-        guaranteed-divisible inputs (Bareiss pivots) should reach here.
-        """
-        if other.is_zero:
-            raise ZeroDivisionError("polynomial division by zero")
-        amb, t1, t2 = self._aligned(other)
-        rem = Polynomial._make(self.spec, amb, dict(t1))
-        den = Polynomial._make(self.spec, amb, t2)
-        lt_den, lc_den = den._leading()
-        p = self.spec.characteristic
-        quot: dict[MultiIndex, object] = {}
-        while not rem.is_zero:
-            lt, lc = rem._leading()
-            qexp = tuple(a - b for a, b in zip(lt, lt_den))
-            if any(e < 0 for e in qexp):
-                raise ArithmeticError("polynomial division is not exact")
-            qc = lc * pow(lc_den, -1, p) % p if p else lc / lc_den
-            quot[qexp] = qc
-            rem = rem - Polynomial._make(self.spec, amb, {qexp: qc}) * den
-        return Polynomial._make(self.spec, amb, quot)
-
     # -- identity ----------------------------------------------------
 
     def _sparse_key(self):

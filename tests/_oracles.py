@@ -56,3 +56,25 @@ def residue_roots_scan(coeffs: list[int], p: int) -> list[int]:
         if acc == 0:
             roots.append(x)
     return roots
+
+
+def leibniz_det(rows: list[list[Polynomial]], spec) -> Polynomial:
+    """Determinant by the Leibniz formula: the sum over permutations s of
+    sign(s) * a[0][s(0)] * ... * a[k-1][s(k-1)], with the sign read off
+    the inversion count.  Permutations through a zero entry are skipped,
+    since their product vanishes.  The 0 x 0 determinant is 1."""
+    k = len(rows)
+    total = Polynomial.zero(spec)
+
+    def extend(i, used, product):
+        nonlocal total
+        if i == k:
+            inversions = sum(1 for a in range(k) for b in range(a + 1, k) if used[a] > used[b])
+            total = total - product if inversions % 2 else total + product
+            return
+        for j in range(k):
+            if j not in used and not rows[i][j].is_zero:
+                extend(i + 1, used + (j,), product * rows[i][j])
+
+    extend(0, (), Polynomial.constant(spec, 1))
+    return total

@@ -144,6 +144,14 @@ class TestRankCommands:
         assert payload["count"] == 10
         assert len(payload["minors"]) == 10
 
+    @pytest.mark.parametrize(
+        "matrix", ["jacm:2:x1^3 - x2^2", '{"rows":0,"cols":0,"entries":[]}']
+    )
+    def test_minors_k0_is_one_empty_minor(self, capsys, matrix):
+        code, out, err = invoke(capsys, "minors", "--matrix", matrix, "--k", "0")
+        assert (code, err) == (0, "")
+        assert out.splitlines() == ["count = 1", "rows [] cols []: 1"]
+
     def test_generic_rank(self, capsys):
         code, out, _ = invoke(
             capsys,

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -23,7 +24,8 @@ from jetjac import (
 )
 from jetjac.linalg import random_point, trial_rng
 
-from _corpus import GF5, Q, random_base_polynomial
+from _corpus import GF2, GF5, Q, base_polynomials, poly_from_int_terms, random_base_polynomial
+from _oracles import leibniz_det
 
 CUSP = parse_poly("x1^3 - x2^2", 2, Q)
 GF101 = FieldSpec.prime_field(101)
@@ -254,7 +256,7 @@ class TestPolyDet:
         assert len(found) == 1
         assert found.values[0] == parse_poly("x1*x4 - x2*x3", 4, Q)
 
-    def test_cofactor_and_bareiss_agree(self):
+    def test_tridiagonal_matches_leibniz(self):
         rng = random.Random(79)
         entries = []
         for i in range(6):
@@ -264,10 +266,13 @@ class TestPolyDet:
                 else:
                     entries.append(Polynomial.zero(Q))
         mx = PolyMatrix(6, 6, tuple(entries))
-        rows = [list(mx.row(i)) for i in range(6)]
-        from jetjac.linalg import _det_bareiss, _det_cofactor
+        want = leibniz_det([list(mx.row(i)) for i in range(6)], Q)
+        assert not want.is_zero
+        assert poly_det(mx) == want
+        assert str(poly_det(mx)) == str(want)
 
-        assert _det_bareiss(rows) == _det_cofactor(rows)
+    def test_empty_matrix(self):
+        assert poly_det(PolyMatrix(0, 0, ())) == 1
 
     def test_singular_matrix(self):
         x = parse_poly("x1", 1, Q)
@@ -305,6 +310,31 @@ class TestMinors:
         with pytest.raises(TooManyMinors) as err:
             minors(big, 10)
         assert err.value.count == 184756**2
+
+    def test_cap_bounds_intermediate_minors(self):
+        # every minor of the Hilbert matrix is nonzero, so its 6x6
+        # determinant stores all C(6, d) minors of its first d rows, 63 in
+        # all, though it lists only one
+        hilbert = (Polynomial.constant(Q, Fraction(1, i + j + 1)) for i in range(6) for j in range(6))
+        dense = PolyMatrix(6, 6, tuple(hilbert))
+        assert len(minors(dense, 6, cap=63)) == 1
+        with pytest.raises(TooManyMinors) as err:
+            minors(dense, 6, cap=62)
+        assert err.value.count == 63
+
+    def test_k0_is_one_empty_minor(self):
+        for mx in (PolyMatrix(0, 0, ()), jac_m([CUSP], 2)):
+            found = minors(mx, 0)
+            assert found.selections == (((), ()),)
+            assert found.values == (1,)
+
+    def test_zero_rows_give_zero_minors_in_combinations_order(self):
+        x = parse_poly("x1", 1, Q)
+        zero = Polynomial.zero(Q)
+        mx = PolyMatrix(3, 2, (x, zero, zero, zero, zero, x))
+        found = minors(mx, 2)
+        assert found.selections == (((0, 1), (0, 1)), ((0, 2), (0, 1)), ((1, 2), (0, 1)))
+        assert [str(v) for v in found.values] == ["0", "x1^2", "0"]
 
     def test_k_validation(self):
         with pytest.raises(ValueError):
@@ -354,3 +384,96 @@ class TestGenericRank:
     def test_trials_validation(self):
         with pytest.raises(ValueError):
             generic_rank(jac_m([CUSP], 2), trials=0)
+
+
+# -- every minor against the Leibniz formula ----------------------------
+
+MINOR_FIELDS = (Q, GF2, GF101)
+
+
+def assert_minors_match_leibniz(mx):
+    """Every k x k minor, for k = 0..min(rows, cols), equals the Leibniz
+    determinant of its submatrix (by == and by str), and the selections
+    come in itertools.combinations order."""
+    for k in range(min(mx.rows, mx.cols) + 1):
+        found = minors(mx, k)
+        assert list(found.selections) == [
+            (r, c)
+            for r in itertools.combinations(range(mx.rows), k)
+            for c in itertools.combinations(range(mx.cols), k)
+        ]
+        for (row_sel, col_sel), value in zip(found.selections, found.values):
+            want = leibniz_det([[mx.at(i, j) for j in col_sel] for i in row_sel], mx.spec)
+            assert value == want, (k, row_sel, col_sel)
+            assert str(value) == str(want), (k, row_sel, col_sel)
+
+
+@st.composite
+def sparse_matrices(draw, spec):
+    """Up to 5x6 with small entries, some of them zero, and some whole
+    rows and columns zero."""
+    rows, cols = draw(st.integers(0, 5)), draw(st.integers(0, 6))
+    zero_rows = draw(st.sets(st.integers(0, 4), max_size=2))
+    zero_cols = draw(st.sets(st.integers(0, 5), max_size=2))
+    entries = []
+    for i in range(rows):
+        for j in range(cols):
+            if i in zero_rows or j in zero_cols or draw(st.booleans()):
+                entries.append(Polynomial.zero(spec))
+                continue
+            terms = draw(
+                st.dictionaries(
+                    st.tuples(st.integers(0, 2), st.integers(0, 1)),
+                    st.integers(-3, 3),
+                    min_size=1,
+                    max_size=2,
+                )
+            )
+            entries.append(poly_from_int_terms(2, terms, spec))
+    return PolyMatrix(rows, cols, tuple(entries))
+
+
+@settings(max_examples=40)
+@given(st.sampled_from(MINOR_FIELDS).flatmap(sparse_matrices))
+def test_minors_of_sparse_matrices_match_leibniz(mx):
+    assert_minors_match_leibniz(mx)
+
+
+# (s, m, n): square D_n(Jac_m f) of 1x1 to 6x6 for s = 1, and 3x6 and 3x5
+# for s = 2
+DN_SHAPES = [(1, 1, 2), (1, 2, 2), (1, 3, 1), (2, 1, 2), (2, 2, 0)]
+
+
+@settings(max_examples=20)
+@given(st.data(), st.sampled_from(MINOR_FIELDS), st.sampled_from(DN_SHAPES))
+def test_minors_of_dn_matrices_match_leibniz(data, spec, shape):
+    s, m, n = shape
+    f = data.draw(base_polynomials(spec, s))
+    assert_minors_match_leibniz(dn_matrix(jac_m([f], m), n))
+
+
+def test_minors_of_the_6x10_cusp_block_matrix_match_leibniz():
+    cusp = parse_poly("x1^3 - x2^2", 2, GF101)
+    assert_minors_match_leibniz(dn_matrix(jac_m([cusp], 2), 1))
+
+
+@pytest.mark.parametrize(
+    "source, n, m",
+    [
+        ("x1^4 - 2*x1^3 + 3/2*x1^2", 2, 3),
+        ("x1^5 + x1^3 - x1^2", 3, 2),
+        ("2/3*x1^3 - x1 + 5", 8, 1),
+        ("x1^7 - 3*x1^4 + x1", 1, 3),
+        ("-x1^2 + 7*x1", 0, 3),
+    ],
+)
+def test_poly_det_matches_sympy(source, n, m):
+    sympy = pytest.importorskip("sympy")
+    mx = dn_matrix(jac_m([parse_poly(source, 1, Q)], m), n)
+    assert mx.rows == mx.cols == m * (n + 1)
+    as_sympy = sympy.Matrix(
+        mx.rows, mx.cols, [sympy.sympify(str(e).replace("^", "**")) for e in mx.entries]
+    )
+    ours = sympy.sympify(str(poly_det(mx)).replace("^", "**"))
+    assert ours != 0
+    assert sympy.expand(as_sympy.det() - ours) == 0
