@@ -3,8 +3,9 @@
 Each case is an argv; tests/golden/<name>.out holds the exit code on its
 first line and the exact stdout after it.  The cases are the README
 examples and one query of each benchmark template kind (seeded values
-taken from the benchmark's query mix), plus a few small dnl: queries in
-characteristic 2 and at jets with nonzero coordinates.
+taken from the benchmark's query mix), a few small dnl: queries in
+characteristic 2 and at jets with nonzero coordinates, minors at every
+size, and one query of each remaining subcommand.
 
 Record the outputs of the current code for every case that has no file
 yet with

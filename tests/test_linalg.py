@@ -439,7 +439,7 @@ def test_minors_of_sparse_matrices_match_leibniz(mx):
     assert_minors_match_leibniz(mx)
 
 
-# (s, m, n): square D_n(Jac_m f) of 1x1 to 6x6 for s = 1, and 3x6 and 3x5
+# (s, m, n): square D_n(Jac_m f) of 3x3 and 6x6 for s = 1, and 3x6 and 3x5
 # for s = 2
 DN_SHAPES = [(1, 1, 2), (1, 2, 2), (1, 3, 1), (2, 1, 2), (2, 2, 0)]
 
