@@ -1,4 +1,4 @@
-"""Root finding over GF(p) for smooth-point sampling.
+"""Root finding over GF(p) and Q for smooth-point sampling.
 
 `_residue_roots` is checked against the residue scan in `_oracles`, and
 `find_smooth_point` against points recorded from the scan-based sampler,
@@ -20,10 +20,15 @@ PRIMES = SMALL_PRIMES + (101, 32003)
 SEEDS = (0, 1, 2, "a:7", 12345)
 
 # base coordinates of find_smooth_point(f, seed) for each seed in SEEDS,
-# recorded from the sampler that scanned every residue; None means
-# NoSmoothPointFound (x1^5 - x1 + x2^3 - x2 - 1 has no points over GF(2)
-# or GF(3))
+# recorded over GF(p) from the sampler that scanned every residue and
+# over Q (p = 0) from the rational root search over divisor pairs; None
+# means NoSmoothPointFound (x1^5 - x1 + x2^3 - x2 - 1 has no points over
+# GF(2) or GF(3), and none of the sampled restrictions has a rational root)
 RECORDED_POINTS = {
+    (0, "x1^3 - x2^2"): [(1, 1), (1, 1), (4, 8), (4, 8), (4, -8)],
+    (0, "x1^3 - x2^2 + x1*x2*x3 + x3^4"): [(5, -9, 1), (8, -19, 1), (-8, 16, -4), (-4, 8, 4), (8, 19, -1)],
+    (0, "x1^5 - x1 + x2^3 - x2 - 1"): [None, None, None, None, None],
+    (0, "x1*x2 - x2^2*x1^2"): [(0, 1), (0, -4), (0, -4), (0, 8), (0, -8)],
     (2, "x1^3 - x2^2"): [(1, 1), (1, 1), (1, 1), (1, 1), (1, 1)],
     (2, "x1^3 - x2^2 + x1*x2*x3 + x3^4"): [(1, 1, 0), (1, 1, 0), (1, 0, 1), (0, 1, 1), (1, 0, 1)],
     (2, "x1^5 - x1 + x2^3 - x2 - 1"): [None, None, None, None, None],
