@@ -20,7 +20,13 @@ Smooth points are sampled by solving f for one coordinate with the others
 frozen.  Over GF(p) the roots of that univariate polynomial g come from
 gcd(g, x^p - x), computed by powering x modulo g, and equal-degree
 splitting (von zur Gathen & Gerhard, Modern Computer Algebra, ch. 14),
-so the cost grows with log p, not with p.
+so the cost grows with log p, not with p.  Over Q the roots of the
+primitive squarefree part of g modulo the smallest odd prime that keeps
+it squarefree are lifted by Newton steps until the modulus exceeds
+2 |g_0 g_d|, read back as fractions by rational reconstruction and each
+confirmed by exact integer evaluation (Modern Computer Algebra, ch. 15
+and section 5.10; Loos 1983), so the cost grows with the bit length of
+the coefficients, not with their size.
 """
 
 from __future__ import annotations
@@ -30,7 +36,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .field import FieldElement
+from .field import FieldElement, is_prime
 from .hasse import hs_components, hs_values, jet_series
 from .jacobian import PolyMatrix, index_families, jac, jac_m
 from .jetmatrix import dn_matrix, dn_matrix_at
@@ -197,58 +203,6 @@ def zero_jet_over(base: Point, n: int) -> Point:
 # -- smooth point and smooth jet sampling -----------------------------
 
 
-def _divisors(n: int) -> list[int]:
-    n = abs(n)
-    out = []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            if d != n // d:
-                out.append(n // d)
-        d += 1
-    return sorted(out)
-
-
-def _rational_roots(coeffs: list[Fraction]) -> list[Fraction]:
-    """All rational roots of a univariate polynomial with rational
-    coefficients (ascending order), by the rational root bound."""
-    coeffs = list(coeffs)
-    while coeffs and coeffs[-1] == 0:
-        coeffs.pop()
-    if not coeffs:
-        return [Fraction(0)]  # identically zero: pick the origin
-    if len(coeffs) == 1:
-        return []
-    roots = []
-    low = 0
-    while coeffs[low] == 0:
-        low += 1
-    if low:
-        roots.append(Fraction(0))
-        coeffs = coeffs[low:]
-        if len(coeffs) == 1:
-            return roots
-    den = 1
-    for c in coeffs:
-        den = math.lcm(den, c.denominator)
-    ints = [int(c * den) for c in coeffs]
-    seen = set(roots)
-    for num in _divisors(ints[0]):
-        for q in _divisors(ints[-1]):
-            for sign in (1, -1):
-                cand = Fraction(sign * num, q)
-                if cand in seen:
-                    continue
-                acc = Fraction(0)
-                for c in reversed(ints):
-                    acc = acc * cand + c
-                if acc == 0:
-                    seen.add(cand)
-                    roots.append(cand)
-    return roots
-
-
 # Dense univariate polynomials over GF(p): coefficient lists, ascending,
 # reduced mod p, without trailing zeros; divisors are monic.
 
@@ -347,6 +301,129 @@ def _residue_roots(coeffs: list[int], p: int) -> list[int] | range:
     return sorted(_split(h, p))
 
 
+# Rational roots over Q: roots mod a small prime p, lifted p-adically by
+# Newton steps and read back as fractions by rational reconstruction
+# (von zur Gathen & Gerhard, Modern Computer Algebra, ch. 15 and 5.10;
+# Loos 1983, SIAM J. Comput. 12).  Integer polynomials are coefficient
+# lists, ascending, without trailing zeros.
+
+
+def _primitive(a: list[int]) -> list[int]:
+    """a divided by its content, with a positive leading coefficient."""
+    c = math.gcd(*a)
+    return [x // (c if a[-1] > 0 else -c) for x in a]
+
+
+def _derivative(a: list[int]) -> list[int]:
+    return [i * c for i, c in enumerate(a)][1:]
+
+
+def _pseudo_divmod(a: list[int], b: list[int]) -> tuple[list[int], list[int]]:
+    """q and r with lc(b)^k a = q b + r, k = deg a - deg b + 1 and
+    deg r < deg b, over the integers (deg a >= deg b)."""
+    r = list(a)
+    db = len(b) - 1
+    q = [0] * (len(a) - db)
+    for i in range(len(q) - 1, -1, -1):
+        c = r[i + db]
+        r = [x * b[-1] for x in r]
+        for j, y in enumerate(b):
+            r[i + j] -= c * y
+        q = [x * b[-1] for x in q]
+        q[i] = c
+    return q, _trim(r[:db])
+
+
+def _squarefree_part(g: list[int]) -> list[int]:
+    """The primitive g / gcd(g, g') of a primitive g of positive degree,
+    the gcd from a primitive pseudo-remainder sequence."""
+    a, b = g, _primitive(_derivative(g))
+    while b:
+        r = _pseudo_divmod(a, b)[1]
+        a, b = b, _primitive(r) if r else r
+    return g if len(a) == 1 else _primitive(_pseudo_divmod(g, a)[0])
+
+
+def _lifting_prime(g: list[int], dg: list[int]) -> int:
+    """The smallest odd prime p that does not divide the leading
+    coefficient of the squarefree g, with derivative dg, and keeps g
+    squarefree mod p."""
+    p = 3
+    while True:
+        if g[-1] % p:
+            gp = _trim([c % p for c in g])
+            if len(_gcd(gp, _trim([c % p for c in dg]), p)) == 1:
+                return p
+        p += 2
+        while not is_prime(p):
+            p += 2
+
+
+def _eval_mod(a: list[int], x: int, m: int) -> int:
+    acc = 0
+    for c in reversed(a):
+        acc = (acc * x + c) % m
+    return acc
+
+
+def _reconstruct(r: int, m: int, bound: int) -> tuple[int, int]:
+    """(a, b) with a = b*r mod m, |a| <= bound and b != 0, from the half
+    extended Euclidean algorithm on m and r; when some fraction with
+    numerator at most `bound` and denominator at most m / (bound + 1) is
+    congruent to r, it is a / b."""
+    r0, r1, t0, t1 = m, r, 0, 1
+    while r1 > bound:
+        q = r0 // r1
+        r0, r1 = r1, r0 - q * r1
+        t0, t1 = t1, t0 - q * t1
+    return (r1, t1) if t1 > 0 else (-r1, -t1)
+
+
+def _rational_roots(coeffs: list[Fraction]) -> list[Fraction]:
+    """All rational roots of a univariate polynomial with rational
+    coefficients (ascending order): 0 first, then the others by
+    (|numerator|, denominator, positive before negative).  The zero
+    polynomial gives [0], a nonzero constant gives [].
+
+    A root a/b in lowest terms of the primitive squarefree part g has
+    |a| <= |g_0| and b <= |g_d|, so a root mod p of g lifted until
+    p^e > 2 |g_0 g_d| determines it; each candidate is confirmed by the
+    integer sum of g_i a^i b^(d-i)."""
+    coeffs = list(coeffs)
+    while coeffs and coeffs[-1] == 0:
+        coeffs.pop()
+    if not coeffs:
+        return [Fraction(0)]  # identically zero: pick the origin
+    low = 0
+    while coeffs[low] == 0:
+        low += 1
+    roots = [Fraction(0)] if low else []
+    coeffs = coeffs[low:]
+    if len(coeffs) == 1:
+        return roots
+    den = math.lcm(*(c.denominator for c in coeffs))
+    g = _squarefree_part(_primitive([c.numerator * (den // c.denominator) for c in coeffs]))
+    dg = _derivative(g)
+    bound = abs(g[0])
+    p = _lifting_prime(g, dg)
+    found = []
+    for r in _residue_roots(g, p):
+        m = p
+        while m <= 2 * bound * g[-1]:
+            m *= m
+            r = (r - _eval_mod(g, r, m) * pow(_eval_mod(dg, r, m), -1, m)) % m
+        a, b = _reconstruct(r, m, bound)
+        if b > g[-1]:
+            continue
+        acc, bp = 0, 1
+        for c in reversed(g):
+            acc = acc * a + c * bp
+            bp *= b
+        if acc == 0:
+            found.append(Fraction(a, b))
+    return roots + sorted(found, key=lambda x: (abs(x.numerator), x.denominator, x < 0))
+
+
 def _univariate_in(f: Polynomial, target: JetVariable, fixed: dict[JetVariable, object]):
     """Coefficients (ascending) of f as a univariate polynomial in
     `target`, the other variables frozen at raw values `fixed`."""
@@ -370,10 +447,13 @@ def find_smooth_point(f: Polynomial, seed=0, attempts: int = 200) -> Point:
     """A point of V(f) where some first partial is nonzero.
 
     Freezes all but one coordinate at seeded random values and solves the
-    remaining univariate equation: by rational root search over Q, over
-    GF(p) by splitting gcd(g, x^p - x) into its linear factors, in time
-    polynomial in log p.  The roots are tried in ascending order.
-    Deterministic in seed.
+    remaining univariate equation: over Q by p-adic lifting of its roots
+    mod a small prime and rational reconstruction, over GF(p) by splitting
+    gcd(g, x^p - x) into its linear factors, in both cases in time
+    polynomial in the bit size of the coefficients.  Roots in GF(p) are
+    tried in ascending order, rational roots 0 first and then by
+    (|numerator|, denominator, positive before negative).  Deterministic
+    in seed.
     """
     s = f.base_count
     spec = f.spec

@@ -1,6 +1,9 @@
 """Slow reference implementations that the library's fast paths are
 checked against."""
 
+import math
+from fractions import Fraction
+
 from jetjac import HSExpansion, JetVariable, NotBasePolynomial, Polynomial, jet_grid
 
 
@@ -55,6 +58,45 @@ def residue_roots_scan(coeffs: list[int], p: int) -> list[int]:
             acc = (acc * x + c) % p
         if acc == 0:
             roots.append(x)
+    return roots
+
+
+def rational_roots_divisors(coeffs) -> list[Fraction]:
+    """Rational roots of the univariate polynomial with these rational
+    coefficients (ascending), by the rational root theorem: with the
+    denominators cleared and the root 0 divided out, every root is
+    +-a/b in lowest terms with a dividing the lowest and b the highest
+    coefficient.  The divisor pairs are tried by increasing a, then b,
+    + before -, each by the integer sum of c_i a^i b^(d-i); 0 comes
+    first.  The zero polynomial gives [0], a nonzero constant [].
+    Trial division up to the square root: small coefficients only."""
+    coeffs = [Fraction(c) for c in coeffs]
+    while coeffs and coeffs[-1] == 0:
+        coeffs.pop()
+    if not coeffs:
+        return [Fraction(0)]
+    low = 0
+    while coeffs[low] == 0:
+        low += 1
+    roots = [Fraction(0)] if low else []
+    den = math.lcm(*(c.denominator for c in coeffs))
+    ints = [int(c * den) for c in coeffs[low:]]
+
+    def divisors(n):
+        small = [d for d in range(1, math.isqrt(abs(n)) + 1) if n % d == 0]
+        return sorted(set(small + [abs(n) // d for d in small]))
+
+    for a in divisors(ints[0]):
+        for b in divisors(ints[-1]):
+            if math.gcd(a, b) != 1:
+                continue
+            for num in (a, -a):
+                acc, bp = 0, 1
+                for c in reversed(ints):
+                    acc = acc * num + c * bp
+                    bp *= b
+                if acc == 0:
+                    roots.append(Fraction(num, b))
     return roots
 
 

@@ -263,19 +263,29 @@ class TestSchemeCommands:
         _, second, _ = invoke(capsys, *args)
         assert first == second
 
-    def test_nobile_in_large_characteristic(self):
-        # smooth-point sampling must not scan all p residues; a subprocess
-        # bounds the wall time even if it does
+    @staticmethod
+    def assert_verdict_within_10s(*argv):
+        # a subprocess bounds the wall time even if the query hangs
         src = str(Path(__file__).resolve().parents[1] / "src")
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-        argv = [
-            "nobile", "--field", "Fp:1000000007", "--f", "x1^3 - x2^2", "--n", "1", "--m", "1", "--base=0,0",
-        ]
         done = subprocess.run(
             [sys.executable, "-m", "jetjac.cli", *argv], env=env, capture_output=True, text=True, timeout=10
         )
         assert done.returncode == 0, done.stderr
         assert "verdict: blowup not an isomorphism (under stated assumptions)" in done.stdout.splitlines()
+
+    def test_nobile_in_large_characteristic(self):
+        # smooth-point sampling must not scan all p residues
+        self.assert_verdict_within_10s(
+            "nobile", "--field", "Fp:1000000007", "--f", "x1^3 - x2^2", "--n", "1", "--m", "1", "--base=0,0",
+        )
+
+    def test_nobile_over_q_with_huge_constant_terms(self):
+        # with x2 frozen at w, the cubic in x1 has constant term w^25, up to
+        # 10^25, so rational root search must not trial-divide it
+        self.assert_verdict_within_10s(
+            "nobile", "--f", "x1^2*x2^2 - x1^3 + x2^25 + x2^24*x1", "--n", "1", "--m", "1", "--base=0,0",
+        )
 
     def test_rank_remark(self, capsys):
         code, out, _ = invoke(capsys, "rank-remark", "--json")

@@ -1,18 +1,23 @@
 """Root finding over GF(p) and Q for smooth-point sampling.
 
-`_residue_roots` is checked against the residue scan in `_oracles`, and
-`find_smooth_point` against points recorded from the scan-based sampler,
-so the root order (ascending) and with it every seeded output stay fixed.
+`_residue_roots` is checked against the residue scan in `_oracles` and
+`_rational_roots` against the divisor search there (and sympy), and
+`find_smooth_point` against points recorded from the scan-based sampler
+over GF(p) and the divisor search over Q, so the root order and with it
+every seeded output stay fixed.
 """
 
+import math
+from fractions import Fraction
+
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from jetjac import FieldSpec, JetVariable, NoSmoothPointFound, find_smooth_point, parse_poly
-from jetjac.jetscheme import _residue_roots
+from jetjac.jetscheme import _rational_roots, _residue_roots
 
-from _oracles import residue_roots_scan
+from _oracles import rational_roots_divisors, residue_roots_scan
 
 SMALL_PRIMES = (2, 3, 5, 7)
 PRIMES = SMALL_PRIMES + (101, 32003)
@@ -63,12 +68,13 @@ def test_find_smooth_point_matches_the_recorded_points(p, text):
         assert got == want, seed
 
 
-def _times(a, b, p):
+def _times(a, b, p=0):
+    """The product of two coefficient lists, reduced mod p when p > 0."""
     out = [0] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
         for j, y in enumerate(b):
-            out[i + j] = (out[i + j] + x * y) % p
-    return out
+            out[i + j] += x * y
+    return [c % p for c in out] if p else out
 
 
 @st.composite
@@ -126,3 +132,59 @@ def test_large_characteristic():
         g = _times(g, [-r, 1], p)
     assert _residue_roots(g, p) == [3, 5, 999999999]
     assert _residue_roots([1, 0, 1], p) == []  # p = 3 mod 4: -1 is no square
+
+
+@st.composite
+def rational_univariates(draw):
+    """Coefficient lists (ascending, Fraction) of small univariate
+    polynomials over Q: products of planted linear factors b*x - a, some
+    repeated and some with a = 0, with a random cofactor, scaled by a
+    random fraction; and zero polynomials, constants and linears."""
+    small = st.integers(-6, 6)
+    kind = draw(st.sampled_from(("planted", "planted", "planted", "zero", "constant", "linear")))
+    if kind == "zero":
+        return [Fraction(0)] * draw(st.integers(0, 3))
+    if kind == "constant":
+        return [Fraction(draw(small.filter(bool)))] + [Fraction(0)] * draw(st.integers(0, 2))
+    if kind == "linear":
+        return [Fraction(draw(small)), Fraction(draw(small.filter(bool)))]
+    out = draw(st.lists(small, min_size=1, max_size=3).filter(any))
+    for _ in range(draw(st.integers(0, 4))):
+        a, b = draw(st.integers(-9, 9)), draw(st.integers(1, 6))
+        for _ in range(draw(st.integers(1, 3))):
+            out = _times(out, [-a, b])
+    scale = Fraction(draw(small.filter(bool)), draw(st.integers(1, 5)))
+    return [c * scale for c in out]
+
+
+@given(coeffs=rational_univariates())
+@settings(max_examples=300)
+def test_rational_roots_match_the_divisor_search(coeffs):
+    assert _rational_roots(coeffs) == rational_roots_divisors(coeffs)
+
+
+@given(coeffs=rational_univariates())
+@settings(max_examples=100)
+def test_rational_roots_match_sympy(coeffs):
+    sympy = pytest.importorskip("sympy")
+    if not any(coeffs):
+        return  # sympy has no root set for the zero polynomial; ours is [0]
+    x = sympy.Symbol("x")
+    want = sympy.Poly(list(reversed(coeffs)), x, domain=sympy.QQ).ground_roots()
+    assert set(_rational_roots(coeffs)) == {Fraction(int(r.p), int(r.q)) for r in want}
+
+
+def test_rational_roots_contracts():
+    assert _rational_roots([]) == [0]
+    assert _rational_roots([Fraction(0), Fraction(0)]) == [0]
+    assert _rational_roots([Fraction(5)]) == []
+    assert _rational_roots([Fraction(0), Fraction(0), Fraction(3)]) == [0]
+    assert _rational_roots([Fraction(-1), Fraction(0), Fraction(4)]) == [Fraction(1, 2), Fraction(-1, 2)]
+
+
+def test_rational_root_with_a_22_digit_numerator():
+    # trial division up to the square root of the constant term hangs here
+    a, b = 10**21 + 7, 3
+    assert len(str(a)) == 22 and math.gcd(a, b) == 1
+    g = _times(_times([-a, b], [3, 0, 1]), [5, 2])
+    assert _rational_roots([Fraction(c) for c in g]) == [Fraction(-5, 2), Fraction(a, b)]
