@@ -7,6 +7,7 @@ determinantal minors, and rank-based singularity certificates.
 """
 
 from .field import (
+    BadCoordinate,
     CharacteristicTooLarge,
     DivisionByZero,
     FieldElement,

@@ -17,7 +17,7 @@ import json
 import re
 import sys
 
-from .field import FieldError, FieldSpec
+from .field import BadCoordinate, FieldError, FieldSpec, check_coordinate
 from .hasse import NotBasePolynomial, check_commutation, hs_components
 from .jacobian import EmptyInput, PolyMatrix, jac_m
 from .jetmatrix import DnMatrix, check_fdbd, dn_matrix
@@ -41,10 +41,6 @@ from .poly import (
     WrongCoordinateCount,
     parse_poly,
 )
-
-
-class BadCoordinate(ValueError):
-    """A point coordinate is neither an integer nor a fraction a/b."""
 
 
 class BadMatrixJSON(ValueError):
@@ -71,7 +67,6 @@ DOMAIN_ERRORS = (
 )
 
 _VAR_MENTION = re.compile(r"x(\d+)(?:_\d+)?")
-_COORDINATE = re.compile(r"[-+]?\d+(?:/0*[1-9]\d*)?")
 _COORDINATE_FLAGS = ("--point", "--base")
 
 
@@ -96,10 +91,7 @@ def parse_polys(text: str, spec: FieldSpec) -> list[Polynomial]:
 def parse_point(text: str, s: int, n: int, spec: FieldSpec) -> Point:
     """Coordinates are integers or fractions a/b (b > 0), each with an
     optional sign."""
-    values = [v.strip() for v in text.split(",")]
-    for v in values:
-        if not _COORDINATE.fullmatch(v):
-            raise BadCoordinate(f"coordinate {v!r} is not an integer or a fraction a/b")
+    values = [check_coordinate(v.strip()) for v in text.split(",")]
     return Point.from_flat(values, s, n, spec)
 
 

@@ -8,6 +8,7 @@ fractions, prime-field values as canonical residues in [0, p).
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
@@ -25,6 +26,22 @@ class MixedFields(FieldError):
 
 class DivisionByZero(FieldError):
     """Division by the zero element of the field."""
+
+
+class BadCoordinate(ValueError):
+    """A point coordinate is neither an integer nor a fraction a/b."""
+
+
+# an integer, or a fraction a/b with b > 0, each with an optional sign
+_COORDINATE = re.compile(r"[-+]?\d+(?:/0*[1-9]\d*)?")
+
+
+def check_coordinate(text: str) -> str:
+    """`text` itself when it is an integer or a fraction a/b (b > 0) with
+    an optional sign; raises BadCoordinate otherwise."""
+    if not _COORDINATE.fullmatch(text):
+        raise BadCoordinate(f"coordinate {text!r} is not an integer or a fraction a/b")
+    return text
 
 
 class CharacteristicTooLarge(FieldError):
@@ -103,13 +120,14 @@ class FieldSpec:
         return "rationals" if self.characteristic == 0 else "prime-field"
 
     def raw(self, x) -> Raw:
-        """Coerce x (int, Fraction, str or FieldElement) to a canonical raw value."""
+        """Coerce x (int, Fraction, FieldElement, or a string in the
+        coordinate grammar of check_coordinate) to a canonical raw value."""
         if isinstance(x, FieldElement):
             if x.spec != self:
                 raise MixedFields(f"{x.spec} value used where {self} expected")
             return x.value
         if isinstance(x, str):
-            x = Fraction(x)
+            x = Fraction(check_coordinate(x))
         p = self.characteristic
         if p == 0:
             return Fraction(x)

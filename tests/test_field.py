@@ -6,6 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from jetjac import (
+    BadCoordinate,
     CharacteristicTooLarge,
     DivisionByZero,
     FieldError,
@@ -107,6 +108,17 @@ class TestArithmetic:
         assert Q.element("4/6").value == Fraction(2, 3)
         assert GF5.element(-3).value == 2
         assert GF5.element(Fraction(1, 2)).value == 3  # 1/2 = 3 in GF(5)
+
+    @pytest.mark.parametrize("text", ["-3", "+4", "4/6", "-7/3", "6/01"])
+    def test_strings_in_the_coordinate_grammar(self, text):
+        assert Q.element(text).value == Fraction(text)
+        assert GF5.element(text).value == GF5.element(Fraction(text)).value
+
+    @pytest.mark.parametrize("text", ["0.5", "1e3", ".5", "1_0", "1/0", "2/-3", " 1", "x", ""])
+    def test_strings_outside_the_coordinate_grammar(self, text):
+        for spec in (Q, GF5):
+            with pytest.raises(BadCoordinate, match="is not an integer or a fraction a/b"):
+                spec.raw(text)
 
     def test_mixed_fields(self):
         with pytest.raises(MixedFields):
