@@ -14,9 +14,11 @@ from jetjac import (
     ScalarMatrix,
     TooManyMinors,
     dn_matrix,
+    dn_matrix_at,
     eval_matrix,
     generic_rank,
     jac_m,
+    jet_grid,
     minors,
     parse_poly,
     poly_det,
@@ -477,3 +479,38 @@ def test_poly_det_matches_sympy(source, n, m):
     ours = sympy.sympify(str(poly_det(mx)).replace("^", "**"))
     assert ours != 0
     assert sympy.expand(as_sympy.det() - ours) == 0
+
+
+@pytest.mark.parametrize("p", [0, 2, 101, 32003])
+def test_rank_matches_sympy(p):
+    """rank of seeded D_n(Jac_m f) at jets against sympy: Matrix.rank over
+    Q and DomainMatrix over GF(p).  A third of the jets are zero jets over
+    the origin, where f * x1 * xs is singular, and a third have
+    coordinates in {-1, 0, 1}, so that some matrices are rank deficient;
+    the rest are random (fractions a/b over Q)."""
+    sympy = pytest.importorskip("sympy")
+    from sympy.polys.matrices import DomainMatrix
+
+    spec = FieldSpec.prime_field(p)
+    rng = random.Random(f"rank-vs-sympy:{p}")
+    deficient = 0
+    for trial in range(16):
+        s, n, m = rng.randint(1, 3), rng.randint(0, 2), rng.randint(1, 2)
+        f = random_base_polynomial(rng, s, 3, 5, spec, nonzero=True)
+        if trial % 3 == 0:
+            f = f * parse_poly(f"x1*x{s}", s, spec)
+        draw = (
+            lambda: 0,
+            lambda: rng.randint(-1, 1),
+            lambda: rng.randrange(p) if p else Fraction(rng.randint(-9, 9), rng.randint(1, 4)),
+        )[trial % 3]
+        point = Point(spec, {v: spec.element(draw()) for v in jet_grid(s, n)})
+        mx = dn_matrix_at(jac_m([f], m), n, point)
+        if p:
+            rows = [[sympy.ZZ(v) for v in mx.values[i * mx.cols : (i + 1) * mx.cols]] for i in range(mx.rows)]
+            want = DomainMatrix(rows, (mx.rows, mx.cols), sympy.ZZ).convert_to(sympy.GF(p)).rank()
+        else:
+            want = sympy.Matrix(mx.rows, mx.cols, [sympy.Rational(v.numerator, v.denominator) for v in mx.values]).rank()
+        assert rank(mx) == want, (str(f), n, m, str(point))
+        deficient += want < min(mx.rows, mx.cols)
+    assert 0 < deficient < 16
