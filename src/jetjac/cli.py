@@ -169,9 +169,9 @@ def emit(args, text: str, payload: dict):
 
 def cmd_hs_derive(args) -> int:
     f = parse_poly(args.f, infer_base_count(args.f), args.field)
-    expansion = hs_components(f, args.n)
-    text = "\n".join(f"d_{k} = {expansion[k]}" for k in range(args.n + 1))
-    emit(args, text, {"n": args.n, "components": [str(c) for c in expansion]})
+    components = [str(c) for c in hs_components(f, args.n)]
+    text = "\n".join(f"d_{k} = {c}" for k, c in enumerate(components))
+    emit(args, text, {"n": args.n, "components": components})
     return 0
 
 

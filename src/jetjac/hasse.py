@@ -6,6 +6,10 @@ kernel computes it over two coefficient rings: polynomial series give the
 symbolic components (hs_components), and raw-scalar series give their
 values at a jet directly (hs_values, Taylor mode), since evaluation at a
 point is a ring homomorphism and commutes with taking t^k coefficients.
+Powers a_i(t)^e come from the binomial theorem on a_i(t) = x_i + O(t), so
+they cost at most n series products whatever e is.  Over Q the symbolic
+kernel runs on integers: it expands D*f, with D the lcm of the coefficient
+denominators of f, and divides the components by D once at the end.
 The tests keep an independent oracle: structural recursion through the
 convolution Leibniz rule d_k(fg) = sum_{i+j=k} d_i(f) d_j(g).
 
@@ -16,7 +20,9 @@ partial_{x_i^(j)} (d_k f) = d_{k-j} (partial_{x_i} f) for all admissible
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .field import FieldSpec, MixedFields
 from .poly import JetVariable, MissingCoordinate, Point, Polynomial, jet_grid
@@ -68,15 +74,46 @@ def _series_mul(a, b, n, zero, p=0):
     return out
 
 
-def _series_pow(base, e, n, one, zero, p=0):
-    result = [one] + [zero] * n
-    square = base
-    while e:
-        if e & 1:
-            result = _series_mul(result, square, n, zero, p)
-        e >>= 1
-        if e:
-            square = _series_mul(square, square, n, zero, p)
+def _series_pow(a, e, n, one, zero, p=0):
+    """a^e truncated after t^n, for either coefficient ring of _series_mul.
+    With a = a_0 + b and b = O(t), the binomial theorem gives
+    a^e = sum_{r <= min(e, n)} C(e, r) a_0^(e-r) b^r, since b^r = O(t^r);
+    b^r = b^(r-1) b costs one series product per r.  When a_0 is zero,
+    a^e = b^e, which vanishes when e > n.  hs_components passes series of
+    integer-coefficient polynomials over Q, and they stay integral here."""
+    if e < 2:
+        return a if e else [one] + [zero] * n
+    a0 = a[0]
+    b = [zero] + a[1:]
+    if not a0:
+        if e > n:
+            return [zero] * (n + 1)
+        result = b
+        for _ in range(e - 1):
+            result = _series_mul(result, b, n, zero, p)
+        return result
+    top = min(e, n)
+    # a0_powers[i] = a_0^(e - top + i), so a_0^(e-r) = a0_powers[top - r]
+    if e == top:
+        a0_powers = [one]
+    else:
+        a0_powers = [pow(a0, e - top, p) if p else a0 ** (e - top)]
+    for _ in range(top):
+        a0_powers.append(a0_powers[-1] * a0 % p if p else a0_powers[-1] * a0)
+    result = [a0_powers[top]] + [zero] * n
+    b_r = b
+    for r in range(1, top + 1):
+        if r > 1:
+            b_r = _series_mul(b_r, b, n, zero, p)
+        scale = a0_powers[top - r] * math.comb(e, r)
+        if p:
+            scale %= p
+        if scale:
+            for k in range(r, n + 1):
+                if b_r[k]:
+                    result[k] = result[k] + scale * b_r[k]
+    if p:
+        result = [c % p for c in result]
     return result
 
 
@@ -112,15 +149,30 @@ def hs_components(f: Polynomial, n: int) -> HSExpansion:
     s = f.base_count
     spec = f.spec
     grid = jet_grid(s, n)
+    # the series start from integer-coefficient monomials, so over Q the
+    # products below stay integral until the one division by D
+    unit = (0,) * len(grid)
     zero = Polynomial.zero(spec, grid)
-    one = Polynomial.constant(spec, 1, grid)
-    var_series = {
-        i: [Polynomial.variable(spec, JetVariable(i, j), grid) for j in range(n + 1)]
-        for i in range(1, s + 1)
-    }
-    acc = _substituted(f, n, var_series, {}, one, zero)
-    components = tuple(acc[k].restricted(jet_grid(s, k)) for k in range(n + 1))
-    return HSExpansion(f, n, components)
+    one = Polynomial._make(spec, grid, {unit: 1})
+    var_series = {i: [] for i in range(1, s + 1)}
+    for idx, v in enumerate(grid):
+        var_series[v.base].append(Polynomial._make(spec, grid, {unit[:idx] + (1,) + unit[idx + 1 :]: 1}))
+    # D = 1 over GF(p), whose raw coefficients are integers already
+    D = math.lcm(*(c.denominator for c in f.terms.values()))
+    cleared = {exps: c.numerator * (D // c.denominator) for exps, c in f.terms.items()}
+    acc = _substituted(Polynomial._make(spec, f.ambient, cleared), n, var_series, {}, one, zero)
+    p = spec.characteristic
+    components = []
+    for k, series_k in enumerate(acc):
+        # d_k has weight k, so it uses only the x_i^(j) with j <= k: the
+        # first s (k + 1) variables of grid, which make up jet_grid(s, k)
+        w = s * (k + 1)
+        if p:
+            terms = {exps[:w]: c for exps, c in series_k.terms.items()}
+        else:
+            terms = {exps[:w]: Fraction(c, D) for exps, c in series_k.terms.items()}
+        components.append(Polynomial._make(spec, grid[:w], terms))
+    return HSExpansion(f, n, tuple(components))
 
 
 def jet_series(point: Point, spec: FieldSpec, s: int, n: int) -> dict[int, list]:

@@ -25,6 +25,7 @@ the identity.
 from __future__ import annotations
 
 import math
+import operator
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -254,28 +255,6 @@ class Polynomial:
                 exps[pos[v]] = e
         return FieldElement(self.spec, self.terms.get(tuple(exps), 0))
 
-    def restricted(self, ambient: Iterable[JetVariable]) -> "Polynomial":
-        """Re-express over a smaller ambient; dropped variables must be unused."""
-        amb = tuple(ambient)
-        if amb == self.ambient:
-            return self
-        pos = {v: i for i, v in enumerate(amb)}
-        mapping = []
-        for i, v in enumerate(self.ambient):
-            j = pos.get(v)
-            mapping.append(j)
-        out = {}
-        for exps, c in self.terms.items():
-            ee = [0] * len(amb)
-            for i, e in enumerate(exps):
-                if e:
-                    j = mapping[i]
-                    if j is None:
-                        raise ValueError(f"variable {self.ambient[i]} is in use; cannot drop it")
-                    ee[j] = e
-            out[tuple(ee)] = c
-        return Polynomial._make(self.spec, amb, out)
-
     def _remapped(self, amb: tuple[JetVariable, ...]) -> dict:
         if amb == self.ambient:
             return self.terms
@@ -357,18 +336,20 @@ class Polynomial:
         return Polynomial._make(self.spec, self.ambient, out)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self._scaled(self.spec.raw(other))
-        if isinstance(other, FieldElement):
+        if isinstance(other, int):
+            # exact in either ring; integer coefficients stay integers
+            return self._scaled(other)
+        if isinstance(other, (Fraction, FieldElement)):
             return self._scaled(self.spec.raw(other))
         if not isinstance(other, Polynomial):
             return NotImplemented
         amb, t1, t2 = self._aligned(other)
         p = self.spec.characteristic
         out: dict[MultiIndex, object] = {}
+        add = operator.add
         for e1, c1 in t1.items():
             for e2, c2 in t2.items():
-                key = tuple(a + b for a, b in zip(e1, e2))
+                key = tuple(map(add, e1, e2))
                 c = c1 * c2
                 c0 = out.get(key)
                 if c0 is not None:
@@ -386,15 +367,18 @@ class Polynomial:
     def __pow__(self, e: int):
         if not isinstance(e, int) or e < 0:
             raise ValueError("polynomial powers take a natural exponent")
-        result = Polynomial.constant(self.spec, 1, self.ambient)
+        if not e:
+            return Polynomial.constant(self.spec, 1, self.ambient)
+        # start from self rather than 1, so integer coefficients stay integers
+        result = None
         square = self
-        while e:
+        while True:
             if e & 1:
-                result = result * square
+                result = square if result is None else result * square
             e >>= 1
-            if e:
-                square = square * square
-        return result
+            if not e:
+                return result
+            square = square * square
 
     # -- calculus ----------------------------------------------------
 
@@ -508,30 +492,21 @@ class Polynomial:
     def __str__(self) -> str:
         if not self.terms:
             return "0"
-        ordered = sorted(self.terms.items(), key=lambda kv: (sum(kv[0]), kv[0]), reverse=True)
-        pieces = []
-        for exps, c in ordered:
-            if self.spec.characteristic == 0 and c < 0:
-                sign, mag = "-", -c
-            else:
-                sign, mag = "+", c
-            powers = [
-                v.name if e == 1 else f"{v.name}^{e}"
-                for v, e in zip(self.ambient, exps)
-                if e
-            ]
-            if not powers:
-                body = str(mag)
-            elif mag == 1:
-                body = "*".join(powers)
-            else:
-                body = "*".join([str(mag)] + powers)
-            pieces.append((sign, body))
-        first_sign, first_body = pieces[0]
-        out = ("-" if first_sign == "-" else "") + first_body
-        for sign, body in pieces[1:]:
-            out += sign + body
-        return out
+        names = [v.name for v in self.ambient]
+        parts = []
+        for exps, c in sorted(self.terms.items(), key=lambda kv: (sum(kv[0]), kv[0]), reverse=True):
+            # residues mod p are never negative; a Fraction prints as num or num/den
+            num, den = c.numerator, c.denominator
+            if num < 0:
+                parts.append("-")
+                num = -num
+            elif parts:
+                parts.append("+")
+            factors = [name if e == 1 else f"{name}^{e}" for name, e in zip(names, exps) if e]
+            if num != 1 or den != 1 or not factors:
+                factors.insert(0, str(num) if den == 1 else f"{num}/{den}")
+            parts.append("*".join(factors))
+        return "".join(parts)
 
     def __repr__(self) -> str:
         return f"Polynomial({self}, field={self.spec})"

@@ -41,8 +41,44 @@ def hs_components_leibniz(f: Polynomial, n: int) -> HSExpansion:
         for k in range(n + 1):
             if not vec[k].is_zero:
                 acc[k] = acc[k] + vec[k]
-    components = tuple(acc[k].restricted(jet_grid(s, k)) for k in range(n + 1))
+    # over jet_grid(s, k); a variable of order above k would widen the ambient
+    components = tuple(
+        Polynomial.from_terms(spec, {tuple(m.items()): c for m, c in acc[k].monomials()}, jet_grid(s, k))
+        for k in range(n + 1)
+    )
     return HSExpansion(f, n, components)
+
+
+def polynomial_str(self: Polynomial) -> str:
+    """The canonical printer as it was before it became one pass: signs
+    from Fraction comparisons, names looked up per term, pieces joined
+    pairwise.  Polynomial.__str__ must match it byte for byte."""
+    if not self.terms:
+        return "0"
+    ordered = sorted(self.terms.items(), key=lambda kv: (sum(kv[0]), kv[0]), reverse=True)
+    pieces = []
+    for exps, c in ordered:
+        if self.spec.characteristic == 0 and c < 0:
+            sign, mag = "-", -c
+        else:
+            sign, mag = "+", c
+        powers = [
+            v.name if e == 1 else f"{v.name}^{e}"
+            for v, e in zip(self.ambient, exps)
+            if e
+        ]
+        if not powers:
+            body = str(mag)
+        elif mag == 1:
+            body = "*".join(powers)
+        else:
+            body = "*".join([str(mag)] + powers)
+        pieces.append((sign, body))
+    first_sign, first_body = pieces[0]
+    out = ("-" if first_sign == "-" else "") + first_body
+    for sign, body in pieces[1:]:
+        out += sign + body
+    return out
 
 
 def residue_roots_scan(coeffs: list[int], p: int) -> list[int]:

@@ -94,6 +94,13 @@ CASES = {
     "check_fdbd_f3": ["check-fdbd", "--field", "Fp:3", "--f", "x1^3 - x2^2", "--n", "2", "--json"],
     "dnl": ["dnl", "--f", "x1^3 - x2^2", "--n", "1", "--m", "2"],
     "rank_remark": ["rank-remark", "--n", "2", "--m", "2", "--json"],
+    # symbolic d_k: Q with coefficient denominators, binomials that vanish
+    # mod 2, and exponents larger than the jet order
+    "hs_derive_sextic_q": [
+        "hs-derive", "--f", "4*x1*x2 + 2*x1^2*x3^3 + 1/2*x1^5*x2^2 - 3*x2^4*x3^3 - 7*x3^6", "--n", "6",
+    ],
+    "hs_derive_f2": ["hs-derive", "--field", "Fp:2", "--f", "x1^4 + x1^2*x2^3 + x2", "--n", "5"],
+    "hs_derive_large_exponent": ["hs-derive", "--f", "x1^40 - 3/2*x2^33", "--n", "6"],
 }
 
 

@@ -1,19 +1,25 @@
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from jetjac import (
+    FieldSpec,
     JetVariable,
     NotBasePolynomial,
     Polynomial,
     base_variables,
     check_commutation,
     hs_components,
+    jet_grid,
     parse_poly,
 )
+from jetjac.hasse import _series_mul, _series_pow
 
-from _corpus import GF2, GF5, Q, corpus_params, poly_from_int_terms, random_base_polynomial
+from _corpus import GF2, GF5, Q, base_polynomials, corpus_params, poly_from_int_terms, random_base_polynomial
 from _oracles import hs_components_leibniz
 
 CUSP = parse_poly("x1^3 - x2^2", 2, Q)
@@ -84,6 +90,89 @@ class TestDualRouteAgreement:
                 a = hs_components(f, n)
                 b = hs_components_leibniz(f, n)
                 assert all(x == y for x, y in zip(a, b)), (s, n, terms, str(spec))
+
+
+class TestRationalCoefficients:
+    """Over Q, hs_components expands D*f on integers and divides by D."""
+
+    @staticmethod
+    def assert_matches_leibniz(f, n):
+        a = hs_components(f, n)
+        b = hs_components_leibniz(f, n)
+        assert list(a) == list(b)
+        assert [c.ambient for c in a] == [c.ambient for c in b]
+        assert all(type(c) is Fraction for comp in a for c in comp.terms.values())
+
+    def test_common_denominator_six(self):
+        self.assert_matches_leibniz(parse_poly("1/2*x1^3 - 2/3*x2^2 + 5/6 + 7*x1*x2", 2, Q), 4)
+
+    @given(st.data())
+    def test_random_denominators(self, data):
+        s = data.draw(st.integers(1, 3))
+        self.assert_matches_leibniz(data.draw(base_polynomials(Q, s)), data.draw(st.integers(0, 3)))
+
+
+def _pow_by_products(a, e, n, one, zero, p):
+    out = [one] + [zero] * n
+    for _ in range(e):
+        out = _series_mul(out, a, n, zero, p)
+    return out
+
+
+class TestSeriesPower:
+    """_series_pow by the binomial theorem against e repeated products,
+    for e = 0..3n, with zero and nonzero constant terms."""
+
+    N = 3
+
+    @pytest.mark.parametrize("p", [0, 2, 3, 101])
+    def test_raw_scalars(self, p):
+        rng = random.Random(41 + p)
+        n = self.N
+        one, zero = (1, 0) if p else (Fraction(1), Fraction(0))
+        for a0_is_zero in (False, True):
+            for _ in range(4):
+                if p:
+                    a = [rng.randrange(p) for _ in range(n + 1)]
+                else:
+                    a = [Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(n + 1)]
+                a[0] = zero if a0_is_zero else a[0] or one
+                for e in range(3 * n + 1):
+                    assert _series_pow(a, e, n, one, zero, p) == _pow_by_products(a, e, n, one, zero, p), (a, e)
+
+    @pytest.mark.parametrize("p", [0, 2, 3, 101])
+    def test_polynomial_series(self, p):
+        # integer coefficients, as hs_components uses over Q: they must
+        # stay integers through the binomials and powers of a_0
+        rng = random.Random(43 + p)
+        n = self.N
+        spec = FieldSpec(p)
+        grid = jet_grid(2, n)
+
+        def monomial(c, *idx):
+            exps = [0] * len(grid)
+            for i in idx:
+                exps[i] += 1
+            c = c % p if p else c
+            return Polynomial._make(spec, grid, {tuple(exps): c} if c else {})
+
+        one, zero = monomial(1), Polynomial.zero(spec, grid)
+
+        def small_poly():
+            terms = [monomial(rng.randint(-5, 5), *rng.sample(range(len(grid)), rng.randint(0, 2))) for _ in range(2)]
+            return terms[0] + terms[1]
+
+        series = [[monomial(1, j * 2) for j in range(n + 1)]]  # a_1(t) of hs_components
+        for a0_is_zero in (False, True):
+            for _ in range(2):
+                a = [small_poly() for _ in range(n + 1)]
+                a[0] = zero if a0_is_zero else a[0] or one
+                series.append(a)
+        for a in series:
+            for e in range(3 * n + 1):
+                got = _series_pow(a, e, n, one, zero)
+                assert got == _pow_by_products(a, e, n, one, zero, 0), (a, e)
+                assert all(type(c) is int for c_k in got for c in c_k.terms.values())
 
 
 class TestDerivationAxioms:

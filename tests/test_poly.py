@@ -21,6 +21,7 @@ from jetjac import (
 )
 
 from _corpus import GF2, GF5, Q, random_base_polynomial
+from _oracles import polynomial_str
 
 X1 = JetVariable(1, 0)
 X2 = JetVariable(2, 0)
@@ -277,3 +278,17 @@ class TestCanonicalPrinting:
     def test_unit_coefficients_omitted(self):
         assert str(poly("x1 - x2")) == "x1-x2"
         assert str(poly("-x1")) == "-x1"
+
+    @given(st.data())
+    def test_matches_the_former_printer(self, data):
+        spec = data.draw(st.sampled_from([Q, GF2, FieldSpec.prime_field(101)]))
+        s, n = data.draw(st.integers(1, 3)), data.draw(st.integers(0, 2))
+        grid = jet_grid(s, n)
+        # -1, 1, a/b (over Q) and 0 coefficients; the zero exponent is a
+        # constant term
+        coeffs = st.one_of(st.sampled_from([-1, 1, 0]), st.integers(-300, 300))
+        if not spec.characteristic:
+            coeffs = st.one_of(coeffs, st.builds(Fraction, st.integers(-30, 30), st.integers(1, 7)))
+        exps = st.tuples(*[st.integers(0, 3)] * len(grid))
+        f = Polynomial(spec, grid, data.draw(st.dictionaries(exps, coeffs, max_size=8)))
+        assert str(f) == polynomial_str(f)
