@@ -159,8 +159,11 @@ class TestSeriesPower:
         one, zero = monomial(1), Polynomial.zero(spec, grid)
 
         def small_poly():
-            terms = [monomial(rng.randint(-5, 5), *rng.sample(range(len(grid)), rng.randint(0, 2))) for _ in range(2)]
-            return terms[0] + terms[1]
+            # two terms of degree <= 2
+            return sum(
+                (monomial(rng.randint(-5, 5), *rng.sample(range(len(grid)), rng.randint(0, 2))) for _ in range(2)),
+                zero,
+            )
 
         series = [[monomial(1, j * 2) for j in range(n + 1)]]  # a_1(t) of hs_components
         for a0_is_zero in (False, True):
