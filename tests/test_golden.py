@@ -101,6 +101,28 @@ CASES = {
     ],
     "hs_derive_f2": ["hs-derive", "--field", "Fp:2", "--f", "x1^4 + x1^2*x2^3 + x2", "--n", "5"],
     "hs_derive_large_exponent": ["hs-derive", "--f", "x1^40 - 3/2*x2^33", "--n", "6"],
+    # every subcommand in the mode not pinned above, so each one is pinned
+    # in both text and JSON mode
+    "hs_derive_json": ["hs-derive", "--json", "--f", "x1^2*x2 - 1/3*x2^3", "--n", "3"],
+    "verify_identities_json": [
+        "verify-identities", "--json", "--field", "Fp:5", "--f", "x1^4 + 2*x1*x2^2", "--n", "3",
+    ],
+    "jacm_json": ["jacm", "--json", "--f", "x1^3 - x2^2, 1/2*x1*x2", "--m", "2"],
+    "dnl_json": ["dnl", "--json", "--f", "x1^3 - x2^2", "--n", "2", "--m", "1"],
+    "jet_equations_json": ["jet-equations", "--json", "--field", "Fp:7", "--f", "x1^3 - x2^2 + x1*x2", "--n", "2"],
+    "rank_at_point_dnl_json": [
+        "rank-at-point", "--json", "--matrix", "dnl:1:2:x1^3 - x2^2", "--point", "1,1,2,3",
+    ],
+    "rank_at_point_inline_json": [
+        "rank-at-point", "--json", "--matrix",
+        '{"rows": 2, "cols": 2, "entries": [["x1", "x2_1"], ["x1^2", "1/2*x2"]]}',
+        "--point=2,-1,3,1/2",
+    ],
+    "generic_rank_json": [
+        "generic-rank", "--json", "--matrix", "jacm:2:x1^3 - x2^2", "--seed", "3", "--trials", "4",
+    ],
+    "check_fdbd_text": ["check-fdbd", "--f", "x1^3 - x2^2 + x1*x2", "--n", "2"],
+    "rank_remark_text": ["rank-remark", "--n", "1", "--m", "2"],
 }
 
 
