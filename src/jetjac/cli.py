@@ -1,8 +1,13 @@
 """Command-line front end.
 
-Every subcommand prints a deterministic report to stdout (plain text, or a
-JSON object with --json) and exits 0; domain errors print the error name
-on stderr and exit 1; usage errors exit 2.  Polynomials use the x<i> /
+Every subcommand builds one deterministic report, a (text, payload) pair
+made from a single rendering of each polynomial, and run() prints one of
+the two: the plain text, or the payload as a JSON object with --json.
+Reports whose dataclass fields are already their JSON keys serialize
+with dataclasses.asdict.  A report exits 0; domain errors print the error
+name on stderr and exit 1; usage errors exit 2.  A reader that closes
+stdout before the report is written ends the run with exit 1 and nothing
+on stderr.  Polynomials use the x<i> /
 x<i>_<j> grammar, points are flat comma-separated coordinate lists in
 canonical order (all base coordinates, then all order-1 coordinates, and
 so on), and the number of base variables is inferred from the highest
@@ -14,12 +19,14 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import re
 import sys
+from dataclasses import asdict
 
 from .field import BadCoordinate, FieldError, FieldSpec, check_coordinate
 from .hasse import NotBasePolynomial, check_commutation, hs_components
-from .jacobian import EmptyInput, PolyMatrix, jac_m
+from .jacobian import EmptyInput, PolyMatrix, _bracketed, jac_m
 from .jetmatrix import DnMatrix, check_fdbd, dn_matrix
 from .jetscheme import (
     ConstantPolynomial,
@@ -29,7 +36,6 @@ from .jetscheme import (
     higher_rank_test,
     jet_equations,
     nobile_certificate,
-    on_jet_scheme,
     rank_counterexample_check,
 )
 from .linalg import TooManyMinors, at_point, generic_rank, minors, rank
@@ -149,147 +155,100 @@ def _matrix_json_fields(text: str) -> tuple[int, int, list[str]]:
     return rows, cols, flat
 
 
-def matrix_json(mx: PolyMatrix) -> dict:
-    return {
-        "rows": mx.rows,
-        "cols": mx.cols,
-        "entries": [[str(e) for e in mx.row(i)] for i in range(mx.rows)],
-    }
+def _matrix_report(mx: PolyMatrix) -> tuple[str, dict]:
+    """The "[a, b]" rows and the {rows, cols, entries} object of a
+    matrix, from one rendering of its entries."""
+    table = [[str(e) for e in mx.row(i)] for i in range(mx.rows)]
+    return _bracketed(table), {"rows": mx.rows, "cols": mx.cols, "entries": table}
 
 
-def emit(args, text: str, payload: dict):
-    if args.json:
-        print(json.dumps(payload, indent=2))
-    else:
-        print(text)
+def _numbered(values: list[str]) -> str:
+    """One "d_k = ..." line per rendered component."""
+    return "\n".join(f"d_{k} = {v}" for k, v in enumerate(values))
 
 
-# -- subcommand handlers ----------------------------------------------
+# -- subcommand handlers: each returns its report as (text, payload) ---
 
 
-def cmd_hs_derive(args) -> int:
+def cmd_hs_derive(args) -> tuple[str, dict]:
     f = parse_poly(args.f, infer_base_count(args.f), args.field)
     components = [str(c) for c in hs_components(f, args.n)]
-    text = "\n".join(f"d_{k} = {c}" for k, c in enumerate(components))
-    emit(args, text, {"n": args.n, "components": components})
-    return 0
+    return _numbered(components), {"n": args.n, "components": components}
 
 
-def cmd_verify_identities(args) -> int:
+def cmd_verify_identities(args) -> tuple[str, dict]:
     f = parse_poly(args.f, infer_base_count(args.f), args.field)
     report = check_commutation(f, args.n)
-    payload = {
-        "ok": report.ok,
-        "cases_checked": report.cases_checked,
-        "counterexample": list(report.counterexample) if report.counterexample else None,
-    }
-    emit(args, str(report), payload)
-    return 0
+    return str(report), asdict(report)
 
 
-def cmd_jacm(args) -> int:
-    mx = jac_m(parse_polys(args.f, args.field), args.m)
-    emit(args, str(mx), matrix_json(mx))
-    return 0
+def cmd_jacm(args) -> tuple[str, dict]:
+    return _matrix_report(jac_m(parse_polys(args.f, args.field), args.m))
 
 
-def cmd_dnl(args) -> int:
-    mx = dn_matrix(jac_m(parse_polys(args.f, args.field), args.m), args.n)
-    emit(args, str(mx), matrix_json(mx))
-    return 0
+def cmd_dnl(args) -> tuple[str, dict]:
+    return _matrix_report(dn_matrix(jac_m(parse_polys(args.f, args.field), args.m), args.n))
 
 
-def cmd_check_fdbd(args) -> int:
-    fs = parse_polys(args.f, args.field)
-    report = check_fdbd(fs, args.n)
-    payload = {
-        "ok": report.ok,
-        "n": report.n,
-        "block_shape": list(report.block_shape),
-        "permutation": report.permutation,
-        "first_mismatch": list(report.first_mismatch) if report.first_mismatch else None,
-    }
-    emit(args, str(report), payload)
-    return 0
+def cmd_check_fdbd(args) -> tuple[str, dict]:
+    report = check_fdbd(parse_polys(args.f, args.field), args.n)
+    return str(report), asdict(report)
 
 
-def cmd_jet_equations(args) -> int:
+def cmd_jet_equations(args) -> tuple[str, dict]:
     f = parse_poly(args.f, infer_base_count(args.f), args.field)
     desc = jet_equations(f, args.n)
-    text = "\n".join(f"d_{k} = {eq}" for k, eq in enumerate(desc.equations))
-    emit(
-        args,
-        text,
-        {"s": desc.s, "n": desc.n, "equations": [str(eq) for eq in desc.equations]},
-    )
-    return 0
+    equations = [str(eq) for eq in desc.equations]
+    return _numbered(equations), {"s": desc.s, "n": desc.n, "equations": equations}
 
 
-def cmd_rank_at_point(args) -> int:
+def cmd_rank_at_point(args) -> tuple[str, dict]:
     mx = matrix_argument(args.matrix, args.field)
     s, order = matrix_dims(mx)
     point = parse_point(args.point, s, order, args.field)
     r = rank(at_point(mx, point))
-    emit(args, f"rank = {r}", {"rank": r})
-    return 0
+    return f"rank = {r}", {"rank": r}
 
 
-def cmd_minors(args) -> int:
-    mx = build_matrix(args.matrix, args.field)
-    found = minors(mx, args.k)
+def cmd_minors(args) -> tuple[str, dict]:
+    found = minors(build_matrix(args.matrix, args.field), args.k)
+    listed = [
+        {"rows": list(r), "cols": list(c), "value": str(v)}
+        for (r, c), v in zip(found.selections, found.values)
+    ]
     lines = [f"count = {len(found)}"]
-    for (rows_sel, cols_sel), value in zip(found.selections, found.values):
-        lines.append(f"rows {list(rows_sel)} cols {list(cols_sel)}: {value}")
-    payload = {
-        "k": found.k,
-        "count": len(found),
-        "minors": [
-            {"rows": list(r), "cols": list(c), "value": str(v)}
-            for (r, c), v in zip(found.selections, found.values)
-        ],
-    }
-    emit(args, "\n".join(lines), payload)
-    return 0
+    lines += [f"rows {m['rows']} cols {m['cols']}: {m['value']}" for m in listed]
+    return "\n".join(lines), {"k": found.k, "count": len(found), "minors": listed}
 
 
-def cmd_generic_rank(args) -> int:
+def cmd_generic_rank(args) -> tuple[str, dict]:
     mx = matrix_argument(args.matrix, args.field)
     r = generic_rank(mx, trials=args.trials, seed=args.seed)
-    emit(
-        args,
+    return (
         f"generic rank = {r} (probabilistic; trials={args.trials}, seed={args.seed})",
         {"generic_rank": r, "probabilistic": True, "trials": args.trials, "seed": args.seed},
     )
-    return 0
 
 
-def cmd_singular_check(args) -> int:
+def cmd_singular_check(args) -> tuple[str, dict]:
     f = parse_poly(args.f, infer_base_count(args.f), args.field)
     desc = jet_equations(f, args.n)
     point = parse_point(args.point, desc.s, desc.n, args.field)
-    member = on_jet_scheme(desc, point)
+    # higher_rank_test raises PointNotOnScheme off the jet scheme
     report = higher_rank_test(desc, point, args.m)
     text = "\n".join(
         [
-            f"on_scheme = {str(member).lower()}",
+            "on_scheme = true",
             f"rank = {report.rank}",
             f"bound = {report.bound}",
             f"full = {str(report.full).lower()}",
             "assumptions: " + "; ".join(report.assumptions),
         ]
     )
-    payload = {
-        "on_scheme": member,
-        "rank": report.rank,
-        "bound": report.bound,
-        "full": report.full,
-        "assumptions": list(report.assumptions),
-    }
-    emit(args, text, payload)
-    return 0
+    return text, {"on_scheme": True, **asdict(report)}
 
 
-def cmd_nobile(args) -> int:
+def cmd_nobile(args) -> tuple[str, dict]:
     f = parse_poly(args.f, infer_base_count(args.f), args.field)
     base = parse_point(args.base, f.base_count, 0, args.field)
     cert = nobile_certificate(
@@ -314,22 +273,12 @@ def cmd_nobile(args) -> int:
         "trials": cert.trials,
         "seed": cert.seed,
     }
-    emit(args, str(cert), payload)
-    return 0
+    return str(cert), payload
 
 
-def cmd_rank_remark(args) -> int:
+def cmd_rank_remark(args) -> tuple[str, dict]:
     report = rank_counterexample_check(args.n, args.m)
-    payload = {
-        "n": report.n,
-        "m": report.m,
-        "jet_ring_rank": report.jet_ring_rank,
-        "tensor_rank": report.tensor_rank,
-        "isomorphic": report.isomorphic,
-        "verdict": "consistent with an isomorphism" if report.isomorphic else "not isomorphic",
-    }
-    emit(args, str(report), payload)
-    return 0
+    return str(report), {**asdict(report), "verdict": report.verdict}
 
 
 # -- parser wiring -----------------------------------------------------
@@ -450,10 +399,18 @@ def run(argv: list[str]) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
-        return args.func(args)
+        text, payload = args.func(args)
     except DOMAIN_ERRORS as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
+    try:
+        print(json.dumps(payload, indent=2) if args.json else text, flush=True)
+    except BrokenPipeError:
+        # The reader closed the pipe.  Point stdout at the null device, so
+        # that the interpreter's own flush at exit has nowhere to fail.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+    return 0
 
 
 def main() -> None:

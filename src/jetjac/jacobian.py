@@ -25,6 +25,12 @@ class EmptyInput(ValueError):
     """A matrix builder received no polynomials."""
 
 
+def _bracketed(table: list[list[str]]) -> str:
+    """The text layout of a matrix: one "[a, b, ...]" line per row of
+    rendered entries."""
+    return "\n".join("[" + ", ".join(row) + "]" for row in table)
+
+
 def exponent_vectors(norm: int, s: int):
     """All multi-indices in N^s of the given norm, lexicographically
     descending with the first coordinate heaviest."""
@@ -120,10 +126,7 @@ class PolyMatrix:
         return tuple(sorted(seen))
 
     def __str__(self) -> str:
-        return "\n".join(
-            "[" + ", ".join(str(e) for e in self.row(i)) + "]"
-            for i in range(self.rows)
-        )
+        return _bracketed([[str(e) for e in self.row(i)] for i in range(self.rows)])
 
 
 @dataclass(frozen=True)
@@ -164,10 +167,7 @@ class ScalarMatrix:
         return ScalarMatrix(self.cols, self.rows, values, self.spec)
 
     def __str__(self) -> str:
-        return "\n".join(
-            "[" + ", ".join(str(e) for e in self.row(i)) + "]"
-            for i in range(self.rows)
-        )
+        return _bracketed([[str(e) for e in self.row(i)] for i in range(self.rows)])
 
 
 def _common_base_count(fs) -> int:

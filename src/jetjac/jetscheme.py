@@ -37,7 +37,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .field import FieldElement, is_prime
-from .hasse import hs_components, hs_values, jet_series
+from .hasse import _require_base, hs_components, hs_values, jet_series
 from .jacobian import PolyMatrix, index_families, jac, jac_m
 from .jetmatrix import dn_matrix, dn_matrix_at
 from .linalg import SAMPLE_RANGE, rank, trial_rng
@@ -89,8 +89,7 @@ def jet_equations(f: Polynomial, n: int) -> JetSchemeDesc:
     """Equations of the order-n jet scheme of the hypersurface V(f)."""
     if f.is_constant:
         raise ConstantPolynomial("the hypersurface equation is constant")
-    if f.max_order > 0:
-        raise ValueError("the hypersurface equation must use base variables only")
+    _require_base(f)
     if n < 0:
         raise ValueError("n must be >= 0")
     return JetSchemeDesc(f, f.base_count, n)
@@ -603,11 +602,14 @@ class FreeRankComparison:
     tensor_rank: int
     isomorphic: bool
 
+    @property
+    def verdict(self) -> str:
+        return "consistent with an isomorphism" if self.isomorphic else "not isomorphic"
+
     def __str__(self):
-        verdict = "consistent with an isomorphism" if self.isomorphic else "not isomorphic"
         return (
             f"free rank over the jet polynomial ring: {self.jet_ring_rank}; "
-            f"free rank of the tensored module: {self.tensor_rank}; {verdict}"
+            f"free rank of the tensored module: {self.tensor_rank}; {self.verdict}"
         )
 
 
@@ -656,7 +658,6 @@ class NobileCertificate:
     witness_jet: Point | None
     witness_rank: int | None
     assumptions: tuple[str, ...]
-    verdict: str
     trials: int
     seed: object
 
@@ -668,6 +669,12 @@ class NobileCertificate:
             and self.cokernel.all_match
             and self.rank_jump
         )
+
+    @property
+    def verdict(self) -> str:
+        if self.all_facts_hold:
+            return "blowup not an isomorphism (under stated assumptions)"
+        return "inconclusive: some certificate fact failed"
 
     def __str__(self):
         lines = [
@@ -694,6 +701,7 @@ def nobile_certificate(
     """Assemble the four-fact singularity certificate at a singular base
     point (all first partials of f vanish there); raises NotSingularBase
     otherwise."""
+    _require_base(f)
     if m < 1:
         raise ValueError("m must be >= 1")
     s = f.base_count
@@ -732,17 +740,6 @@ def nobile_certificate(
         IRREDUCIBILITY_ASSUMPTION,
         NORMALITY_ASSUMPTION,
     )
-    all_facts = (
-        membership
-        and report.rank < report.bound
-        and cokernel.all_match
-        and rank_jump
-    )
-    verdict = (
-        "blowup not an isomorphism (under stated assumptions)"
-        if all_facts
-        else "inconclusive: some certificate fact failed"
-    )
     return NobileCertificate(
         f=f,
         n=n,
@@ -757,7 +754,6 @@ def nobile_certificate(
         witness_jet=witness_jet,
         witness_rank=witness_rank,
         assumptions=assumptions,
-        verdict=verdict,
         trials=trials,
         seed=seed,
     )

@@ -547,9 +547,6 @@ class Point:
             return NotImplemented
         return self.spec == other.spec and dict(self.coords) == dict(other.coords)
 
-    def flat(self) -> list[FieldElement]:
-        return [self.coords[v] for v in sorted(self.coords)]
-
     def __str__(self) -> str:
         parts = [f"{v.name}={self.coords[v]}" for v in sorted(self.coords)]
         return "(" + ", ".join(parts) + ")"

@@ -7,11 +7,13 @@ from pathlib import Path
 
 import pytest
 
-from jetjac import FieldSpec, PolyMatrix, dn_matrix, jac_m, parse_poly
+from jetjac import FieldSpec, PolyMatrix, Polynomial, dn_matrix, jac_m, parse_poly
 from jetjac.cli import build_matrix, infer_base_count, run
 
 Q = FieldSpec.rationals()
 GF2 = FieldSpec.prime_field(2)
+
+QUARTIC = "x1^3 - x2^2 + x1*x2*x3 + x3^4"
 
 EXPECTED_JACM_LINES = [
     "[3*x1^2, -2*x2, 3*x1, 0, -1]",
@@ -26,14 +28,17 @@ def invoke(capsys, *argv):
     return code, captured.out, captured.err
 
 
-def run_within_10s(*argv):
-    """Stdout of the CLI run in a subprocess, which bounds the wall time
-    even if the query hangs; the run must exit 0."""
+def cli_subprocess(*argv, **kwargs):
+    """Run the CLI in a subprocess with a 10 s timeout, which bounds the
+    wall time even if the query hangs."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    done = subprocess.run(
-        [sys.executable, "-m", "jetjac.cli", *argv], env=env, capture_output=True, text=True, timeout=10
-    )
+    return subprocess.run([sys.executable, "-m", "jetjac.cli", *argv], env=env, timeout=10, **kwargs)
+
+
+def run_within_10s(*argv):
+    """Stdout of the CLI run in a subprocess; the run must exit 0."""
+    done = cli_subprocess(*argv, capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
     return done.stdout
 
@@ -192,6 +197,43 @@ class TestRankCommands:
     def test_build_matrix_helper(self):
         mx = build_matrix("jacm:2:x1^3 - x2^2", Q)
         assert (mx.rows, mx.cols) == (3, 5)
+
+
+class TestOneRendering:
+    @pytest.mark.parametrize("mode", [[], ["--json"]], ids=["text", "json"])
+    @pytest.mark.parametrize(
+        "argv, printed",
+        [
+            # a 15 x 60 matrix
+            (["dnl", "--f", QUARTIC, "--n", "4", "--m", "2"], 900),
+            # C(9, 6) = 84 minors of a 6 x 9 matrix
+            (["minors", "--field", "Fp:101", "--matrix", "jacm:3:3*x1^3 - 2*x2^2 + 5*x1*x2^2", "--k", "6"], 84),
+        ],
+        ids=["dnl", "minors"],
+    )
+    def test_each_polynomial_is_printed_once(self, capsys, monkeypatch, argv, printed, mode):
+        calls = 0
+        printer = Polynomial.__str__
+
+        def counting_printer(self):
+            nonlocal calls
+            calls += 1
+            return printer(self)
+
+        monkeypatch.setattr(Polynomial, "__str__", counting_printer)
+        code, _, _ = invoke(capsys, *argv, *mode)
+        assert (code, calls) == (0, printed)
+
+    def test_closed_stdout_ends_quietly(self):
+        # the read end is closed before the CLI starts, so its one write
+        # meets a broken pipe whatever the timing
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            done = cli_subprocess("dnl", "--f", QUARTIC, "--n", "4", "--m", "2", stdout=write_end, stderr=subprocess.PIPE)
+        finally:
+            os.close(write_end)
+        assert (done.returncode, done.stderr) == (1, b"")
 
 
 class TestSchemeCommands:
@@ -379,6 +421,17 @@ class TestErrorHandling:
     def test_dnl_of_jet_variables_is_rejected_first(self, capsys, command):
         # before any point is read, as when dnl: matrices were expanded up front
         code, out, err = invoke(capsys, command[0], "--matrix", "dnl:1:1:x1_1", *command[1:])
+        assert (code, out) == (1, "")
+        assert err.startswith("NotBasePolynomial: ")
+
+    @pytest.mark.parametrize(
+        "command",
+        [["jet-equations", "--n", "1"], ["singular-check", "--n", "1", "--point", "0,0"], ["nobile", "--n", "1", "--base", "0"]],
+        ids=lambda command: command[0],
+    )
+    def test_jet_variables_in_f_are_rejected_first(self, capsys, command):
+        # before the point or base is read: "0,0" has the wrong length
+        code, out, err = invoke(capsys, command[0], "--f", "x1*x1_1", *command[1:])
         assert (code, out) == (1, "")
         assert err.startswith("NotBasePolynomial: ")
 

@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -12,6 +13,7 @@ from jetjac import (
     MissingCoordinate,
     MixedFields,
     NoSmoothPointFound,
+    NotBasePolynomial,
     NotSingularBase,
     Point,
     PointNotOnScheme,
@@ -76,6 +78,10 @@ class TestJetEquations:
 
     def test_expected_dimension(self):
         assert jet_equations(CUSP, 3).expected_dimension == 4
+
+    def test_jet_variables_rejected(self):
+        with pytest.raises(NotBasePolynomial):
+            jet_equations(parse_poly("x1*x1_1", 1, Q), 1)
 
 
 class TestOnJetScheme:
@@ -451,11 +457,13 @@ class TestRankCounterexample:
         report = rank_counterexample_check()
         assert (report.jet_ring_rank, report.tensor_rank) == (5, 4)
         assert not report.isomorphic
+        assert report.verdict == "not isomorphic"
 
     def test_order_one_is_consistent(self):
         report = rank_counterexample_check(1, 1)
         assert (report.jet_ring_rank, report.tensor_rank) == (2, 2)
         assert report.isomorphic
+        assert report.verdict == "consistent with an isomorphism"
 
     def test_n2_m2(self):
         report = rank_counterexample_check(2, 2)
@@ -485,6 +493,17 @@ class TestNobileCertificate:
         assert cert.rank < 3
         assert cert.witness_rank == 3
         assert cert.all_facts_hold
+
+    def test_verdict_follows_the_facts(self):
+        cert = nobile_certificate(CUSP, 1, 2, ORIGIN, trials=4, seed=0)
+        failed = replace(cert, rank_jump=False)
+        assert not failed.all_facts_hold
+        assert failed.verdict == "inconclusive: some certificate fact failed"
+
+    def test_jet_variables_rejected_before_the_base_is_read(self):
+        # the base point assigns no value to x1_1
+        with pytest.raises(NotBasePolynomial):
+            nobile_certificate(parse_poly("x1^2*x1_1", 1, Q), 1, 1, Point.from_base([0], Q))
 
     def test_smooth_base_rejected(self):
         with pytest.raises(NotSingularBase):
