@@ -204,7 +204,7 @@ class TestOneRendering:
     @pytest.mark.parametrize(
         "argv, printed",
         [
-            # a 15 x 60 matrix
+            # a 20 x 45 matrix
             (["dnl", "--f", QUARTIC, "--n", "4", "--m", "2"], 900),
             # C(9, 6) = 84 minors of a 6 x 9 matrix
             (["minors", "--field", "Fp:101", "--matrix", "jacm:3:3*x1^3 - 2*x2^2 + 5*x1*x2^2", "--k", "6"], 84),
