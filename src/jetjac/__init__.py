@@ -55,7 +55,6 @@ from .jetscheme import (
     PointNotOnScheme,
     Presentation,
     RankReport,
-    classical_rank_test,
     extend_to_jet,
     find_smooth_point,
     generic_cokernel_rank,

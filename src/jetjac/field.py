@@ -1,8 +1,10 @@
 """Exact scalar arithmetic over the rationals and over prime fields GF(p).
 
 Field elements are immutable values that carry their field; mixing values
-from different fields raises MixedFields.  Rationals are stored as reduced
-fractions, prime-field values as canonical residues in [0, p).
+from different fields raises MixedFields.  FieldSpec.raw alone decides
+how a value is stored: a rational as an int when it is integral and as
+a reduced Fraction otherwise, a prime-field value as its residue in
+[0, p).  A float is rejected, so every value stays exact.
 """
 
 from __future__ import annotations
@@ -121,33 +123,38 @@ class FieldSpec:
 
     def raw(self, x) -> Raw:
         """Coerce x (int, Fraction, FieldElement, or a string in the
-        coordinate grammar of check_coordinate) to a canonical raw value."""
+        coordinate grammar of check_coordinate) to its canonical raw
+        value: a residue int in [0, p) over GF(p); over Q an int when x is
+        integral, else a reduced Fraction.  Anything else, such as a
+        float, raises BadCoordinate."""
+        p = self.characteristic
+        if type(x) is int:
+            return x % p if p else x
         if isinstance(x, FieldElement):
             if x.spec != self:
                 raise MixedFields(f"{x.spec} value used where {self} expected")
             return x.value
         if isinstance(x, str):
             x = Fraction(check_coordinate(x))
-        p = self.characteristic
+        elif not isinstance(x, (int, Fraction)):
+            raise BadCoordinate(f"{x!r} is not an integer or a fraction a/b")
         if p == 0:
-            return Fraction(x)
-        if isinstance(x, Fraction):
-            den = x.denominator % p
-            if den == 0:
-                raise DivisionByZero(f"denominator of {x} vanishes in GF({p})")
-            return x.numerator * pow(den, -1, p) % p
-        return x % p
+            return x.numerator if x.denominator == 1 else x
+        den = x.denominator % p
+        if den == 0:
+            raise DivisionByZero(f"denominator of {x} vanishes in GF({p})")
+        return x.numerator * pow(den, -1, p) % p
 
     def element(self, x) -> "FieldElement":
-        return FieldElement(self, self.raw(x))
+        return FieldElement(self, x)
 
     @property
     def zero(self) -> "FieldElement":
-        return FieldElement(self, Fraction(0) if self.characteristic == 0 else 0)
+        return FieldElement(self, 0)
 
     @property
     def one(self) -> "FieldElement":
-        return FieldElement(self, Fraction(1) if self.characteristic == 0 else 1)
+        return FieldElement(self, 1)
 
     def __str__(self) -> str:
         return "Q" if self.characteristic == 0 else f"Fp:{self.characteristic}"
@@ -157,17 +164,14 @@ QQ = FieldSpec.rationals()
 
 
 class FieldElement:
-    """Immutable scalar: a reduced fraction, or a residue in [0, p)."""
+    """Immutable scalar whose value is the raw value FieldSpec.raw gives:
+    an int or a reduced Fraction over Q, a residue in [0, p) over GF(p)."""
 
     __slots__ = ("spec", "value")
 
     def __init__(self, spec: FieldSpec, value):
         self.spec = spec
-        p = spec.characteristic
-        if p == 0:
-            self.value = value if isinstance(value, Fraction) else Fraction(value)
-        else:
-            self.value = value % p
+        self.value = spec.raw(value)
 
     def _coerce(self, other):
         if isinstance(other, FieldElement):
@@ -182,8 +186,7 @@ class FieldElement:
         v = self._coerce(other)
         if v is None:
             return NotImplemented
-        p = self.spec.characteristic
-        return FieldElement(self.spec, (self.value + v) % p if p else self.value + v)
+        return FieldElement(self.spec, self.value + v)
 
     __radd__ = __add__
 
@@ -191,22 +194,19 @@ class FieldElement:
         v = self._coerce(other)
         if v is None:
             return NotImplemented
-        p = self.spec.characteristic
-        return FieldElement(self.spec, (self.value - v) % p if p else self.value - v)
+        return FieldElement(self.spec, self.value - v)
 
     def __rsub__(self, other):
         v = self._coerce(other)
         if v is None:
             return NotImplemented
-        p = self.spec.characteristic
-        return FieldElement(self.spec, (v - self.value) % p if p else v - self.value)
+        return FieldElement(self.spec, v - self.value)
 
     def __mul__(self, other):
         v = self._coerce(other)
         if v is None:
             return NotImplemented
-        p = self.spec.characteristic
-        return FieldElement(self.spec, (self.value * v) % p if p else self.value * v)
+        return FieldElement(self.spec, self.value * v)
 
     __rmul__ = __mul__
 
@@ -214,12 +214,12 @@ class FieldElement:
         v = self._coerce(other)
         if v is None:
             return NotImplemented
-        p = self.spec.characteristic
-        if (v % p if p else v) == 0:
+        if v == 0:
             raise DivisionByZero(f"division by zero in {self.spec}")
+        p = self.spec.characteristic
         if p:
-            return FieldElement(self.spec, self.value * pow(v, -1, p) % p)
-        return FieldElement(self.spec, self.value / v)
+            return FieldElement(self.spec, self.value * pow(v, -1, p))
+        return FieldElement(self.spec, Fraction(self.value, v))
 
     def __rtruediv__(self, other):
         v = self._coerce(other)
@@ -228,16 +228,13 @@ class FieldElement:
         return FieldElement(self.spec, v) / self
 
     def __neg__(self):
-        p = self.spec.characteristic
-        return FieldElement(self.spec, -self.value % p if p else -self.value)
+        return FieldElement(self.spec, -self.value)
 
     def __pow__(self, e: int):
+        if e < 0:
+            return self.inverse() ** -e
         p = self.spec.characteristic
-        if e < 0 and self.is_zero:
-            raise DivisionByZero("negative power of zero")
-        if p:
-            return FieldElement(self.spec, pow(self.value, e, p))
-        return FieldElement(self.spec, self.value**e)
+        return FieldElement(self.spec, pow(self.value, e, p) if p else self.value**e)
 
     def inverse(self) -> "FieldElement":
         return self.spec.one / self

@@ -157,20 +157,22 @@ def hs_components(f: Polynomial, n: int) -> HSExpansion:
     var_series = {i: [] for i in range(1, s + 1)}
     for idx, v in enumerate(grid):
         var_series[v.base].append(Polynomial._make(spec, grid, {unit[:idx] + (1,) + unit[idx + 1 :]: 1}))
-    # D = 1 over GF(p), whose raw coefficients are integers already
+    # D = 1 over GF(p) and for integral f over Q: the raw coefficients are ints
     D = math.lcm(*(c.denominator for c in f.terms.values()))
     cleared = {exps: c.numerator * (D // c.denominator) for exps, c in f.terms.items()}
     acc = _substituted(Polynomial._make(spec, f.ambient, cleared), n, var_series, {}, one, zero)
-    p = spec.characteristic
     components = []
     for k, series_k in enumerate(acc):
         # d_k has weight k, so it uses only the x_i^(j) with j <= k: the
         # first s (k + 1) variables of grid, which make up jet_grid(s, k)
         w = s * (k + 1)
-        if p:
+        if D == 1:
             terms = {exps[:w]: c for exps, c in series_k.terms.items()}
         else:
-            terms = {exps[:w]: Fraction(c, D) for exps, c in series_k.terms.items()}
+            terms = {
+                exps[:w]: Fraction(c, D) if c % D else c // D
+                for exps, c in series_k.terms.items()
+            }
         components.append(Polynomial._make(spec, grid[:w], terms))
     return HSExpansion(f, n, tuple(components))
 

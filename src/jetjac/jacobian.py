@@ -133,9 +133,9 @@ class PolyMatrix:
 class ScalarMatrix:
     """Dense matrix over the field, such as a PolyMatrix at a point.
 
-    `values` holds raw scalars in row-major order (Fraction over Q,
-    canonical residue int over GF(p)), which is what elimination reads;
-    at, row and str give field elements.
+    `values` holds raw scalars in row-major order (ints and Fractions over
+    Q, never floats; canonical residue ints over GF(p)), which is what
+    elimination reads; at, row and str give field elements.
     """
 
     rows: int
@@ -170,19 +170,10 @@ class ScalarMatrix:
         return _bracketed([[str(e) for e in self.row(i)] for i in range(self.rows)])
 
 
-def _common_base_count(fs) -> int:
-    return max(f.base_count for f in fs)
-
-
 def jac(fs: list[Polynomial]) -> PolyMatrix:
-    """The r x s Jacobian: entry (l, i) = partial f_l / partial x_i."""
-    if not fs:
-        raise EmptyInput("no polynomials given")
-    s = _common_base_count(fs)
-    entries = tuple(
-        f.partial(JetVariable(i, 0)) for f in fs for i in range(1, s + 1)
-    )
-    return PolyMatrix(len(fs), s, entries, provenance="jac")
+    """The r x s Jacobian: entry (l, i) = partial f_l / partial x_i, which
+    is the order-1 Jacobian jac_m(fs, 1)."""
+    return jac_m(fs, 1)
 
 
 def jac_m(fs: list[Polynomial], m: int) -> PolyMatrix:
@@ -194,7 +185,7 @@ def jac_m(fs: list[Polynomial], m: int) -> PolyMatrix:
         raise EmptyInput("no polynomials given")
     if m < 1:
         raise ValueError("m must be >= 1")
-    s = _common_base_count(fs)
+    s = max(f.base_count for f in fs)
     fam = index_families(s, m)
     entries = []
     for f in fs:

@@ -38,7 +38,7 @@ from fractions import Fraction
 
 from .field import FieldElement, is_prime
 from .hasse import _require_base, hs_components, hs_values, jet_series
-from .jacobian import PolyMatrix, index_families, jac, jac_m
+from .jacobian import PolyMatrix, index_families, jac_m
 from .jetmatrix import dn_matrix, dn_matrix_at
 from .linalg import SAMPLE_RANGE, rank, trial_rng
 from .poly import JetVariable, MissingCoordinate, Point, Polynomial
@@ -114,21 +114,11 @@ class RankReport:
         return f"rank {self.rank} of bound {self.bound} ({status})"
 
 
-def classical_rank_test(desc: JetSchemeDesc, point: Point) -> RankReport:
-    """Rank of the Jacobian of (f, d_1 f, ..., d_n f) at a point of the
-    jet scheme; full rank n+1 is the usual smoothness criterion."""
-    if not on_jet_scheme(desc, point):
-        raise PointNotOnScheme("the point does not lie on the jet scheme")
-    # D_n(Jac f) is jet_jacobian with its block rows and columns reversed
-    r = rank(dn_matrix_at(jac([desc.f]), desc.n, point))
-    bound = desc.n + 1
-    return RankReport(r, bound, r == bound, (IRREDUCIBILITY_ASSUMPTION,))
-
-
 def higher_rank_test(desc: JetSchemeDesc, point: Point, m: int) -> RankReport:
     """Rank of the blocked order-m Jacobian at a point of the jet scheme;
     full rank (n+1)M detects smoothness under the irreducibility
-    assumption, in any characteristic."""
+    assumption, in any characteristic.  For m = 1 this is the classical
+    criterion: the Jacobian of (f, d_1 f, ..., d_n f) has rank n + 1."""
     if m < 1:
         raise ValueError("m must be >= 1")
     if not on_jet_scheme(desc, point):
@@ -439,7 +429,7 @@ def _univariate_in(f: Polynomial, target: JetVariable, fixed: dict[JetVariable, 
         acc = coeffs.get(k, 0) + t
         coeffs[k] = acc % p if p else acc
     top = max(coeffs, default=0)
-    return [coeffs.get(k, Fraction(0) if p == 0 else 0) for k in range(top + 1)]
+    return [coeffs.get(k, 0) for k in range(top + 1)]
 
 
 def find_smooth_point(f: Polynomial, seed=0, attempts: int = 200) -> Point:
@@ -466,10 +456,9 @@ def find_smooth_point(f: Polynomial, seed=0, attempts: int = 200) -> Point:
         fixed = {}
         for i in range(1, s + 1):
             if i != solve_base:
-                if p:
-                    fixed[JetVariable(i, 0)] = rng.randrange(p)
-                else:
-                    fixed[JetVariable(i, 0)] = Fraction(rng.randint(-SAMPLE_RANGE, SAMPLE_RANGE))
+                fixed[JetVariable(i, 0)] = (
+                    rng.randrange(p) if p else rng.randint(-SAMPLE_RANGE, SAMPLE_RANGE)
+                )
         target = JetVariable(solve_base, 0)
         coeffs = _univariate_in(f, target, fixed)
         roots = _residue_roots(coeffs, p) if p else _rational_roots(coeffs)
@@ -485,7 +474,7 @@ def find_smooth_point(f: Polynomial, seed=0, attempts: int = 200) -> Point:
     )
 
 
-def extend_to_jet(f: Polynomial, base, n: int, seed=0, fill=None) -> Point:
+def extend_to_jet(f: Polynomial, base, n: int, seed=0) -> Point:
     """Extend coordinates over a smooth base point to a jet on the scheme.
 
     `base` is a Point (or coordinate mapping) that must assign all base
@@ -510,13 +499,10 @@ def extend_to_jet(f: Polynomial, base, n: int, seed=0, fill=None) -> Point:
     grad = {
         i: f.partial(JetVariable(i, 0)).evaluate(base_point) for i in range(1, s + 1)
     }
-    if fill is None:
-        rng = trial_rng(seed, n, "jet-fill")
+    rng = trial_rng(seed, n, "jet-fill")
 
-        def fill(i, k):
-            if p:
-                return spec.element(rng.randrange(p))
-            return spec.element(rng.randint(-SAMPLE_RANGE, SAMPLE_RANGE))
+    def fill():
+        return spec.element(rng.randrange(p) if p else rng.randint(-SAMPLE_RANGE, SAMPLE_RANGE))
 
     if n < 0:
         raise ValueError("n must be >= 0")
@@ -533,13 +519,13 @@ def extend_to_jet(f: Polynomial, base, n: int, seed=0, fill=None) -> Point:
             solve_i = solvable[0]
             for i in unknown:
                 if i != solve_i:
-                    coords[JetVariable(i, k)] = spec.element(fill(i, k))
+                    coords[JetVariable(i, k)] = fill()
             target = JetVariable(solve_i, k)
             coords[target] = spec.zero  # the offset is d_k(f) with the target at 0
             coords[target] = -order_k_value(k) / grad[solve_i]
         else:
             for i in unknown:
-                coords[JetVariable(i, k)] = spec.element(fill(i, k))
+                coords[JetVariable(i, k)] = fill()
             if not order_k_value(k).is_zero:
                 raise PointNotOnScheme(
                     f"the order-{k} coordinates violate the jet equation"
@@ -618,6 +604,10 @@ def rank_counterexample_check(n: int = 1, m: int = 2) -> FreeRankComparison:
     the order-m differentials of a polynomial ring in v variables form a
     free module of rank C(m+v, v) - 1 (no relations), and the jet algebra
     of one base variable is a polynomial ring in n+1 variables."""
+    if n < 0:
+        raise ValueError("n must be >= 0")
+    if m < 1:
+        raise ValueError("m must be >= 1")
 
     def free_rank(v: int) -> int:
         return index_families(v, m).N
@@ -718,7 +708,8 @@ def nobile_certificate(
             )
     desc = jet_equations(f, n)
     zjet = zero_jet_over(singular_base, n)
-    membership = on_jet_scheme(desc, zjet)
+    # higher_rank_test raises PointNotOnScheme off the scheme, so the
+    # zero jet lies on it once the call returns
     report = higher_rank_test(desc, zjet, m)
     pres = presentation_of(f, n, m)
     cokernel = generic_cokernel_rank(pres, trials=trials, seed=seed)
@@ -745,7 +736,7 @@ def nobile_certificate(
         n=n,
         m=m,
         base=singular_base,
-        membership=membership,
+        membership=True,
         rank=report.rank,
         bound=report.bound,
         full=report.full,

@@ -19,7 +19,6 @@ import itertools
 import math
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .field import FieldElement, FieldSpec
 from .jacobian import PolyMatrix, ScalarMatrix
@@ -236,10 +235,9 @@ def random_point(spec: FieldSpec, variables, rng: random.Random) -> Point:
     p = spec.characteristic
     coords = {}
     for v in variables:
-        if p:
-            coords[v] = FieldElement(spec, rng.randrange(p))
-        else:
-            coords[v] = FieldElement(spec, Fraction(rng.randint(-SAMPLE_RANGE, SAMPLE_RANGE)))
+        coords[v] = FieldElement(
+            spec, rng.randrange(p) if p else rng.randint(-SAMPLE_RANGE, SAMPLE_RANGE)
+        )
     return Point(spec, coords)
 
 

@@ -2,9 +2,9 @@
 
 A polynomial stores a canonically sorted ambient variable tuple and a term
 map from dense exponent tuples (aligned with the ambient) to nonzero
-coefficients.  Coefficients are kept raw (Fraction for Q, residue int for
-GF(p)) so the inner loops stay cheap; FieldElement is the scalar type at
-the API surface.
+coefficients.  Coefficients are kept raw, as FieldSpec.raw stores them
+(over Q an int or a Fraction, over GF(p) a residue int), so the inner
+loops stay cheap; FieldElement is the scalar type at the API surface.
 
 The ASCII grammar accepted by parse_poly:
 
@@ -177,8 +177,7 @@ class Polynomial:
         amb = (v,) if ambient is None else tuple(ambient)
         idx = amb.index(v)
         exps = tuple(1 if i == idx else 0 for i in range(len(amb)))
-        one = Fraction(1) if spec.characteristic == 0 else 1
-        return cls._make(spec, amb, {exps: one})
+        return cls._make(spec, amb, {exps: 1})
 
     @classmethod
     def from_terms(cls, spec: FieldSpec, sparse: Mapping, ambient: Iterable[JetVariable] = ()) -> "Polynomial":
@@ -326,9 +325,9 @@ class Polynomial:
         return other + (-self)
 
     def _scaled(self, raw) -> "Polynomial":
-        p = self.spec.characteristic
-        if (raw % p if p else raw) == 0:
+        if not raw:
             return Polynomial._make(self.spec, self.ambient, {})
+        p = self.spec.characteristic
         if p:
             out = {e: c * raw % p for e, c in self.terms.items()}
         else:
@@ -336,10 +335,7 @@ class Polynomial:
         return Polynomial._make(self.spec, self.ambient, out)
 
     def __mul__(self, other):
-        if isinstance(other, int):
-            # exact in either ring; integer coefficients stay integers
-            return self._scaled(other)
-        if isinstance(other, (Fraction, FieldElement)):
+        if isinstance(other, (int, Fraction, FieldElement)):
             return self._scaled(self.spec.raw(other))
         if not isinstance(other, Polynomial):
             return NotImplemented
@@ -448,7 +444,7 @@ class Polynomial:
                 raise MissingCoordinate(f"point assigns no value to {v.name}")
             vals.append(fe.value)
         p = self.spec.characteristic
-        acc = Fraction(0) if p == 0 else 0
+        acc = 0
         for exps, c in self.terms.items():
             t = c
             for val, e in zip(vals, exps):

@@ -436,6 +436,15 @@ class TestErrorHandling:
         assert err.startswith("NotBasePolynomial: ")
 
     @pytest.mark.parametrize(
+        "flags, message",
+        [(["--n", "-1"], "n must be >= 0"), (["--m", "0"], "m must be >= 1"), (["--m", "-3"], "m must be >= 1")],
+    )
+    def test_rank_remark_names_the_flag(self, capsys, flags, message):
+        code, out, err = invoke(capsys, "rank-remark", *flags)
+        assert (code, out) == (1, "")
+        assert err == f"ValueError: {message}\n"
+
+    @pytest.mark.parametrize(
         "p",
         [
             "318665857834031151167461",  # 399165290221 * 798330580441

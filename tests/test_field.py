@@ -9,6 +9,7 @@ from jetjac import (
     BadCoordinate,
     CharacteristicTooLarge,
     DivisionByZero,
+    FieldElement,
     FieldError,
     FieldSpec,
     MixedFields,
@@ -154,6 +155,35 @@ class TestArithmetic:
         assert GF5.element(2) ** 4 == GF5.element(1)
         assert Q.element(Fraction(2, 3)) ** 2 == Fraction(4, 9)
         assert GF5.element(2) ** -1 == GF5.element(3)
+
+
+class TestOneGate:
+    """FieldSpec.raw decides how every scalar is stored, FieldElement
+    included."""
+
+    def test_floats_are_rejected(self):
+        for make in (
+            lambda: FieldElement(Q, 0.5),
+            lambda: FieldElement(GF5, 2.5),
+            lambda: Q.element(0.1),
+            lambda: GF5.element(2.5),
+        ):
+            with pytest.raises(BadCoordinate):
+                make()
+
+    def test_constructor_reduces_into_the_field(self):
+        assert FieldElement(GF5, Fraction(1, 2)) == GF5.element(3)
+        assert FieldElement(GF5, Fraction(1, 2)).value == 3
+
+    def test_integral_rationals_are_ints(self):
+        assert type(Q.element(Fraction(6, 3)).value) is int
+        assert type(Q.zero.value) is int and type(Q.one.value) is int
+        assert type((Q.element(Fraction(1, 2)) * 2).value) is int
+
+    def test_division_stays_exact(self):
+        assert Q.element(1) / Q.element(3) == Fraction(1, 3)
+        assert type((Q.element(1) / Q.element(3)).value) is Fraction
+        assert Q.element(2) ** -2 == Fraction(1, 4)
 
 
 class TestBinomial:

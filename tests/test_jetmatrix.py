@@ -1,6 +1,7 @@
 import random
 from collections import Counter
 from dataclasses import dataclass
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -114,6 +115,26 @@ class TestDnMatrix:
                     assert block.entries[idx] == ex[j - i]
 
 
+class TestExactScalarsOverQ:
+    """Every raw value over Q is an int or a Fraction, never a float or a
+    FieldElement; a field element's value is an int when it is integral."""
+
+    @settings(max_examples=60)
+    @given(st.data())
+    def test_components_values_and_taylor_mode(self, data):
+        s = data.draw(st.integers(1, 3))
+        n = data.draw(st.integers(0, 3))
+        f = data.draw(base_polynomials(Q, s))
+        point = data.draw(jets(Q, s, n))
+        exact = (int, Fraction)
+        components = hs_components(f, n)
+        assert all(type(c) in exact for comp in components for c in comp.terms.values())
+        for comp in components:
+            v = comp.evaluate(point).value
+            assert type(v) is int or (type(v) is Fraction and v.denominator > 1)
+        assert all(type(v) in exact for v in dn_matrix_at(jac_m([f], 2), n, point).values)
+
+
 @st.composite
 def dn_cases(draw):
     """(L, n, point): L = Jac_m of one or two random polynomials, n <= 5,
@@ -136,7 +157,7 @@ class TestDnMatrixAt:
         got = dn_matrix_at(L, n, point)
         want = eval_matrix(dn_matrix(L, n), point)
         assert got == want
-        assert [type(v) for v in got.values] == [type(v) for v in want.values]
+        assert all(type(v) in (int, Fraction) for v in got.values + want.values)
 
     @settings(max_examples=50)
     @given(dn_cases())

@@ -19,7 +19,6 @@ from jetjac import (
     PointNotOnScheme,
     Polynomial,
     base_variables,
-    classical_rank_test,
     dn_matrix,
     eval_matrix,
     extend_to_jet,
@@ -161,22 +160,26 @@ def jets_on_the_scheme(draw):
 
 
 class TestClassicalRankTest:
+    """higher_rank_test at m = 1, the classical criterion: the Jacobian of
+    (f, d_1 f, ..., d_n f) has full rank n + 1."""
+
     @settings(max_examples=150)
     @given(jets_on_the_scheme())
     def test_matches_the_symbolic_jet_jacobian(self, case):
         f, n, point = case
-        report = classical_rank_test(jet_equations(f, n), point)
+        report = higher_rank_test(jet_equations(f, n), point, 1)
         assert report.rank == classical_rank_oracle(f, n, point)
+        assert report.bound == n + 1
         assert report.full == (report.rank == n + 1)
 
     def test_zero_jet_is_singular(self):
-        desc = jet_equations(CUSP, 1)
-        report = classical_rank_test(desc, cusp_point(0, 0, 0, 0, n=1))
-        assert (report.rank, report.bound, report.full) == (0, 2, False)
+        desc = jet_equations(CUSP, 2)
+        report = higher_rank_test(desc, zero_jet_over(ORIGIN, 2), 1)
+        assert (report.rank, report.bound, report.full) == (0, 3, False)
 
     def test_smooth_jet(self):
         desc = jet_equations(CUSP, 1)
-        report = classical_rank_test(desc, cusp_point(1, 1, 2, 3, n=1))
+        report = higher_rank_test(desc, cusp_point(1, 1, 2, 3, n=1), 1)
         assert (report.rank, report.full) == (2, True)
 
     def test_hyperplane_always_full(self):
@@ -184,13 +187,13 @@ class TestClassicalRankTest:
         for n in (0, 1, 2):
             desc = jet_equations(f, n)
             point = Point.from_flat([0] * (n + 1), 1, n, Q)
-            report = classical_rank_test(desc, point)
+            report = higher_rank_test(desc, point, 1)
             assert report.full and report.rank == n + 1
 
     def test_rejects_points_off_the_scheme(self):
         desc = jet_equations(CUSP, 1)
         with pytest.raises(PointNotOnScheme):
-            classical_rank_test(desc, cusp_point(1, 1, 1, 1, n=1))
+            higher_rank_test(desc, cusp_point(1, 1, 1, 1, n=1), 1)
 
 
 class TestHigherRankTest:
@@ -215,34 +218,6 @@ class TestHigherRankTest:
         for m in (1, 2, 3):
             report = higher_rank_test(desc, jet, m)
             assert report.rank <= report.bound
-
-    def test_equivalence_with_classical(self):
-        # the two criteria agree on full/deficient at every tested jet
-        desc = jet_equations(CUSP, 1)
-        jets = [
-            cusp_point(0, 0, 0, 0, n=1),
-            cusp_point(1, 1, 2, 3, n=1),
-            extend_to_jet(CUSP, Point.from_base([4, 8], Q), 1, seed=7),
-        ]
-        for jet in jets:
-            classical = classical_rank_test(desc, jet)
-            for m in (1, 2):
-                higher = higher_rank_test(desc, jet, m)
-                assert higher.full == classical.full
-
-    def test_m1_rank_equals_classical_rank(self):
-        # same numbers, not just the same verdict: the two matrices differ
-        # by a rank-preserving block permutation
-        desc = jet_equations(CUSP, 2)
-        jets = [
-            Point.from_flat([0, 0, 0, 0, 0, 0], 2, 2, Q),
-            extend_to_jet(CUSP, Point.from_base([1, -1], Q), 2, seed=11),
-        ]
-        for jet in jets:
-            assert (
-                higher_rank_test(desc, jet, 1).rank
-                == classical_rank_test(desc, jet).rank
-            )
 
     def test_validates_membership_and_m(self):
         desc = jet_equations(CUSP, 1)
@@ -474,6 +449,16 @@ class TestRankCounterexample:
         report = rank_counterexample_check(3, 2)
         assert report.jet_ring_rank == index_families(4, 2).N
         assert report.tensor_rank == 4 * index_families(1, 2).N
+
+    def test_order_zero_is_the_base_module(self):
+        report = rank_counterexample_check(0, 2)
+        assert (report.jet_ring_rank, report.tensor_rank) == (2, 2)
+
+    def test_names_its_own_parameters(self):
+        with pytest.raises(ValueError, match=r"^n must be >= 0$"):
+            rank_counterexample_check(-1, 2)
+        with pytest.raises(ValueError, match=r"^m must be >= 1$"):
+            rank_counterexample_check(1, 0)
 
 
 class TestNobileCertificate:
