@@ -102,7 +102,6 @@ class TestRationalCoefficients:
         b = hs_components_leibniz(f, n)
         assert list(a) == list(b)
         assert [c.ambient for c in a] == [c.ambient for c in b]
-        # an int when integral, else a Fraction that is not
         assert all(
             type(c) is int or (type(c) is Fraction and c.denominator > 1)
             for comp in a
