@@ -113,11 +113,11 @@ def matrix_argument(spec_text: str, field: FieldSpec) -> PolyMatrix | DnMatrix:
     """Read a matrix argument: "jacm:<m>:<polys>", "dnl:<n>:<m>:<polys>"
     (kept unexpanded), or an inline JSON {rows, cols, entries}."""
     if spec_text.startswith("jacm:"):
-        _, m_text, polys_text = spec_text.split(":", 2)
-        return jac_m(parse_polys(polys_text, field), int(m_text))
+        (m,), polys_text = _builder_fields(spec_text, "jacm:<m>:<polys>")
+        return jac_m(parse_polys(polys_text, field), m)
     if spec_text.startswith("dnl:"):
-        _, n_text, m_text, polys_text = spec_text.split(":", 3)
-        return DnMatrix(jac_m(parse_polys(polys_text, field), int(m_text)), int(n_text))
+        (n, m), polys_text = _builder_fields(spec_text, "dnl:<n>:<m>:<polys>")
+        return DnMatrix(jac_m(parse_polys(polys_text, field), m), n)
     rows, cols, flat = _matrix_json_fields(spec_text)
     s = max((infer_base_count(entry) for entry in flat), default=1)
     entries = tuple(parse_poly(entry, s, field) for entry in flat)
@@ -128,6 +128,17 @@ def build_matrix(spec_text: str, field: FieldSpec) -> PolyMatrix:
     """Materialize a matrix argument, expanding a dnl: builder."""
     mx = matrix_argument(spec_text, field)
     return dn_matrix(mx.L, mx.n) if isinstance(mx, DnMatrix) else mx
+
+
+def _builder_fields(text: str, form: str) -> tuple[list[int], str]:
+    # the integer sizes and the polynomial list of a builder reference
+    *sizes, polys_text = fields = text.split(":", form.count(":"))[1:]
+    try:
+        if len(fields) == form.count(":"):
+            return [int(size) for size in sizes], polys_text
+    except ValueError:
+        pass
+    raise BadMatrixJSON(f"not a builder reference or JSON: expected {form}")
 
 
 def _matrix_json_fields(text: str) -> tuple[int, int, list[str]]:

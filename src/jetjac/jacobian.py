@@ -103,14 +103,6 @@ class PolyMatrix:
     def row(self, i: int) -> tuple[Polynomial, ...]:
         return self.entries[i * self.cols : (i + 1) * self.cols]
 
-    def column(self, j: int) -> tuple[Polynomial, ...]:
-        return tuple(self.entries[i * self.cols + j] for i in range(self.rows))
-
-    def map_entries(self, fn, provenance: str = "") -> "PolyMatrix":
-        return PolyMatrix(
-            self.rows, self.cols, tuple(fn(e) for e in self.entries), provenance
-        )
-
     def transpose(self) -> "PolyMatrix":
         entries = tuple(
             self.entries[i * self.cols + j]

@@ -15,10 +15,10 @@ dn_matrix, the symbolic construction, serves printing and the tests.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .field import FieldSpec
-from .hasse import HSExpansion, _require_base, hs_components, hs_values, jet_series
+from .hasse import HSExpansion, _require_base, _substituted, hs_components, jet_series
 from .jacobian import PolyMatrix, ScalarMatrix, jac
 from .poly import JetVariable, Point, Polynomial, jet_grid
 
@@ -26,7 +26,7 @@ from .poly import JetVariable, Point, Polynomial, jet_grid
 def dn_matrix(L: PolyMatrix, n: int) -> PolyMatrix:
     """The (n+1)b x (n+1)a block matrix with block (i, j) = d_{j-i}(L)
     for j >= i and 0 otherwise; d is applied to each entry of L."""
-    s = _base_count(L, n)
+    s = DnMatrix(L, n).s  # checks n and each entry of L
     zero = Polynomial.zero(L.spec, jet_grid(s, 0))
     cache: dict[Polynomial, HSExpansion] = {}
 
@@ -55,30 +55,28 @@ def dn_matrix(L: PolyMatrix, n: int) -> PolyMatrix:
     )
 
 
-def _base_count(L: PolyMatrix, n: int) -> int:
-    # s of D_n(L), after the checks dn_matrix makes on its input
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    for g in L.entries:
-        _require_base(g)
-    return max((v.base for v in L.variables()), default=0)
-
-
 def dn_matrix_at(L: PolyMatrix, n: int, point: Point) -> ScalarMatrix:
     """D_n(L) at a point, equal entry for entry to
     eval_matrix(dn_matrix(L, n), point) but computed by Taylor mode: each
     entry g of L contributes the values d_0(g)(a), ..., d_n(g)(a), and no
     symbolic d_k is built.  The point must assign the variables of
     dn_matrix(L, n), which are jet_grid(s, n) with s the largest base
-    index of L."""
-    series = jet_series(point, L.spec, _base_count(L, n), n)
+    index of L.  L and n are checked once per call, by DnMatrix."""
+    return _taylor_mode(DnMatrix(L, n), point)
+
+
+def _taylor_mode(D: DnMatrix, point: Point) -> ScalarMatrix:
+    # D_n(L) at the point, from the t-series g(a(t)) of each entry g of L
+    L, n, spec = D.L, D.n, D.spec
+    zero = spec.zero.value
+    series = jet_series(point, spec, D.s, n)
     powers: dict = {}
     cache: dict[Polynomial, list] = {}
     entry_values = []  # [d_0(g), ..., d_n(g)] at the point, per entry g of L
     for g in L.entries:
         vals = cache.get(g)
         if vals is None:
-            vals = hs_values(g, n, series, powers)
+            vals = _substituted(g, n, series, powers, spec.one.value, zero, spec.characteristic)
             cache[g] = vals
         entry_values.append(vals)
     b, a = L.rows, L.cols
@@ -87,7 +85,6 @@ def dn_matrix_at(L: PolyMatrix, n: int, point: Point) -> ScalarMatrix:
         [vals[k] for k in range(n + 1) for vals in entry_values[r * a : (r + 1) * a]]
         for r in range(b)
     ]
-    zero = L.spec.zero.value
     values = []
     for bi in range(n + 1):
         for r in range(b):
@@ -99,14 +96,20 @@ def dn_matrix_at(L: PolyMatrix, n: int, point: Point) -> ScalarMatrix:
 @dataclass(frozen=True)
 class DnMatrix:
     """D_n(L) left unexpanded: rows, cols, spec and variables() are those
-    of dn_matrix(L, n), and dn_matrix_at puts it at a point without
-    building its polynomial entries."""
+    of dn_matrix(L, n).  Building it checks n and each entry of L once and
+    keeps s, the largest base index of L, so linalg.at_point puts it at
+    any number of points by Taylor mode without checking L again."""
 
     L: PolyMatrix
     n: int
+    s: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        _base_count(self.L, self.n)
+        if self.n < 0:
+            raise ValueError("n must be >= 0")
+        for g in self.L.entries:
+            _require_base(g)
+        object.__setattr__(self, "s", max((g.base_count for g in self.L.entries), default=0))
 
     @property
     def rows(self) -> int:
@@ -121,7 +124,7 @@ class DnMatrix:
         return self.L.spec
 
     def variables(self) -> tuple[JetVariable, ...]:
-        return jet_grid(_base_count(self.L, self.n), self.n)
+        return jet_grid(self.s, self.n)
 
 
 def jet_jacobian(fs: list[Polynomial], n: int) -> PolyMatrix:

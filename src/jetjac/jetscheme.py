@@ -8,7 +8,8 @@ certificate produced by nobile_certificate assembles the desk-scale
 evidence that blowing up the higher-differentials module cannot be an
 isomorphism over a singular base point: zero-jet membership, rank
 deficiency there, the expected generic cokernel rank, and a rank jump
-between singular and generic jets.
+between singular and generic jets, witnessed by the sampled jet of least
+cokernel rank: D_n(L) has full rank (n+1)M where a sample is gens - rels.
 
 Every test at a point works in Taylor mode and builds no symbolic d_k:
 membership checks f(a(t)) = 0 mod t^(n+1), jet lifting solves for the
@@ -39,8 +40,8 @@ from fractions import Fraction
 from .field import FieldElement, is_prime
 from .hasse import _require_base, hs_components, hs_values, jet_series
 from .jacobian import PolyMatrix, index_families, jac_m
-from .jetmatrix import dn_matrix, dn_matrix_at
-from .linalg import SAMPLE_RANGE, rank, trial_rng
+from .jetmatrix import DnMatrix, dn_matrix, dn_matrix_at
+from .linalg import SAMPLE_RANGE, at_point, rank, trial_rng
 from .poly import JetVariable, MissingCoordinate, Point, Polynomial
 
 
@@ -78,11 +79,6 @@ class JetSchemeDesc:
     def equations(self) -> tuple[Polynomial, ...]:
         """The symbolic d_0(f), ..., d_n(f), built on first read."""
         return hs_components(self.f, self.n).components
-
-    @property
-    def expected_dimension(self) -> int:
-        # (s-1)(n+1) when the jet scheme is irreducible
-        return (self.s - 1) * (self.n + 1)
 
 
 def jet_equations(f: Polynomial, n: int) -> JetSchemeDesc:
@@ -486,6 +482,8 @@ def extend_to_jet(f: Polynomial, base, n: int, seed=0) -> Point:
     the jet so far is the t^k coefficient of f(a(t)), computed by Taylor
     mode with the solved coordinate set to 0.
     """
+    if n < 0:
+        raise ValueError("n must be >= 0")
     spec = f.spec
     p = spec.characteristic
     coords = dict(base.coords) if isinstance(base, Point) else dict(base)
@@ -503,9 +501,6 @@ def extend_to_jet(f: Polynomial, base, n: int, seed=0) -> Point:
 
     def fill():
         return spec.element(rng.randrange(p) if p else rng.randint(-SAMPLE_RANGE, SAMPLE_RANGE))
-
-    if n < 0:
-        raise ValueError("n must be >= 0")
 
     def order_k_value(k):
         # d_k(f) at the coordinates of orders <= k: the t^k coefficient of f(a(t))
@@ -535,7 +530,8 @@ def extend_to_jet(f: Polynomial, base, n: int, seed=0) -> Point:
 
 @dataclass(frozen=True)
 class CokernelReport:
-    """Cokernel rank of a presentation at sampled smooth jets."""
+    """Cokernel rank of a presentation at sampled smooth jets; `witness`
+    is the first sampled jet whose cokernel rank is `cokernel_rank`."""
 
     expected: int
     samples: tuple[int, ...]
@@ -543,6 +539,7 @@ class CokernelReport:
     all_match: bool
     trials: int
     seed: object
+    witness: Point
 
     def __str__(self):
         verdict = "matches" if self.all_match else "DIFFERS from"
@@ -559,20 +556,23 @@ def generic_cokernel_rank(pres: Presentation, trials: int = 20, seed=0) -> Coker
     if trials < 1:
         raise ValueError("trials must be >= 1")
     expected = pres.gens - pres.rels
+    D = DnMatrix(pres.L, pres.n)
     samples = []
     for t in range(trials):
         base = find_smooth_point(pres.f, seed=f"{seed}:{t}")
         jet = extend_to_jet(pres.f, base, pres.n, seed=f"{seed}:{t}")
-        sm = dn_matrix_at(pres.L, pres.n, jet)
-        samples.append(sm.cols - rank(sm))
-    observed = min(samples)
+        sample = D.cols - rank(at_point(D, jet))
+        if not samples or sample < min(samples):
+            witness = jet
+        samples.append(sample)
     return CokernelReport(
         expected=expected,
         samples=tuple(samples),
-        cokernel_rank=observed,
+        cokernel_rank=min(samples),
         all_match=all(x == expected for x in samples),
         trials=trials,
         seed=seed,
+        witness=witness,
     )
 
 
@@ -632,7 +632,9 @@ class NobileCertificate:
     module blowup with the blowup of the minors ideal; (iv) the minors do
     not vanish at sampled smooth jets, witnessing the rank jump behind
     non-principality.  Irreducibility and normality remain user
-    assertions, restated in `assumptions`.
+    assertions, restated in `assumptions`.  `witness_jet` is a jet sampled
+    in (iii), `cokernel.witness`, and is never None; `witness_rank`, the
+    rank there, is gens - `cokernel.cokernel_rank`.
     """
 
     f: Polynomial
@@ -645,8 +647,8 @@ class NobileCertificate:
     full: bool
     cokernel: CokernelReport
     rank_jump: bool
-    witness_jet: Point | None
-    witness_rank: int | None
+    witness_jet: Point
+    witness_rank: int
     assumptions: tuple[str, ...]
     trials: int
     seed: object
@@ -694,6 +696,8 @@ def nobile_certificate(
     _require_base(f)
     if m < 1:
         raise ValueError("m must be >= 1")
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
     s = f.base_count
     for i in range(1, s + 1):
         if JetVariable(i, 0) not in singular_base.coords:
@@ -713,19 +717,8 @@ def nobile_certificate(
     report = higher_rank_test(desc, zjet, m)
     pres = presentation_of(f, n, m)
     cokernel = generic_cokernel_rank(pres, trials=trials, seed=seed)
-    witness_jet = None
-    witness_rank = None
-    try:
-        wbase = find_smooth_point(f, seed=f"{seed}:witness")
-        witness_jet = extend_to_jet(f, wbase, n, seed=f"{seed}:witness")
-        witness_rank = rank(dn_matrix_at(pres.L, pres.n, witness_jet))
-    except NoSmoothPointFound:
-        pass
-    rank_jump = (
-        witness_rank is not None
-        and witness_rank == report.bound
-        and report.rank < report.bound
-    )
+    witness_rank = pres.gens - cokernel.cokernel_rank
+    rank_jump = witness_rank == report.bound and report.rank < report.bound
     assumptions = (
         HYPERSURFACE_ASSUMPTION,
         IRREDUCIBILITY_ASSUMPTION,
@@ -742,7 +735,7 @@ def nobile_certificate(
         full=report.full,
         cokernel=cokernel,
         rank_jump=rank_jump,
-        witness_jet=witness_jet,
+        witness_jet=cokernel.witness,
         witness_rank=witness_rank,
         assumptions=assumptions,
         trials=trials,

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 from .field import FieldElement, FieldSpec
 from .jacobian import PolyMatrix, ScalarMatrix
-from .jetmatrix import DnMatrix, dn_matrix_at
+from .jetmatrix import DnMatrix, _taylor_mode
 from .poly import Point, Polynomial
 
 MINOR_CAP = 100_000
@@ -44,10 +44,10 @@ def eval_matrix(mx: PolyMatrix, point: Point) -> ScalarMatrix:
 
 
 def at_point(mx: PolyMatrix | DnMatrix, point: Point) -> ScalarMatrix:
-    """A matrix at a point: D_n(L) by Taylor mode, any other polynomial
-    matrix entry by entry."""
+    """A matrix at a point: a DnMatrix by Taylor mode, without checking L
+    again, and any other polynomial matrix entry by entry."""
     if isinstance(mx, DnMatrix):
-        return dn_matrix_at(mx.L, mx.n, point)
+        return _taylor_mode(mx, point)
     return eval_matrix(mx, point)
 
 

@@ -523,10 +523,14 @@ class TestInlineMatrixSchema:
             "{\"rows\": 1, \"cols\": 2, \"entries\": [[\"x1\"], [\"1\"]]}",
             "{\"rows\": \"1\", \"cols\": 1, \"entries\": [[\"x1\"]]}",
             "{\"rows\": 1, \"cols\": 1, \"entries\": [[\"x1\"]]",
+            "jacm:1",
+            "jacm:x:x1",
+            "dnl:1:x1",
         ],
         ids=[
             "not-an-object", "missing-key", "non-string-entry", "row-not-a-list",
             "ragged", "non-integer-size", "not-json",
+            "jacm-without-polys", "jacm-non-integer-order", "dnl-without-polys",
         ],
     )
     def test_malformed_matrix_is_a_domain_error(self, capsys, matrix):

@@ -196,7 +196,7 @@ class TestPolyMatrix:
     def test_row_column_access(self):
         mx = jac_m([CUSP], 2)
         assert mx.row(0) == tuple(parse_poly(e, 2, Q) for e in EXAMPLE_3x5[0])
-        assert mx.column(4) == tuple(
+        assert mx.transpose().row(4) == tuple(
             parse_poly(row[4], 2, Q) for row in EXAMPLE_3x5
         )
 

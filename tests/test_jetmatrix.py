@@ -17,6 +17,7 @@ from jetjac import (
     Point,
     PolyMatrix,
     Polynomial,
+    at_point,
     check_fdbd,
     dn_matrix,
     dn_matrix_at,
@@ -79,7 +80,9 @@ class TestDnMatrix:
         assert (D.rows, D.cols) == (6, 10)
         spec = BlockSpec(1, 3, 5)
         top_right = spec.block(D, 0, 1)
-        entrywise_d1 = L.map_entries(lambda e: hs_components(e, 1)[1])
+        entrywise_d1 = PolyMatrix(
+            L.rows, L.cols, tuple(hs_components(e, 1)[1] for e in L.entries)
+        )
         assert top_right == entrywise_d1
         assert top_right.at(0, 0) == jp("6*x1*x1_1", 2)
 
@@ -157,6 +160,7 @@ class TestDnMatrixAt:
         got = dn_matrix_at(L, n, point)
         want = eval_matrix(dn_matrix(L, n), point)
         assert got == want
+        assert at_point(DnMatrix(L, n), point) == got
         assert all(type(v) in (int, Fraction) for v in got.values + want.values)
 
     @settings(max_examples=50)

@@ -20,6 +20,7 @@ from jetjac import (
     Polynomial,
     base_variables,
     dn_matrix,
+    dn_matrix_at,
     eval_matrix,
     extend_to_jet,
     find_smooth_point,
@@ -41,6 +42,7 @@ from jetjac import (
     zero_jet_over,
 )
 
+from jetjac import jetscheme
 from jetjac.linalg import SAMPLE_RANGE, trial_rng
 
 from _corpus import GF2, GF5, ORACLE_FIELDS, Q, base_polynomials, jets
@@ -74,9 +76,6 @@ class TestJetEquations:
     def test_constant_rejected(self):
         with pytest.raises(ConstantPolynomial):
             jet_equations(Polynomial.constant(Q, 1, base_variables(1)), 1)
-
-    def test_expected_dimension(self):
-        assert jet_equations(CUSP, 3).expected_dimension == 4
 
     def test_jet_variables_rejected(self):
         with pytest.raises(NotBasePolynomial):
@@ -294,6 +293,11 @@ class TestSmoothSampling:
         with pytest.raises(PointNotOnScheme):
             extend_to_jet(CUSP, partial, 1)
 
+    def test_extend_to_jet_checks_n_before_the_base(self):
+        # (1, 2) is off the cusp, but n is the first fault
+        with pytest.raises(ValueError, match=r"^n must be >= 0$"):
+            extend_to_jet(CUSP, Point.from_base([1, 2], Q), -1)
+
     def test_extend_to_jet_deterministic(self):
         a = extend_to_jet(CUSP, Point.from_base([4, 8], Q), 3, seed=9)
         b = extend_to_jet(CUSP, Point.from_base([4, 8], Q), 3, seed=9)
@@ -419,7 +423,6 @@ class TestGenericCokernelRank:
         for n in (0, 1, 2):
             report = generic_cokernel_rank(presentation_of(CUSP, n, 1), trials=4, seed=0)
             assert report.cokernel_rank == (n + 1) * (2 - 1)
-            assert report.cokernel_rank == jet_equations(CUSP, n).expected_dimension
 
     def test_degenerate_equation_raises(self):
         pres = presentation_of(parse_poly("x1^2", 1, GF2), 1, 1)
@@ -484,6 +487,35 @@ class TestNobileCertificate:
         failed = replace(cert, rank_jump=False)
         assert not failed.all_facts_hold
         assert failed.verdict == "inconclusive: some certificate fact failed"
+
+    def test_trials_rejected_before_any_rank(self, monkeypatch):
+        def unreachable(*args):
+            raise AssertionError("the zero-jet rank was computed")
+
+        monkeypatch.setattr(jetscheme, "higher_rank_test", unreachable)
+        with pytest.raises(ValueError, match=r"^trials must be >= 1$"):
+            nobile_certificate(CUSP, 1, 2, ORIGIN, trials=0)
+
+    @pytest.mark.parametrize("trials", [1, 3])
+    def test_witness_is_one_of_the_samples(self, monkeypatch, trials):
+        searches = []
+
+        def counted(*args, **kwargs):
+            searches.append(kwargs.get("seed"))
+            return find_smooth_point(*args, **kwargs)
+
+        monkeypatch.setattr(jetscheme, "find_smooth_point", counted)
+        cert = nobile_certificate(CUSP, 1, 2, ORIGIN, trials=trials, seed=0)
+        assert len(searches) == trials
+        assert cert.witness_jet == cert.cokernel.witness
+
+    def test_witness_is_a_full_rank_jet_on_the_scheme(self):
+        cert = nobile_certificate(CUSP, 1, 2, ORIGIN, trials=8, seed=0)
+        pres = presentation_of(CUSP, 1, 2)
+        assert on_jet_scheme(jet_equations(CUSP, 1), cert.witness_jet)
+        witness_rank = rank(dn_matrix_at(pres.L, 1, cert.witness_jet))
+        assert witness_rank == cert.witness_rank == pres.gens - cert.cokernel.cokernel_rank
+        assert cert.witness_rank == cert.bound
 
     def test_jet_variables_rejected_before_the_base_is_read(self):
         # the base point assigns no value to x1_1
