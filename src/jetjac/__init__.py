@@ -21,6 +21,7 @@ from .hasse import (
     CommutationReport,
     HSExpansion,
     NotBasePolynomial,
+    TooManyTerms,
     check_commutation,
     hs_components,
     hs_values,

@@ -25,7 +25,7 @@ import sys
 from dataclasses import asdict
 
 from .field import BadCoordinate, FieldError, FieldSpec, check_coordinate
-from .hasse import NotBasePolynomial, check_commutation, hs_components
+from .hasse import NotBasePolynomial, TooManyTerms, check_commutation, hs_components
 from .jacobian import EmptyInput, PolyMatrix, _bracketed, jac_m
 from .jetmatrix import DnMatrix, check_fdbd, dn_matrix
 from .jetscheme import (
@@ -62,6 +62,7 @@ DOMAIN_ERRORS = (
     NotBasePolynomial,
     EmptyInput,
     TooManyMinors,
+    TooManyTerms,
     MissingCoordinate,
     WrongCoordinateCount,
     ConstantPolynomial,

@@ -1,17 +1,21 @@
 """Hasse-Schmidt derivation components d_k(f) of base polynomials.
 
 d_k(f) is the t^k coefficient of f(a_1(t), ..., a_s(t)) with
-a_i(t) = sum_j x_i^(j) t^j, truncated after t^n.  One truncated-series
-kernel computes it over two coefficient rings: polynomial series give the
-symbolic components (hs_components), and raw-scalar series give their
-values at a jet directly (hs_values, Taylor mode), since evaluation at a
-point is a ring homomorphism and commutes with taking t^k coefficients.
-Powers a_i(t)^e come from the binomial theorem on a_i(t) = x_i + O(t), so
-they cost at most n series products whatever e is.  Over Q the symbolic
-kernel runs on integers: it expands D*f, with D the lcm of the coefficient
-denominators of f, and divides the components by D once at the end.
-The tests keep an independent oracle: structural recursion through the
-convolution Leibniz rule d_k(fg) = sum_{i+j=k} d_i(f) d_j(g).
+a_i(t) = sum_j x_i^(j) t^j, truncated after t^n.  Two kernels compute it.
+The symbolic components (hs_components) expand each power a_i(t)^e by the
+multinomial theorem straight into sparse terms and multiply the powers of
+one monomial of f as term lists, on raw dicts keyed on jet_grid(s, n), so
+no Polynomial arithmetic runs and each component is built once.  Their
+values at a jet (hs_values, Taylor mode) come from truncated series of raw
+scalars, since evaluation at a point is a ring homomorphism and commutes
+with taking t^k coefficients; there powers come from the binomial theorem
+on a_i(t) = a_i^(0) + O(t), at most n series products whatever e is.
+Over Q the symbolic kernel runs on integers: it expands D*f, with D the
+lcm of the coefficient denominators of f, and divides each term by D as
+it stores it.  It counts the terms before it builds them and raises
+TooManyTerms above TERM_CAP.  The tests keep an independent oracle:
+structural recursion through the convolution Leibniz rule
+d_k(fg) = sum_{i+j=k} d_i(f) d_j(g).
 
 check_commutation verifies the derivative interchange rule
 partial_{x_i^(j)} (d_k f) = d_{k-j} (partial_{x_i} f) for all admissible
@@ -28,8 +32,20 @@ from .field import FieldSpec, MixedFields
 from .poly import JetVariable, MissingCoordinate, Point, Polynomial, jet_grid
 
 
+# at most this many terms in d_0(f), ..., d_n(f) together
+TERM_CAP = 100_000
+
+
 class NotBasePolynomial(ValueError):
     """Input contains jet variables of positive order."""
+
+
+class TooManyTerms(ValueError):
+    """The components d_0(f), ..., d_n(f) would exceed TERM_CAP terms."""
+
+    def __init__(self, count: int):
+        super().__init__(f"would generate at least {count} terms (cap {TERM_CAP})")
+        self.count = count
 
 
 @dataclass(frozen=True)
@@ -58,123 +74,207 @@ def _require_base(f: Polynomial):
         )
 
 
-def _series_mul(a, b, n, zero, p=0):
-    """Product of two t-series truncated after t^n.  Coefficients are
-    polynomials, or raw scalars that are reduced mod p when p > 0."""
-    out = [zero] * (n + 1)
+def _series_mul(a, b, n, p=0):
+    """Product of two t-series of raw scalars truncated after t^n,
+    reduced mod p when p > 0."""
+    out = [0] * (n + 1)
     for i, ai in enumerate(a):
         if not ai:
             continue
         for j in range(n + 1 - i):
             bj = b[j]
             if bj:
-                out[i + j] = out[i + j] + ai * bj
+                out[i + j] += ai * bj
     if p:
         out = [c % p for c in out]
     return out
 
 
-def _series_pow(a, e, n, one, zero, p=0):
-    """a^e truncated after t^n, for either coefficient ring of _series_mul.
+def _series_pow(a, e, n, p=0):
+    """a^e truncated after t^n, for a t-series of raw scalars.
     With a = a_0 + b and b = O(t), the binomial theorem gives
     a^e = sum_{r <= min(e, n)} C(e, r) a_0^(e-r) b^r, since b^r = O(t^r);
     b^r = b^(r-1) b costs one series product per r.  When a_0 is zero,
-    a^e = b^e, which vanishes when e > n.  hs_components passes series of
-    integer-coefficient polynomials over Q, and they stay integral here."""
+    a^e = b^e, which vanishes when e > n."""
     if e < 2:
-        return a if e else [one] + [zero] * n
+        return a if e else [1] + [0] * n
     a0 = a[0]
-    b = [zero] + a[1:]
+    b = [0] + a[1:]
     if not a0:
         if e > n:
-            return [zero] * (n + 1)
+            return [0] * (n + 1)
         result = b
         for _ in range(e - 1):
-            result = _series_mul(result, b, n, zero, p)
+            result = _series_mul(result, b, n, p)
         return result
     top = min(e, n)
     # a0_powers[i] = a_0^(e - top + i), so a_0^(e-r) = a0_powers[top - r]
-    if e == top:
-        a0_powers = [one]
-    else:
-        a0_powers = [pow(a0, e - top, p) if p else a0 ** (e - top)]
+    a0_powers = [pow(a0, e - top, p) if p else a0 ** (e - top)]
     for _ in range(top):
         a0_powers.append(a0_powers[-1] * a0 % p if p else a0_powers[-1] * a0)
-    result = [a0_powers[top]] + [zero] * n
+    result = [a0_powers[top]] + [0] * n
     b_r = b
     for r in range(1, top + 1):
         if r > 1:
-            b_r = _series_mul(b_r, b, n, zero, p)
+            b_r = _series_mul(b_r, b, n, p)
         scale = a0_powers[top - r] * math.comb(e, r)
         if p:
             scale %= p
         if scale:
             for k in range(r, n + 1):
                 if b_r[k]:
-                    result[k] = result[k] + scale * b_r[k]
+                    result[k] += scale * b_r[k]
     if p:
         result = [c % p for c in result]
     return result
 
 
-def _substituted(f, n, var_series, powers, one, zero, p=0):
+def _substituted(f, n, var_series, powers, p=0):
     """The t-series of f(a_1(t), ..., a_s(t)) truncated after t^n, where
-    var_series[i] is the series a_i(t).  powers caches a_i(t)^e by (i, e)
-    and may be shared by every f substituted into the same series."""
-    acc = [zero] * (n + 1)
+    var_series[i] is the raw-scalar series a_i(t).  powers caches
+    a_i(t)^e by (i, e) and may be shared by every f substituted into the
+    same series."""
+    acc = [0] * (n + 1)
     for exps, coeff in f.terms.items():
-        prod = [one * coeff] + [zero] * n
+        prod = [coeff] + [0] * n
         for idx, e in enumerate(exps):
             if e:
                 key = (f.ambient[idx].base, e)
                 powed = powers.get(key)
                 if powed is None:
-                    powed = _series_pow(var_series[key[0]], e, n, one, zero, p)
+                    powed = _series_pow(var_series[key[0]], e, n, p)
                     powers[key] = powed
-                prod = _series_mul(prod, powed, n, zero, p)
+                prod = _series_mul(prod, powed, n, p)
         for k in range(n + 1):
             if prod[k]:
-                acc[k] = acc[k] + prod[k]
+                acc[k] += prod[k]
     if p:
         acc = [c % p for c in acc]
     return acc
 
 
+def _power_terms(e, n, p):
+    """a(t)^e truncated after t^n, for a(t) = sum_j y_j t^j, by the
+    multinomial theorem: by_weight[w] lists (c, coeff) for the monomials
+    y_0^c_0 ... y_w^c_w of weight sum_j j c_j = w, with c = (c_0, ..., c_w).
+    With r = c_1 + ... + c_w parts of positive order, c_0 = e - r and
+    coeff = e! / (c_0! c_1! ... c_w!) = C(e, r) r! / (c_1! ... c_w!).
+    Moving one factor from y_0 to y_j multiplies the exact coefficient by
+    c_0 / (c_j + 1), so e! is never formed.  Over GF(p) the coefficient
+    is reduced mod p, and for e >= p the expansion is that of
+    a^(e mod p) (a^p)^(e div p), with the Frobenius a(t)^p =
+    sum_j y_j^p t^(jp): so every coefficient is a multinomial of a
+    number below p and none vanishes (Lucas' theorem), and the monomials
+    whose coefficient vanishes mod p are never visited.  Raises
+    TooManyTerms once more than TERM_CAP monomials are listed: each of
+    them is a term of d_w of any f with x_i^e in a monomial."""
+    by_weight = [[] for _ in range(n + 1)]
+    listed = 0
+
+    def add(w, c, coeff):
+        nonlocal listed
+        listed += 1
+        if listed > TERM_CAP:
+            raise TooManyTerms(listed)
+        by_weight[w].append((c, coeff))
+
+    if p and e >= p:
+        # the exponents of a term of (a^p)^(e div p) are multiples of p and
+        # those of a^(e mod p) are below p, so the products are distinct
+        low = _power_terms(e % p, n, p)
+        for w_high, high in enumerate(_power_terms(e // p, n // p, p)):
+            for w_low in range(n + 1 - p * w_high):
+                w = w_low + p * w_high
+                for c_high, k_high in high:
+                    spread = [p * x for x in c_high] + [0] * (w - w_high)
+                    for c_low, k_low in low[w_low]:
+                        c = spread[:]
+                        for j, x in enumerate(c_low):
+                            c[j] += x
+                        add(w, tuple(c), k_high * k_low % p)
+        return by_weight
+
+    c = [e] + [0] * n
+
+    def visit(w, coeff, top):
+        # the monomial c, then each that moves one more factor to some
+        # y_j with j <= top, so that every multiset of parts comes once
+        add(w, tuple(c[: w + 1]), coeff % p if p else coeff)
+        if not c[0]:
+            return
+        for j in range(min(top, n - w), 0, -1):
+            moved = coeff * c[0] // (c[j] + 1)
+            c[0] -= 1
+            c[j] += 1
+            visit(w + j, moved, j)
+            c[0] += 1
+            c[j] -= 1
+
+    visit(0, 1, n)
+    return by_weight
+
+
 def hs_components(f: Polynomial, n: int) -> HSExpansion:
     """Components via substitution: d_k(f) is the t^k coefficient of
-    f(sum_j x_1^(j) t^j, ..., sum_j x_s^(j) t^j) truncated mod t^(n+1)."""
+    f(sum_j x_1^(j) t^j, ..., sum_j x_s^(j) t^j) truncated mod t^(n+1).
+    A monomial of f is a product of powers a_i(t)^e in distinct variables,
+    so its terms are the products of one term of each power, with weights
+    summing to at most n.  Any such product is a term of the result: it
+    is nonzero, and it is no other product, of this monomial or another,
+    since its exponents of x_i^(0), ..., x_i^(n) sum to the e of x_i.  So
+    the terms are counted, and checked against TERM_CAP, before they are
+    built."""
     _require_base(f)
     if n < 0:
         raise ValueError("n must be >= 0")
     s = f.base_count
     spec = f.spec
+    p = spec.characteristic
     grid = jet_grid(s, n)
-    # the series start from integer-coefficient monomials, so over Q the
-    # products below stay integral until the one division by D
-    unit = (0,) * len(grid)
-    zero = Polynomial.zero(spec, grid)
-    one = Polynomial._make(spec, grid, {unit: 1})
-    var_series = {i: [] for i in range(1, s + 1)}
-    for idx, v in enumerate(grid):
-        var_series[v.base].append(Polynomial._make(spec, grid, {unit[:idx] + (1,) + unit[idx + 1 :]: 1}))
-    # D = 1 over GF(p) and for integral f over Q: the raw coefficients are ints
+    # over Q the kernel expands D*f on integers and divides each term by D
+    # as it is stored; D = 1 over GF(p) and for integral f
     D = math.lcm(*(c.denominator for c in f.terms.values()))
-    cleared = {exps: c.numerator * (D // c.denominator) for exps, c in f.terms.items()}
-    acc = _substituted(Polynomial._make(spec, f.ambient, cleared), n, var_series, {}, one, zero)
-    components = []
-    for k, series_k in enumerate(acc):
-        # d_k has weight k, so it uses only the x_i^(j) with j <= k: the
-        # first s (k + 1) variables of grid, which make up jet_grid(s, k)
-        w = s * (k + 1)
-        if D == 1:
-            terms = {exps[:w]: c for exps, c in series_k.terms.items()}
-        else:
-            terms = {
-                exps[:w]: Fraction(c, D) if c % D else c // D
-                for exps, c in series_k.terms.items()
-            }
-        components.append(Polynomial._make(spec, grid[:w], terms))
-    return HSExpansion(f, n, tuple(components))
+    powers: dict = {}  # by e: _power_terms(e, n, p), shared by every x_i^e
+    # where[i][w]: the places of x_i^(0), ..., x_i^(w) in the key of a term
+    # of d_k, k >= w, which is dense on jet_grid(s, k)
+    where = {i: [slice(i - 1, i - 1 + s * (w + 1), s) for w in range(n + 1)] for i in range(1, s + 1)}
+    acc = [{} for _ in range(n + 1)]
+    count = 0
+    for exps, coeff in f.terms.items():
+        factors = []
+        for idx, e in enumerate(exps):
+            if e:
+                if e not in powers:
+                    powers[e] = _power_terms(e, n, p)
+                factors.append((where[f.ambient[idx].base], powers[e]))
+        # the number of products of each weight, before any is formed
+        sizes = [1] + [0] * n
+        for _, by_weight in factors:
+            sizes = [sum(sizes[a] * len(by_weight[k - a]) for a in range(k + 1)) for k in range(n + 1)]
+        count += sum(sizes)
+        if count > TERM_CAP:
+            raise TooManyTerms(count)
+        products = [(0, coeff.numerator * (D // coeff.denominator), ())]
+        for places, by_weight in factors:
+            products = [
+                (w0 + w, c0 * cw, pieces + ((places[w], c),))
+                for w0, c0, pieces in products
+                for w in range(n + 1 - w0)
+                for c, cw in by_weight[w]
+            ]
+        for w, c0, pieces in products:
+            # d_w has weight w, so it uses only the x_i^(j) with j <= w:
+            # the first s (w + 1) variables of grid, which make up jet_grid(s, w)
+            key = [0] * (s * (w + 1))
+            for place, c in pieces:
+                key[place] = c
+            if p:
+                c0 %= p
+            elif D != 1:
+                c0 = Fraction(c0, D) if c0 % D else c0 // D
+            acc[w][tuple(key)] = c0
+    components = tuple(Polynomial._make(spec, grid[: s * (k + 1)], found) for k, found in enumerate(acc))
+    return HSExpansion(f, n, components)
 
 
 def jet_series(point: Point, spec: FieldSpec, s: int, n: int) -> dict[int, list]:
@@ -200,10 +300,7 @@ def hs_values(g: Polynomial, n: int, series: dict[int, list], powers: dict) -> l
     they equal the components evaluated at a, without building them.
     `powers` caches a_i(t)^e; pass one dict for every g at the same jet."""
     _require_base(g)
-    spec = g.spec
-    return _substituted(
-        g, n, series, powers, spec.one.value, spec.zero.value, spec.characteristic
-    )
+    return _substituted(g, n, series, powers, g.spec.characteristic)
 
 
 @dataclass(frozen=True)

@@ -76,7 +76,7 @@ def _taylor_mode(D: DnMatrix, point: Point) -> ScalarMatrix:
     for g in L.entries:
         vals = cache.get(g)
         if vals is None:
-            vals = _substituted(g, n, series, powers, spec.one.value, zero, spec.characteristic)
+            vals = _substituted(g, n, series, powers, spec.characteristic)
             cache[g] = vals
         entry_values.append(vals)
     b, a = L.rows, L.cols

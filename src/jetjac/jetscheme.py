@@ -14,8 +14,9 @@ cokernel rank: D_n(L) has full rank (n+1)M where a sample is gens - rels.
 Every test at a point works in Taylor mode and builds no symbolic d_k:
 membership checks f(a(t)) = 0 mod t^(n+1), jet lifting solves for the
 t^k coefficient, and the rank criteria put D_n(Jac_m f) at the jet with
-jetmatrix.dn_matrix_at.  The symbolic equations and presentation
-matrices are built only when a caller reads them.
+linalg.at_point; a certificate builds Jac_m f and D_n(Jac_m f) once for
+all its jets.  The symbolic equations and presentation matrices are built
+only when a caller reads them.
 
 Smooth points are sampled by solving f for one coordinate with the others
 frozen.  Over GF(p) the roots of that univariate polynomial g come from
@@ -40,7 +41,7 @@ from fractions import Fraction
 from .field import FieldElement, is_prime
 from .hasse import _require_base, hs_components, hs_values, jet_series
 from .jacobian import PolyMatrix, index_families, jac_m
-from .jetmatrix import DnMatrix, dn_matrix, dn_matrix_at
+from .jetmatrix import DnMatrix, dn_matrix
 from .linalg import SAMPLE_RANGE, at_point, rank, trial_rng
 from .poly import JetVariable, MissingCoordinate, Point, Polynomial
 
@@ -117,12 +118,16 @@ def higher_rank_test(desc: JetSchemeDesc, point: Point, m: int) -> RankReport:
     criterion: the Jacobian of (f, d_1 f, ..., d_n f) has rank n + 1."""
     if m < 1:
         raise ValueError("m must be >= 1")
+    return _rank_report(desc, DnMatrix(jac_m([desc.f], m), desc.n), point)
+
+
+def _rank_report(desc: JetSchemeDesc, D: DnMatrix, point: Point) -> RankReport:
+    # the rank of D = D_n(Jac_m f) at a point of the jet scheme, against
+    # its row count (n+1)M
     if not on_jet_scheme(desc, point):
         raise PointNotOnScheme("the point does not lie on the jet scheme")
-    r = rank(dn_matrix_at(jac_m([desc.f], m), desc.n, point))
-    fam = index_families(desc.s, m)
-    bound = (desc.n + 1) * fam.M
-    return RankReport(r, bound, r == bound, (IRREDUCIBILITY_ASSUMPTION,))
+    r = rank(at_point(D, point))
+    return RankReport(r, D.rows, r == D.rows, (IRREDUCIBILITY_ASSUMPTION,))
 
 
 @dataclass(frozen=True)
@@ -143,6 +148,11 @@ class Presentation:
     def matrix(self) -> PolyMatrix:
         """The symbolic D_n(L), built on first read."""
         return dn_matrix(self.L, self.n)
+
+    @functools.cached_property
+    def _dn(self) -> DnMatrix:
+        # D_n(L) to put at points, checked once for all of them
+        return DnMatrix(self.L, self.n)
 
 
 def presentation_of(f: Polynomial, n: int, m: int) -> Presentation:
@@ -556,7 +566,7 @@ def generic_cokernel_rank(pres: Presentation, trials: int = 20, seed=0) -> Coker
     if trials < 1:
         raise ValueError("trials must be >= 1")
     expected = pres.gens - pres.rels
-    D = DnMatrix(pres.L, pres.n)
+    D = pres._dn
     samples = []
     for t in range(trials):
         base = find_smooth_point(pres.f, seed=f"{seed}:{t}")
@@ -712,10 +722,11 @@ def nobile_certificate(
             )
     desc = jet_equations(f, n)
     zjet = zero_jet_over(singular_base, n)
-    # higher_rank_test raises PointNotOnScheme off the scheme, so the
-    # zero jet lies on it once the call returns
-    report = higher_rank_test(desc, zjet, m)
+    # the rank at the zero jet and the samples share one D_n(Jac_m f);
+    # _rank_report raises PointNotOnScheme off the scheme, so the zero jet
+    # lies on it once the call returns
     pres = presentation_of(f, n, m)
+    report = _rank_report(desc, pres._dn, zjet)
     cokernel = generic_cokernel_rank(pres, trials=trials, seed=seed)
     witness_rank = pres.gens - cokernel.cokernel_rank
     rank_jump = witness_rank == report.bound and report.rank < report.bound

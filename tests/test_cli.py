@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from jetjac import FieldSpec, PolyMatrix, Polynomial, dn_matrix, jac_m, parse_poly
+from jetjac import FieldSpec, PolyMatrix, Polynomial, dn_matrix, hasse, jac_m, parse_poly
 from jetjac.cli import build_matrix, infer_base_count, run
 
 Q = FieldSpec.rationals()
@@ -104,6 +104,19 @@ class TestDerivationCommands:
         lines = out.splitlines()
         assert len(lines) == 31
         assert all(line.startswith(f"d_{k} = ") for k, line in enumerate(lines))
+
+    # a power x_i^e has terms with at most e factors of positive order,
+    # and over GF(p) only those whose coefficient survives: x1 gives n + 1
+    # terms and x2^3 = x2 * x2^2 over GF(2) gives those of x2 * x2_j^2,
+    # not one per partition of each weight <= n
+    @pytest.mark.parametrize(
+        "field, f, last_terms", [("Q", "x1*x2+x3", 102), ("Fp:2", "x1^1024*x2^3", 51)]
+    )
+    def test_hs_derive_with_n_far_above_the_exponents(self, field, f, last_terms):
+        out = run_within_10s("hs-derive", "--field", field, "--f", f, "--n", "100")
+        lines = out.splitlines()
+        assert len(lines) == 101
+        assert lines[100].count("+") == last_terms - 1
 
     def test_jet_equations(self, capsys):
         code, out, _ = invoke(capsys, "jet-equations", "--f", "x1^3 - x2^2", "--n", "1", "--json")
@@ -385,6 +398,14 @@ class TestErrorHandling:
         )
         assert code == 1
         assert "NotSingularBase" in err
+
+    def test_too_many_terms_exit_1(self, capsys, monkeypatch):
+        # 115 terms in d_0, ..., d_6 of x1^3*x2^3 against a cap of 50
+        monkeypatch.setattr(hasse, "TERM_CAP", 50)
+        code, out, err = invoke(capsys, "hs-derive", "--f", "x1^3*x2^3", "--n", "6")
+        assert code == 1
+        assert out == ""
+        assert err == "TooManyTerms: would generate at least 115 terms (cap 50)\n"
 
     def test_parse_error_exit_1(self, capsys):
         code, _, err = invoke(capsys, "jacm", "--f", "x1 + $", "--m", "1")

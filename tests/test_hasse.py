@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -11,18 +12,20 @@ from jetjac import (
     JetVariable,
     NotBasePolynomial,
     Polynomial,
+    TooManyTerms,
     base_variables,
     check_commutation,
+    hasse,
     hs_components,
-    jet_grid,
     parse_poly,
 )
 from jetjac.hasse import _series_mul, _series_pow
 
-from _corpus import GF2, GF5, Q, base_polynomials, corpus_params, poly_from_int_terms, random_base_polynomial
+from _corpus import GF2, GF3, GF5, Q, base_polynomials, corpus_params, poly_from_int_terms, random_base_polynomial
 from _oracles import hs_components_leibniz
 
 CUSP = parse_poly("x1^3 - x2^2", 2, Q)
+GF7 = FieldSpec.prime_field(7)
 
 
 def jp(src, s, spec=Q):
@@ -84,8 +87,10 @@ class TestLeibnizRoute:
 
 class TestDualRouteAgreement:
     def test_seeded_corpus_all_fields(self):
-        for s, n, terms in corpus_params(60, master_seed=101):
-            for spec in (Q, GF2, GF5):
+        # exponents up to 9 reach p and exceed n, where multinomial
+        # coefficients of the substitution route vanish mod p
+        for s, n, terms in corpus_params(60, master_seed=101, max_deg=9):
+            for spec in (Q, GF2, GF3, GF5, GF7):
                 f = poly_from_int_terms(s, terms, spec)
                 a = hs_components(f, n)
                 b = hs_components_leibniz(f, n)
@@ -117,10 +122,10 @@ class TestRationalCoefficients:
         self.assert_matches_leibniz(data.draw(base_polynomials(Q, s)), data.draw(st.integers(0, 3)))
 
 
-def _pow_by_products(a, e, n, one, zero, p):
-    out = [one] + [zero] * n
+def _pow_by_products(a, e, n, p):
+    out = [1] + [0] * n
     for _ in range(e):
-        out = _series_mul(out, a, n, zero, p)
+        out = _series_mul(out, a, n, p)
     return out
 
 
@@ -134,53 +139,15 @@ class TestSeriesPower:
     def test_raw_scalars(self, p):
         rng = random.Random(41 + p)
         n = self.N
-        one, zero = (1, 0) if p else (Fraction(1), Fraction(0))
         for a0_is_zero in (False, True):
             for _ in range(4):
                 if p:
                     a = [rng.randrange(p) for _ in range(n + 1)]
                 else:
                     a = [Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(n + 1)]
-                a[0] = zero if a0_is_zero else a[0] or one
+                a[0] = 0 if a0_is_zero else a[0] or 1
                 for e in range(3 * n + 1):
-                    assert _series_pow(a, e, n, one, zero, p) == _pow_by_products(a, e, n, one, zero, p), (a, e)
-
-    @pytest.mark.parametrize("p", [0, 2, 3, 101])
-    def test_polynomial_series(self, p):
-        # integer coefficients, as hs_components uses over Q: they must
-        # stay integers through the binomials and powers of a_0
-        rng = random.Random(43 + p)
-        n = self.N
-        spec = FieldSpec(p)
-        grid = jet_grid(2, n)
-
-        def monomial(c, *idx):
-            exps = [0] * len(grid)
-            for i in idx:
-                exps[i] += 1
-            c = c % p if p else c
-            return Polynomial._make(spec, grid, {tuple(exps): c} if c else {})
-
-        one, zero = monomial(1), Polynomial.zero(spec, grid)
-
-        def small_poly():
-            # two terms of degree <= 2
-            return sum(
-                (monomial(rng.randint(-5, 5), *rng.sample(range(len(grid)), rng.randint(0, 2))) for _ in range(2)),
-                zero,
-            )
-
-        series = [[monomial(1, j * 2) for j in range(n + 1)]]  # a_1(t) of hs_components
-        for a0_is_zero in (False, True):
-            for _ in range(2):
-                a = [small_poly() for _ in range(n + 1)]
-                a[0] = zero if a0_is_zero else a[0] or one
-                series.append(a)
-        for a in series:
-            for e in range(3 * n + 1):
-                got = _series_pow(a, e, n, one, zero)
-                assert got == _pow_by_products(a, e, n, one, zero, 0), (a, e)
-                assert all(type(c) is int for c_k in got for c in c_k.terms.values())
+                    assert _series_pow(a, e, n, p) == _pow_by_products(a, e, n, p), (a, e)
 
 
 class TestDerivationAxioms:
@@ -204,20 +171,68 @@ class TestDerivationAxioms:
 
     def test_monomial_expansion_is_composition_sum(self):
         # d_k(x^i) = sum over (j_1, ..., j_i) with j_1+...+j_i = k of
-        # x^(j_1) ... x^(j_i), by direct enumeration
-        for i in range(1, 5):
-            f = parse_poly(f"x1^{i}", 1, Q)
+        # x^(j_1) ... x^(j_i), by direct enumeration; over GF(3) the
+        # exponents 3 and 4 reach p
+        for spec, i in itertools.product((Q, GF3), range(1, 5)):
+            f = parse_poly(f"x1^{i}", 1, spec)
             ex = hs_components(f, 3)
             for k in range(4):
-                expected = Polynomial.zero(Q)
+                expected = Polynomial.zero(spec)
                 for parts in itertools.product(range(k + 1), repeat=i):
                     if sum(parts) != k:
                         continue
-                    term = Polynomial.constant(Q, 1)
+                    term = Polynomial.constant(spec, 1)
                     for j in parts:
-                        term = term * Polynomial.variable(Q, JetVariable(1, j))
+                        term = term * Polynomial.variable(spec, JetVariable(1, j))
                     expected = expected + term
-                assert ex[k] == expected, (i, k)
+                assert ex[k] == expected, (str(spec), i, k)
+
+    @pytest.mark.parametrize("spec", [Q, GF7], ids=str)
+    def test_huge_exponent_is_composition_sum(self, spec):
+        # in the composition sum for d_k(x^e), the r parts j_l > 0 sit at
+        # one of C(e, r) sets of positions and, read in order, are a
+        # composition of k; the other e - r factors are x^(0)
+        e, n = 10**5, 4
+        ex = hs_components(parse_poly(f"x1^{e}", 1, spec), n)
+
+        def x(j):
+            return Polynomial.variable(spec, JetVariable(1, j))
+
+        for k in range(n + 1):
+            expected = Polynomial.zero(spec)
+            for r in range(k + 1):
+                for parts in itertools.product(range(1, k + 1), repeat=r):
+                    if sum(parts) != k:
+                        continue
+                    term = Polynomial.constant(spec, math.comb(e, r)) * x(0) ** (e - r)
+                    for j in parts:
+                        term = term * x(j)
+                    expected = expected + term
+            assert ex[k] == expected, k
+
+
+class TestTermCap:
+    """hs_components raises TooManyTerms once d_0(f), ..., d_n(f) would
+    have more than TERM_CAP terms together, and answers at the cap."""
+
+    # one power alone, where the power's expansion passes the cap; and
+    # products of powers, where the count of the products passes it
+    @pytest.mark.parametrize("src", ["x1^6", "-3/2*x1^5*x2^2 + 4*x2^4*x3^3 + 2*x3^6 - x1*x2"])
+    def test_cap_is_the_largest_count_allowed(self, monkeypatch, src):
+        f = parse_poly(src, 3, Q)
+        total = sum(len(c.terms) for c in hs_components(f, 10))
+        monkeypatch.setattr(hasse, "TERM_CAP", total)
+        assert sum(len(c.terms) for c in hs_components(f, 10)) == total
+        monkeypatch.setattr(hasse, "TERM_CAP", total - 1)
+        with pytest.raises(TooManyTerms):
+            hs_components(f, 10)
+
+    def test_counts_before_building(self):
+        # the exact count of 778280 terms is known before any is formed
+        f = parse_poly("x1^7*x2^7*x3^7*x4^7", 4, Q)
+        with pytest.raises(TooManyTerms) as err:
+            hs_components(f, 16)
+        assert err.value.count == 778280
 
 
 class TestJetPartial:

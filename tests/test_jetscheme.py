@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from jetjac import (
     ConstantPolynomial,
+    DnMatrix,
     FieldSpec,
     JetVariable,
     MissingCoordinate,
@@ -508,6 +509,24 @@ class TestNobileCertificate:
         cert = nobile_certificate(CUSP, 1, 2, ORIGIN, trials=trials, seed=0)
         assert len(searches) == trials
         assert cert.witness_jet == cert.cokernel.witness
+
+    def test_builds_jac_m_and_dn_once(self, monkeypatch):
+        # the zero-jet rank and the samples share one Jac_m f and one D_n(L)
+        built = []
+
+        def counted_jac_m(*args):
+            built.append("jac_m")
+            return jac_m(*args)
+
+        def counted_check(self):
+            built.append("DnMatrix")
+            check(self)
+
+        check = DnMatrix.__post_init__
+        monkeypatch.setattr(jetscheme, "jac_m", counted_jac_m)
+        monkeypatch.setattr(DnMatrix, "__post_init__", counted_check)
+        nobile_certificate(CUSP, 3, 3, ORIGIN, trials=2, seed=0)
+        assert sorted(built) == ["DnMatrix", "jac_m"]
 
     def test_witness_is_a_full_rank_jet_on_the_scheme(self):
         cert = nobile_certificate(CUSP, 1, 2, ORIGIN, trials=8, seed=0)
