@@ -77,6 +77,7 @@ from .linalg import (
     minors,
     poly_det,
     rank,
+    rank_at,
 )
 from .poly import (
     BadExponent,

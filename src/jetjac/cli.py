@@ -38,7 +38,7 @@ from .jetscheme import (
     nobile_certificate,
     rank_counterexample_check,
 )
-from .linalg import TooManyMinors, at_point, generic_rank, minors, rank
+from .linalg import TooManyMinors, generic_rank, minors, rank_at
 from .poly import (
     MissingCoordinate,
     ParseError,
@@ -218,7 +218,7 @@ def cmd_rank_at_point(args) -> tuple[str, dict]:
     mx = matrix_argument(args.matrix, args.field)
     s, order = matrix_dims(mx)
     point = parse_point(args.point, s, order, args.field)
-    r = rank(at_point(mx, point))
+    r = rank_at(mx, point)
     return f"rank = {r}", {"rank": r}
 
 

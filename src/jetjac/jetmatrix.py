@@ -10,7 +10,12 @@ entrywise, and check_fdbd verifies exactly that.
 dn_matrix_at gives D_n(L) at a point by Taylor mode, from the values of
 d_0, ..., d_n of each entry of L at the jet, and never builds the
 symbolic blocks; DnMatrix stands for D_n(L) until it is put at a point.
-dn_matrix, the symbolic construction, serves printing and the tests.
+At a jet a the result is block upper-triangular and Toeplitz: block
+(i, j) is A_(j-i), the t^(j-i) coefficient of L(a(t)), and every
+diagonal block is A_0 = L(a_0).  linalg.rank_at reads the rank off A_0
+where that decides it, so the series values and their block layout are
+kept apart.  dn_matrix, the symbolic construction, serves printing and
+the tests.
 """
 
 from __future__ import annotations
@@ -62,24 +67,32 @@ def dn_matrix_at(L: PolyMatrix, n: int, point: Point) -> ScalarMatrix:
     symbolic d_k is built.  The point must assign the variables of
     dn_matrix(L, n), which are jet_grid(s, n) with s the largest base
     index of L.  L and n are checked once per call, by DnMatrix."""
-    return _taylor_mode(DnMatrix(L, n), point)
+    D = DnMatrix(L, n)
+    return _block_layout(D, _series_values(D, point))
 
 
-def _taylor_mode(D: DnMatrix, point: Point) -> ScalarMatrix:
-    # D_n(L) at the point, from the t-series g(a(t)) of each entry g of L
+def _series_values(D: DnMatrix, point: Point) -> list[list]:
+    # [d_0(g)(a), ..., d_n(g)(a)] per entry g of L, row by row: the
+    # t-series g(a(t)) truncated after t^n
     L, n, spec = D.L, D.n, D.spec
-    zero = spec.zero.value
     series = jet_series(point, spec, D.s, n)
     powers: dict = {}
     cache: dict[Polynomial, list] = {}
-    entry_values = []  # [d_0(g), ..., d_n(g)] at the point, per entry g of L
+    entry_values = []
     for g in L.entries:
         vals = cache.get(g)
         if vals is None:
             vals = _substituted(g, n, series, powers, spec.characteristic)
             cache[g] = vals
         entry_values.append(vals)
-    b, a = L.rows, L.cols
+    return entry_values
+
+
+def _block_layout(D: DnMatrix, entry_values: list[list]) -> ScalarMatrix:
+    # D_n(L) at the point from its series values: block (i, j) holds the
+    # t^(j-i) coefficients A_(j-i) for j >= i
+    n, b, a = D.n, D.L.rows, D.L.cols
+    zero = D.spec.zero.value
     # row r of the top block row; block row bi shifts it right by bi blocks
     top = [
         [vals[k] for k in range(n + 1) for vals in entry_values[r * a : (r + 1) * a]]
@@ -90,15 +103,16 @@ def _taylor_mode(D: DnMatrix, point: Point) -> ScalarMatrix:
         for r in range(b):
             values.extend([zero] * (bi * a))
             values.extend(top[r][: (n + 1 - bi) * a])
-    return ScalarMatrix((n + 1) * b, (n + 1) * a, tuple(values), point.spec)
+    return ScalarMatrix((n + 1) * b, (n + 1) * a, tuple(values), D.spec)
 
 
 @dataclass(frozen=True)
 class DnMatrix:
     """D_n(L) left unexpanded: rows, cols, spec and variables() are those
     of dn_matrix(L, n).  Building it checks n and each entry of L once and
-    keeps s, the largest base index of L, so linalg.at_point puts it at
-    any number of points by Taylor mode without checking L again."""
+    keeps s, the largest base index of L, so linalg.at_point and
+    linalg.rank_at put it at any number of points by Taylor mode without
+    checking L again."""
 
     L: PolyMatrix
     n: int

@@ -13,10 +13,12 @@ cokernel rank: D_n(L) has full rank (n+1)M where a sample is gens - rels.
 
 Every test at a point works in Taylor mode and builds no symbolic d_k:
 membership checks f(a(t)) = 0 mod t^(n+1), jet lifting solves for the
-t^k coefficient, and the rank criteria put D_n(Jac_m f) at the jet with
-linalg.at_point; a certificate builds Jac_m f and D_n(Jac_m f) once for
-all its jets.  The symbolic equations and presentation matrices are built
-only when a caller reads them.
+t^k coefficient, and the rank criteria rank D_n(Jac_m f) at the jet with
+linalg.rank_at, which reads the rank off the diagonal block Jac_m f(a_0)
+when it has full rank (at a smooth base) or when the jet is a zero jet;
+a certificate builds Jac_m f and D_n(Jac_m f) once for all its jets.
+The symbolic equations and presentation matrices are built only when a
+caller reads them.
 
 Smooth points are sampled by solving f for one coordinate with the others
 frozen.  Over GF(p) the roots of that univariate polynomial g come from
@@ -42,7 +44,7 @@ from .field import FieldElement, is_prime
 from .hasse import _require_base, hs_components, hs_values, jet_series
 from .jacobian import PolyMatrix, index_families, jac_m
 from .jetmatrix import DnMatrix, dn_matrix
-from .linalg import SAMPLE_RANGE, at_point, rank, trial_rng
+from .linalg import SAMPLE_RANGE, rank_at, trial_rng
 from .poly import JetVariable, MissingCoordinate, Point, Polynomial
 
 
@@ -126,7 +128,7 @@ def _rank_report(desc: JetSchemeDesc, D: DnMatrix, point: Point) -> RankReport:
     # its row count (n+1)M
     if not on_jet_scheme(desc, point):
         raise PointNotOnScheme("the point does not lie on the jet scheme")
-    r = rank(at_point(D, point))
+    r = rank_at(D, point)
     return RankReport(r, D.rows, r == D.rows, (IRREDUCIBILITY_ASSUMPTION,))
 
 
@@ -571,7 +573,7 @@ def generic_cokernel_rank(pres: Presentation, trials: int = 20, seed=0) -> Coker
     for t in range(trials):
         base = find_smooth_point(pres.f, seed=f"{seed}:{t}")
         jet = extend_to_jet(pres.f, base, pres.n, seed=f"{seed}:{t}")
-        sample = D.cols - rank(at_point(D, jet))
+        sample = D.cols - rank_at(D, jet)
         if not samples or sample < min(samples):
             witness = jet
         samples.append(sample)

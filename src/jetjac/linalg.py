@@ -6,9 +6,14 @@ Taylor mode (jetmatrix.dn_matrix_at); any other polynomial matrix is
 evaluated entry by entry (eval_matrix).  Rank uses one elimination
 routine per scalar kind: over Q each row is cleared of denominators and
 integer Bareiss elimination runs with exact integer division; over GF(p)
-plain Gaussian elimination runs with one inverse per pivot.  Minors and
-determinants of polynomial matrices come from one division-free Laplace
-expansion, shared between all row selections with a common prefix.
+plain Gaussian elimination runs with one inverse per pivot.  rank_at
+ranks D_n(L) at a jet by the block rule: every diagonal block is the
+b x a matrix A_0 = L(a_0), so when A_0 has full row or column rank, or
+every block above the diagonal vanishes, the rank is (n+1) rank(A_0);
+only otherwise is the whole (n+1)b x (n+1)a matrix eliminated.
+Minors and determinants of polynomial matrices come from one
+division-free Laplace expansion, shared between all row selections with
+a common prefix.
 Generic rank is probabilistic: the maximum exact rank over seeded random
 evaluation points, always reported with its seed.
 """
@@ -22,7 +27,7 @@ from dataclasses import dataclass
 
 from .field import FieldElement, FieldSpec
 from .jacobian import PolyMatrix, ScalarMatrix
-from .jetmatrix import DnMatrix, _taylor_mode
+from .jetmatrix import DnMatrix, _block_layout, _series_values
 from .poly import Point, Polynomial
 
 MINOR_CAP = 100_000
@@ -47,7 +52,7 @@ def at_point(mx: PolyMatrix | DnMatrix, point: Point) -> ScalarMatrix:
     """A matrix at a point: a DnMatrix by Taylor mode, without checking L
     again, and any other polynomial matrix entry by entry."""
     if isinstance(mx, DnMatrix):
-        return _taylor_mode(mx, point)
+        return _block_layout(mx, _series_values(mx, point))
     return eval_matrix(mx, point)
 
 
@@ -62,6 +67,32 @@ def rank(mx: ScalarMatrix) -> int:
     if p:
         return _rank_mod_p([list(row) for row in row_values], cols, p)
     return _rank_integer([_integer_row(row) for row in row_values], cols)
+
+
+def rank_at(mx: PolyMatrix | DnMatrix, point: Point) -> int:
+    """rank(at_point(mx, point)), read off the diagonal block of a
+    DnMatrix where the block rule decides it.
+
+    At a jet a, D = D_n(L) is block upper-triangular with block (i, j) =
+    A_(j-i), the t^(j-i) coefficient of L(a(t)), so every diagonal block
+    is the b x a matrix A_0 = L(a_0).  With r0 = rank A_0, D has rank
+    (n+1) r0 when
+      - r0 = min(b, a): full row rank of A_0 makes y D = 0 give y_0 = 0
+        from the first block column, then y_1 = 0 from the second, and so
+        on; full column rank makes D x = 0 give x_n = 0 from the last
+        block row, then x_(n-1) = 0, and so on;
+      - every A_k with k >= 1 is zero, as at every zero jet: D is then
+        block diagonal with n + 1 copies of A_0.
+    Otherwise the whole (n+1)b x (n+1)a matrix is laid out and
+    eliminated.  Any other matrix is evaluated entry by entry."""
+    if not isinstance(mx, DnMatrix):
+        return rank(eval_matrix(mx, point))
+    values = _series_values(mx, point)
+    b, a = mx.L.rows, mx.L.cols
+    r0 = rank(ScalarMatrix(b, a, tuple(v[0] for v in values), mx.spec))
+    if r0 == min(b, a) or not any(any(v[1:]) for v in values):
+        return (mx.n + 1) * r0
+    return rank(_block_layout(mx, values))
 
 
 def _integer_row(fracs) -> list[int]:
@@ -261,7 +292,7 @@ def generic_rank(mx: PolyMatrix | DnMatrix, trials: int = 20, seed: int = 0) -> 
     limit = min(mx.rows, mx.cols)
     for t in range(trials):
         point = random_point(mx.spec, variables, trial_rng(seed, t, "generic-rank"))
-        best = max(best, rank(at_point(mx, point)))
+        best = max(best, rank_at(mx, point))
         if best == limit:
             break
     return best

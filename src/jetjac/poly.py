@@ -108,6 +108,11 @@ def base_variables(s: int) -> tuple[JetVariable, ...]:
 MultiIndex = tuple[int, ...]
 
 
+def _rational(c):
+    # a Q coefficient as FieldSpec.raw stores it: an int when integral
+    return c.numerator if type(c) is Fraction and c.denominator == 1 else c
+
+
 class Polynomial:
     """Sparse polynomial over a FieldSpec in jet variables.
 
@@ -298,7 +303,7 @@ class Polynomial:
             if c0 is None:
                 out[exps] = c
             else:
-                cc = (c0 + c) % p if p else c0 + c
+                cc = (c0 + c) % p if p else _rational(c0 + c)
                 if cc:
                     out[exps] = cc
                 else:
@@ -331,7 +336,7 @@ class Polynomial:
         if p:
             out = {e: c * raw % p for e, c in self.terms.items()}
         else:
-            out = {e: c * raw for e, c in self.terms.items()}
+            out = {e: _rational(c * raw) for e, c in self.terms.items()}
         return Polynomial._make(self.spec, self.ambient, out)
 
     def __mul__(self, other):
@@ -352,6 +357,8 @@ class Polynomial:
                     c = c0 + c
                 if p:
                     c %= p
+                elif type(c) is Fraction and c.denominator == 1:
+                    c = c.numerator
                 if c:
                     out[key] = c
                 elif c0 is not None:
@@ -390,7 +397,7 @@ class Polynomial:
             k = exps[idx]
             if not k:
                 continue
-            cc = c * k % p if p else c * k
+            cc = c * k % p if p else _rational(c * k)
             if cc:
                 out[exps[:idx] + (k - 1,) + exps[idx + 1 :]] = cc
         return Polynomial._make(self.spec, self.ambient, out)
@@ -429,6 +436,8 @@ class Polynomial:
                 ee[idx] = g - d
             if p:
                 coeff = coeff % p if coeff else 0
+            else:
+                coeff = _rational(coeff)
             if coeff:
                 out[tuple(ee)] = coeff
         return Polynomial._make(self.spec, self.ambient, out)

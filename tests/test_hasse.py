@@ -122,6 +122,26 @@ class TestRationalCoefficients:
         self.assert_matches_leibniz(data.draw(base_polynomials(Q, s)), data.draw(st.integers(0, 3)))
 
 
+def test_components_match_sympy_series():
+    """Over Q, d_k(f) is the t^k coefficient of sympy.series of f(a(t)),
+    a_i(t) = sum_j x_i^(j) t^j, on a seeded corpus with fractional
+    coefficients; each side is read back from the canonical printer."""
+    sympy = pytest.importorskip("sympy")
+    t = sympy.Symbol("t")
+    rng = random.Random("hs-vs-sympy")
+    for s, n, terms in corpus_params(12, master_seed=211, max_deg=5):
+        f = poly_from_int_terms(s, {e: Fraction(c, rng.randint(1, 6)) for e, c in terms.items()}, Q)
+        arcs = {
+            f"x{i}": sum(sympy.Symbol(f"x{i}_{j}" if j else f"x{i}") * t**j for j in range(n + 1))
+            for i in range(1, s + 1)
+        }
+        f_of_arc = sympy.sympify(str(f).replace("^", "**")).subs(arcs, simultaneous=True)
+        expansion = sympy.series(f_of_arc, t, 0, n + 1).removeO()
+        for k, dk in enumerate(hs_components(f, n)):
+            want = sympy.expand(expansion).coeff(t, k)
+            assert sympy.expand(sympy.sympify(str(dk).replace("^", "**")) - want) == 0, (str(f), n, k)
+
+
 def _pow_by_products(a, e, n, p):
     out = [1] + [0] * n
     for _ in range(e):

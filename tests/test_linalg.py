@@ -7,12 +7,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from jetjac import (
+    DnMatrix,
     FieldSpec,
+    JetVariable,
     Point,
     PolyMatrix,
     Polynomial,
     ScalarMatrix,
     TooManyMinors,
+    at_point,
     dn_matrix,
     dn_matrix_at,
     eval_matrix,
@@ -23,7 +26,9 @@ from jetjac import (
     parse_poly,
     poly_det,
     rank,
+    rank_at,
 )
+from jetjac import linalg
 from jetjac.linalg import random_point, trial_rng
 
 from _corpus import GF2, GF5, Q, base_polynomials, poly_from_int_terms, random_base_polynomial
@@ -248,6 +253,96 @@ class TestZeroJetClosedForm:
                 zero_jet = Point.from_flat(base + [0] * (s * n), s, n, spec)
                 got = rank(eval_matrix(dn_matrix(jac, n), zero_jet))
                 assert got == (n + 1) * base_rank
+
+
+def block_rule_branch(D, jet):
+    """Which case of the block rule decides the rank of D = D_n(L) at the
+    jet, read off the dense matrix: "full" when the diagonal block A_0 has
+    rank min(b, a), "diagonal" when every block A_k with k >= 1 vanishes,
+    "dense" otherwise."""
+    mx = at_point(D, jet)
+    b, a = D.L.rows, D.L.cols
+    top = [mx.values[r * mx.cols : (r + 1) * mx.cols] for r in range(b)]
+    a0 = ScalarMatrix(b, a, tuple(v for row in top for v in row[:a]), jet.spec)
+    if rank(a0) == min(b, a):
+        return "full"
+    if not any(v for row in top for v in row[a:]):
+        return "diagonal"
+    return "dense"
+
+
+def rank_at_corpus(spec):
+    """Seeded (label, D_n(L), jet) triples for every case of the block
+    rule: L of full row rank (Jac_m of the cusp at a smooth base), of full
+    column rank (its transpose), deficient at the zero jet and at a random
+    jet over the singular origin (x1_1 = 1 keeps A_1 or A_2 nonzero, also
+    over GF(2)), n = 0, L without rows or columns, and random L at mixed
+    jets."""
+    rng = random.Random(f"rank-at:{spec}")
+    p = spec.characteristic
+
+    def coordinate():
+        return rng.randrange(p) if p else Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+
+    def jet(base, n, s=2):
+        return Point.from_flat(list(base) + [coordinate() for _ in range(s * n)], s, n, spec)
+
+    out = []
+    for m in (1, 2):
+        L = jac_m([parse_poly("x1^3 - x2^2", 2, spec)], m)
+        for n in (0, 1, 3):
+            out.append(("smooth", DnMatrix(L, n), jet([1, 1], n)))
+            out.append(("tall", DnMatrix(L.transpose(), n), jet([1, 1], n)))
+            out.append(("zero", DnMatrix(L, n), Point.from_flat([0] * (2 * (n + 1)), 2, n, spec)))
+            origin = jet([0, 0], n)
+            if n:
+                origin = Point(spec, {**origin.coords, JetVariable(1, 1): spec.element(1)})
+            out.append(("origin", DnMatrix(L, n), origin))
+    for rows, cols in ((0, 3), (3, 0), (0, 0)):
+        for n in (0, 2):
+            # a matrix without entries is over Q
+            out.append(("empty", DnMatrix(PolyMatrix(rows, cols, ()), n), Point(Q, {})))
+    for _ in range(12):
+        s, n, m = rng.randint(1, 3), rng.randint(0, 3), rng.randint(1, 2)
+        f = random_base_polynomial(rng, s, 3, 5, spec, nonzero=True)
+        draw = rng.choice((lambda: 0, lambda: rng.randint(-1, 1), coordinate))
+        point = Point(spec, {v: spec.element(draw()) for v in jet_grid(s, n)})
+        out.append(("random", DnMatrix(jac_m([f], m), n), point))
+    return out
+
+
+class TestRankAt:
+    """rank_at against the dense reference rank(at_point(...)), on a
+    corpus that reaches each case of the block rule."""
+
+    @pytest.mark.parametrize("spec", [Q, GF2, GF101], ids=str)
+    def test_matches_the_dense_rank(self, spec, monkeypatch):
+        laid_out = []
+        layout = linalg._block_layout
+
+        def counting_layout(*args):
+            laid_out.append(args[0])
+            return layout(*args)
+
+        reached = set()
+        for label, D, jet in rank_at_corpus(spec):
+            want = rank(at_point(D, jet))
+            branch = block_rule_branch(D, jet)
+            reached.add(branch)
+            laid_out.clear()
+            with monkeypatch.context() as patched:
+                patched.setattr(linalg, "_block_layout", counting_layout)
+                got = rank_at(D, jet)
+            assert got == want, (label, str(D.L), D.n, str(jet))
+            # the dense matrix is laid out exactly when the rule does not decide
+            assert laid_out == ([D] if branch == "dense" else []), (label, branch)
+            if label in ("smooth", "tall", "empty"):
+                assert branch == "full", label
+            if label == "zero" or D.n == 0:
+                assert branch != "dense", label
+            if label == "origin" and D.L.rows > 1 and D.n:
+                assert branch == "dense", label
+        assert reached == {"full", "diagonal", "dense"}
 
 
 class TestPolyDet:

@@ -151,6 +151,24 @@ class TestArithmetic:
         assert zero.degree() == float("-inf")
         assert (zero * CUSP).is_zero
 
+    def test_integral_results_are_stored_as_ints(self):
+        # as FieldSpec.raw stores scalars: over Q an int when integral
+        half = poly("1/2*x1", s=1)
+        third = poly("1/3*x1^3", s=1)
+        results = {
+            "scaled": (half * 2, "x1"),
+            "scaled by a Fraction": (poly("2*x1", s=1) * Fraction(1, 2), "x1"),
+            "sum": (half + half, "x1"),
+            "product": (half * poly("2", s=1), "x1"),
+            "power": (poly("1/2*x1 + 1/2", s=1) ** 2 * 4, "x1^2 + 2*x1 + 1"),
+            "partial": (third.partial(X1), "x1^2"),
+            "divided partial": (third.divided_partial((1,)), "x1^2"),
+        }
+        for label, (result, want) in results.items():
+            assert result == poly(want, s=1), label
+            assert all(type(c) is int for c in result.terms.values()), (label, result.terms)
+        assert (half * 3).terms == {(1,): Fraction(3, 2)}
+
     @given(st.integers(-20, 20), st.integers(-20, 20))
     def test_constants_embed(self, a, b):
         pa = Polynomial.constant(Q, a)
