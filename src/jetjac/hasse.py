@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .field import FieldSpec, MixedFields
-from .poly import JetVariable, MissingCoordinate, Point, Polynomial, jet_grid
+from .poly import JetVariable, MissingCoordinate, Point, Polynomial, _rational, jet_grid
 
 
 # at most this many terms in d_0(f), ..., d_n(f) together
@@ -133,7 +133,8 @@ def _substituted(f, n, var_series, powers, p=0):
     """The t-series of f(a_1(t), ..., a_s(t)) truncated after t^n, where
     var_series[i] is the raw-scalar series a_i(t).  powers caches
     a_i(t)^e by (i, e) and may be shared by every f substituted into the
-    same series."""
+    same series.  Over Q an integral value is stored as an int, as
+    FieldSpec.raw stores it."""
     acc = [0] * (n + 1)
     for exps, coeff in f.terms.items():
         prod = [coeff] + [0] * n
@@ -149,8 +150,8 @@ def _substituted(f, n, var_series, powers, p=0):
             if prod[k]:
                 acc[k] += prod[k]
     if p:
-        acc = [c % p for c in acc]
-    return acc
+        return [c % p for c in acc]
+    return [_rational(c) for c in acc]
 
 
 def _power_terms(e, n, p):

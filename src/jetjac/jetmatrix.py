@@ -68,22 +68,23 @@ def dn_matrix_at(L: PolyMatrix, n: int, point: Point) -> ScalarMatrix:
     dn_matrix(L, n), which are jet_grid(s, n) with s the largest base
     index of L.  L and n are checked once per call, by DnMatrix."""
     D = DnMatrix(L, n)
-    return _block_layout(D, _series_values(D, point))
+    return _block_layout(D, _series_values(D, jet_series(point, D.spec, D.s, n), n))
 
 
-def _series_values(D: DnMatrix, point: Point) -> list[list]:
+def _series_values(D: DnMatrix, series: dict[int, list], n: int) -> list[list]:
     # [d_0(g)(a), ..., d_n(g)(a)] per entry g of L, row by row: the
-    # t-series g(a(t)) truncated after t^n
-    L, n, spec = D.L, D.n, D.spec
-    series = jet_series(point, spec, D.s, n)
+    # t-series g(a(t)) truncated after t^n, from the jet series of
+    # hasse.jet_series to order n.  jac_m repeats one object for many
+    # entries, so the cache is keyed on the object, not on equality.
+    p = D.spec.characteristic
     powers: dict = {}
-    cache: dict[Polynomial, list] = {}
+    cache: dict[int, list] = {}
     entry_values = []
-    for g in L.entries:
-        vals = cache.get(g)
+    for g in D.L.entries:
+        vals = cache.get(id(g))
         if vals is None:
-            vals = _substituted(g, n, series, powers, spec.characteristic)
-            cache[g] = vals
+            vals = _substituted(g, n, series, powers, p)
+            cache[id(g)] = vals
         entry_values.append(vals)
     return entry_values
 
@@ -121,9 +122,11 @@ class DnMatrix:
     def __post_init__(self):
         if self.n < 0:
             raise ValueError("n must be >= 0")
-        for g in self.L.entries:
+        # jac_m repeats one object for many entries: check each object once
+        distinct = {id(g): g for g in self.L.entries}.values()
+        for g in distinct:
             _require_base(g)
-        object.__setattr__(self, "s", max((g.base_count for g in self.L.entries), default=0))
+        object.__setattr__(self, "s", max((g.base_count for g in distinct), default=0))
 
     @property
     def rows(self) -> int:

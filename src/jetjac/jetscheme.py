@@ -17,6 +17,9 @@ t^k coefficient, and the rank criteria rank D_n(Jac_m f) at the jet with
 linalg.rank_at, which reads the rank off the diagonal block Jac_m f(a_0)
 when it has full rank (at a smooth base) or when the jet is a zero jet;
 a certificate builds Jac_m f and D_n(Jac_m f) once for all its jets.
+Its cokernel samples come from the diagonal block at each sampled smooth
+base point, so a sample costs one smooth-point search and one b x a rank,
+and only the witness jet is lifted to order n.
 The symbolic equations and presentation matrices are built only when a
 caller reads them.
 
@@ -44,7 +47,7 @@ from .field import FieldElement, is_prime
 from .hasse import _require_base, hs_components, hs_values, jet_series
 from .jacobian import PolyMatrix, index_families, jac_m
 from .jetmatrix import DnMatrix, dn_matrix
-from .linalg import SAMPLE_RANGE, rank_at, trial_rng
+from .linalg import SAMPLE_RANGE, _base_rank, rank_at, trial_rng
 from .poly import JetVariable, MissingCoordinate, Point, Polynomial
 
 
@@ -543,7 +546,9 @@ def extend_to_jet(f: Polynomial, base, n: int, seed=0) -> Point:
 @dataclass(frozen=True)
 class CokernelReport:
     """Cokernel rank of a presentation at sampled smooth jets; `witness`
-    is the first sampled jet whose cokernel rank is `cokernel_rank`."""
+    is the first sampled jet whose cokernel rank is `cokernel_rank`.
+    A sample whose base block has full rank is read off that block, and
+    `witness` is the only jet that is always lifted to order n."""
 
     expected: int
     samples: tuple[int, ...]
@@ -564,19 +569,39 @@ class CokernelReport:
 def generic_cokernel_rank(pres: Presentation, trials: int = 20, seed=0) -> CokernelReport:
     """Sample jets over smooth base points of V(f), evaluate the
     presentation matrix there and report generators minus rank, compared
-    against the free rank expected away from the singular locus."""
+    against the free rank expected away from the singular locus.
+
+    Trial t takes the smooth base point a_0 = find_smooth_point(f,
+    seed=f"{seed}:{t}") and the jet extend_to_jet(f, a_0, n,
+    seed=f"{seed}:{t}") over it.  Every diagonal block of D_n(L) at that
+    jet is A_0 = L(a_0) (see linalg.rank_at), so when A_0 has rank
+    min(b, a) the sample is cols - (n+1) min(b, a) whatever the jet is,
+    and no jet is built; otherwise the jet is extended and ranked.  The
+    witness, the first jet of least sample, is extended once at the end.
+    Skipping the other extensions changes no outcome: each uses its own
+    seeded generator, and at a smooth base some first partial is nonzero,
+    so extend_to_jet solves the order-k equation at every k and cannot
+    raise there."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
     expected = pres.gens - pres.rels
     D = pres._dn
+    full = min(D.L.rows, D.L.cols)
     samples = []
     for t in range(trials):
         base = find_smooth_point(pres.f, seed=f"{seed}:{t}")
-        jet = extend_to_jet(pres.f, base, pres.n, seed=f"{seed}:{t}")
-        sample = D.cols - rank_at(D, jet)
+        jet = None
+        if _base_rank(D, jet_series(base, D.spec, D.s, 0)) == full:
+            sample = D.cols - (pres.n + 1) * full
+        else:
+            jet = extend_to_jet(pres.f, base, pres.n, seed=f"{seed}:{t}")
+            sample = D.cols - rank_at(D, jet)
         if not samples or sample < min(samples):
-            witness = jet
+            witness = (t, base, jet)
         samples.append(sample)
+    t, base, jet = witness
+    if jet is None:
+        jet = extend_to_jet(pres.f, base, pres.n, seed=f"{seed}:{t}")
     return CokernelReport(
         expected=expected,
         samples=tuple(samples),
@@ -584,7 +609,7 @@ def generic_cokernel_rank(pres: Presentation, trials: int = 20, seed=0) -> Coker
         all_match=all(x == expected for x in samples),
         trials=trials,
         seed=seed,
-        witness=witness,
+        witness=jet,
     )
 
 

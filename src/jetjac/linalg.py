@@ -10,7 +10,9 @@ plain Gaussian elimination runs with one inverse per pivot.  rank_at
 ranks D_n(L) at a jet by the block rule: every diagonal block is the
 b x a matrix A_0 = L(a_0), so when A_0 has full row or column rank, or
 every block above the diagonal vanishes, the rank is (n+1) rank(A_0);
-only otherwise is the whole (n+1)b x (n+1)a matrix eliminated.
+only otherwise is the whole (n+1)b x (n+1)a matrix eliminated.  A_0 is
+ranked first, from the order-0 coordinates alone, and the series of L
+to order n is computed only when A_0 does not decide the rank.
 Minors and determinants of polynomial matrices come from one
 division-free Laplace expansion, shared between all row selections with
 a common prefix.
@@ -26,6 +28,7 @@ import random
 from dataclasses import dataclass
 
 from .field import FieldElement, FieldSpec
+from .hasse import jet_series
 from .jacobian import PolyMatrix, ScalarMatrix
 from .jetmatrix import DnMatrix, _block_layout, _series_values
 from .poly import Point, Polynomial
@@ -52,7 +55,7 @@ def at_point(mx: PolyMatrix | DnMatrix, point: Point) -> ScalarMatrix:
     """A matrix at a point: a DnMatrix by Taylor mode, without checking L
     again, and any other polynomial matrix entry by entry."""
     if isinstance(mx, DnMatrix):
-        return _block_layout(mx, _series_values(mx, point))
+        return _block_layout(mx, _series_values(mx, jet_series(point, mx.spec, mx.s, mx.n), mx.n))
     return eval_matrix(mx, point)
 
 
@@ -83,16 +86,35 @@ def rank_at(mx: PolyMatrix | DnMatrix, point: Point) -> int:
         block row, then x_(n-1) = 0, and so on;
       - every A_k with k >= 1 is zero, as at every zero jet: D is then
         block diagonal with n + 1 copies of A_0.
-    Otherwise the whole (n+1)b x (n+1)a matrix is laid out and
-    eliminated.  Any other matrix is evaluated entry by entry."""
+    A_0 comes first, from the order-0 coordinates alone (_base_rank).
+    The series of L(a(t)) to order n is computed only when A_0 is
+    deficient and some coordinate of positive order is nonzero, so a zero
+    jet never expands L beyond order 0; only when some A_k is then nonzero
+    is the whole (n+1)b x (n+1)a matrix laid out and eliminated.  The
+    point is checked to order n in every case.  A matrix without rows or
+    columns has rank 0 at any point, and any other matrix is evaluated
+    entry by entry."""
+    if mx.rows == 0 or mx.cols == 0:
+        return 0
     if not isinstance(mx, DnMatrix):
         return rank(eval_matrix(mx, point))
-    values = _series_values(mx, point)
-    b, a = mx.L.rows, mx.L.cols
-    r0 = rank(ScalarMatrix(b, a, tuple(v[0] for v in values), mx.spec))
-    if r0 == min(b, a) or not any(any(v[1:]) for v in values):
-        return (mx.n + 1) * r0
+    n = mx.n
+    series = jet_series(point, mx.spec, mx.s, n)
+    r0 = _base_rank(mx, series)
+    if r0 == min(mx.L.rows, mx.L.cols) or not any(any(v[1:]) for v in series.values()):
+        return (n + 1) * r0
+    values = _series_values(mx, series, n)
+    if not any(any(v[1:]) for v in values):
+        return (n + 1) * r0
     return rank(_block_layout(mx, values))
+
+
+def _base_rank(D: DnMatrix, series: dict[int, list]) -> int:
+    """rank A_0 = L(a_0) for D = D_n(L), from the order-0 coordinates of
+    a jet series (hasse.jet_series, to any order)."""
+    base = {i: v[:1] for i, v in series.items()}
+    values = tuple(v[0] for v in _series_values(D, base, 0))
+    return rank(ScalarMatrix(D.L.rows, D.L.cols, values, D.spec))
 
 
 def _integer_row(fracs) -> list[int]:

@@ -11,12 +11,15 @@ from jetjac import (
     FieldSpec,
     JetVariable,
     NotBasePolynomial,
+    Point,
     Polynomial,
     TooManyTerms,
     base_variables,
     check_commutation,
     hasse,
     hs_components,
+    hs_values,
+    jet_series,
     parse_poly,
 )
 from jetjac.hasse import _series_mul, _series_pow
@@ -140,6 +143,30 @@ def test_components_match_sympy_series():
         for k, dk in enumerate(hs_components(f, n)):
             want = sympy.expand(expansion).coeff(t, k)
             assert sympy.expand(sympy.sympify(str(dk).replace("^", "**")) - want) == 0, (str(f), n, k)
+
+
+class TestTaylorValuesOverQ:
+    """hs_values over Q store an integral value as an int, as FieldSpec.raw
+    and Polynomial arithmetic do."""
+
+    def test_integral_values_are_ints(self):
+        jet = Point.from_flat(["1/2", "1/2"], 1, 1, Q)
+        got = hs_values(parse_poly("4*x1^2", 1), 1, jet_series(jet, Q, 1, 1), {})
+        assert got == [1, 2]
+        assert [type(v) for v in got] == [int, int]
+
+    def test_seeded_corpus(self):
+        rng = random.Random("taylor-ints")
+        integral = 0
+        for s, n, terms in corpus_params(30, master_seed=223):
+            f = poly_from_int_terms(s, {e: Fraction(c, rng.choice((1, 2, 4))) for e, c in terms.items()}, Q)
+            coords = [Fraction(rng.randint(-4, 4), rng.choice((1, 2))) for _ in range(s * (n + 1))]
+            jet = Point.from_flat(coords, s, n, Q)
+            got = hs_values(f, n, jet_series(jet, Q, s, n), {})
+            assert got == [d.evaluate(jet).value for d in hs_components(f, n)]
+            assert all(type(v) is int or v.denominator > 1 for v in got)
+            integral += sum(type(v) is int for v in got)
+        assert integral
 
 
 def _pow_by_products(a, e, n, p):

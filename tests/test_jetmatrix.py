@@ -31,6 +31,7 @@ from jetjac import (
     rank,
     reverse_blocks,
 )
+from jetjac import jetmatrix
 from jetjac.linalg import random_point, trial_rng
 
 from _corpus import GF2, ORACLE_FIELDS, Q, base_polynomials, jets, random_base_polynomial
@@ -201,6 +202,21 @@ class TestDnMatrixAt:
                 build(L, -1)
         with pytest.raises(NotBasePolynomial):
             dn_matrix_at(jet_entry, 1, Point.from_flat([0, 0], 1, 1, Q))
+
+    def test_checks_each_entry_object_once(self, monkeypatch):
+        # Jac_3 of the quartic has 190 entries but 21 distinct objects
+        checked = []
+        require = jetmatrix._require_base
+
+        def counting_require(g):
+            checked.append(g)
+            return require(g)
+
+        monkeypatch.setattr(jetmatrix, "_require_base", counting_require)
+        L = jac_m([jp("x1^3 - x2^2 + x1*x2*x3 + x3^4", 3)], 3)
+        assert DnMatrix(L, 2).s == 3
+        assert (len(L.entries), len(checked)) == (190, 21)
+        assert {id(g) for g in checked} == {id(g) for g in L.entries}
 
 
 class TestJetJacobian:

@@ -19,6 +19,7 @@ from jetjac import (
     Point,
     PointNotOnScheme,
     Polynomial,
+    at_point,
     base_variables,
     dn_matrix,
     dn_matrix_at,
@@ -49,6 +50,7 @@ from jetjac.linalg import SAMPLE_RANGE, trial_rng
 from _corpus import GF2, GF5, ORACLE_FIELDS, Q, base_polynomials, jets
 
 CUSP = parse_poly("x1^3 - x2^2", 2, Q)
+GF101 = FieldSpec.prime_field(101)
 ORIGIN = Point.from_base([0, 0], Q)
 
 
@@ -429,6 +431,69 @@ class TestGenericCokernelRank:
         pres = presentation_of(parse_poly("x1^2", 1, GF2), 1, 1)
         with pytest.raises(NoSmoothPointFound):
             generic_cokernel_rank(pres, trials=2, seed=0)
+
+    @staticmethod
+    def eager_samples(pres, trials, seed):
+        """Every trial's jet extended and ranked densely, and the jet of
+        the first least sample: the certificate without the block rule."""
+        D = DnMatrix(pres.L, pres.n)
+        samples, jets = [], []
+        for t in range(trials):
+            base = find_smooth_point(pres.f, seed=f"{seed}:{t}")
+            jet = extend_to_jet(pres.f, base, pres.n, seed=f"{seed}:{t}")
+            samples.append(D.cols - rank(at_point(D, jet)))
+            jets.append(jet)
+        return tuple(samples), jets[samples.index(min(samples))]
+
+    @staticmethod
+    def corpus(spec):
+        rng = random.Random(f"cokernel:{spec}")
+        for src, s in (("x1^3 - x2^2", 2), ("x1*x2 - x3^2", 3), ("x1^3 - x2^2 + x1*x2*x3 + x3^4", 3)):
+            f = parse_poly(src, s, spec)
+            for n, m in ((0, 1), (1, 2), (rng.randint(2, 4), rng.randint(1, 3))):
+                yield presentation_of(f, n, m), rng.randrange(1000)
+
+    @pytest.mark.parametrize("spec", [Q, GF2, GF101], ids=str)
+    def test_samples_and_witness_match_the_eager_jets(self, spec):
+        for pres, seed in self.corpus(spec):
+            report = generic_cokernel_rank(pres, trials=5, seed=seed)
+            samples, witness = self.eager_samples(pres, 5, seed)
+            assert report.samples == samples, (str(pres.f), pres.n, pres.m, seed)
+            assert report.witness == witness
+
+    def test_a_default_certificate_extends_one_jet(self, monkeypatch):
+        calls = []
+        extend = jetscheme.extend_to_jet
+
+        def counting_extend(*args, **kwargs):
+            calls.append(kwargs["seed"])
+            return extend(*args, **kwargs)
+
+        monkeypatch.setattr(jetscheme, "extend_to_jet", counting_extend)
+        cert = nobile_certificate(CUSP, 1, 2, ORIGIN)
+        assert len(cert.cokernel.samples) == 20
+        assert calls == ["0:0"]
+        assert cert.witness_jet == extend(CUSP, find_smooth_point(CUSP, seed="0:0"), 1, seed="0:0")
+
+    @pytest.mark.parametrize("spec", [Q, GF101], ids=str)
+    def test_a_deficient_base_block_extends_and_ranks_the_jet(self, spec, monkeypatch):
+        calls = []
+        extend = jetscheme.extend_to_jet
+
+        def counting_extend(*args, **kwargs):
+            calls.append(kwargs["seed"])
+            return extend(*args, **kwargs)
+
+        monkeypatch.setattr(jetscheme, "extend_to_jet", counting_extend)
+        monkeypatch.setattr(jetscheme, "_base_rank", lambda D, series: -1)
+        for pres, seed in self.corpus(spec):
+            calls.clear()
+            report = generic_cokernel_rank(pres, trials=4, seed=seed)
+            samples, witness = self.eager_samples(pres, 4, seed)
+            assert report.samples == samples
+            assert report.witness == witness
+            # every trial's jet, the witness's among them, is extended once
+            assert calls == [f"{seed}:{t}" for t in range(4)]
 
 
 class TestRankCounterexample:

@@ -10,6 +10,8 @@ from jetjac import (
     DnMatrix,
     FieldSpec,
     JetVariable,
+    MissingCoordinate,
+    MixedFields,
     Point,
     PolyMatrix,
     Polynomial,
@@ -276,8 +278,8 @@ def rank_at_corpus(spec):
     rule: L of full row rank (Jac_m of the cusp at a smooth base), of full
     column rank (its transpose), deficient at the zero jet and at a random
     jet over the singular origin (x1_1 = 1 keeps A_1 or A_2 nonzero, also
-    over GF(2)), n = 0, L without rows or columns, and random L at mixed
-    jets."""
+    over GF(2)), n = 0, L without rows or columns (at a point of the field
+    with no coordinates), and random L at mixed jets."""
     rng = random.Random(f"rank-at:{spec}")
     p = spec.characteristic
 
@@ -300,8 +302,8 @@ def rank_at_corpus(spec):
             out.append(("origin", DnMatrix(L, n), origin))
     for rows, cols in ((0, 3), (3, 0), (0, 0)):
         for n in (0, 2):
-            # a matrix without entries is over Q
-            out.append(("empty", DnMatrix(PolyMatrix(rows, cols, ()), n), Point(Q, {})))
+            # a matrix without entries is over Q, the point over spec
+            out.append(("empty", DnMatrix(PolyMatrix(rows, cols, ()), n), Point(spec, {})))
     for _ in range(12):
         s, n, m = rng.randint(1, 3), rng.randint(0, 3), rng.randint(1, 2)
         f = random_base_polynomial(rng, s, 3, 5, spec, nonzero=True)
@@ -326,8 +328,12 @@ class TestRankAt:
 
         reached = set()
         for label, D, jet in rank_at_corpus(spec):
-            want = rank(at_point(D, jet))
-            branch = block_rule_branch(D, jet)
+            if label == "empty" and spec.characteristic:
+                # an entry-less L is over Q and cannot be laid out at a GF(p)
+                # point; A_0 is b x a with min(b, a) = 0
+                want, branch = 0, "full"
+            else:
+                want, branch = rank(at_point(D, jet)), block_rule_branch(D, jet)
             reached.add(branch)
             laid_out.clear()
             with monkeypatch.context() as patched:
@@ -343,6 +349,37 @@ class TestRankAt:
             if label == "origin" and D.L.rows > 1 and D.n:
                 assert branch == "dense", label
         assert reached == {"full", "diagonal", "dense"}
+
+    @pytest.mark.parametrize("spec", [Q, GF2, GF101], ids=str)
+    def test_zero_jet_expands_nothing_beyond_order_0(self, spec, monkeypatch):
+        # over a singular base A_0 is deficient, and a zero jet decides the
+        # rank with the series of L to order 0 only
+        orders = []
+        values = linalg._series_values
+
+        def recording_values(D, series, n):
+            orders.append(n)
+            return values(D, series, n)
+
+        for src, s in (("x1^3 - x2^2", 2), ("x1^3 - x2^2 + x1*x2*x3 + x3^4", 3)):
+            f = parse_poly(src, s, spec)
+            for m, n in ((1, 0), (2, 3), (3, 5)):
+                D = DnMatrix(jac_m([f], m), n)
+                zero_jet = Point.from_flat([0] * (s * (n + 1)), s, n, spec)
+                want = rank(at_point(D, zero_jet))
+                orders.clear()
+                with monkeypatch.context() as patched:
+                    patched.setattr(linalg, "_series_values", recording_values)
+                    assert rank_at(D, zero_jet) == want < min(D.rows, D.cols)
+                assert orders == [0], (src, m, n)
+
+    def test_checks_the_point_to_order_n(self):
+        # at a smooth base A_0 decides the rank, but the jet is still checked
+        D = DnMatrix(jac_m([CUSP], 2), 2)
+        with pytest.raises(MissingCoordinate):
+            rank_at(D, Point.from_flat([1, 1, 0, 0], 2, 1, Q))
+        with pytest.raises(MixedFields):
+            rank_at(D, Point.from_flat([1, 1] * 3, 2, 2, GF101))
 
 
 class TestPolyDet:
