@@ -461,30 +461,28 @@ class TestGenericCokernelRank:
             assert report.samples == samples, (str(pres.f), pres.n, pres.m, seed)
             assert report.witness == witness
 
+    @staticmethod
+    def record_extensions(monkeypatch):
+        """The seeds of the jets that generic_cokernel_rank extends."""
+        seeds = []
+
+        def recording_extend(*args, seed):
+            seeds.append(seed)
+            return extend_to_jet(*args, seed=seed)
+
+        monkeypatch.setattr(jetscheme, "extend_to_jet", recording_extend)
+        return seeds
+
     def test_a_default_certificate_extends_one_jet(self, monkeypatch):
-        calls = []
-        extend = jetscheme.extend_to_jet
-
-        def counting_extend(*args, **kwargs):
-            calls.append(kwargs["seed"])
-            return extend(*args, **kwargs)
-
-        monkeypatch.setattr(jetscheme, "extend_to_jet", counting_extend)
+        calls = self.record_extensions(monkeypatch)
         cert = nobile_certificate(CUSP, 1, 2, ORIGIN)
         assert len(cert.cokernel.samples) == 20
         assert calls == ["0:0"]
-        assert cert.witness_jet == extend(CUSP, find_smooth_point(CUSP, seed="0:0"), 1, seed="0:0")
+        assert cert.witness_jet == extend_to_jet(CUSP, find_smooth_point(CUSP, seed="0:0"), 1, seed="0:0")
 
     @pytest.mark.parametrize("spec", [Q, GF101], ids=str)
     def test_a_deficient_base_block_extends_and_ranks_the_jet(self, spec, monkeypatch):
-        calls = []
-        extend = jetscheme.extend_to_jet
-
-        def counting_extend(*args, **kwargs):
-            calls.append(kwargs["seed"])
-            return extend(*args, **kwargs)
-
-        monkeypatch.setattr(jetscheme, "extend_to_jet", counting_extend)
+        calls = self.record_extensions(monkeypatch)
         monkeypatch.setattr(jetscheme, "_base_rank", lambda D, series: -1)
         for pres, seed in self.corpus(spec):
             calls.clear()
