@@ -18,6 +18,7 @@ from .field import (
     is_prime,
 )
 from .hasse import (
+    BadJetOrder,
     CommutationReport,
     HSExpansion,
     NotBasePolynomial,
@@ -28,6 +29,8 @@ from .hasse import (
     jet_series,
 )
 from .jacobian import (
+    BadDifferentialOrder,
+    EmptyIndexFamily,
     EmptyInput,
     IndexFamilies,
     PolyMatrix,
@@ -68,6 +71,8 @@ from .jetscheme import (
     zero_jet_over,
 )
 from .linalg import (
+    BadMinorSize,
+    BadTrialCount,
     MinorSet,
     ScalarMatrix,
     TooManyMinors,
@@ -81,6 +86,7 @@ from .linalg import (
 )
 from .poly import (
     BadExponent,
+    CoefficientTooLong,
     JetVariable,
     MissingCoordinate,
     MultiIndex,

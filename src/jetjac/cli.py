@@ -25,8 +25,8 @@ import sys
 from dataclasses import asdict
 
 from .field import BadCoordinate, FieldError, FieldSpec, check_coordinate
-from .hasse import NotBasePolynomial, TooManyTerms, check_commutation, hs_components
-from .jacobian import EmptyInput, PolyMatrix, _bracketed, jac_m
+from .hasse import BadJetOrder, NotBasePolynomial, TooManyTerms, check_commutation, hs_components
+from .jacobian import BadDifferentialOrder, EmptyIndexFamily, EmptyInput, PolyMatrix, _bracketed, jac_m
 from .jetmatrix import DnMatrix, check_fdbd, dn_matrix
 from .jetscheme import (
     ConstantPolynomial,
@@ -38,13 +38,15 @@ from .jetscheme import (
     nobile_certificate,
     rank_counterexample_check,
 )
-from .linalg import TooManyMinors, generic_rank, minors, rank_at
+from .linalg import BadMinorSize, BadTrialCount, TooManyMinors, generic_rank, minors, rank_at
 from .poly import (
+    CoefficientTooLong,
     MissingCoordinate,
     ParseError,
     Point,
     Polynomial,
     WrongCoordinateCount,
+    _integer,
     parse_poly,
 )
 
@@ -69,8 +71,12 @@ DOMAIN_ERRORS = (
     PointNotOnScheme,
     NotSingularBase,
     NoSmoothPointFound,
-    ValueError,
-    ArithmeticError,
+    BadJetOrder,
+    BadDifferentialOrder,
+    EmptyIndexFamily,
+    BadMinorSize,
+    BadTrialCount,
+    CoefficientTooLong,
 )
 
 _VAR_MENTION = re.compile(r"x(\d+)(?:_\d+)?")
@@ -79,8 +85,8 @@ _COORDINATE_FLAGS = ("--point", "--base")
 
 def infer_base_count(source: str) -> int:
     """Number of base variables: the highest index mentioned (at least 1)."""
-    indices = [int(m.group(1)) for m in _VAR_MENTION.finditer(source)]
-    return max(indices, default=1)
+    indices = [_integer(m.group(1), m.start(1)) for m in _VAR_MENTION.finditer(source)]
+    return max([1, *indices])
 
 
 def parse_field(text: str) -> FieldSpec:
@@ -103,7 +109,11 @@ def parse_point(text: str, s: int, n: int, spec: FieldSpec) -> Point:
 
 
 def matrix_dims(mx: PolyMatrix | DnMatrix) -> tuple[int, int]:
-    """(s, max jet order) across all entries of the matrix."""
+    """(s, max jet order) across all entries of the matrix: (D.s, D.n) for
+    D = D_n(L), read off without listing its variables.  A matrix without
+    variables gives (1, 0)."""
+    if isinstance(mx, DnMatrix):
+        return (mx.s, mx.n) if mx.s else (1, 0)
     variables = mx.variables()
     s = max((v.base for v in variables), default=1)
     order = max((v.order for v in variables), default=0)
@@ -147,7 +157,7 @@ def _matrix_json_fields(text: str) -> tuple[int, int, list[str]]:
     the entries in row-major order."""
     try:
         obj = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, or an integer too long for int()
         raise BadMatrixJSON(f"not a builder reference or JSON: {exc}") from None
     if not isinstance(obj, dict):
         raise BadMatrixJSON("expected a JSON object {rows, cols, entries}")

@@ -135,7 +135,11 @@ class FieldSpec:
                 raise MixedFields(f"{x.spec} value used where {self} expected")
             return x.value
         if isinstance(x, str):
-            x = Fraction(check_coordinate(x))
+            text = check_coordinate(x)
+            try:
+                x = Fraction(text)
+            except ValueError:  # more digits than int() converts
+                raise BadCoordinate(f"coordinate of {len(text)} characters is too long") from None
         elif not isinstance(x, (int, Fraction)):
             raise BadCoordinate(f"{x!r} is not an integer or a fraction a/b")
         if p == 0:

@@ -40,6 +40,10 @@ class NotBasePolynomial(ValueError):
     """Input contains jet variables of positive order."""
 
 
+class BadJetOrder(ValueError):
+    """A jet order n below 0."""
+
+
 class TooManyTerms(ValueError):
     """The components d_0(f), ..., d_n(f) would exceed TERM_CAP terms."""
 
@@ -227,7 +231,7 @@ def hs_components(f: Polynomial, n: int) -> HSExpansion:
     built."""
     _require_base(f)
     if n < 0:
-        raise ValueError("n must be >= 0")
+        raise BadJetOrder("n must be >= 0")
     s = f.base_count
     spec = f.spec
     p = spec.characteristic

@@ -25,6 +25,14 @@ class EmptyInput(ValueError):
     """A matrix builder received no polynomials."""
 
 
+class BadDifferentialOrder(ValueError):
+    """A differential order m below 1."""
+
+
+class EmptyIndexFamily(ValueError):
+    """Index families need s >= 1 base variables and an order m >= 1."""
+
+
 def _bracketed(table: list[list[str]]) -> str:
     """The text layout of a matrix: one "[a, b, ...]" line per row of
     rendered entries."""
@@ -62,7 +70,7 @@ class IndexFamilies:
 
 def index_families(s: int, m: int) -> IndexFamilies:
     if s < 1 or m < 1:
-        raise ValueError("need s >= 1 and m >= 1")
+        raise EmptyIndexFamily("need s >= 1 and m >= 1")
     lambda0 = tuple(
         beta for d in range(m) for beta in exponent_vectors(d, s)
     )
@@ -176,7 +184,7 @@ def jac_m(fs: list[Polynomial], m: int) -> PolyMatrix:
     if not fs:
         raise EmptyInput("no polynomials given")
     if m < 1:
-        raise ValueError("m must be >= 1")
+        raise BadDifferentialOrder("m must be >= 1")
     s = max(f.base_count for f in fs)
     fam = index_families(s, m)
     entries = []

@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .field import FieldSpec
-from .hasse import HSExpansion, _require_base, _substituted, hs_components, jet_series
+from .hasse import BadJetOrder, HSExpansion, _require_base, _substituted, hs_components, jet_series
 from .jacobian import PolyMatrix, ScalarMatrix, jac
 from .poly import JetVariable, Point, Polynomial, jet_grid
 
@@ -74,19 +74,11 @@ def dn_matrix_at(L: PolyMatrix, n: int, point: Point) -> ScalarMatrix:
 def _series_values(D: DnMatrix, series: dict[int, list], n: int) -> list[list]:
     # [d_0(g)(a), ..., d_n(g)(a)] per entry g of L, row by row: the
     # t-series g(a(t)) truncated after t^n, from the jet series of
-    # hasse.jet_series to order n.  jac_m repeats one object for many
-    # entries, so the cache is keyed on the object, not on equality.
+    # hasse.jet_series to order n, once per distinct entry object
     p = D.spec.characteristic
     powers: dict = {}
-    cache: dict[int, list] = {}
-    entry_values = []
-    for g in D.L.entries:
-        vals = cache.get(id(g))
-        if vals is None:
-            vals = _substituted(g, n, series, powers, p)
-            cache[id(g)] = vals
-        entry_values.append(vals)
-    return entry_values
+    distinct = [_substituted(g, n, series, powers, p) for g in D.distinct]
+    return list(map(distinct.__getitem__, D.layout))
 
 
 def _block_layout(D: DnMatrix, entry_values: list[list]) -> ScalarMatrix:
@@ -113,20 +105,30 @@ class DnMatrix:
     of dn_matrix(L, n).  Building it checks n and each entry of L once and
     keeps s, the largest base index of L, so linalg.at_point and
     linalg.rank_at put it at any number of points by Taylor mode without
-    checking L again."""
+    checking L again.  jac_m repeats one object for many entries, so it
+    also keeps the distinct entry objects of L and, per entry of L, the
+    index of its object among them: a value at a point is computed once
+    per object and laid out through `layout`."""
 
     L: PolyMatrix
     n: int
     s: int = field(init=False, repr=False, compare=False)
+    distinct: tuple[Polynomial, ...] = field(init=False, repr=False, compare=False)
+    layout: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.n < 0:
-            raise ValueError("n must be >= 0")
-        # jac_m repeats one object for many entries: check each object once
-        distinct = {id(g): g for g in self.L.entries}.values()
-        for g in distinct:
-            _require_base(g)
+            raise BadJetOrder("n must be >= 0")
+        index: dict[int, int] = {}
+        distinct = []
+        for g in self.L.entries:
+            if id(g) not in index:
+                index[id(g)] = len(distinct)
+                distinct.append(g)
+                _require_base(g)
         object.__setattr__(self, "s", max((g.base_count for g in distinct), default=0))
+        object.__setattr__(self, "distinct", tuple(distinct))
+        object.__setattr__(self, "layout", tuple(index[id(g)] for g in self.L.entries))
 
     @property
     def rows(self) -> int:
@@ -149,7 +151,7 @@ def jet_jacobian(fs: list[Polynomial], n: int) -> PolyMatrix:
     variables up to order n: row block k differentiates d_k(f_l), column
     block j differentiates by x_1^(j), ..., x_s^(j)."""
     if n < 0:
-        raise ValueError("n must be >= 0")
+        raise BadJetOrder("n must be >= 0")
     expansions = [hs_components(f, n) for f in fs]
     s = max(f.base_count for f in fs)
     entries = []

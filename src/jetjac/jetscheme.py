@@ -43,12 +43,12 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .field import FieldElement, is_prime
-from .hasse import _require_base, hs_components, hs_values, jet_series
-from .jacobian import PolyMatrix, index_families, jac_m
+from .field import is_prime
+from .hasse import BadJetOrder, _require_base, hs_components, hs_values, jet_series
+from .jacobian import BadDifferentialOrder, PolyMatrix, index_families, jac_m
 from .jetmatrix import DnMatrix, dn_matrix
-from .linalg import SAMPLE_RANGE, _base_rank, rank_at, trial_rng
-from .poly import JetVariable, MissingCoordinate, Point, Polynomial
+from .linalg import SAMPLE_RANGE, BadTrialCount, _base_rank, rank_at, trial_rng
+from .poly import JetVariable, MissingCoordinate, Point, Polynomial, _raw_value, base_variables
 
 
 class ConstantPolynomial(ValueError):
@@ -93,7 +93,7 @@ def jet_equations(f: Polynomial, n: int) -> JetSchemeDesc:
         raise ConstantPolynomial("the hypersurface equation is constant")
     _require_base(f)
     if n < 0:
-        raise ValueError("n must be >= 0")
+        raise BadJetOrder("n must be >= 0")
     return JetSchemeDesc(f, f.base_count, n)
 
 
@@ -122,7 +122,7 @@ def higher_rank_test(desc: JetSchemeDesc, point: Point, m: int) -> RankReport:
     assumption, in any characteristic.  For m = 1 this is the classical
     criterion: the Jacobian of (f, d_1 f, ..., d_n f) has rank n + 1."""
     if m < 1:
-        raise ValueError("m must be >= 1")
+        raise BadDifferentialOrder("m must be >= 1")
     return _rank_report(desc, DnMatrix(jac_m([desc.f], m), desc.n), point)
 
 
@@ -164,9 +164,9 @@ def presentation_of(f: Polynomial, n: int, m: int) -> Presentation:
     """Presentation matrix of the order-m differentials of the hypersurface
     ring, tensored over the order-n jet algebra when n > 0."""
     if m < 1:
-        raise ValueError("m must be >= 1")
+        raise BadDifferentialOrder("m must be >= 1")
     if n < 0:
-        raise ValueError("n must be >= 0")
+        raise BadJetOrder("n must be >= 0")
     fam = index_families(f.base_count, m)
     if n == 0:
         label = "Omega1" if m == 1 else "OmegaM"
@@ -233,11 +233,20 @@ def _divmod(a: list[int], b: list[int], p: int) -> tuple[list[int], list[int]]:
 
 
 def _mulmod(a: list[int], b: list[int], g: list[int], p: int) -> list[int]:
+    """a*b mod the monic g: the product is reduced in place, from its top
+    coefficient down, and taken mod p once at the end."""
     prod = [0] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            prod[i + j] += x * y
-    return _divmod([c % p for c in prod], g, p)[1]
+        if x:
+            for j, y in enumerate(b, i):
+                prod[j] += x * y
+    dg = len(g) - 1
+    for top in range(len(prod) - 1, dg - 1, -1):
+        c = prod[top] % p
+        if c:
+            for j, y in enumerate(g, top - dg):
+                prod[j] -= c * y
+    return _trim([c % p for c in prod[:dg]])
 
 
 def _powmod(a: list[int], e: int, g: list[int], p: int) -> list[int]:
@@ -424,19 +433,20 @@ def _rational_roots(coeffs: list[Fraction]) -> list[Fraction]:
     return roots + sorted(found, key=lambda x: (abs(x.numerator), x.denominator, x < 0))
 
 
-def _univariate_in(f: Polynomial, target: JetVariable, fixed: dict[JetVariable, object]):
-    """Coefficients (ascending) of f as a univariate polynomial in
-    `target`, the other variables frozen at raw values `fixed`."""
+def _univariate_in(f: Polynomial, target: int, vals: list):
+    """Coefficients (ascending) of f as a univariate polynomial in the
+    base variable x_target, every other x_i frozen at the raw scalar
+    vals[i - 1]."""
     p = f.spec.characteristic
-    target_idx = f.ambient.index(target)
-    vals = [fixed.get(v) for v in f.ambient]
     coeffs: dict[int, object] = {}
     for exps, c in f.terms.items():
-        t = c
-        for idx, e in enumerate(exps):
-            if e and idx != target_idx:
-                t = t * pow(vals[idx], e, p) if p else t * vals[idx] ** e
-        k = exps[target_idx]
+        t, k = c, 0
+        for v, e in zip(f.ambient, exps):
+            if e:
+                if v.base == target:
+                    k = e
+                else:
+                    t = t * pow(vals[v.base - 1], e, p) if p else t * vals[v.base - 1] ** e
         acc = coeffs.get(k, 0) + t
         coeffs[k] = acc % p if p else acc
     top = max(coeffs, default=0)
@@ -453,7 +463,10 @@ def find_smooth_point(f: Polynomial, seed=0, attempts: int = 200) -> Point:
     polynomial in the bit size of the coefficients.  Roots in GF(p) are
     tried in ascending order, rational roots 0 first and then by
     (|numerator|, denominator, positive before negative).  Deterministic
-    in seed.
+    in seed.  A trial keeps its coordinates as a list of raw scalars and
+    tests each root on it with poly._raw_value, the s first partials
+    sharing one table of powers; only the point it returns is built as
+    a Point.
     """
     s = f.base_count
     spec = f.spec
@@ -463,22 +476,18 @@ def find_smooth_point(f: Polynomial, seed=0, attempts: int = 200) -> Point:
     partials = [f.partial(JetVariable(i, 0)) for i in range(1, s + 1)]
     for t in range(attempts):
         rng = trial_rng(seed, t, "smooth-point")
-        solve_base = t % s + 1
-        fixed = {}
-        for i in range(1, s + 1):
-            if i != solve_base:
-                fixed[JetVariable(i, 0)] = (
-                    rng.randrange(p) if p else rng.randint(-SAMPLE_RANGE, SAMPLE_RANGE)
-                )
-        target = JetVariable(solve_base, 0)
-        coeffs = _univariate_in(f, target, fixed)
+        solve = t % s  # x_(solve + 1) is solved for
+        vals = [
+            None if i == solve else rng.randrange(p) if p else rng.randint(-SAMPLE_RANGE, SAMPLE_RANGE)
+            for i in range(s)
+        ]
+        coeffs = _univariate_in(f, solve + 1, vals)
         roots = _residue_roots(coeffs, p) if p else _rational_roots(coeffs)
         for root in roots:
-            coords = {v: FieldElement(spec, val) for v, val in fixed.items()}
-            coords[target] = FieldElement(spec, root)
-            point = Point(spec, coords)
-            if any(not g.evaluate(point).is_zero for g in partials):
-                return point
+            vals[solve] = root
+            powers: dict = {}
+            if any(_raw_value(g, vals, p, powers) for g in partials):
+                return Point.from_base(vals, spec)
     raise NoSmoothPointFound(
         f"no smooth point of V(f) found in {attempts} attempts; "
         "the equation may be degenerate (e.g. a p-th power in characteristic p)"
@@ -495,10 +504,11 @@ def extend_to_jet(f: Polynomial, base, n: int, seed=0) -> Point:
     order-k equation (the equation is affine in the order-k coordinates
     with the first partials of f as coefficients).  Its value d_k(f) at
     the jet so far is the t^k coefficient of f(a(t)), computed by Taylor
-    mode with the solved coordinate set to 0.
+    mode with the solved coordinate set to 0.  f and its gradient at the
+    base point come from poly._raw_value on the raw base coordinates.
     """
     if n < 0:
-        raise ValueError("n must be >= 0")
+        raise BadJetOrder("n must be >= 0")
     spec = f.spec
     p = spec.characteristic
     coords = dict(base.coords) if isinstance(base, Point) else dict(base)
@@ -506,12 +516,11 @@ def extend_to_jet(f: Polynomial, base, n: int, seed=0) -> Point:
     for i in range(1, s + 1):
         if JetVariable(i, 0) not in coords:
             raise MissingCoordinate(f"base coordinate x{i} is not assigned")
-    base_point = Point(spec, {JetVariable(i, 0): coords[JetVariable(i, 0)] for i in range(1, s + 1)})
-    if not f.evaluate(base_point).is_zero:
+    vals = [coords[JetVariable(i, 0)].value for i in range(1, s + 1)]
+    powers: dict = {}
+    if _raw_value(f, vals, p, powers):
         raise PointNotOnScheme("the base point is not on the hypersurface")
-    grad = {
-        i: f.partial(JetVariable(i, 0)).evaluate(base_point) for i in range(1, s + 1)
-    }
+    grad = {i: _raw_value(f.partial(JetVariable(i, 0)), vals, p, powers) for i in range(1, s + 1)}
     rng = trial_rng(seed, n, "jet-fill")
 
     def fill():
@@ -524,7 +533,7 @@ def extend_to_jet(f: Polynomial, base, n: int, seed=0) -> Point:
 
     for k in range(1, n + 1):
         unknown = [i for i in range(1, s + 1) if JetVariable(i, k) not in coords]
-        solvable = [i for i in unknown if not grad[i].is_zero]
+        solvable = [i for i in unknown if grad[i]]
         if unknown and solvable:
             solve_i = solvable[0]
             for i in unknown:
@@ -576,22 +585,25 @@ def generic_cokernel_rank(pres: Presentation, trials: int = 20, seed=0) -> Coker
     seed=f"{seed}:{t}") over it.  Every diagonal block of D_n(L) at that
     jet is A_0 = L(a_0) (see linalg.rank_at), so when A_0 has rank
     min(b, a) the sample is cols - (n+1) min(b, a) whatever the jet is,
-    and no jet is built; otherwise the jet is extended and ranked.  The
+    and no jet is built; otherwise the jet is extended and ranked.  A_0
+    is evaluated on the raw coordinates of a_0, read off the Point once
+    per trial (linalg._base_rank), with no jet series.  The
     witness, the first jet of least sample, is extended once at the end.
     Skipping the other extensions changes no outcome: each uses its own
     seeded generator, and at a smooth base some first partial is nonzero,
     so extend_to_jet solves the order-k equation at every k and cannot
     raise there."""
     if trials < 1:
-        raise ValueError("trials must be >= 1")
+        raise BadTrialCount("trials must be >= 1")
     expected = pres.gens - pres.rels
     D = pres._dn
     full = min(D.L.rows, D.L.cols)
+    grid = base_variables(D.s)
     samples = []
     for t in range(trials):
         base = find_smooth_point(pres.f, seed=f"{seed}:{t}")
         jet = None
-        if _base_rank(D, jet_series(base, D.spec, D.s, 0)) == full:
+        if _base_rank(D, [base[v].value for v in grid]) == full:
             sample = D.cols - (pres.n + 1) * full
         else:
             jet = extend_to_jet(pres.f, base, pres.n, seed=f"{seed}:{t}")
@@ -642,9 +654,9 @@ def rank_counterexample_check(n: int = 1, m: int = 2) -> FreeRankComparison:
     free module of rank C(m+v, v) - 1 (no relations), and the jet algebra
     of one base variable is a polynomial ring in n+1 variables."""
     if n < 0:
-        raise ValueError("n must be >= 0")
+        raise BadJetOrder("n must be >= 0")
     if m < 1:
-        raise ValueError("m must be >= 1")
+        raise BadDifferentialOrder("m must be >= 1")
 
     def free_rank(v: int) -> int:
         return index_families(v, m).N
@@ -732,9 +744,9 @@ def nobile_certificate(
     otherwise."""
     _require_base(f)
     if m < 1:
-        raise ValueError("m must be >= 1")
+        raise BadDifferentialOrder("m must be >= 1")
     if trials < 1:
-        raise ValueError("trials must be >= 1")
+        raise BadTrialCount("trials must be >= 1")
     s = f.base_count
     for i in range(1, s + 1):
         if JetVariable(i, 0) not in singular_base.coords:

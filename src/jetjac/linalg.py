@@ -11,8 +11,11 @@ ranks D_n(L) at a jet by the block rule: every diagonal block is the
 b x a matrix A_0 = L(a_0), so when A_0 has full row or column rank, or
 every block above the diagonal vanishes, the rank is (n+1) rank(A_0);
 only otherwise is the whole (n+1)b x (n+1)a matrix eliminated.  A_0 is
-ranked first, from the order-0 coordinates alone, and the series of L
-to order n is computed only when A_0 does not decide the rank.
+ranked first: each distinct entry object of L is evaluated once at the
+raw order-0 coordinates by poly._raw_value, the evaluator that
+Polynomial.evaluate wraps too, with one table of powers for all of them.
+The series of L to order n is computed only when A_0 does not decide
+the rank.
 Minors and determinants of polynomial matrices come from one
 division-free Laplace expansion, shared between all row selections with
 a common prefix.
@@ -31,7 +34,7 @@ from .field import FieldElement, FieldSpec
 from .hasse import jet_series
 from .jacobian import PolyMatrix, ScalarMatrix
 from .jetmatrix import DnMatrix, _block_layout, _series_values
-from .poly import Point, Polynomial
+from .poly import Point, Polynomial, _raw_value
 
 MINOR_CAP = 100_000
 SAMPLE_RANGE = 10  # rational evaluation coordinates are drawn from [-10, 10]
@@ -43,6 +46,14 @@ class TooManyMinors(ValueError):
     def __init__(self, count: int, cap: int):
         super().__init__(f"would generate {count} minors (cap {cap})")
         self.count = count
+
+
+class BadMinorSize(ValueError):
+    """A minor size k outside 0..min(rows, cols)."""
+
+
+class BadTrialCount(ValueError):
+    """A sampling budget of fewer than one trial."""
 
 
 def eval_matrix(mx: PolyMatrix, point: Point) -> ScalarMatrix:
@@ -86,12 +97,12 @@ def rank_at(mx: PolyMatrix | DnMatrix, point: Point) -> int:
         block row, then x_(n-1) = 0, and so on;
       - every A_k with k >= 1 is zero, as at every zero jet: D is then
         block diagonal with n + 1 copies of A_0.
-    A_0 comes first, from the order-0 coordinates alone (_base_rank).
-    The series of L(a(t)) to order n is computed only when A_0 is
-    deficient and some coordinate of positive order is nonzero, so a zero
-    jet never expands L beyond order 0; only when some A_k is then nonzero
-    is the whole (n+1)b x (n+1)a matrix laid out and eliminated.  The
-    point is checked to order n in every case.  A matrix without rows or
+    A_0 comes first, evaluated at the raw order-0 coordinates alone
+    (_base_rank).  The series of L(a(t)) to order n is computed only when
+    A_0 is deficient and some coordinate of positive order is nonzero, so
+    a zero jet takes no series of L at all; only when some A_k is then
+    nonzero is the whole (n+1)b x (n+1)a matrix laid out and eliminated.
+    The point is checked to order n in every case.  A matrix without rows or
     columns has rank 0 at any point, and any other matrix is evaluated
     entry by entry."""
     if mx.rows == 0 or mx.cols == 0:
@@ -100,7 +111,7 @@ def rank_at(mx: PolyMatrix | DnMatrix, point: Point) -> int:
         return rank(eval_matrix(mx, point))
     n = mx.n
     series = jet_series(point, mx.spec, mx.s, n)
-    r0 = _base_rank(mx, series)
+    r0 = _base_rank(mx, [v[0] for v in series.values()])
     if r0 == min(mx.L.rows, mx.L.cols) or not any(any(v[1:]) for v in series.values()):
         return (n + 1) * r0
     values = _series_values(mx, series, n)
@@ -109,11 +120,14 @@ def rank_at(mx: PolyMatrix | DnMatrix, point: Point) -> int:
     return rank(_block_layout(mx, values))
 
 
-def _base_rank(D: DnMatrix, series: dict[int, list]) -> int:
-    """rank A_0 = L(a_0) for D = D_n(L), from the order-0 coordinates of
-    a jet series (hasse.jet_series, to any order)."""
-    base = {i: v[:1] for i, v in series.items()}
-    values = tuple(v[0] for v in _series_values(D, base, 0))
+def _base_rank(D: DnMatrix, base_values: list) -> int:
+    """rank A_0 = L(a_0) for D = D_n(L), where x_i takes the raw scalar
+    base_values[i - 1].  Each distinct entry object of L is evaluated
+    once, and all of them share one table of powers."""
+    p = D.spec.characteristic
+    powers: dict = {}
+    distinct = [_raw_value(g, base_values, p, powers) for g in D.distinct]
+    values = tuple(map(distinct.__getitem__, D.layout))
     return rank(ScalarMatrix(D.L.rows, D.L.cols, values, D.spec))
 
 
@@ -206,7 +220,7 @@ def minors(mx: PolyMatrix, k: int, cap: int = MINOR_CAP) -> MinorSet:
     At most cap minors are listed, and at most cap intermediate minors
     are stored while computing them (TooManyMinors otherwise)."""
     if k < 0 or k > min(mx.rows, mx.cols):
-        raise ValueError(f"k must be between 0 and min({mx.rows}, {mx.cols})")
+        raise BadMinorSize(f"k must be between 0 and min({mx.rows}, {mx.cols})")
     count = math.comb(mx.rows, k) * math.comb(mx.cols, k)
     if count > cap:
         raise TooManyMinors(count, cap)
@@ -308,7 +322,7 @@ def generic_rank(mx: PolyMatrix | DnMatrix, trials: int = 20, seed: int = 0) -> 
     field; it equals it with high probability.  Deterministic in seed.
     """
     if trials < 1:
-        raise ValueError("trials must be >= 1")
+        raise BadTrialCount("trials must be >= 1")
     variables = mx.variables()
     best = 0
     limit = min(mx.rows, mx.cols)

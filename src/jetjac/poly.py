@@ -62,6 +62,12 @@ class WrongCoordinateCount(ValueError):
     """A flat point lists more or fewer coordinates than its variables."""
 
 
+class CoefficientTooLong(ValueError):
+    """A coefficient or exponent has more decimal digits than int()
+    converts to text (sys.get_int_max_str_digits), so the polynomial
+    cannot be printed."""
+
+
 @total_ordering
 @dataclass(frozen=True)
 class JetVariable:
@@ -443,24 +449,20 @@ class Polynomial:
         return Polynomial._make(self.spec, self.ambient, out)
 
     def evaluate(self, point: "Point") -> FieldElement:
-        """Exact value at a point assigning every ambient variable."""
+        """Exact value at a point assigning every ambient variable: the
+        point's coordinates laid out flat, in the order of Point.from_flat,
+        and handed to _raw_value."""
         if point.spec != self.spec:
             raise MixedFields(f"point over {point.spec}, polynomial over {self.spec}")
-        vals = []
+        width = self.base_count
+        vals = [None] * (width * (self.max_order + 1))
+        coords = point.coords
         for v in self.ambient:
-            fe = point.coords.get(v)
+            fe = coords.get(v)
             if fe is None:
                 raise MissingCoordinate(f"point assigns no value to {v.name}")
-            vals.append(fe.value)
-        p = self.spec.characteristic
-        acc = 0
-        for exps, c in self.terms.items():
-            t = c
-            for val, e in zip(vals, exps):
-                if e:
-                    t = t * pow(val, e, p) if p else t * val**e
-            acc = (acc + t) % p if p else acc + t
-        return FieldElement(self.spec, acc)
+            vals[v.order * width + v.base - 1] = fe.value
+        return FieldElement(self.spec, _raw_value(self, vals, self.spec.characteristic, {}, width))
 
     # -- identity ----------------------------------------------------
 
@@ -499,22 +501,48 @@ class Polynomial:
             return "0"
         names = [v.name for v in self.ambient]
         parts = []
-        for exps, c in sorted(self.terms.items(), key=lambda kv: (sum(kv[0]), kv[0]), reverse=True):
-            # residues mod p are never negative; a Fraction prints as num or num/den
-            num, den = c.numerator, c.denominator
-            if num < 0:
-                parts.append("-")
-                num = -num
-            elif parts:
-                parts.append("+")
-            factors = [name if e == 1 else f"{name}^{e}" for name, e in zip(names, exps) if e]
-            if num != 1 or den != 1 or not factors:
-                factors.insert(0, str(num) if den == 1 else f"{num}/{den}")
-            parts.append("*".join(factors))
+        terms = sorted(self.terms.items(), key=lambda kv: (sum(kv[0]), kv[0]), reverse=True)
+        try:
+            for exps, c in terms:
+                # residues mod p are never negative; a Fraction prints as num or num/den
+                num, den = c.numerator, c.denominator
+                if num < 0:
+                    parts.append("-")
+                    num = -num
+                elif parts:
+                    parts.append("+")
+                factors = [name if e == 1 else f"{name}^{e}" for name, e in zip(names, exps) if e]
+                if num != 1 or den != 1 or not factors:
+                    factors.insert(0, str(num) if den == 1 else f"{num}/{den}")
+                parts.append("*".join(factors))
+        except ValueError:  # only int-to-text conversion raises it here
+            raise CoefficientTooLong("a coefficient or exponent has too many digits to print") from None
         return "".join(parts)
 
     def __repr__(self) -> str:
         return f"Polynomial({self}, field={self.spec})"
+
+
+def _raw_value(g: Polynomial, vals: Sequence, p: int, powers: dict, width: int = 0):
+    """The raw value of g where x_i^(j) takes the raw scalar
+    vals[j * width + i - 1], the flat order of Point.from_flat; for a
+    polynomial in the base variables alone x_i takes vals[i - 1] whatever
+    the width.  powers caches vals[k]^e by (k, e), so every polynomial
+    evaluated at the same vals may share one dict.  Over Q an integral
+    value is an int, as FieldSpec.raw stores it."""
+    slots = [v.order * width + v.base - 1 for v in g.ambient]
+    acc = 0
+    for exps, c in g.terms.items():
+        for k, e in zip(slots, exps):
+            if e == 1:
+                c = c * vals[k]
+            elif e:
+                pw = powers.get((k, e))
+                if pw is None:
+                    pw = powers[k, e] = pow(vals[k], e, p) if p else vals[k] ** e
+                c = c * pw
+        acc += c
+    return acc % p if p else _rational(acc)
 
 
 @dataclass(frozen=True, eq=False)
@@ -561,6 +589,15 @@ class Point:
 
 _TOKEN = re.compile(r"(?P<ws>\s+)|(?P<num>\d+)|(?P<name>[A-Za-z]\w*)|(?P<op>[-+*/^])")
 _VAR = re.compile(r"x(\d+)(?:_(\d+))?$")
+
+
+def _integer(digits: str, position: int) -> int:
+    """int(digits), or a ParseError when the literal has more digits than
+    int() converts (sys.get_int_max_str_digits)."""
+    try:
+        return int(digits)
+    except ValueError:
+        raise ParseError(f"integer literal of {len(digits)} digits is too long", position) from None
 
 
 def _tokenize(src: str):
@@ -623,22 +660,23 @@ class _Parser:
     def factor(self, mono, coeff):
         kind, text, pos = self.take()
         if kind == "num":
-            value = Fraction(int(text))
+            value = Fraction(_integer(text, pos))
             if self.peek()[:2] == ("op", "/"):
                 self.take()
                 kind2, text2, pos2 = self.take()
                 if kind2 != "num":
                     raise ParseError("expected an integer denominator", pos2)
-                if int(text2) == 0:
+                den = _integer(text2, pos2)
+                if den == 0:
                     raise ParseError("zero denominator", pos2)
-                value /= int(text2)
+                value /= den
             return coeff * value
         if kind == "name":
             m = _VAR.match(text)
             if m is None:
                 raise UnknownVariable(f"unknown variable {text!r}", pos)
-            base = int(m.group(1))
-            order = int(m.group(2) or 0)
+            base = _integer(m.group(1), pos + 1)
+            order = _integer(m.group(2), pos + m.start(2)) if m.group(2) else 0
             if not 1 <= base <= self.s:
                 raise UnknownVariable(
                     f"variable {text!r} outside x1..x{self.s}", pos
@@ -652,7 +690,7 @@ class _Parser:
                     raise BadExponent("negative exponent", pos2)
                 if kind2 != "num":
                     raise ParseError("expected an exponent", pos2)
-                e = int(text2)
+                e = _integer(text2, pos2)
             mono[v] = mono.get(v, 0) + e
             return coeff
         raise ParseError(f"expected a coefficient or variable, found {text!r}", pos)

@@ -81,6 +81,22 @@ def polynomial_str(self: Polynomial) -> str:
     return out
 
 
+def evaluate_termwise(f: Polynomial, point) -> object:
+    """The raw value of f at a point, computed as Polynomial.evaluate did
+    before it shared one core with the rest of the library: every power
+    of every term is taken anew, and nothing is cached."""
+    p = f.spec.characteristic
+    vals = [point.coords[v].value for v in f.ambient]
+    acc = 0
+    for exps, c in f.terms.items():
+        t = c
+        for val, e in zip(vals, exps):
+            if e:
+                t = t * pow(val, e, p) if p else t * val**e
+        acc = (acc + t) % p if p else acc + t
+    return f.spec.raw(acc)
+
+
 def residue_roots_scan(coeffs: list[int], p: int) -> list[int]:
     """Roots in GF(p), ascending, of the univariate polynomial with the
     given integer coefficients (ascending), by evaluating it at every

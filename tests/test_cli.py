@@ -7,13 +7,15 @@ from pathlib import Path
 
 import pytest
 
-from jetjac import FieldSpec, PolyMatrix, Polynomial, dn_matrix, hasse, jac_m, parse_poly
-from jetjac.cli import build_matrix, infer_base_count, run
+import jetjac
+from jetjac import DnMatrix, FieldSpec, PolyMatrix, Polynomial, dn_matrix, hasse, jac_m, parse_poly
+from jetjac.cli import DOMAIN_ERRORS, build_matrix, build_parser, infer_base_count, matrix_argument, matrix_dims, run
 
 Q = FieldSpec.rationals()
 GF2 = FieldSpec.prime_field(2)
 
 QUARTIC = "x1^3 - x2^2 + x1*x2*x3 + x3^4"
+CUSP_SOURCE = "x1^3 - x2^2"
 
 EXPECTED_JACM_LINES = [
     "[3*x1^2, -2*x2, 3*x1, 0, -1]",
@@ -210,6 +212,21 @@ class TestRankCommands:
     def test_build_matrix_helper(self):
         mx = build_matrix("jacm:2:x1^3 - x2^2", Q)
         assert (mx.rows, mx.cols) == (3, 5)
+
+    @pytest.mark.parametrize("n", [0, 1, 3])
+    def test_matrix_dims_of_dn_l_are_s_and_n(self, n):
+        D = matrix_argument(f"dnl:{n}:2:x1^3 - x2^2 + x3", Q)
+        assert matrix_dims(D) == (3, n) == (max(v.base for v in D.variables()), max(v.order for v in D.variables()))
+
+    @pytest.mark.parametrize(
+        "L",
+        [PolyMatrix(0, 3, ()), PolyMatrix(0, 0, ()), PolyMatrix(1, 2, (Polynomial.constant(Q, 1), Polynomial.zero(Q)))],
+        ids=["no rows", "empty", "constants"],
+    )
+    def test_matrix_dims_of_dn_l_without_variables(self, L):
+        D = DnMatrix(L, 2)
+        assert D.variables() == ()
+        assert matrix_dims(D) == (1, 0)
 
 
 class TestOneRendering:
@@ -463,7 +480,89 @@ class TestErrorHandling:
     def test_rank_remark_names_the_flag(self, capsys, flags, message):
         code, out, err = invoke(capsys, "rank-remark", *flags)
         assert (code, out) == (1, "")
-        assert err == f"ValueError: {message}\n"
+        # each range error has a class of its own, and stderr names it
+        name = {"--n": "BadJetOrder", "--m": "BadDifferentialOrder"}[flags[0]]
+        assert err == f"{name}: {message}\n"
+
+    # every out-of-range integer flag of every subcommand, and the sizes
+    # inside a builder reference, with the error class it must raise
+    OUT_OF_RANGE = {
+        "hs-derive --n": (["hs-derive", "--f", "x1^2", "--n", "-1"], "BadJetOrder"),
+        "verify-identities --n": (["verify-identities", "--f", "x1^2", "--n", "-1"], "BadJetOrder"),
+        "jacm --m": (["jacm", "--f", "x1^2", "--m", "0"], "BadDifferentialOrder"),
+        "dnl --n": (["dnl", "--f", "x1^2", "--n", "-1"], "BadJetOrder"),
+        "dnl --m": (["dnl", "--f", "x1^2", "--n", "1", "--m", "0"], "BadDifferentialOrder"),
+        "check-fdbd --n": (["check-fdbd", "--f", "x1^2", "--n", "-1"], "BadJetOrder"),
+        "jet-equations --n": (["jet-equations", "--f", "x1^2", "--n", "-1"], "BadJetOrder"),
+        "rank-at-point jacm m": (["rank-at-point", "--matrix", "jacm:0:x1^2", "--point", "1"], "BadDifferentialOrder"),
+        "rank-at-point dnl n": (["rank-at-point", "--matrix", "dnl:-1:1:x1^2", "--point", "1"], "BadJetOrder"),
+        "rank-at-point dnl m": (["rank-at-point", "--matrix", "dnl:1:0:x1^2", "--point", "1,0"], "BadDifferentialOrder"),
+        "minors --k below": (["minors", "--matrix", "jacm:1:x1^2*x2", "--k", "-1"], "BadMinorSize"),
+        "minors --k above": (["minors", "--matrix", "jacm:1:x1^2*x2", "--k", "2"], "BadMinorSize"),
+        "minors dnl n": (["minors", "--matrix", "dnl:-1:1:x1^2", "--k", "1"], "BadJetOrder"),
+        "generic-rank --trials": (["generic-rank", "--matrix", "jacm:1:x1^2", "--trials", "0"], "BadTrialCount"),
+        "generic-rank dnl n": (["generic-rank", "--matrix", "dnl:-2:1:x1^2"], "BadJetOrder"),
+        "generic-rank jacm m": (["generic-rank", "--matrix", "jacm:-1:x1^2"], "BadDifferentialOrder"),
+        "singular-check --n": (["singular-check", "--f", CUSP_SOURCE, "--n", "-1", "--point", "0,0"], "BadJetOrder"),
+        "singular-check --m": (["singular-check", "--f", CUSP_SOURCE, "--n", "0", "--m", "0", "--point", "0,0"], "BadDifferentialOrder"),
+        "nobile --n": (["nobile", "--f", CUSP_SOURCE, "--n", "-1", "--base", "0,0"], "BadJetOrder"),
+        "nobile --m": (["nobile", "--f", CUSP_SOURCE, "--n", "1", "--m", "0", "--base", "0,0"], "BadDifferentialOrder"),
+        "nobile --trials": (["nobile", "--f", CUSP_SOURCE, "--n", "1", "--trials", "0", "--base", "0,0"], "BadTrialCount"),
+        "rank-remark --n": (["rank-remark", "--n", "-3"], "BadJetOrder"),
+        "rank-remark --m": (["rank-remark", "--m", "-1"], "BadDifferentialOrder"),
+    }
+
+    def test_the_sweep_covers_every_subcommand(self):
+        commands = {argv[0] for argv, _ in self.OUT_OF_RANGE.values()}
+        assert commands == set(build_parser()._subparsers._group_actions[0].choices)
+
+    @pytest.mark.parametrize("case", sorted(OUT_OF_RANGE))
+    def test_every_out_of_range_flag_names_its_error(self, capsys, case):
+        # run() returns, so no exception and no traceback escaped it
+        argv, name = self.OUT_OF_RANGE[case]
+        code, out, err = invoke(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert err.startswith(f"{name}: ") and err.count("\n") == 1
+        error_class = getattr(jetjac, name)
+        assert error_class in DOMAIN_ERRORS and issubclass(error_class, ValueError)
+
+    def test_no_bare_builtin_error_is_a_domain_error(self):
+        assert ValueError not in DOMAIN_ERRORS
+        assert ArithmeticError not in DOMAIN_ERRORS
+
+    @staticmethod
+    def too_many_digits():
+        """One more digit than int() converts to or from text."""
+        limit = sys.get_int_max_str_digits()
+        if not limit:
+            pytest.skip("int() converts any number of digits here")
+        return "1" * (limit + 1)
+
+    @pytest.mark.parametrize(
+        "argv, error",
+        [
+            (["jacm", "--m", "1", "--f", "x1^{digits}"], "ParseError"),
+            (["jacm", "--m", "1", "--f", "{digits}*x1"], "ParseError"),
+            (["jacm", "--m", "1", "--f", "x1/{digits}"], "ParseError"),
+            (["jacm", "--m", "1", "--f", "x{digits}"], "ParseError"),
+            (["jacm", "--m", "1", "--f", "x1_{digits}"], "ParseError"),
+            (["rank-at-point", "--matrix", "jacm:1:x1", "--point", "{digits}"], "BadCoordinate"),
+            (["rank-at-point", "--matrix", '{{"rows": {digits}}}', "--point", "1"], "BadMatrixJSON"),
+        ],
+    )
+    def test_an_over_long_integer_literal_is_a_named_error(self, capsys, argv, error):
+        digits = self.too_many_digits()
+        code, out, err = invoke(capsys, *(arg.format(digits=digits) for arg in argv))
+        assert (code, out) == (1, "")
+        assert err.startswith(f"{error}: ")
+
+    def test_an_output_coefficient_too_long_to_print_is_a_named_error(self, capsys):
+        # d_15(x1^e) has the coefficient C(e, 15) of about 15 log10(e) digits
+        digits = self.too_many_digits()
+        e = 10 ** (len(digits) // 14 + 1)
+        code, out, err = invoke(capsys, "hs-derive", "--f", f"x1^{e}", "--n", "15")
+        assert (code, out) == (1, "")
+        assert err == "CoefficientTooLong: a coefficient or exponent has too many digits to print\n"
 
     @pytest.mark.parametrize(
         "p",
@@ -482,6 +581,12 @@ class TestErrorHandling:
         assert infer_base_count("x1^3 - x2^2") == 2
         assert infer_base_count("x7_2 + x3") == 7
         assert infer_base_count("5") == 1
+        assert infer_base_count("x0") == 1
+
+    def test_x0_is_an_unknown_variable(self, capsys):
+        code, out, err = invoke(capsys, "jacm", "--f", "x0", "--m", "1")
+        assert (code, out) == (1, "")
+        assert err == "UnknownVariable: variable 'x0' outside x1..x1 (at position 0)\n"
 
 
 class TestCoordinateGrammar:

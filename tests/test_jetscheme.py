@@ -483,7 +483,7 @@ class TestGenericCokernelRank:
     @pytest.mark.parametrize("spec", [Q, GF101], ids=str)
     def test_a_deficient_base_block_extends_and_ranks_the_jet(self, spec, monkeypatch):
         calls = self.record_extensions(monkeypatch)
-        monkeypatch.setattr(jetscheme, "_base_rank", lambda D, series: -1)
+        monkeypatch.setattr(jetscheme, "_base_rank", lambda D, base_values: -1)
         for pres, seed in self.corpus(spec):
             calls.clear()
             report = generic_cokernel_rank(pres, trials=4, seed=seed)

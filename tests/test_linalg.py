@@ -310,6 +310,17 @@ def rank_at_corpus(spec):
         draw = rng.choice((lambda: 0, lambda: rng.randint(-1, 1), coordinate))
         point = Point(spec, {v: spec.element(draw()) for v in jet_grid(s, n)})
         out.append(("random", DnMatrix(jac_m([f], m), n), point))
+    # entries whose ambient is shorter than s = 3: x1 alone, x1 and x2,
+    # and a constant in no variable
+    short = PolyMatrix(
+        2,
+        2,
+        (parse_poly("x1^2 + 1", 1, spec), parse_poly("x1*x3 - x2", 3, spec),
+         Polynomial.constant(spec, 3), parse_poly("x2^2 - x1", 2, spec)),
+    )
+    for n in (0, 2):
+        out.append(("short", DnMatrix(short, n), jet([coordinate() for _ in range(3)], n, 3)))
+        out.append(("short", DnMatrix(short, n), jet([0, 0, 0], n, 3)))
     return out
 
 
@@ -353,7 +364,8 @@ class TestRankAt:
     @pytest.mark.parametrize("spec", [Q, GF2, GF101], ids=str)
     def test_zero_jet_expands_nothing_beyond_order_0(self, spec, monkeypatch):
         # over a singular base A_0 is deficient, and a zero jet decides the
-        # rank with the series of L to order 0 only
+        # rank from A_0, which is evaluated at the base point without any
+        # series of L
         orders = []
         values = linalg._series_values
 
@@ -371,7 +383,16 @@ class TestRankAt:
                 with monkeypatch.context() as patched:
                     patched.setattr(linalg, "_series_values", recording_values)
                     assert rank_at(D, zero_jet) == want < min(D.rows, D.cols)
-                assert orders == [0], (src, m, n)
+                assert orders == [], (src, m, n)
+
+    @pytest.mark.parametrize("spec", [Q, GF2, GF101], ids=str)
+    def test_base_rank_matches_the_dense_rank_at_the_base_point(self, spec):
+        # _base_rank(D, a_0) against D_0(L) = L laid out at the base point
+        for label, D, jet in rank_at_corpus(spec):
+            base = Point(D.spec, {v: x for v, x in jet.coords.items() if v.order == 0})
+            want = rank(at_point(DnMatrix(D.L, 0), base))
+            got = linalg._base_rank(D, [jet[JetVariable(i, 0)].value for i in range(1, D.s + 1)])
+            assert got == want, (label, str(D.L), str(jet))
 
     def test_checks_the_point_to_order_n(self):
         # at a smooth base A_0 decides the rank, but the jet is still checked

@@ -21,7 +21,7 @@ from jetjac import (
 )
 
 from _corpus import GF2, GF5, Q, random_base_polynomial
-from _oracles import polynomial_str
+from _oracles import evaluate_termwise, polynomial_str
 
 X1 = JetVariable(1, 0)
 X2 = JetVariable(2, 0)
@@ -277,6 +277,34 @@ class TestEvaluation:
     def test_evaluation_mod_p(self):
         f = parse_poly("x1^3 - x2^2", 2, GF5)
         assert f.evaluate(Point.from_base([2, 3], GF5)) == GF5.element(-1)
+
+    @pytest.mark.parametrize("spec", [Q, GF2, FieldSpec.prime_field(101)], ids=str)
+    def test_matches_the_termwise_evaluator(self, spec):
+        # polynomials in jet variables whose ambient skips some of the
+        # grid, at points that assign more: rationals a/b over Q, zeros
+        rng = random.Random(f"evaluate:{spec}")
+        p = spec.characteristic
+
+        def coordinate():
+            if rng.random() < 0.2:
+                return 0
+            return rng.randrange(p) if p else Fraction(rng.randint(-9, 9), rng.randint(1, 5))
+
+        for _ in range(80):
+            s, n = rng.randint(1, 3), rng.randint(0, 2)
+            grid = jet_grid(s, n)
+            ambient = sorted(rng.sample(grid, rng.randint(0, len(grid))))
+            terms = {
+                tuple(rng.choice((0, 0, 1, 2, 3, 5)) for _ in ambient): (
+                    rng.randint(-9, 9) if p or rng.random() < 0.5 else Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+                )
+                for _ in range(rng.randint(0, 6))
+            }
+            f = Polynomial(spec, ambient, terms)
+            point = Point(spec, {v: spec.element(coordinate()) for v in grid})
+            got = f.evaluate(point)
+            assert got.value == evaluate_termwise(f, point), (str(f), str(point))
+            assert type(got.value) is (int if p or got.value.denominator == 1 else Fraction)
 
 
 class TestCanonicalPrinting:

@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from jetjac import FieldSpec, JetVariable, NoSmoothPointFound, find_smooth_point, parse_poly
-from jetjac.jetscheme import _rational_roots, _residue_roots
+from jetjac.jetscheme import _divmod, _mulmod, _rational_roots, _residue_roots
 
 from _oracles import rational_roots_divisors, residue_roots_scan
 
@@ -98,6 +98,24 @@ def univariates(draw, p):
         for _ in range(draw(st.integers(1, 3))):
             out = _times(out, [-root, 1], p)
     return out
+
+
+@st.composite
+def residue_lists(draw, p, min_size=0, max_size=8):
+    return draw(st.lists(st.integers(0, p - 1), min_size=min_size, max_size=max_size))
+
+
+@st.composite
+def monic_moduli(draw, p):
+    return draw(residue_lists(p, 1, 6)) + [1]
+
+
+@pytest.mark.parametrize("p", PRIMES)
+@given(data=st.data())
+def test_mulmod_matches_the_product_and_division(p, data):
+    a, b = data.draw(residue_lists(p)), data.draw(residue_lists(p))
+    g = data.draw(monic_moduli(p))
+    assert _mulmod(a, b, g, p) == _divmod(_times(a, b, p), g, p)[1]
 
 
 @pytest.mark.parametrize("p", PRIMES)
