@@ -102,8 +102,8 @@ def rank_at(mx: PolyMatrix | DnMatrix, point: Point) -> int:
     A_0 is deficient and some coordinate of positive order is nonzero, so
     a zero jet takes no series of L at all; only when some A_k is then
     nonzero is the whole (n+1)b x (n+1)a matrix laid out and eliminated.
-    The point is checked to order n in every case.  A matrix without rows or
-    columns has rank 0 at any point, and any other matrix is evaluated
+    The point is checked to order n in every case.  A matrix without rows
+    or columns has rank 0 at any point, and any other matrix is evaluated
     entry by entry."""
     if mx.rows == 0 or mx.cols == 0:
         return 0

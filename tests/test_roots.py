@@ -1,6 +1,7 @@
 """Root finding over GF(p) and Q for smooth-point sampling.
 
-`_residue_roots` is checked against the residue scan in `_oracles` and
+`_mulmod` is checked against the product and `_divmod`,
+`_residue_roots` against the residue scan in `_oracles` and
 `_rational_roots` against the divisor search there (and sympy), and
 `find_smooth_point` against points recorded from the scan-based sampler
 over GF(p) and the divisor search over Q, so the root order and with it
@@ -100,21 +101,15 @@ def univariates(draw, p):
     return out
 
 
-@st.composite
-def residue_lists(draw, p, min_size=0, max_size=8):
-    return draw(st.lists(st.integers(0, p - 1), min_size=min_size, max_size=max_size))
-
-
-@st.composite
-def monic_moduli(draw, p):
-    return draw(residue_lists(p, 1, 6)) + [1]
+def residue_lists(p, min_size=0, max_size=8):
+    return st.lists(st.integers(0, p - 1), min_size=min_size, max_size=max_size)
 
 
 @pytest.mark.parametrize("p", PRIMES)
 @given(data=st.data())
 def test_mulmod_matches_the_product_and_division(p, data):
     a, b = data.draw(residue_lists(p)), data.draw(residue_lists(p))
-    g = data.draw(monic_moduli(p))
+    g = data.draw(residue_lists(p, 1, 6)) + [1]  # monic, of degree 1 to 6
     assert _mulmod(a, b, g, p) == _divmod(_times(a, b, p), g, p)[1]
 
 
