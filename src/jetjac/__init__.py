@@ -34,6 +34,7 @@ from .jacobian import (
     EmptyInput,
     IndexFamilies,
     PolyMatrix,
+    TooManyMultiIndices,
     exponent_vectors,
     index_families,
     jac,
@@ -74,7 +75,9 @@ from .linalg import (
     BadMinorSize,
     BadTrialCount,
     MinorSet,
+    NotSquare,
     ScalarMatrix,
+    TooManyMinorTerms,
     TooManyMinors,
     at_point,
     eval_matrix,

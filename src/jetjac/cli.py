@@ -26,7 +26,15 @@ from dataclasses import asdict
 
 from .field import BadCoordinate, FieldError, FieldSpec, check_coordinate
 from .hasse import BadJetOrder, NotBasePolynomial, TooManyTerms, check_commutation, hs_components
-from .jacobian import BadDifferentialOrder, EmptyIndexFamily, EmptyInput, PolyMatrix, _bracketed, jac_m
+from .jacobian import (
+    BadDifferentialOrder,
+    EmptyIndexFamily,
+    EmptyInput,
+    PolyMatrix,
+    TooManyMultiIndices,
+    _bracketed,
+    jac_m,
+)
 from .jetmatrix import DnMatrix, check_fdbd, dn_matrix
 from .jetscheme import (
     ConstantPolynomial,
@@ -38,7 +46,7 @@ from .jetscheme import (
     nobile_certificate,
     rank_counterexample_check,
 )
-from .linalg import BadMinorSize, BadTrialCount, TooManyMinors, generic_rank, minors, rank_at
+from .linalg import BadMinorSize, BadTrialCount, TooManyMinorTerms, TooManyMinors, generic_rank, minors, rank_at
 from .poly import (
     CoefficientTooLong,
     MissingCoordinate,
@@ -64,6 +72,8 @@ DOMAIN_ERRORS = (
     NotBasePolynomial,
     EmptyInput,
     TooManyMinors,
+    TooManyMinorTerms,
+    TooManyMultiIndices,
     TooManyTerms,
     MissingCoordinate,
     WrongCoordinateCount,

@@ -20,6 +20,9 @@ from dataclasses import dataclass, field
 from .field import FieldElement, FieldSpec, MixedFields
 from .poly import JetVariable, MultiIndex, Polynomial
 
+# at most this many exponents in the row and column families together
+INDEX_CAP = 2_000_000
+
 
 class EmptyInput(ValueError):
     """A matrix builder received no polynomials."""
@@ -33,6 +36,11 @@ class EmptyIndexFamily(ValueError):
     """Index families need s >= 1 base variables and an order m >= 1."""
 
 
+class TooManyMultiIndices(ValueError):
+    """The index families of (s, m) would hold more than INDEX_CAP
+    exponents."""
+
+
 def _bracketed(table: list[list[str]]) -> str:
     """The text layout of a matrix: one "[a, b, ...]" line per row of
     rendered entries."""
@@ -41,13 +49,27 @@ def _bracketed(table: list[list[str]]) -> str:
 
 def exponent_vectors(norm: int, s: int):
     """All multi-indices in N^s of the given norm, lexicographically
-    descending with the first coordinate heaviest."""
-    if s == 1:
-        yield (norm,)
+    descending with the first coordinate heaviest.  Each one follows from
+    the last without recursion: the rightmost unit before the final
+    coordinate moves one place right and takes everything after it along,
+    so (2, 0, 0) is followed by (1, 1, 0), (1, 0, 1) and (0, 2, 0)."""
+    if s < 1:
+        raise EmptyIndexFamily("need s >= 1")
+    if norm < 0:
         return
-    for first in range(norm, -1, -1):
-        for rest in exponent_vectors(norm - first, s - 1):
-            yield (first,) + rest
+    v = [norm] + [0] * (s - 1)
+    while True:
+        yield tuple(v)
+        i = s - 2
+        while i >= 0 and not v[i]:
+            i -= 1
+        if i < 0:
+            return
+        # v[i + 1:] is zero but for its last coordinate
+        rest = v[-1]
+        v[-1] = 0
+        v[i] -= 1
+        v[i + 1] = rest + 1
 
 
 @dataclass(frozen=True)
@@ -69,8 +91,16 @@ class IndexFamilies:
 
 
 def index_families(s: int, m: int) -> IndexFamilies:
+    """The families of (s, m), counted before they are listed: M + N
+    multi-indices of s exponents each, at most INDEX_CAP exponents in all
+    (TooManyMultiIndices otherwise)."""
     if s < 1 or m < 1:
         raise EmptyIndexFamily("need s >= 1 and m >= 1")
+    exponents = (math.comb(m + s - 1, s) + math.comb(m + s, s) - 1) * s
+    if exponents > INDEX_CAP:
+        raise TooManyMultiIndices(
+            f"the index families of s = {s}, m = {m} hold {exponents} exponents (cap {INDEX_CAP})"
+        )
     lambda0 = tuple(
         beta for d in range(m) for beta in exponent_vectors(d, s)
     )

@@ -659,7 +659,7 @@ def rank_counterexample_check(n: int = 1, m: int = 2) -> FreeRankComparison:
         raise BadDifferentialOrder("m must be >= 1")
 
     def free_rank(v: int) -> int:
-        return index_families(v, m).N
+        return math.comb(m + v, v) - 1
 
     jet_ring_rank = free_rank(n + 1)
     tensor_rank = (n + 1) * free_rank(1)

@@ -18,7 +18,14 @@ The series of L to order n is computed only when A_0 does not decide
 the rank.
 Minors and determinants of polynomial matrices come from one
 division-free Laplace expansion, shared between all row selections with
-a common prefix.
+a common prefix.  It multiplies and adds raw term dicts whose monomials
+are packed into ints: B bits per variable of mx.variables(), with B the
+bit length of k e for k x k minors and e the largest exponent in any
+entry.  A k x k minor is a sum of products of k entries, so no exponent
+in it exceeds k e < 2^B, no field carries into the next, and multiplying
+two monomials is adding two ints.  Every nonzero minor of size k >= 1 is
+over the ambient mx.variables().  MINOR_CAP bounds the minors listed
+and stored, MINOR_TERM_CAP the terms stored on the way.
 Generic rank is probabilistic: the maximum exact rank over seeded random
 evaluation points, always reported with its seed.
 """
@@ -34,9 +41,10 @@ from .field import FieldElement, FieldSpec
 from .hasse import jet_series
 from .jacobian import PolyMatrix, ScalarMatrix
 from .jetmatrix import DnMatrix, _block_layout, _series_values
-from .poly import Point, Polynomial, _raw_value
+from .poly import Point, Polynomial, _rational, _raw_value
 
 MINOR_CAP = 100_000
+MINOR_TERM_CAP = 2_000_000
 SAMPLE_RANGE = 10  # rational evaluation coordinates are drawn from [-10, 10]
 
 
@@ -46,6 +54,19 @@ class TooManyMinors(ValueError):
     def __init__(self, count: int, cap: int):
         super().__init__(f"would generate {count} minors (cap {cap})")
         self.count = count
+
+
+class TooManyMinorTerms(ValueError):
+    """The intermediate minors of an enumeration exceed MINOR_TERM_CAP
+    terms together."""
+
+    def __init__(self, count: int, cap: int):
+        super().__init__(f"intermediate minors would store at least {count} terms (cap {cap})")
+        self.count = count
+
+
+class NotSquare(ValueError):
+    """A determinant of a matrix that is not square."""
 
 
 class BadMinorSize(ValueError):
@@ -196,7 +217,7 @@ def _rank_mod_p(a: list[list[int]], cols: int, p: int) -> int:
 def poly_det(mx: PolyMatrix) -> Polynomial:
     """Determinant of a square polynomial matrix: its one full-size minor."""
     if mx.rows != mx.cols:
-        raise ValueError("determinant needs a square matrix")
+        raise NotSquare("determinant needs a square matrix")
     return minors(mx, mx.rows).values[0]
 
 
@@ -218,7 +239,8 @@ def minors(mx: PolyMatrix, k: int, cap: int = MINOR_CAP) -> MinorSet:
     then column selection, each in itertools.combinations order.
 
     At most cap minors are listed, and at most cap intermediate minors
-    are stored while computing them (TooManyMinors otherwise)."""
+    are stored while computing them (TooManyMinors otherwise), with at
+    most MINOR_TERM_CAP terms among them (TooManyMinorTerms otherwise)."""
     if k < 0 or k > min(mx.rows, mx.cols):
         raise BadMinorSize(f"k must be between 0 and min({mx.rows}, {mx.cols})")
     count = math.comb(mx.rows, k) * math.comb(mx.cols, k)
@@ -238,7 +260,7 @@ def minors(mx: PolyMatrix, k: int, cap: int = MINOR_CAP) -> MinorSet:
 
 def _laplace_walk(mx: PolyMatrix, k: int, cap: int) -> dict:
     """The nonzero k x k minors of mx as {row selection: {column bitmask:
-    minor}}.
+    minor}}; for k >= 1 every minor is over the ambient mx.variables().
 
     Rows are taken one at a time, depth first.  For the rows R taken so
     far, a level maps each column set S with minor(R, S) != 0 to that
@@ -248,18 +270,47 @@ def _laplace_walk(mx: PolyMatrix, k: int, cap: int) -> dict:
     A prefix is expanded once for every selection that starts with it,
     and is dropped with its extensions once its level is empty, since
     every larger minor on those rows expands into it.  R is in walk
-    order, so a finished minor takes the sign of that permutation."""
-    one = Polynomial.constant(mx.spec, 1)
+    order, so a finished minor takes the sign of that permutation.
+
+    The walk runs on raw term dicts.  Each nonzero entry is aligned once
+    to mx.variables(), and each of its exponent vectors is packed into one
+    int with B bits per variable, so multiplying two monomials adds two
+    ints.  With e the largest exponent in any entry, B is the bit length
+    of k e: a minor of size at most k is a sum of products of at most k
+    entries, so none of its exponents exceeds k e < 2^B and no field
+    carries into the next.  Each new minor sums its signed products
+    straight into one dict, whose coefficients are then reduced mod p, or
+    normalised over Q, once; only the k x k minors are unpacked into
+    exponent tuples.  At most cap intermediate minors are stored
+    (TooManyMinors, checked per level), holding at most MINOR_TERM_CAP
+    terms together (TooManyMinorTerms, checked as each minor is stored,
+    so the budget also bounds the memory held)."""
+    spec = mx.spec
     if k == 0:
-        return {(): {0: one}}
-    nonzero = [[(c, e) for c, e in enumerate(mx.row(i)) if e] for i in range(mx.rows)]
+        return {(): {0: Polynomial.constant(spec, 1)}}
+    p = spec.characteristic
+    ambient = mx.variables()
+    top = max((max(e, default=0) for g in mx.entries for e in g.terms), default=0)
+    width = (k * top).bit_length()
+    offsets = [i * width for i in range(len(ambient))]
+    shift = dict(zip(ambient, offsets))
+    exponents = _Exponents(offsets, (1 << width) - 1)
+    nonzero = []
+    for i in range(mx.rows):
+        row = []
+        for c, g in enumerate(mx.row(i)):
+            if g:
+                shifts = [shift[v] for v in g.ambient]
+                packed = [(sum(e << s for e, s in zip(exps, shifts)), a) for exps, a in g.terms.items()]
+                row.append((c, 1 << c, packed, [(m, -a) for m, a in packed]))
+        nonzero.append(row)
     # sparsest rows first: a sparse row extends each minor in few ways, so
     # the levels near the root, which the most selections share, stay small
     order = sorted(range(mx.rows), key=lambda i: (len(nonzero[i]), i))
     found = {}
-    stored = 0
+    stored = stored_terms = 0
     # a frame is [next position in order, rows taken, their inversions, level]
-    stack = [[0, (), 0, {0: one}]]
+    stack = [[0, (), 0, {0: {0: 1}}]]
     while stack:
         frame = stack[-1]
         pos, taken, inversions, level = frame
@@ -268,18 +319,31 @@ def _laplace_walk(mx: PolyMatrix, k: int, cap: int) -> dict:
             continue
         frame[0] = pos + 1
         r = order[pos]
+        row = nonzero[r]
+        targets = {cols | bit for cols in level for _, bit, _, _ in row if not cols & bit}
         grown = {}
-        for cols, minor in level.items():
-            for c, entry in nonzero[r]:
-                bit = 1 << c
-                if cols & bit:
-                    continue
-                term = entry * minor
-                if (cols >> c).bit_count() & 1:
-                    term = -term
-                key = cols | bit
-                grown[key] = grown[key] + term if key in grown else term
-        grown = {cols: value for cols, value in grown.items() if value}
+        for target in targets:
+            acc = {}
+            get = acc.get
+            for c, bit, plus, minus in row:
+                if target & bit:
+                    minor = level.get(target ^ bit)
+                    if minor is None:
+                        continue
+                    terms = minor.items()
+                    for m1, a1 in minus if (target >> c + 1).bit_count() & 1 else plus:
+                        for m2, a2 in terms:
+                            m = m1 + m2
+                            acc[m] = get(m, 0) + a1 * a2
+            if p:
+                acc = {m: residue for m, a in acc.items() if (residue := a % p)}
+            else:
+                acc = {m: _rational(a) for m, a in acc.items() if a}
+            if acc:
+                grown[target] = acc
+                stored_terms += len(acc)
+                if stored_terms > MINOR_TERM_CAP:
+                    raise TooManyMinorTerms(stored_terms, MINOR_TERM_CAP)
         if not grown:
             continue
         stored += len(grown)
@@ -289,11 +353,30 @@ def _laplace_walk(mx: PolyMatrix, k: int, cap: int) -> dict:
         inversions += sum(1 for q in taken if q > r)
         if len(row_sel) < k:
             stack.append([pos + 1, row_sel, inversions, grown])
-        elif inversions & 1:
-            found[tuple(sorted(row_sel))] = {cols: -value for cols, value in grown.items()}
-        else:
-            found[tuple(sorted(row_sel))] = grown
+            continue
+        sign = -1 if inversions & 1 else 1
+        found[tuple(sorted(row_sel))] = {
+            cols: Polynomial._make(
+                spec, ambient, {exponents[m]: sign * a % p if p else sign * a for m, a in minor.items()}
+            )
+            for cols, minor in grown.items()
+        }
     return found
+
+
+class _Exponents(dict):
+    """Packed monomial -> dense exponent tuple, unpacked once, on first
+    lookup, and shared by every minor of one walk."""
+
+    def __init__(self, offsets: list[int], mask: int):
+        super().__init__()
+        self.offsets = offsets
+        self.mask = mask
+
+    def __missing__(self, m: int) -> tuple:
+        mask = self.mask
+        exps = self[m] = tuple([m >> s & mask for s in self.offsets])
+        return exps
 
 
 def random_point(spec: FieldSpec, variables, rng: random.Random) -> Point:

@@ -4,7 +4,7 @@ checked against."""
 import math
 from fractions import Fraction
 
-from jetjac import HSExpansion, JetVariable, NotBasePolynomial, Polynomial, jet_grid
+from jetjac import HSExpansion, JetVariable, NotBasePolynomial, Polynomial, TooManyMinors, jet_grid
 
 
 def hs_components_leibniz(f: Polynomial, n: int) -> HSExpansion:
@@ -172,3 +172,64 @@ def leibniz_det(rows: list[list[Polynomial]], spec) -> Polynomial:
 
     extend(0, (), Polynomial.constant(spec, 1))
     return total
+
+
+def laplace_walk_polynomials(mx, k: int, cap: int) -> dict:
+    """linalg._laplace_walk as it was before it ran on packed term dicts:
+    the same walk, rows and signs, with every product, negation and sum a
+    Polynomial operation, so each minor is over the union of the ambients
+    of the entries it multiplies."""
+    one = Polynomial.constant(mx.spec, 1)
+    if k == 0:
+        return {(): {0: one}}
+    nonzero = [[(c, e) for c, e in enumerate(mx.row(i)) if e] for i in range(mx.rows)]
+    order = sorted(range(mx.rows), key=lambda i: (len(nonzero[i]), i))
+    found = {}
+    stored = 0
+    stack = [[0, (), 0, {0: one}]]
+    while stack:
+        frame = stack[-1]
+        pos, taken, inversions, level = frame
+        if pos > len(order) - (k - len(taken)):
+            stack.pop()
+            continue
+        frame[0] = pos + 1
+        r = order[pos]
+        grown = {}
+        for cols, minor in level.items():
+            for c, entry in nonzero[r]:
+                bit = 1 << c
+                if cols & bit:
+                    continue
+                term = entry * minor
+                if (cols >> c).bit_count() & 1:
+                    term = -term
+                key = cols | bit
+                grown[key] = grown[key] + term if key in grown else term
+        grown = {cols: value for cols, value in grown.items() if value}
+        if not grown:
+            continue
+        stored += len(grown)
+        if stored > cap:
+            raise TooManyMinors(stored, cap)
+        row_sel = taken + (r,)
+        inversions += sum(1 for q in taken if q > r)
+        if len(row_sel) < k:
+            stack.append([pos + 1, row_sel, inversions, grown])
+        elif inversions & 1:
+            found[tuple(sorted(row_sel))] = {cols: -value for cols, value in grown.items()}
+        else:
+            found[tuple(sorted(row_sel))] = grown
+    return found
+
+
+def exponent_vectors_recursive(norm: int, s: int):
+    """The multi-indices in N^s of the given norm, lexicographically
+    descending, by recursion on the first coordinate, as
+    jacobian.exponent_vectors listed them before it became iterative."""
+    if s == 1:
+        yield (norm,)
+        return
+    for first in range(norm, -1, -1):
+        for rest in exponent_vectors_recursive(norm - first, s - 1):
+            yield (first,) + rest

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import jetjac
-from jetjac import DnMatrix, FieldSpec, PolyMatrix, Polynomial, dn_matrix, hasse, jac_m, parse_poly
+from jetjac import DnMatrix, FieldSpec, PolyMatrix, Polynomial, dn_matrix, hasse, jac_m, linalg, parse_poly
 from jetjac.cli import DOMAIN_ERRORS, build_matrix, build_parser, infer_base_count, matrix_argument, matrix_dims, run
 
 Q = FieldSpec.rationals()
@@ -424,6 +424,16 @@ class TestErrorHandling:
         assert out == ""
         assert err == "TooManyTerms: would generate at least 115 terms (cap 50)\n"
 
+    def test_too_many_minor_terms_exit_1(self, capsys, monkeypatch):
+        # the 3 x 3 minors of Jac_2 of the cusp store 40 terms on the way
+        argv = ["minors", "--matrix", "jacm:2:x1^3 - x2^2", "--k", "3"]
+        monkeypatch.setattr(linalg, "MINOR_TERM_CAP", 40)
+        assert invoke(capsys, *argv)[0] == 0
+        monkeypatch.setattr(linalg, "MINOR_TERM_CAP", 39)
+        code, out, err = invoke(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert err == "TooManyMinorTerms: intermediate minors would store at least 40 terms (cap 39)\n"
+
     def test_parse_error_exit_1(self, capsys):
         code, _, err = invoke(capsys, "jacm", "--f", "x1 + $", "--m", "1")
         assert code == 1
@@ -525,6 +535,29 @@ class TestErrorHandling:
         assert err.startswith(f"{name}: ") and err.count("\n") == 1
         error_class = getattr(jetjac, name)
         assert error_class in DOMAIN_ERRORS and issubclass(error_class, ValueError)
+
+    # a thousand base variables: each query answers or names its error,
+    # and none ends in a traceback
+    THOUSAND_VARIABLES = {
+        "jacm x1000 --m 1": (["jacm", "--f", "x1000", "--m", "1"], 0, "[" + "0, " * 999 + "1]\n"),
+        "rank-remark --n 1000": (
+            ["rank-remark", "--n", "1000"],
+            0,
+            "free rank over the jet polynomial ring: 502502; free rank of the tensored module: 2002; not isomorphic\n",
+        ),
+        "jacm x1000 --m 2": (["jacm", "--f", "x1000", "--m", "2"], 1, "TooManyMultiIndices"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(THOUSAND_VARIABLES))
+    def test_a_thousand_base_variables_answer_or_name_the_error(self, capsys, case):
+        argv, want_code, want = self.THOUSAND_VARIABLES[case]
+        code, out, err = invoke(capsys, *argv)
+        assert code == want_code
+        if code:
+            assert out == "" and err.startswith(f"{want}: ") and err.count("\n") == 1
+            assert getattr(jetjac, want) in DOMAIN_ERRORS
+        else:
+            assert (out, err) == (want, "")
 
     def test_no_bare_builtin_error_is_a_domain_error(self):
         assert ValueError not in DOMAIN_ERRORS

@@ -11,8 +11,10 @@ from jetjac import (
     Point,
     PolyMatrix,
     Polynomial,
+    TooManyMultiIndices,
     base_variables,
     eval_matrix,
+    exponent_vectors,
     index_families,
     jac,
     jac_m,
@@ -20,7 +22,10 @@ from jetjac import (
     rank,
 )
 
+from jetjac import jacobian
+
 from _corpus import GF2, Q, random_base_polynomial
+from _oracles import exponent_vectors_recursive
 
 CUSP = parse_poly("x1^3 - x2^2", 2, Q)
 
@@ -93,6 +98,25 @@ class TestIndexFamilies:
         for d in set(norms):
             group = [a for a in fam.lambda_ if sum(a) == d]
             assert group == sorted(group, reverse=True)
+
+    def test_exponent_vectors_keep_the_recursive_order(self):
+        for s in range(1, 7):
+            for norm in range(6):
+                assert list(exponent_vectors(norm, s)) == list(exponent_vectors_recursive(norm, s)), (norm, s)
+
+    def test_exponent_vectors_of_a_thousand_variables(self):
+        # one recursion level per variable would pass the interpreter's limit
+        units = list(exponent_vectors(1, 1000))
+        assert units == [tuple(int(i == j) for j in range(1000)) for i in range(1000)]
+
+    def test_families_are_counted_before_they_are_listed(self, monkeypatch):
+        # s = 2, m = 2: 3 + 5 multi-indices of 2 exponents each
+        monkeypatch.setattr(jacobian, "INDEX_CAP", 16)
+        assert index_families(2, 2).N == 5
+        monkeypatch.setattr(jacobian, "INDEX_CAP", 15)
+        with pytest.raises(TooManyMultiIndices) as err:
+            index_families(2, 2)
+        assert str(err.value) == "the index families of s = 2, m = 2 hold 16 exponents (cap 15)"
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -12,10 +12,12 @@ from jetjac import (
     JetVariable,
     MissingCoordinate,
     MixedFields,
+    NotSquare,
     Point,
     PolyMatrix,
     Polynomial,
     ScalarMatrix,
+    TooManyMinorTerms,
     TooManyMinors,
     at_point,
     dn_matrix,
@@ -34,7 +36,7 @@ from jetjac import linalg
 from jetjac.linalg import random_point, trial_rng
 
 from _corpus import GF2, GF5, Q, base_polynomials, poly_from_int_terms, random_base_polynomial
-from _oracles import leibniz_det
+from _oracles import laplace_walk_polynomials, leibniz_det
 
 CUSP = parse_poly("x1^3 - x2^2", 2, Q)
 GF101 = FieldSpec.prime_field(101)
@@ -438,6 +440,12 @@ class TestPolyDet:
         with pytest.raises(ValueError):
             poly_det(jac_m([CUSP], 2))
 
+    def test_non_square_error_is_named(self):
+        with pytest.raises(NotSquare) as err:
+            poly_det(jac_m([CUSP], 2))
+        assert type(err.value).__name__ == "NotSquare"
+        assert str(err.value) == "determinant needs a square matrix"
+
 
 class TestMinors:
     def test_maximal_minors_of_the_order2_jacobian(self):
@@ -476,6 +484,19 @@ class TestMinors:
         with pytest.raises(TooManyMinors) as err:
             minors(dense, 6, cap=62)
         assert err.value.count == 63
+
+    def test_term_cap_bounds_intermediate_minors(self, monkeypatch):
+        # the first row stores x1 and x2, then the determinant
+        # x1*x4 - x2*x3: four terms in all
+        entries = tuple(parse_poly(e, 4, Q) for e in ("x1", "x2", "x3", "x4"))
+        mx = PolyMatrix(2, 2, entries)
+        monkeypatch.setattr(linalg, "MINOR_TERM_CAP", 4)
+        assert str(poly_det(mx)) == "x1*x4-x2*x3"
+        monkeypatch.setattr(linalg, "MINOR_TERM_CAP", 3)
+        with pytest.raises(TooManyMinorTerms) as err:
+            poly_det(mx)
+        assert err.value.count == 4
+        assert str(err.value) == "intermediate minors would store at least 4 terms (cap 3)"
 
     def test_k0_is_one_empty_minor(self):
         for mx in (PolyMatrix(0, 0, ()), jac_m([CUSP], 2)):
@@ -610,6 +631,83 @@ def test_minors_of_dn_matrices_match_leibniz(data, spec, shape):
 def test_minors_of_the_6x10_cusp_block_matrix_match_leibniz():
     cusp = parse_poly("x1^3 - x2^2", 2, GF101)
     assert_minors_match_leibniz(dn_matrix(jac_m([cusp], 2), 1))
+
+
+# -- the packed walk against the Polynomial walk -------------------------
+
+
+def packed_walk_corpus(spec):
+    """(label, matrix) pairs for the packed Laplace walk: exponents on the
+    packing boundary, constants with an empty ambient, entries over
+    different ambients, and D_n(L) with jet variables."""
+    rng = random.Random(f"packed-walk:{spec}")
+
+    def poly(src, s=2):
+        return parse_poly(src, s, spec)
+
+    def small():
+        return random_base_polynomial(rng, 2, 2, 2, spec)
+
+    # x1^255*x2 on the diagonal: the k x k minor on the diagonal has
+    # x1^(255 k), which fills every bit of its field, next to x2^k
+    boundary = [
+        poly("x1^255*x2") if i == j else (poly("x1^255") if (i + j) % 3 == 0 else small())
+        for i in range(4)
+        for j in range(5)
+    ]
+    # the same with 85 = 255 / 3, so 3 * 85 fills an 8-bit field exactly
+    narrow = [poly("x2^85*x1 + 1") if i == j else small() for i in range(3) for j in range(3)]
+    constants = [Polynomial.constant(spec, rng.randint(-3, 3)) for _ in range(9)]
+    mixed = [
+        parse_poly("x1", 1, spec),
+        parse_poly("x2*x3 + 1", 3, spec),
+        Polynomial.constant(spec, 2),
+        Polynomial.variable(spec, JetVariable(2, 1)),
+        Polynomial.zero(spec),
+        parse_poly("x1^2 - x1_1", 1, spec),
+        parse_poly("x3^3", 3, spec),
+        Polynomial.constant(spec, 5, jet_grid(1, 0)),
+        parse_poly("x2", 2, spec),
+    ]
+    cases = [
+        ("boundary 4x5", PolyMatrix(4, 5, tuple(boundary))),
+        ("boundary 3x3", PolyMatrix(3, 3, tuple(narrow))),
+        ("constants 3x3", PolyMatrix(3, 3, tuple(constants))),
+        ("constant 1x1", PolyMatrix(1, 1, (Polynomial.constant(spec, 7),))),
+        ("mixed ambients 3x3", PolyMatrix(3, 3, tuple(mixed))),
+        ("D_2(Jac_1 f) 3x6", dn_matrix(jac_m([poly("x1^3 - x2^2 + x1*x2")], 1), 2)),
+        ("D_1(Jac_2 f) 4x4", dn_matrix(jac_m([parse_poly("x1^4 - 2*x1^3 + x1", 1, spec)], 2), 1)),
+    ]
+    if spec == Q:
+        # some products of these, such as 2/3 * 3, are integral
+        halves = ("1/2*x1", "2/3", "4/3*x2", "3*x2", "3/2*x1*x2", "1/3", "x1 + 3/4", "4", "2/3*x2^2")
+        cases.append(("fractions 3x3", PolyMatrix(3, 3, tuple(poly(src) for src in halves))))
+    return cases
+
+
+def typed_terms(terms: dict) -> dict:
+    # a coefficient with its type: over Q an integral one must be an int
+    return {exps: (c, type(c)) for exps, c in terms.items()}
+
+
+@pytest.mark.parametrize("spec", MINOR_FIELDS, ids=str)
+def test_packed_walk_matches_the_polynomial_walk(spec):
+    """Every stored minor equals the parent walk's by its terms, their
+    coefficient types and str, and for k >= 1 is over mx.variables()."""
+    for label, mx in packed_walk_corpus(spec):
+        ambient = mx.variables()
+        for k in range(min(mx.rows, mx.cols) + 1):
+            got = linalg._laplace_walk(mx, k, linalg.MINOR_CAP)
+            want = laplace_walk_polynomials(mx, k, linalg.MINOR_CAP)
+            assert got.keys() == want.keys(), (label, k)
+            for row_sel, by_columns in want.items():
+                assert got[row_sel].keys() == by_columns.keys(), (label, k, row_sel)
+                for cols, value in by_columns.items():
+                    minor = got[row_sel][cols]
+                    if k:
+                        assert minor.ambient == ambient, (label, k)
+                    assert typed_terms(minor.terms) == typed_terms(value._remapped(minor.ambient)), (label, k, row_sel, cols)
+                    assert str(minor) == str(value), (label, k, row_sel, cols)
 
 
 @pytest.mark.parametrize(
