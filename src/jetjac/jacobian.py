@@ -50,9 +50,10 @@ def _bracketed(table: list[list[str]]) -> str:
 def exponent_vectors(norm: int, s: int):
     """All multi-indices in N^s of the given norm, lexicographically
     descending with the first coordinate heaviest.  Each one follows from
-    the last without recursion: the rightmost unit before the final
-    coordinate moves one place right and takes everything after it along,
-    so (2, 0, 0) is followed by (1, 1, 0), (1, 0, 1) and (0, 2, 0)."""
+    the last without recursion: the last nonzero coordinate before the
+    final one gives up a unit, and its right neighbour takes that unit
+    plus the final coordinate, so (2, 0, 0) is followed by (1, 1, 0),
+    (1, 0, 1) and (0, 2, 0)."""
     if s < 1:
         raise EmptyIndexFamily("need s >= 1")
     if norm < 0:

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from jetjac import (
+    EmptyIndexFamily,
     EmptyInput,
     JetVariable,
     Point,
@@ -121,6 +122,8 @@ class TestIndexFamilies:
     def test_validation(self):
         with pytest.raises(ValueError):
             index_families(0, 1)
+        with pytest.raises(EmptyIndexFamily):
+            list(exponent_vectors(1, 0))
         with pytest.raises(ValueError):
             index_families(1, 0)
 
