@@ -120,14 +120,11 @@ def parse_point(text: str, s: int, n: int, spec: FieldSpec) -> Point:
 
 def matrix_dims(mx: PolyMatrix | DnMatrix) -> tuple[int, int]:
     """(s, max jet order) across all entries of the matrix: (D.s, D.n) for
-    D = D_n(L), read off without listing its variables.  A matrix without
-    variables gives (1, 0)."""
+    D = D_n(L).  A matrix without variables gives (1, 0)."""
     if isinstance(mx, DnMatrix):
         return (mx.s, mx.n) if mx.s else (1, 0)
-    variables = mx.variables()
-    s = max((v.base for v in variables), default=1)
-    order = max((v.order for v in variables), default=0)
-    return s, order
+    s = max((e.base_count for e in mx.entries), default=0)
+    return (s, max(e.max_order for e in mx.entries)) if s else (1, 0)
 
 
 def matrix_argument(spec_text: str, field: FieldSpec) -> PolyMatrix | DnMatrix:

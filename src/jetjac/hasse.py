@@ -4,12 +4,14 @@ d_k(f) is the t^k coefficient of f(a_1(t), ..., a_s(t)) with
 a_i(t) = sum_j x_i^(j) t^j, truncated after t^n.  Two kernels compute it.
 The symbolic components (hs_components) expand each power a_i(t)^e by the
 multinomial theorem straight into sparse terms and multiply the powers of
-one monomial of f as term lists, on raw dicts keyed on jet_grid(s, n), so
-no Polynomial arithmetic runs and each component is built once.  Their
-values at a jet (hs_values, Taylor mode) come from truncated series of raw
-scalars, since evaluation at a point is a ring homomorphism and commutes
-with taking t^k coefficients; there powers come from the binomial theorem
-on a_i(t) = a_i^(0) + O(t), at most n series products whatever e is.
+one monomial of f as term lists, on raw dicts with the monomial keys of
+poly, so no Polynomial arithmetic runs and each component is built once.
+A term of d_k holds one key triple per variable in it, at most deg f,
+whatever s and k are.  Their values at a jet (hs_values, Taylor mode)
+come from truncated series of raw scalars, since evaluation at a point
+is a ring homomorphism and commutes with taking t^k coefficients; there
+powers come from the binomial theorem on a_i(t) = a_i^(0) + O(t), at
+most n series products whatever e is.
 Over Q the symbolic kernel runs on integers: it expands D*f, with D the
 lcm of the coefficient denominators of f, and divides each term by D as
 it stores it.  It counts the terms before it builds them and raises
@@ -136,20 +138,18 @@ def _series_pow(a, e, n, p=0):
 def _substituted(f, n, var_series, powers, p=0):
     """The t-series of f(a_1(t), ..., a_s(t)) truncated after t^n, where
     var_series[i] is the raw-scalar series a_i(t).  powers caches
-    a_i(t)^e by (i, e) and may be shared by every f substituted into the
-    same series.  Over Q an integral value is stored as an int, as
-    FieldSpec.raw stores it."""
+    a_i(t)^e by the key triple (0, i, e) and may be shared by every f
+    substituted into the same series.  Over Q an integral value is stored
+    as an int, as FieldSpec.raw stores it."""
     acc = [0] * (n + 1)
-    for exps, coeff in f.terms.items():
+    for key, coeff in f.terms.items():
         prod = [coeff] + [0] * n
-        for idx, e in enumerate(exps):
-            if e:
-                key = (f.ambient[idx].base, e)
-                powed = powers.get(key)
-                if powed is None:
-                    powed = _series_pow(var_series[key[0]], e, n, p)
-                    powers[key] = powed
-                prod = _series_mul(prod, powed, n, p)
+        for t in key:
+            powed = powers.get(t)
+            if powed is None:
+                _, i, e = t
+                powed = powers[t] = _series_pow(var_series[i], e, n, p)
+            prod = _series_mul(prod, powed, n, p)
         for k in range(n + 1):
             if prod[k]:
                 acc[k] += prod[k]
@@ -158,10 +158,12 @@ def _substituted(f, n, var_series, powers, p=0):
     return [_rational(c) for c in acc]
 
 
-def _power_terms(e, n, p):
-    """a(t)^e truncated after t^n, for a(t) = sum_j y_j t^j, by the
-    multinomial theorem: by_weight[w] lists (c, coeff) for the monomials
-    y_0^c_0 ... y_w^c_w of weight sum_j j c_j = w, with c = (c_0, ..., c_w).
+def _power_terms(i, e, n, p):
+    """a(t)^e truncated after t^n, for a(t) = sum_j y_j t^j with
+    y_j = x_i^(j), by the multinomial theorem: by_weight[w] lists
+    (c, coeff) for the monomials y_0^c_0 ... y_w^c_w of weight
+    sum_j j c_j = w, with c the monomial key, whose triples (j, i, c_j)
+    hold the nonzero c_j, j ascending.
     With r = c_1 + ... + c_w parts of positive order, c_0 = e - r and
     coeff = e! / (c_0! c_1! ... c_w!) = C(e, r) r! / (c_1! ... c_w!).
     Moving one factor from y_0 to y_j multiplies the exact coefficient by
@@ -186,36 +188,32 @@ def _power_terms(e, n, p):
     if p and e >= p:
         # the exponents of a term of (a^p)^(e div p) are multiples of p and
         # those of a^(e mod p) are below p, so the products are distinct
-        low = _power_terms(e % p, n, p)
-        for w_high, high in enumerate(_power_terms(e // p, n // p, p)):
+        low = _power_terms(i, e % p, n, p)
+        for w_high, high in enumerate(_power_terms(i, e // p, n // p, p)):
             for w_low in range(n + 1 - p * w_high):
-                w = w_low + p * w_high
                 for c_high, k_high in high:
-                    spread = [p * x for x in c_high] + [0] * (w - w_high)
                     for c_low, k_low in low[w_low]:
-                        c = spread[:]
-                        for j, x in enumerate(c_low):
-                            c[j] += x
-                        add(w, tuple(c), k_high * k_low % p)
+                        c = {j: x for j, _, x in c_low}
+                        for j, _, x in c_high:
+                            c[j] = c.get(j, 0) + p * x
+                        key = tuple((j, i, x) for j, x in sorted(c.items()))
+                        add(w_low + p * w_high, key, k_high * k_low % p)
         return by_weight
 
-    c = [e] + [0] * n
-
-    def visit(w, coeff, top):
-        # the monomial c, then each that moves one more factor to some
-        # y_j with j <= top, so that every multiset of parts comes once
-        add(w, tuple(c[: w + 1]), coeff % p if p else coeff)
-        if not c[0]:
+    def visit(w, coeff, top, c0, parts):
+        # the monomial y_0^c0 prod y_j^c_j over the (j, i, c_j) in parts,
+        # j ascending, then each that moves one more factor from y_0 to
+        # some y_j with j <= top, so that every multiset of parts comes once
+        add(w, ((0, i, c0),) + parts if c0 else parts, coeff % p if p else coeff)
+        if not c0:
             return
         for j in range(min(top, n - w), 0, -1):
-            moved = coeff * c[0] // (c[j] + 1)
-            c[0] -= 1
-            c[j] += 1
-            visit(w + j, moved, j)
-            c[0] += 1
-            c[j] -= 1
+            # parts were moved to y_top, then to lower orders: y_top heads parts
+            cj = parts[0][2] if parts and parts[0][0] == j else 0
+            grown = ((j, i, cj + 1),) + (parts[1:] if cj else parts)
+            visit(w + j, coeff * c0 // (cj + 1), j, c0 - 1, grown)
 
-    visit(0, 1, n)
+    visit(0, 1, n, e, ())
     return by_weight
 
 
@@ -235,50 +233,43 @@ def hs_components(f: Polynomial, n: int) -> HSExpansion:
     s = f.base_count
     spec = f.spec
     p = spec.characteristic
-    grid = jet_grid(s, n)
     # over Q the kernel expands D*f on integers and divides each term by D
     # as it is stored; D = 1 over GF(p) and for integral f
     D = math.lcm(*(c.denominator for c in f.terms.values()))
-    powers: dict = {}  # by e: _power_terms(e, n, p), shared by every x_i^e
-    # where[i][w]: the places of x_i^(0), ..., x_i^(w) in the key of a term
-    # of d_k, k >= w, which is dense on jet_grid(s, k)
-    where = {i: [slice(i - 1, i - 1 + s * (w + 1), s) for w in range(n + 1)] for i in range(1, s + 1)}
+    powers: dict = {}  # by the key triple (0, i, e) of x_i^e: _power_terms(i, e, n, p)
     acc = [{} for _ in range(n + 1)]
     count = 0
-    for exps, coeff in f.terms.items():
+    for key, coeff in f.terms.items():
         factors = []
-        for idx, e in enumerate(exps):
-            if e:
-                if e not in powers:
-                    powers[e] = _power_terms(e, n, p)
-                factors.append((where[f.ambient[idx].base], powers[e]))
+        for t in key:
+            if t not in powers:
+                _, i, e = t
+                powers[t] = _power_terms(i, e, n, p)
+            factors.append(powers[t])
         # the number of products of each weight, before any is formed
         sizes = [1] + [0] * n
-        for _, by_weight in factors:
+        for by_weight in factors:
             sizes = [sum(sizes[a] * len(by_weight[k - a]) for a in range(k + 1)) for k in range(n + 1)]
         count += sum(sizes)
         if count > TERM_CAP:
             raise TooManyTerms(count)
         products = [(0, coeff.numerator * (D // coeff.denominator), ())]
-        for places, by_weight in factors:
+        for by_weight in factors:
             products = [
-                (w0 + w, c0 * cw, pieces + ((places[w], c),))
+                (w0 + w, c0 * cw, pieces + piece)
                 for w0, c0, pieces in products
                 for w in range(n + 1 - w0)
-                for c, cw in by_weight[w]
+                for piece, cw in by_weight[w]
             ]
+        # the pieces of one variable run by order; those of several interleave
+        merge = len(factors) > 1
         for w, c0, pieces in products:
-            # d_w has weight w, so it uses only the x_i^(j) with j <= w:
-            # the first s (w + 1) variables of grid, which make up jet_grid(s, w)
-            key = [0] * (s * (w + 1))
-            for place, c in pieces:
-                key[place] = c
             if p:
                 c0 %= p
             elif D != 1:
                 c0 = Fraction(c0, D) if c0 % D else c0 // D
-            acc[w][tuple(key)] = c0
-    components = tuple(Polynomial._make(spec, grid[: s * (k + 1)], found) for k, found in enumerate(acc))
+            acc[w][tuple(sorted(pieces)) if merge else pieces] = c0
+    components = tuple(Polynomial._make(spec, found, s, k) for k, found in enumerate(acc))
     return HSExpansion(f, n, components)
 
 

@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass, field
 
 from .field import FieldElement, FieldSpec, MixedFields
-from .poly import JetVariable, MultiIndex, Polynomial
+from .poly import JetVariable, MultiIndex, Polynomial, jet_grid
 
 # at most this many exponents in the row and column families together
 INDEX_CAP = 2_000_000
@@ -151,10 +151,10 @@ class PolyMatrix:
         return PolyMatrix(self.cols, self.rows, entries, self.provenance)
 
     def variables(self) -> tuple[JetVariable, ...]:
-        seen = set()
-        for e in self.entries:
-            seen.update(e.ambient)
-        return tuple(sorted(seen))
+        """jet_grid(s, r), with s the largest base_count and r the largest
+        max_order of an entry: every variable an entry may contain."""
+        s = max((e.base_count for e in self.entries), default=0)
+        return jet_grid(s, max((e.max_order for e in self.entries), default=0))
 
     def __str__(self) -> str:
         return _bracketed([[str(e) for e in self.row(i)] for i in range(self.rows)])
@@ -220,7 +220,7 @@ def jac_m(fs: list[Polynomial], m: int) -> PolyMatrix:
     fam = index_families(s, m)
     entries = []
     for f in fs:
-        zero = Polynomial.zero(f.spec, f.ambient)
+        zero = Polynomial.zero(f.spec, f.base_count, f.max_order)
         partials = {}  # delta -> divided partial; many (beta, alpha) share one
         for beta in fam.lambda0:
             for alpha in fam.lambda_:

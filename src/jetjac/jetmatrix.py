@@ -32,7 +32,7 @@ def dn_matrix(L: PolyMatrix, n: int) -> PolyMatrix:
     """The (n+1)b x (n+1)a block matrix with block (i, j) = d_{j-i}(L)
     for j >= i and 0 otherwise; d is applied to each entry of L."""
     s = DnMatrix(L, n).s  # checks n and each entry of L
-    zero = Polynomial.zero(L.spec, jet_grid(s, 0))
+    zero = Polynomial.zero(L.spec, s)
     cache: dict[Polynomial, HSExpansion] = {}
 
     def expansion(entry: Polynomial) -> HSExpansion:

@@ -48,7 +48,7 @@ from .hasse import BadJetOrder, _require_base, hs_components, hs_values, jet_ser
 from .jacobian import BadDifferentialOrder, PolyMatrix, index_families, jac_m
 from .jetmatrix import DnMatrix, dn_matrix
 from .linalg import SAMPLE_RANGE, BadTrialCount, _base_rank, rank_at, trial_rng
-from .poly import JetVariable, MissingCoordinate, Point, Polynomial, _raw_value, base_variables
+from .poly import JetVariable, MissingCoordinate, Point, Polynomial, _raw_value
 
 
 class ConstantPolynomial(ValueError):
@@ -433,20 +433,19 @@ def _rational_roots(coeffs: list[Fraction]) -> list[Fraction]:
     return roots + sorted(found, key=lambda x: (abs(x.numerator), x.denominator, x < 0))
 
 
-def _univariate_in(f: Polynomial, target: int, vals: list):
+def _univariate_in(f: Polynomial, target: int, vals: dict):
     """Coefficients (ascending) of f as a univariate polynomial in the
     base variable x_target, every other x_i frozen at the raw scalar
-    vals[i - 1]."""
+    vals[(0, i)]."""
     p = f.spec.characteristic
     coeffs: dict[int, object] = {}
-    for exps, c in f.terms.items():
+    for key, c in f.terms.items():
         t, k = c, 0
-        for v, e in zip(f.ambient, exps):
-            if e:
-                if v.base == target:
-                    k = e
-                else:
-                    t = t * pow(vals[v.base - 1], e, p) if p else t * vals[v.base - 1] ** e
+        for _, i, e in key:
+            if i == target:
+                k = e
+            else:
+                t = t * pow(vals[0, i], e, p) if p else t * vals[0, i] ** e
         acc = coeffs.get(k, 0) + t
         coeffs[k] = acc % p if p else acc
     top = max(coeffs, default=0)
@@ -463,10 +462,10 @@ def find_smooth_point(f: Polynomial, seed=0, attempts: int = 200) -> Point:
     polynomial in the bit size of the coefficients.  Roots in GF(p) are
     tried in ascending order, rational roots 0 first and then by
     (|numerator|, denominator, positive before negative).  Deterministic
-    in seed.  A trial keeps its coordinates as a list of raw scalars and
-    tests each root on it with poly._raw_value, the s first partials
-    sharing one table of powers; only the point it returns is built as
-    a Point.
+    in seed.  A trial keeps its coordinates as raw scalars keyed by
+    variable and tests each root on them with poly._raw_value, the s
+    first partials sharing one table of powers; only the point it
+    returns is built as a Point.
     """
     s = f.base_count
     spec = f.spec
@@ -476,18 +475,18 @@ def find_smooth_point(f: Polynomial, seed=0, attempts: int = 200) -> Point:
     partials = [f.partial(JetVariable(i, 0)) for i in range(1, s + 1)]
     for t in range(attempts):
         rng = trial_rng(seed, t, "smooth-point")
-        solve = t % s  # x_(solve + 1) is solved for
-        vals = [
-            None if i == solve else rng.randrange(p) if p else rng.randint(-SAMPLE_RANGE, SAMPLE_RANGE)
-            for i in range(s)
-        ]
-        coeffs = _univariate_in(f, solve + 1, vals)
+        solve = t % s + 1  # x_solve is solved for
+        vals = {
+            (0, i): None if i == solve else rng.randrange(p) if p else rng.randint(-SAMPLE_RANGE, SAMPLE_RANGE)
+            for i in range(1, s + 1)
+        }
+        coeffs = _univariate_in(f, solve, vals)
         roots = _residue_roots(coeffs, p) if p else _rational_roots(coeffs)
         for root in roots:
-            vals[solve] = root
+            vals[0, solve] = root
             powers: dict = {}
             if any(_raw_value(g, vals, p, powers) for g in partials):
-                return Point.from_base(vals, spec)
+                return Point.from_base(list(vals.values()), spec)
     raise NoSmoothPointFound(
         f"no smooth point of V(f) found in {attempts} attempts; "
         "the equation may be degenerate (e.g. a p-th power in characteristic p)"
@@ -516,7 +515,7 @@ def extend_to_jet(f: Polynomial, base, n: int, seed=0) -> Point:
     for i in range(1, s + 1):
         if JetVariable(i, 0) not in coords:
             raise MissingCoordinate(f"base coordinate x{i} is not assigned")
-    vals = [coords[JetVariable(i, 0)].value for i in range(1, s + 1)]
+    vals = {(0, i): coords[JetVariable(i, 0)].value for i in range(1, s + 1)}
     powers: dict = {}
     if _raw_value(f, vals, p, powers):
         raise PointNotOnScheme("the base point is not on the hypersurface")
@@ -598,12 +597,11 @@ def generic_cokernel_rank(pres: Presentation, trials: int = 20, seed=0) -> Coker
     expected = pres.gens - pres.rels
     D = pres._dn
     full = min(D.L.rows, D.L.cols)
-    grid = base_variables(D.s)
     samples = []
     for t in range(trials):
         base = find_smooth_point(pres.f, seed=f"{seed}:{t}")
         jet = None
-        if _base_rank(D, [base[v].value for v in grid]) == full:
+        if _base_rank(D, {(0, i): base[JetVariable(i, 0)].value for i in range(1, D.s + 1)}) == full:
             sample = D.cols - (pres.n + 1) * full
         else:
             jet = extend_to_jet(pres.f, base, pres.n, seed=f"{seed}:{t}")

@@ -1,8 +1,8 @@
 """Exact linear algebra over the coefficient field.
 
 A matrix at a point is a ScalarMatrix of raw scalars, which rank reads
-without wrapping them in field elements.  D_n(L) reaches a point by
-Taylor mode (jetmatrix.dn_matrix_at); any other polynomial matrix is
+without wrapping them in field elements.  at_point puts a DnMatrix
+D_n(L) at a point by Taylor mode; any other polynomial matrix is
 evaluated entry by entry (eval_matrix).  Rank uses one elimination
 routine per scalar kind: over Q each row is cleared of denominators and
 integer Bareiss elimination runs with exact integer division; over GF(p)
@@ -19,12 +19,11 @@ the rank.
 Minors and determinants of polynomial matrices come from one
 division-free Laplace expansion, shared between all row selections with
 a common prefix.  It multiplies and adds raw term dicts whose monomials
-are packed into ints: B bits per variable of mx.variables(), with B the
-bit length of k e for k x k minors and e the largest exponent in any
+are packed into ints: B bits per variable that occurs in an entry, with
+B the bit length of k e for k x k minors and e the largest exponent in any
 entry.  A k x k minor is a sum of products of k entries, so no exponent
 in it exceeds k e < 2^B, no field carries into the next, and multiplying
-two monomials is adding two ints.  Every nonzero minor of size k >= 1 is
-over the ambient mx.variables().  MINOR_CAP bounds the minors listed
+two monomials is adding two ints.  MINOR_CAP bounds the minors listed
 and stored, MINOR_TERM_CAP the terms stored on the way.
 Generic rank is probabilistic: the maximum exact rank over seeded random
 evaluation points, always reported with its seed.
@@ -41,7 +40,7 @@ from .field import FieldElement, FieldSpec
 from .hasse import jet_series
 from .jacobian import PolyMatrix, ScalarMatrix
 from .jetmatrix import DnMatrix, _block_layout, _series_values
-from .poly import Point, Polynomial, _rational, _raw_value
+from .poly import Point, Polynomial, _Memo, _rational, _raw_value
 
 MINOR_CAP = 100_000
 MINOR_TERM_CAP = 2_000_000
@@ -132,7 +131,7 @@ def rank_at(mx: PolyMatrix | DnMatrix, point: Point) -> int:
         return rank(eval_matrix(mx, point))
     n = mx.n
     series = jet_series(point, mx.spec, mx.s, n)
-    r0 = _base_rank(mx, [v[0] for v in series.values()])
+    r0 = _base_rank(mx, {(0, i): v[0] for i, v in series.items()})
     if r0 == min(mx.L.rows, mx.L.cols) or not any(any(v[1:]) for v in series.values()):
         return (n + 1) * r0
     values = _series_values(mx, series, n)
@@ -141,10 +140,11 @@ def rank_at(mx: PolyMatrix | DnMatrix, point: Point) -> int:
     return rank(_block_layout(mx, values))
 
 
-def _base_rank(D: DnMatrix, base_values: list) -> int:
+def _base_rank(D: DnMatrix, base_values: dict) -> int:
     """rank A_0 = L(a_0) for D = D_n(L), where x_i takes the raw scalar
-    base_values[i - 1].  Each distinct entry object of L is evaluated
-    once, and all of them share one table of powers."""
+    base_values[(0, i)], as poly._raw_value reads it.  Each distinct
+    entry object of L is evaluated once, and all of them share one table
+    of powers."""
     p = D.spec.characteristic
     powers: dict = {}
     distinct = [_raw_value(g, base_values, p, powers) for g in D.distinct]
@@ -260,7 +260,7 @@ def minors(mx: PolyMatrix, k: int, cap: int = MINOR_CAP) -> MinorSet:
 
 def _laplace_walk(mx: PolyMatrix, k: int, cap: int) -> dict:
     """The nonzero k x k minors of mx as {row selection: {column bitmask:
-    minor}}; for k >= 1 every minor is over the ambient mx.variables().
+    minor}}.
 
     Rows are taken one at a time, depth first.  For the rows R taken so
     far, a level maps each column set S with minor(R, S) != 0 to that
@@ -272,16 +272,18 @@ def _laplace_walk(mx: PolyMatrix, k: int, cap: int) -> dict:
     every larger minor on those rows expands into it.  R is in walk
     order, so a finished minor takes the sign of that permutation.
 
-    The walk runs on raw term dicts.  Each nonzero entry is aligned once
-    to mx.variables(), and each of its exponent vectors is packed into one
-    int with B bits per variable, so multiplying two monomials adds two
-    ints.  With e the largest exponent in any entry, B is the bit length
-    of k e: a minor of size at most k is a sum of products of at most k
-    entries, so none of its exponents exceeds k e < 2^B and no field
-    carries into the next.  Each new minor sums its signed products
-    straight into one dict, whose coefficients are then reduced mod p, or
-    normalised over Q, once; only the k x k minors are unpacked into
-    exponent tuples.  At most cap intermediate minors are stored
+    The walk runs on raw term dicts.  The variables that occur in some
+    entry are numbered in key order, and each monomial key of an entry is
+    packed once into one int with B bits per variable, so multiplying two
+    monomials adds two ints.  With e the largest exponent in any entry, B
+    is the bit length of k e: a minor of size at most k is a sum of
+    products of at most k entries, so none of its exponents exceeds
+    k e < 2^B and no field carries into the next.  Each new minor sums its
+    signed products straight into one dict, whose coefficients are then
+    reduced mod p, or normalised over Q, once; only the k x k minors are
+    unpacked into monomial keys, each packed monomial once per walk.  A
+    minor has the largest base_count and max_order of the entries.  At
+    most cap intermediate minors are stored
     (TooManyMinors, checked per level), holding at most MINOR_TERM_CAP
     terms together (TooManyMinorTerms, checked as each minor is stored,
     so the budget also bounds the memory held)."""
@@ -289,21 +291,23 @@ def _laplace_walk(mx: PolyMatrix, k: int, cap: int) -> dict:
     if k == 0:
         return {(): {0: Polynomial.constant(spec, 1)}}
     p = spec.characteristic
-    ambient = mx.variables()
-    top = max((max(e, default=0) for g in mx.entries for e in g.terms), default=0)
-    width = (k * top).bit_length()
-    offsets = [i * width for i in range(len(ambient))]
-    shift = dict(zip(ambient, offsets))
-    exponents = _Exponents(offsets, (1 << width) - 1)
+    triples = {t for g in mx.entries for key in g.terms for t in key}
+    width = (k * max((e for _, _, e in triples), default=0)).bit_length()
+    # the variables in key order, each with its field of bits
+    fields = [(o, b, i * width) for i, (o, b) in enumerate(sorted({t[:2] for t in triples}))]
+    shift = {(o, b): s for o, b, s in fields}
+    mask = (1 << width) - 1
     nonzero = []
     for i in range(mx.rows):
         row = []
         for c, g in enumerate(mx.row(i)):
             if g:
-                shifts = [shift[v] for v in g.ambient]
-                packed = [(sum(e << s for e, s in zip(exps, shifts)), a) for exps, a in g.terms.items()]
+                packed = [(sum(e << shift[o, b] for o, b, e in key), a) for key, a in g.terms.items()]
                 row.append((c, 1 << c, packed, [(m, -a) for m, a in packed]))
         nonzero.append(row)
+    shape = (max(g.base_count for g in mx.entries), max(g.max_order for g in mx.entries))
+    # a packed monomial of a k x k minor unpacked into its key, once
+    keys = _Memo(lambda m: tuple((o, b, x) for o, b, s in fields if (x := m >> s & mask)))
     # sparsest rows first: a sparse row extends each minor in few ways, so
     # the levels near the root, which the most selections share, stay small
     order = sorted(range(mx.rows), key=lambda i: (len(nonzero[i]), i))
@@ -356,27 +360,10 @@ def _laplace_walk(mx: PolyMatrix, k: int, cap: int) -> dict:
             continue
         sign = -1 if inversions & 1 else 1
         found[tuple(sorted(row_sel))] = {
-            cols: Polynomial._make(
-                spec, ambient, {exponents[m]: sign * a % p if p else sign * a for m, a in minor.items()}
-            )
+            cols: Polynomial._make(spec, {keys[m]: sign * a % p if p else sign * a for m, a in minor.items()}, *shape)
             for cols, minor in grown.items()
         }
     return found
-
-
-class _Exponents(dict):
-    """Packed monomial -> dense exponent tuple, unpacked once, on first
-    lookup, and shared by every minor of one walk."""
-
-    def __init__(self, offsets: list[int], mask: int):
-        super().__init__()
-        self.offsets = offsets
-        self.mask = mask
-
-    def __missing__(self, m: int) -> tuple:
-        mask = self.mask
-        exps = self[m] = tuple([m >> s & mask for s in self.offsets])
-        return exps
 
 
 def random_point(spec: FieldSpec, variables, rng: random.Random) -> Point:

@@ -1,10 +1,20 @@
 """Sparse multivariate polynomials in jet variables x_i^(j).
 
-A polynomial stores a canonically sorted ambient variable tuple and a term
-map from dense exponent tuples (aligned with the ambient) to nonzero
-coefficients.  Coefficients are kept raw, as FieldSpec.raw stores them
-(over Q an int or a Fraction, over GF(p) a residue int), so the inner
-loops stay cheap; FieldElement is the scalar type at the API surface.
+A polynomial maps each monomial key to its nonzero coefficient.  The key
+lists the monomial's variables with their nonzero exponents, as the
+triples (j, i, e) for x_i^(j) to the power e, sorted: that is the
+canonical order of JetVariable, and the constant monomial is ().  A key
+names its variables, so polynomials with different variables add,
+multiply and compare without being remapped, and a term holds one
+triple per variable in it, however many variables there are.  This
+module decides that format; the kernels of hasse, linalg and jetscheme
+read and build keys in it, and the API surface goes through JetVariable
+and monomials().  A polynomial also carries base_count, the number s of
+base variables it was built over, and max_order, the largest jet order
+mentioned: parse_poly("x1", 3) has base_count 3.  Coefficients are kept
+raw, as FieldSpec.raw stores them (over Q an int or a Fraction, over
+GF(p) a residue int), so the inner loops stay cheap; FieldElement is the
+scalar type at the API surface.
 
 The ASCII grammar accepted by parse_poly:
 
@@ -25,8 +35,8 @@ the identity.
 from __future__ import annotations
 
 import math
-import operator
 import re
+from operator import itemgetter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import total_ordering
@@ -52,7 +62,7 @@ class BadExponent(ParseError):
 
 
 class MissingCoordinate(KeyError):
-    """A point does not assign every ambient variable of the polynomial."""
+    """A point does not assign a variable that the polynomial needs."""
 
     def __str__(self):  # KeyError quotes its payload by default
         return self.args[0] if self.args else ""
@@ -88,7 +98,7 @@ class JetVariable:
 
     @property
     def name(self) -> str:
-        return f"x{self.base}" if self.order == 0 else f"x{self.base}_{self.order}"
+        return _name(self.order, self.base)
 
     def __lt__(self, other):
         if not isinstance(other, JetVariable):
@@ -119,97 +129,118 @@ def _rational(c):
     return c.numerator if type(c) is Fraction and c.denominator == 1 else c
 
 
+def _name(order: int, base: int) -> str:
+    return f"x{base}_{order}" if order else f"x{base}"
+
+
+class _Memo(dict):
+    """fn(key), computed on the first lookup of key and kept; emptied
+    once it holds more than _MEMO_CAP keys, so its size stays bounded."""
+
+    def __init__(self, fn):
+        super().__init__()
+        self.fn = fn
+
+    def __missing__(self, key):
+        if len(self) > _MEMO_CAP:
+            self.clear()
+        value = self[key] = self.fn(key)
+        return value
+
+
+_MEMO_CAP = 1 << 16
+_exponent = itemgetter(2)
+# a key triple as the printer compares it, a lower variable weighing more,
+# and as it writes it, such as x1_2^3
+_weight = _Memo(lambda t: (-t[0], -t[1], t[2])).__getitem__
+_factor = _Memo(lambda t: _name(t[0], t[1]) + ("" if t[2] == 1 else f"^{t[2]}")).__getitem__
+
+
+def _times(k1: tuple, k2: tuple) -> tuple:
+    # the key of the product of two monomials
+    if not k1 or not k2:
+        return k1 or k2
+    out = []
+    for t in sorted(k1 + k2):
+        if out and out[-1][:2] == t[:2]:
+            out[-1] = (t[0], t[1], out[-1][2] + t[2])
+        else:
+            out.append(t)
+    return tuple(out)
+
+
 class Polynomial:
     """Sparse polynomial over a FieldSpec in jet variables.
 
     Values are immutable; every operation returns a new polynomial.  Two
     polynomials are equal iff they have the same field and the same terms,
-    regardless of ambient (unused ambient variables do not matter).
+    whatever their base_count and max_order.
     """
 
-    __slots__ = ("spec", "ambient", "terms", "_hash")
+    __slots__ = ("spec", "terms", "base_count", "max_order", "_hash")
 
-    def __init__(self, spec: FieldSpec, ambient: Iterable[JetVariable] = (), terms=None):
-        amb = tuple(ambient)
-        if list(amb) != sorted(amb):
-            raise ValueError("ambient variables must be canonically sorted")
-        if len(set(amb)) != len(amb):
-            raise ValueError("ambient variables must be distinct")
-        clean: dict[MultiIndex, object] = {}
-        for exps, coeff in (terms or {}).items():
-            exps = tuple(exps)
-            if len(exps) != len(amb):
-                raise ValueError("exponent tuple does not match ambient length")
-            if any(e < 0 for e in exps):
-                raise ValueError("negative exponent")
+    def __init__(self, spec: FieldSpec, terms=None, base_count: int = 0, max_order: int = 0):
+        """terms maps monomial keys, as in the module docstring, to
+        coefficients; they are stored as FieldSpec.raw stores them, and
+        zeros are dropped.  base_count and max_order grow to cover every
+        variable in the keys."""
+        clean = {}
+        for key, coeff in (terms or {}).items():
             c = spec.raw(coeff)
             if c:
-                c0 = clean.get(exps)
-                if c0 is None:
-                    clean[exps] = c
-                else:
-                    p = spec.characteristic
-                    c = (c0 + c) % p if p else c0 + c
-                    if c:
-                        clean[exps] = c
-                    else:
-                        del clean[exps]
+                clean[key] = c
+            for order, base, _ in key:
+                base_count, max_order = max(base_count, base), max(max_order, order)
         self.spec = spec
-        self.ambient = amb
         self.terms = clean
+        self.base_count = base_count
+        self.max_order = max_order
         self._hash = None
 
     @classmethod
-    def _make(cls, spec, ambient, terms) -> "Polynomial":
-        # trusted fast path: ambient sorted, terms canonical and zero-free
+    def _make(cls, spec, terms, base_count, max_order) -> "Polynomial":
+        # trusted fast path: keys canonical, coefficients raw and nonzero
         obj = object.__new__(cls)
         obj.spec = spec
-        obj.ambient = ambient
         obj.terms = terms
+        obj.base_count = base_count
+        obj.max_order = max_order
         obj._hash = None
         return obj
 
     # -- constructors ------------------------------------------------
 
     @classmethod
-    def zero(cls, spec: FieldSpec, ambient: Iterable[JetVariable] = ()) -> "Polynomial":
-        return cls._make(spec, tuple(ambient), {})
+    def zero(cls, spec: FieldSpec, base_count: int = 0, max_order: int = 0) -> "Polynomial":
+        return cls._make(spec, {}, base_count, max_order)
 
     @classmethod
-    def constant(cls, spec: FieldSpec, value, ambient: Iterable[JetVariable] = ()) -> "Polynomial":
-        amb = tuple(ambient)
+    def constant(cls, spec: FieldSpec, value, base_count: int = 0, max_order: int = 0) -> "Polynomial":
         c = spec.raw(value)
-        if not c:
-            return cls._make(spec, amb, {})
-        return cls._make(spec, amb, {(0,) * len(amb): c})
+        return cls._make(spec, {(): c} if c else {}, base_count, max_order)
 
     @classmethod
-    def variable(cls, spec: FieldSpec, v: JetVariable, ambient: Iterable[JetVariable] | None = None) -> "Polynomial":
-        amb = (v,) if ambient is None else tuple(ambient)
-        idx = amb.index(v)
-        exps = tuple(1 if i == idx else 0 for i in range(len(amb)))
-        return cls._make(spec, amb, {exps: 1})
+    def variable(cls, spec: FieldSpec, v: JetVariable, base_count: int = 0) -> "Polynomial":
+        return cls._make(spec, {((v.order, v.base, 1),): 1}, max(base_count, v.base), v.order)
 
     @classmethod
-    def from_terms(cls, spec: FieldSpec, sparse: Mapping, ambient: Iterable[JetVariable] = ()) -> "Polynomial":
+    def from_terms(cls, spec: FieldSpec, sparse: Mapping, base_count: int = 0, max_order: int = 0) -> "Polynomial":
         """Build from {monomial: coefficient} where a monomial is a mapping
-        JetVariable -> exponent (or an iterable of (variable, exponent))."""
-        monos = []
-        seen = set(ambient)
+        JetVariable -> exponent (or an iterable of (variable, exponent));
+        monomials that agree once sorted are summed.  Every variable
+        mentioned counts towards base_count and max_order, even with
+        exponent 0 or in a term that cancels."""
+        terms: dict[tuple, object] = {}
         for mono, coeff in sparse.items():
-            pairs = tuple(mono.items()) if isinstance(mono, Mapping) else tuple(mono)
-            monos.append((pairs, coeff))
-            seen.update(v for v, _ in pairs)
-        amb = tuple(sorted(seen))
-        pos = {v: i for i, v in enumerate(amb)}
-        terms: dict[MultiIndex, object] = {}
-        for pairs, coeff in monos:
-            exps = [0] * len(amb)
-            for v, e in pairs:
-                exps[pos[v]] += e
-            key = tuple(exps)
-            terms[key] = coeff if key not in terms else spec.element(terms[key]) + spec.element(coeff)
-        return cls(spec, amb, terms)
+            exps: dict[tuple[int, int], int] = {}
+            for v, e in mono.items() if isinstance(mono, Mapping) else mono:
+                base_count, max_order = max(base_count, v.base), max(max_order, v.order)
+                if e:
+                    var = (v.order, v.base)
+                    exps[var] = exps.get(var, 0) + e
+            key = tuple(sorted((order, base, e) for (order, base), e in exps.items()))
+            terms[key] = spec.raw(terms.get(key, 0) + spec.raw(coeff))
+        return cls(spec, terms, base_count, max_order)
 
     # -- structure ---------------------------------------------------
 
@@ -219,74 +250,30 @@ class Polynomial:
 
     @property
     def is_constant(self) -> bool:
-        return all(not any(e) for e in self.terms)
+        return all(not key for key in self.terms)
 
     def constant_value(self) -> FieldElement:
-        zero_key = (0,) * len(self.ambient)
-        return FieldElement(self.spec, self.terms.get(zero_key, 0))
+        return FieldElement(self.spec, self.terms.get((), 0))
 
     def degree(self):
         """Total degree; -inf for the zero polynomial."""
         if not self.terms:
             return float("-inf")
-        return max(sum(e) for e in self.terms)
-
-    @property
-    def base_count(self) -> int:
-        """Number s of base variables, read off the ambient."""
-        return max((v.base for v in self.ambient), default=0)
-
-    @property
-    def max_order(self) -> int:
-        return max((v.order for v in self.ambient), default=0)
+        return max(sum(map(_exponent, key)) for key in self.terms)
 
     def variables(self) -> tuple[JetVariable, ...]:
-        """The ambient variables that actually occur in some term."""
-        used = [False] * len(self.ambient)
-        for exps in self.terms:
-            for i, e in enumerate(exps):
-                if e:
-                    used[i] = True
-        return tuple(v for v, u in zip(self.ambient, used) if u)
+        """The variables that actually occur in some term."""
+        used = sorted({t[:2] for key in self.terms for t in key})
+        return tuple(JetVariable(base, order) for order, base in used)
 
     def monomials(self):
         """Yield (exponent map JetVariable -> int, FieldElement) per term."""
-        for exps, c in self.terms.items():
-            mono = {v: e for v, e in zip(self.ambient, exps) if e}
-            yield mono, FieldElement(self.spec, c)
+        for key, c in self.terms.items():
+            yield {JetVariable(base, order): e for order, base, e in key}, FieldElement(self.spec, c)
 
     def coefficient(self, mono: Mapping[JetVariable, int]) -> FieldElement:
-        exps = [0] * len(self.ambient)
-        pos = {v: i for i, v in enumerate(self.ambient)}
-        for v, e in mono.items():
-            if e:
-                if v not in pos:
-                    return self.spec.zero
-                exps[pos[v]] = e
-        return FieldElement(self.spec, self.terms.get(tuple(exps), 0))
-
-    def _remapped(self, amb: tuple[JetVariable, ...]) -> dict:
-        if amb == self.ambient:
-            return self.terms
-        pos = {v: i for i, v in enumerate(amb)}
-        mapping = [pos[v] for v in self.ambient]
-        width = len(amb)
-        out = {}
-        for exps, c in self.terms.items():
-            ee = [0] * width
-            for i, e in enumerate(exps):
-                if e:
-                    ee[mapping[i]] = e
-            out[tuple(ee)] = c
-        return out
-
-    def _aligned(self, other: "Polynomial"):
-        if self.spec != other.spec:
-            raise MixedFields(f"cannot combine {self.spec} with {other.spec}")
-        if self.ambient == other.ambient:
-            return self.ambient, self.terms, other.terms
-        amb = tuple(sorted(set(self.ambient) | set(other.ambient)))
-        return amb, self._remapped(amb), other._remapped(amb)
+        key = tuple(sorted((v.order, v.base, e) for v, e in mono.items() if e))
+        return FieldElement(self.spec, self.terms.get(key, 0))
 
     # -- arithmetic --------------------------------------------------
 
@@ -294,34 +281,40 @@ class Polynomial:
         if isinstance(other, Polynomial):
             return other
         if isinstance(other, (int, Fraction, FieldElement)):
-            return Polynomial.constant(self.spec, other, self.ambient)
+            return Polynomial.constant(self.spec, other, self.base_count, self.max_order)
         return None
+
+    def _joint(self, other: "Polynomial") -> tuple[int, int]:
+        # base_count and max_order of a sum or product, over one field
+        if self.spec != other.spec:
+            raise MixedFields(f"cannot combine {self.spec} with {other.spec}")
+        return max(self.base_count, other.base_count), max(self.max_order, other.max_order)
 
     def __add__(self, other):
         other = self._promote(other)
         if other is None:
             return NotImplemented
-        amb, t1, t2 = self._aligned(other)
+        shape = self._joint(other)
         p = self.spec.characteristic
-        out = dict(t1)
-        for exps, c in t2.items():
-            c0 = out.get(exps)
+        out = dict(self.terms)
+        for key, c in other.terms.items():
+            c0 = out.get(key)
             if c0 is None:
-                out[exps] = c
+                out[key] = c
             else:
                 cc = (c0 + c) % p if p else _rational(c0 + c)
                 if cc:
-                    out[exps] = cc
+                    out[key] = cc
                 else:
-                    del out[exps]
-        return Polynomial._make(self.spec, amb, out)
+                    del out[key]
+        return Polynomial._make(self.spec, out, *shape)
 
     __radd__ = __add__
 
     def __neg__(self):
         p = self.spec.characteristic
-        out = {e: (-c % p if p else -c) for e, c in self.terms.items()}
-        return Polynomial._make(self.spec, self.ambient, out)
+        out = {key: (-c % p if p else -c) for key, c in self.terms.items()}
+        return Polynomial._make(self.spec, out, self.base_count, self.max_order)
 
     def __sub__(self, other):
         other = self._promote(other)
@@ -336,27 +329,26 @@ class Polynomial:
         return other + (-self)
 
     def _scaled(self, raw) -> "Polynomial":
-        if not raw:
-            return Polynomial._make(self.spec, self.ambient, {})
         p = self.spec.characteristic
-        if p:
-            out = {e: c * raw % p for e, c in self.terms.items()}
+        if not raw:
+            out = {}
+        elif p:
+            out = {key: c * raw % p for key, c in self.terms.items()}
         else:
-            out = {e: _rational(c * raw) for e, c in self.terms.items()}
-        return Polynomial._make(self.spec, self.ambient, out)
+            out = {key: _rational(c * raw) for key, c in self.terms.items()}
+        return Polynomial._make(self.spec, out, self.base_count, self.max_order)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, FieldElement)):
             return self._scaled(self.spec.raw(other))
         if not isinstance(other, Polynomial):
             return NotImplemented
-        amb, t1, t2 = self._aligned(other)
+        shape = self._joint(other)
         p = self.spec.characteristic
-        out: dict[MultiIndex, object] = {}
-        add = operator.add
-        for e1, c1 in t1.items():
-            for e2, c2 in t2.items():
-                key = tuple(map(add, e1, e2))
+        out: dict[tuple, object] = {}
+        for k1, c1 in self.terms.items():
+            for k2, c2 in other.terms.items():
+                key = _times(k1, k2)
                 c = c1 * c2
                 c0 = out.get(key)
                 if c0 is not None:
@@ -369,7 +361,7 @@ class Polynomial:
                     out[key] = c
                 elif c0 is not None:
                     del out[key]
-        return Polynomial._make(self.spec, amb, out)
+        return Polynomial._make(self.spec, out, *shape)
 
     __rmul__ = __mul__
 
@@ -377,7 +369,7 @@ class Polynomial:
         if not isinstance(e, int) or e < 0:
             raise ValueError("polynomial powers take a natural exponent")
         if not e:
-            return Polynomial.constant(self.spec, 1, self.ambient)
+            return Polynomial.constant(self.spec, 1, self.base_count, self.max_order)
         # start from self rather than 1, so integer coefficients stay integers
         result = None
         square = self
@@ -393,20 +385,17 @@ class Polynomial:
 
     def partial(self, v: JetVariable) -> "Polynomial":
         """Formal partial derivative with respect to v."""
-        try:
-            idx = self.ambient.index(v)
-        except ValueError:
-            return Polynomial._make(self.spec, self.ambient, {})
         p = self.spec.characteristic
         out = {}
-        for exps, c in self.terms.items():
-            k = exps[idx]
-            if not k:
-                continue
-            cc = c * k % p if p else _rational(c * k)
-            if cc:
-                out[exps[:idx] + (k - 1,) + exps[idx + 1 :]] = cc
-        return Polynomial._make(self.spec, self.ambient, out)
+        for key, c in self.terms.items():
+            for i, (order, base, k) in enumerate(key):
+                if order == v.order and base == v.base:
+                    cc = c * k % p if p else _rational(c * k)
+                    if cc:
+                        lowered = ((order, base, k - 1),) if k > 1 else ()
+                        out[key[:i] + lowered + key[i + 1 :]] = cc
+                    break
+        return Polynomial._make(self.spec, out, self.base_count, self.max_order)
 
     def divided_partial(self, delta: Sequence[int]) -> "Polynomial":
         """Divided-power (Hasse) derivative for a multi-index over the
@@ -418,77 +407,54 @@ class Polynomial:
         delta = tuple(delta)
         if any(d < 0 for d in delta):
             raise ValueError("multi-index entries must be naturals")
-        pos = {v: i for i, v in enumerate(self.ambient)}
-        needed = []
-        for i, d in enumerate(delta):
-            if d:
-                idx = pos.get(JetVariable(i + 1, 0))
-                if idx is None:
-                    return Polynomial._make(self.spec, self.ambient, {})
-                needed.append((idx, d))
+        needed = {i + 1: d for i, d in enumerate(delta) if d}  # by base index
         if not needed:
             return self
         p = self.spec.characteristic
         out = {}
-        for exps, c in self.terms.items():
-            ee = list(exps)
-            coeff = c
-            for idx, d in needed:
-                g = exps[idx]
+        for key, c in self.terms.items():
+            lowered = []
+            met = 0
+            for t in key:
+                d = 0 if t[0] else needed.get(t[1], 0)
+                if not d:
+                    lowered.append(t)
+                    continue
+                g = t[2]
                 if g < d:
-                    coeff = 0
                     break
-                coeff *= math.comb(g, d)
-                ee[idx] = g - d
-            if p:
-                coeff = coeff % p if coeff else 0
+                c *= math.comb(g, d)
+                met += 1
+                if g > d:
+                    lowered.append((0, t[1], g - d))
             else:
-                coeff = _rational(coeff)
-            if coeff:
-                out[tuple(ee)] = coeff
-        return Polynomial._make(self.spec, self.ambient, out)
+                # every needed variable divides the term
+                if met == len(needed):
+                    c = c % p if p else _rational(c)
+                    if c:
+                        out[tuple(lowered)] = c
+        return Polynomial._make(self.spec, out, self.base_count, self.max_order)
 
     def evaluate(self, point: "Point") -> FieldElement:
-        """Exact value at a point assigning every ambient variable: the
-        point's coordinates laid out flat, in the order of Point.from_flat,
-        and handed to _raw_value."""
+        """Exact value at a point assigning every variable that occurs,
+        from _raw_value."""
         if point.spec != self.spec:
             raise MixedFields(f"point over {point.spec}, polynomial over {self.spec}")
-        width = self.base_count
-        vals = [None] * (width * (self.max_order + 1))
-        coords = point.coords
-        for v in self.ambient:
-            fe = coords.get(v)
-            if fe is None:
-                raise MissingCoordinate(f"point assigns no value to {v.name}")
-            vals[v.order * width + v.base - 1] = fe.value
-        return FieldElement(self.spec, _raw_value(self, vals, self.spec.characteristic, {}, width))
+        vals = {(v.order, v.base): fe.value for v, fe in point.coords.items()}
+        return FieldElement(self.spec, _raw_value(self, vals, self.spec.characteristic, {}))
 
     # -- identity ----------------------------------------------------
 
-    def _sparse_key(self):
-        items = []
-        for exps, c in self.terms.items():
-            mono = tuple(
-                (v.base, v.order, e) for v, e in zip(self.ambient, exps) if e
-            )
-            items.append((mono, c))
-        return frozenset(items)
-
     def __eq__(self, other):
         if isinstance(other, Polynomial):
-            if self.spec != other.spec:
-                return False
-            if self.ambient == other.ambient:
-                return self.terms == other.terms
-            return self._sparse_key() == other._sparse_key()
+            return self.spec == other.spec and self.terms == other.terms
         if isinstance(other, (int, Fraction, FieldElement)):
             return self.is_constant and self.constant_value() == self.spec.element(other)
         return NotImplemented
 
     def __hash__(self):
         if self._hash is None:
-            self._hash = hash((self.spec.characteristic, self._sparse_key()))
+            self._hash = hash((self.spec.characteristic, frozenset(self.terms.items())))
         return self._hash
 
     def __bool__(self):
@@ -499,11 +465,14 @@ class Polynomial:
     def __str__(self) -> str:
         if not self.terms:
             return "0"
-        names = [v.name for v in self.ambient]
         parts = []
-        terms = sorted(self.terms.items(), key=lambda kv: (sum(kv[0]), kv[0]), reverse=True)
         try:
-            for exps, c in terms:
+            # graded lex: by degree, then by the exponent of the first
+            # variable in canonical order where two terms differ
+            ordered = sorted(
+                self.terms.items(), key=lambda kv: (sum(map(_exponent, kv[0])), *map(_weight, kv[0])), reverse=True
+            )
+            for key, c in ordered:
                 # residues mod p are never negative; a Fraction prints as num or num/den
                 num, den = c.numerator, c.denominator
                 if num < 0:
@@ -511,10 +480,11 @@ class Polynomial:
                     num = -num
                 elif parts:
                     parts.append("+")
-                factors = [name if e == 1 else f"{name}^{e}" for name, e in zip(names, exps) if e]
-                if num != 1 or den != 1 or not factors:
-                    factors.insert(0, str(num) if den == 1 else f"{num}/{den}")
-                parts.append("*".join(factors))
+                factors = "*".join(map(_factor, key))
+                if num != 1 or den != 1 or not key:
+                    scalar = str(num) if den == 1 else f"{num}/{den}"
+                    factors = f"{scalar}*{factors}" if key else scalar
+                parts.append(factors)
         except ValueError:  # only int-to-text conversion raises it here
             raise CoefficientTooLong("a coefficient or exponent has too many digits to print") from None
         return "".join(parts)
@@ -523,24 +493,23 @@ class Polynomial:
         return f"Polynomial({self}, field={self.spec})"
 
 
-def _raw_value(g: Polynomial, vals: Sequence, p: int, powers: dict, width: int = 0):
-    """The raw value of g where x_i^(j) takes the raw scalar
-    vals[j * width + i - 1], the flat order of Point.from_flat; for a
-    polynomial in the base variables alone x_i takes vals[i - 1] whatever
-    the width.  powers caches vals[k]^e by (k, e), so every polynomial
-    evaluated at the same vals may share one dict.  Over Q an integral
-    value is an int, as FieldSpec.raw stores it."""
-    slots = [v.order * width + v.base - 1 for v in g.ambient]
+def _raw_value(g: Polynomial, vals: Mapping, p: int, powers: dict):
+    """The raw value of g where the variable x_i^(j) takes the raw scalar
+    vals[(j, i)]; MissingCoordinate when vals lacks a variable that
+    occurs.  powers caches each power by its key triple, so every
+    polynomial evaluated at the same vals may share one dict.  Over Q an
+    integral value is an int, as FieldSpec.raw stores it."""
     acc = 0
-    for exps, c in g.terms.items():
-        for k, e in zip(slots, exps):
-            if e == 1:
-                c = c * vals[k]
-            elif e:
-                pw = powers.get((k, e))
-                if pw is None:
-                    pw = powers[k, e] = pow(vals[k], e, p) if p else vals[k] ** e
-                c = c * pw
+    for key, c in g.terms.items():
+        for t in key:
+            pw = powers.get(t)
+            if pw is None:
+                order, base, e = t
+                x = vals.get((order, base))
+                if x is None:
+                    raise MissingCoordinate(f"point assigns no value to {_name(order, base)}")
+                pw = powers[t] = x if e == 1 else pow(x, e, p) if p else x**e
+            c = c * pw
         acc += c
     return acc % p if p else _rational(acc)
 
@@ -700,7 +669,7 @@ def parse_poly(src: str, s: int, spec: FieldSpec = None) -> Polynomial:
     """Parse the grammar above into canonical sparse form.
 
     s fixes the number of base variables: names x1..xs are legal and the
-    result's ambient always contains all of them.
+    result's base_count is s.
     """
     if spec is None:
         spec = FieldSpec.rationals()
@@ -708,9 +677,10 @@ def parse_poly(src: str, s: int, spec: FieldSpec = None) -> Polynomial:
         raise ValueError("s must be >= 1")
     tokens = _tokenize(src)
     parsed = _Parser(tokens, s, spec, len(src)).parse()
+    # from_terms sums the terms whose monomials agree once sorted
     sparse: dict[tuple, object] = {}
     for mono, coeff in parsed:
-        key = tuple(sorted(mono.items()))
+        key = tuple(mono.items())
         prev = sparse.get(key)
         sparse[key] = coeff if prev is None else prev + coeff
-    return Polynomial.from_terms(spec, sparse, ambient=base_variables(s))
+    return Polynomial.from_terms(spec, sparse, base_count=s)

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 from hypothesis import strategies as st
 
-from jetjac import FieldSpec, JetVariable, Point, Polynomial, base_variables
+from jetjac import FieldSpec, JetVariable, Point, Polynomial
 
 MASTER_SEED = 20260810
 
@@ -39,7 +39,7 @@ def poly_from_int_terms(s, terms, spec):
         tuple((JetVariable(i + 1, 0), e) for i, e in enumerate(exps) if e): c
         for exps, c in terms.items()
     }
-    return Polynomial.from_terms(spec, sparse, ambient=base_variables(s))
+    return Polynomial.from_terms(spec, sparse, base_count=s)
 
 
 def random_base_polynomial(rng, s, max_deg, max_terms, spec, nonzero=False):
@@ -55,7 +55,7 @@ def random_base_polynomial(rng, s, max_deg, max_terms, spec, nonzero=False):
             terms[key] = terms.get(key, 0) + c
     poly = poly_from_int_terms(s, terms, spec)
     if nonzero and poly.is_zero:
-        return Polynomial.constant(spec, 1, base_variables(s))
+        return Polynomial.constant(spec, 1, s)
     return poly
 
 

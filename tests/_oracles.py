@@ -4,7 +4,7 @@ checked against."""
 import math
 from fractions import Fraction
 
-from jetjac import HSExpansion, JetVariable, NotBasePolynomial, Polynomial, TooManyMinors, jet_grid
+from jetjac import HSExpansion, JetVariable, NotBasePolynomial, Polynomial, TooManyMinors
 
 
 def hs_components_leibniz(f: Polynomial, n: int) -> HSExpansion:
@@ -19,17 +19,16 @@ def hs_components_leibniz(f: Polynomial, n: int) -> HSExpansion:
         raise ValueError("n must be >= 0")
     s = f.base_count
     spec = f.spec
-    grid = jet_grid(s, n)
-    zero = Polynomial.zero(spec, grid)
+    zero = Polynomial.zero(spec, s)
     dvar = {
-        i: [Polynomial.variable(spec, JetVariable(i, k), grid) for k in range(n + 1)]
+        i: [Polynomial.variable(spec, JetVariable(i, k)) for k in range(n + 1)]
         for i in range(1, s + 1)
     }
     acc = [zero] * (n + 1)
-    for exps, coeff in f.terms.items():
-        vec = [Polynomial.constant(spec, coeff, grid)] + [zero] * n
-        for idx, e in enumerate(exps):
-            base_vec = dvar.get(f.ambient[idx].base)
+    for mono, coeff in f.monomials():
+        vec = [Polynomial.constant(spec, coeff, s)] + [zero] * n
+        for v, e in mono.items():
+            base_vec = dvar[v.base]
             for _ in range(e):
                 nxt = [zero] * (n + 1)
                 for i in range(n + 1):
@@ -41,9 +40,9 @@ def hs_components_leibniz(f: Polynomial, n: int) -> HSExpansion:
         for k in range(n + 1):
             if not vec[k].is_zero:
                 acc[k] = acc[k] + vec[k]
-    # over jet_grid(s, k); a variable of order above k would widen the ambient
+    # d_k has base_count s and max_order k
     components = tuple(
-        Polynomial.from_terms(spec, {tuple(m.items()): c for m, c in acc[k].monomials()}, jet_grid(s, k))
+        Polynomial.from_terms(spec, {tuple(m.items()): c for m, c in acc[k].monomials()}, s, k)
         for k in range(n + 1)
     )
     return HSExpansion(f, n, components)
@@ -52,10 +51,15 @@ def hs_components_leibniz(f: Polynomial, n: int) -> HSExpansion:
 def polynomial_str(self: Polynomial) -> str:
     """The canonical printer as it was before it became one pass: signs
     from Fraction comparisons, names looked up per term, pieces joined
-    pairwise.  Polynomial.__str__ must match it byte for byte."""
+    pairwise, and terms sorted by (degree, dense exponent tuple) over the
+    canonically sorted variables.  Polynomial.__str__ must match it byte
+    for byte."""
     if not self.terms:
         return "0"
-    ordered = sorted(self.terms.items(), key=lambda kv: (sum(kv[0]), kv[0]), reverse=True)
+    monos = list(self.monomials())
+    ambient = sorted({v for mono, _ in monos for v in mono})
+    dense = [(tuple(mono.get(v, 0) for v in ambient), c.value) for mono, c in monos]
+    ordered = sorted(dense, key=lambda kv: (sum(kv[0]), kv[0]), reverse=True)
     pieces = []
     for exps, c in ordered:
         if self.spec.characteristic == 0 and c < 0:
@@ -64,7 +68,7 @@ def polynomial_str(self: Polynomial) -> str:
             sign, mag = "+", c
         powers = [
             v.name if e == 1 else f"{v.name}^{e}"
-            for v, e in zip(self.ambient, exps)
+            for v, e in zip(ambient, exps)
             if e
         ]
         if not powers:
@@ -86,13 +90,12 @@ def evaluate_termwise(f: Polynomial, point) -> object:
     before it shared one core with the rest of the library: every power
     of every term is taken anew, and nothing is cached."""
     p = f.spec.characteristic
-    vals = [point.coords[v].value for v in f.ambient]
     acc = 0
-    for exps, c in f.terms.items():
-        t = c
-        for val, e in zip(vals, exps):
-            if e:
-                t = t * pow(val, e, p) if p else t * val**e
+    for mono, c in f.monomials():
+        t = c.value
+        for v, e in mono.items():
+            val = point.coords[v].value
+            t = t * pow(val, e, p) if p else t * val**e
         acc = (acc + t) % p if p else acc + t
     return f.spec.raw(acc)
 

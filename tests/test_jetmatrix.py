@@ -20,7 +20,6 @@ from jetjac import (
     at_point,
     check_fdbd,
     dn_matrix,
-    dn_matrix_at,
     eval_matrix,
     hs_components,
     jac,
@@ -136,7 +135,7 @@ class TestExactScalarsOverQ:
         for comp in components:
             v = comp.evaluate(point).value
             assert type(v) is int or (type(v) is Fraction and v.denominator > 1)
-        assert all(type(v) in exact for v in dn_matrix_at(jac_m([f], 2), n, point).values)
+        assert all(type(v) in exact for v in at_point(DnMatrix(jac_m([f], 2), n), point).values)
 
 
 @st.composite
@@ -158,10 +157,9 @@ class TestDnMatrixAt:
     @given(dn_cases())
     def test_matches_the_symbolic_path_entry_for_entry(self, case):
         L, n, point = case
-        got = dn_matrix_at(L, n, point)
+        got = at_point(DnMatrix(L, n), point)
         want = eval_matrix(dn_matrix(L, n), point)
         assert got == want
-        assert at_point(DnMatrix(L, n), point) == got
         assert all(type(v) in (int, Fraction) for v in got.values + want.values)
 
     @settings(max_examples=50)
@@ -179,7 +177,7 @@ class TestDnMatrixAt:
         # = x1^2 + x1_1^2 t^2, so d_1(x1^2) vanishes
         L = jac_m([parse_poly("x1^2*x2", 2, GF2)], 1)
         point = Point.from_flat([1, 1, 1, 0, 1, 1], 2, 2, GF2)
-        got = dn_matrix_at(L, 2, point)
+        got = at_point(DnMatrix(L, 2), point)
         assert got == eval_matrix(dn_matrix(L, 2), point)
         assert str(got) == "\n".join(
             ["[0, 1, 0, 0, 0, 1]", "[0, 0, 0, 1, 0, 0]", "[0, 0, 0, 0, 0, 1]"]
@@ -193,7 +191,7 @@ class TestDnMatrixAt:
             with pytest.raises(error):
                 eval_matrix(dn_matrix(L, 1), point)
             with pytest.raises(error):
-                dn_matrix_at(L, 1, point)
+                at_point(DnMatrix(L, 1), point)
         jet_entry = PolyMatrix(1, 1, (jp("x1_1", 1),))
         for build in (dn_matrix, DnMatrix):
             with pytest.raises(NotBasePolynomial):
@@ -201,7 +199,7 @@ class TestDnMatrixAt:
             with pytest.raises(ValueError):
                 build(L, -1)
         with pytest.raises(NotBasePolynomial):
-            dn_matrix_at(jet_entry, 1, Point.from_flat([0, 0], 1, 1, Q))
+            at_point(DnMatrix(jet_entry, 1), Point.from_flat([0, 0], 1, 1, Q))
 
     def test_checks_each_entry_object_once(self, monkeypatch):
         # Jac_3 of the quartic has 190 entries but 21 distinct objects

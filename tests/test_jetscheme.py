@@ -20,9 +20,7 @@ from jetjac import (
     PointNotOnScheme,
     Polynomial,
     at_point,
-    base_variables,
     dn_matrix,
-    dn_matrix_at,
     eval_matrix,
     extend_to_jet,
     find_smooth_point,
@@ -78,7 +76,7 @@ class TestJetEquations:
 
     def test_constant_rejected(self):
         with pytest.raises(ConstantPolynomial):
-            jet_equations(Polynomial.constant(Q, 1, base_variables(1)), 1)
+            jet_equations(Polynomial.constant(Q, 1, 1), 1)
 
     def test_jet_variables_rejected(self):
         with pytest.raises(NotBasePolynomial):
@@ -595,7 +593,7 @@ class TestNobileCertificate:
         cert = nobile_certificate(CUSP, 1, 2, ORIGIN, trials=8, seed=0)
         pres = presentation_of(CUSP, 1, 2)
         assert on_jet_scheme(jet_equations(CUSP, 1), cert.witness_jet)
-        witness_rank = rank(dn_matrix_at(pres.L, 1, cert.witness_jet))
+        witness_rank = rank(at_point(DnMatrix(pres.L, 1), cert.witness_jet))
         assert witness_rank == cert.witness_rank == pres.gens - cert.cokernel.cokernel_rank
         assert cert.witness_rank == cert.bound
 
