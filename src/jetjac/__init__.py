@@ -34,6 +34,7 @@ from .jacobian import (
     EmptyInput,
     IndexFamilies,
     PolyMatrix,
+    TooManyCells,
     TooManyMultiIndices,
     exponent_vectors,
     index_families,
@@ -45,7 +46,6 @@ from .jetmatrix import (
     FdbdReport,
     check_fdbd,
     dn_matrix,
-    dn_matrix_at,
     jet_jacobian,
     reverse_blocks,
 )
@@ -60,6 +60,7 @@ from .jetscheme import (
     PointNotOnScheme,
     Presentation,
     RankReport,
+    RankTooLong,
     extend_to_jet,
     find_smooth_point,
     generic_cokernel_rank,

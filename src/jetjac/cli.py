@@ -31,6 +31,7 @@ from .jacobian import (
     EmptyIndexFamily,
     EmptyInput,
     PolyMatrix,
+    TooManyCells,
     TooManyMultiIndices,
     _bracketed,
     jac_m,
@@ -41,6 +42,7 @@ from .jetscheme import (
     NoSmoothPointFound,
     NotSingularBase,
     PointNotOnScheme,
+    RankTooLong,
     higher_rank_test,
     jet_equations,
     nobile_certificate,
@@ -74,6 +76,7 @@ DOMAIN_ERRORS = (
     TooManyMinors,
     TooManyMinorTerms,
     TooManyMultiIndices,
+    TooManyCells,
     TooManyTerms,
     MissingCoordinate,
     WrongCoordinateCount,
@@ -87,6 +90,7 @@ DOMAIN_ERRORS = (
     BadMinorSize,
     BadTrialCount,
     CoefficientTooLong,
+    RankTooLong,
 )
 
 _VAR_MENTION = re.compile(r"x(\d+)(?:_\d+)?")

@@ -22,6 +22,8 @@ from .poly import JetVariable, MultiIndex, Polynomial, jet_grid
 
 # at most this many exponents in the row and column families together
 INDEX_CAP = 2_000_000
+# at most this many cells in a symbolic Jac_m or D_n(L)
+CELL_CAP = 1_000_000
 
 
 class EmptyInput(ValueError):
@@ -39,6 +41,15 @@ class EmptyIndexFamily(ValueError):
 class TooManyMultiIndices(ValueError):
     """The index families of (s, m) would hold more than INDEX_CAP
     exponents."""
+
+
+class TooManyCells(ValueError):
+    """A symbolic matrix would have more than CELL_CAP cells."""
+
+
+def _check_cells(rows: int, cols: int):
+    if rows * cols > CELL_CAP:
+        raise TooManyCells(f"a {rows} x {cols} matrix has {rows * cols} cells (cap {CELL_CAP})")
 
 
 def _bracketed(table: list[list[str]]) -> str:
@@ -210,7 +221,9 @@ def jac(fs: list[Polynomial]) -> PolyMatrix:
 def jac_m(fs: list[Polynomial], m: int) -> PolyMatrix:
     """The order-m Jacobian: r*M x N divided-power derivative matrix.
 
-    For m = 1 this is the usual Jacobian.
+    For m = 1 this is the usual Jacobian.  Its cells are counted from
+    M = C(m+s-1, s) and N = C(m+s, s) - 1 before any entry is built: at
+    most CELL_CAP (TooManyCells otherwise).
     """
     if not fs:
         raise EmptyInput("no polynomials given")
@@ -218,6 +231,7 @@ def jac_m(fs: list[Polynomial], m: int) -> PolyMatrix:
         raise BadDifferentialOrder("m must be >= 1")
     s = max(f.base_count for f in fs)
     fam = index_families(s, m)
+    _check_cells(len(fs) * fam.M, fam.N)
     entries = []
     for f in fs:
         zero = Polynomial.zero(f.spec, f.base_count, f.max_order)

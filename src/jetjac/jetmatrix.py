@@ -7,15 +7,16 @@ out lower block-triangular.  The two constructions contain the same data:
 reversing the block order on both axes of one of them makes them equal
 entrywise, and check_fdbd verifies exactly that.
 
-dn_matrix_at gives D_n(L) at a point by Taylor mode, from the values of
-d_0, ..., d_n of each entry of L at the jet, and never builds the
-symbolic blocks; DnMatrix stands for D_n(L) until it is put at a point.
+DnMatrix stands for D_n(L) until it is put at a point; linalg.at_point
+then gives D_n(L) there by Taylor mode, from the values of d_0, ..., d_n
+of each entry of L at the jet, and never builds the symbolic blocks.
 At a jet a the result is block upper-triangular and Toeplitz: block
 (i, j) is A_(j-i), the t^(j-i) coefficient of L(a(t)), and every
 diagonal block is A_0 = L(a_0).  linalg.rank_at reads the rank off A_0
 where that decides it, so the series values and their block layout are
 kept apart.  dn_matrix, the symbolic construction, serves printing and
-the tests.
+the tests; it counts its (n+1)^2 b a cells against jacobian.CELL_CAP
+before it builds any.
 """
 
 from __future__ import annotations
@@ -23,15 +24,17 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .field import FieldSpec
-from .hasse import BadJetOrder, HSExpansion, _require_base, _substituted, hs_components, jet_series
-from .jacobian import PolyMatrix, ScalarMatrix, jac
-from .poly import JetVariable, Point, Polynomial, jet_grid
+from .hasse import BadJetOrder, HSExpansion, _require_base, _substituted, hs_components
+from .jacobian import PolyMatrix, ScalarMatrix, _check_cells, jac
+from .poly import JetVariable, Polynomial, jet_grid
 
 
 def dn_matrix(L: PolyMatrix, n: int) -> PolyMatrix:
     """The (n+1)b x (n+1)a block matrix with block (i, j) = d_{j-i}(L)
-    for j >= i and 0 otherwise; d is applied to each entry of L."""
+    for j >= i and 0 otherwise; d is applied to each entry of L.  At
+    most CELL_CAP cells (TooManyCells otherwise)."""
     s = DnMatrix(L, n).s  # checks n and each entry of L
+    _check_cells((n + 1) * L.rows, (n + 1) * L.cols)
     zero = Polynomial.zero(L.spec, s)
     cache: dict[Polynomial, HSExpansion] = {}
 
@@ -58,17 +61,6 @@ def dn_matrix(L: PolyMatrix, n: int) -> PolyMatrix:
         tuple(entries),
         provenance=f"D_{n}({L.provenance or 'L'})",
     )
-
-
-def dn_matrix_at(L: PolyMatrix, n: int, point: Point) -> ScalarMatrix:
-    """D_n(L) at a point, equal entry for entry to
-    eval_matrix(dn_matrix(L, n), point) but computed by Taylor mode: each
-    entry g of L contributes the values d_0(g)(a), ..., d_n(g)(a), and no
-    symbolic d_k is built.  The point must assign the variables of
-    dn_matrix(L, n), which are jet_grid(s, n) with s the largest base
-    index of L.  L and n are checked once per call, by DnMatrix."""
-    D = DnMatrix(L, n)
-    return _block_layout(D, _series_values(D, jet_series(point, D.spec, D.s, n), n))
 
 
 def _series_values(D: DnMatrix, series: dict[int, list], n: int) -> list[list]:

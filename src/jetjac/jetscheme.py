@@ -40,6 +40,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -61,6 +62,11 @@ class PointNotOnScheme(ValueError):
 
 class NotSingularBase(ValueError):
     """The base point is not a singular point of the hypersurface."""
+
+
+class RankTooLong(ValueError):
+    """A free rank has more decimal digits than int() converts to text
+    (sys.get_int_max_str_digits), so the comparison cannot be printed."""
 
 
 class NoSmoothPointFound(RuntimeError):
@@ -650,14 +656,21 @@ def rank_counterexample_check(n: int = 1, m: int = 2) -> FreeRankComparison:
     """Compare the two ranks for the affine line from first principles:
     the order-m differentials of a polynomial ring in v variables form a
     free module of rank C(m+v, v) - 1 (no relations), and the jet algebra
-    of one base variable is a polynomial ring in n+1 variables."""
+    of one base variable is a polynomial ring in n+1 variables.  A rank
+    too long to print is RankTooLong, found before C(m+v, v) is computed
+    when C(m+v, v) >= 2^min(m, v) already makes it too long."""
     if n < 0:
         raise BadJetOrder("n must be >= 0")
     if m < 1:
         raise BadDifferentialOrder("m must be >= 1")
+    limit = sys.get_int_max_str_digits()
 
     def free_rank(v: int) -> int:
-        return math.comb(m + v, v) - 1
+        if not limit or min(m, v) < (10 ** (limit + 1)).bit_length():
+            rank = math.comb(m + v, v) - 1
+            if not limit or rank < 10**limit:
+                return rank
+        raise RankTooLong(f"a free rank has more than {limit} digits, too many to print")
 
     jet_ring_rank = free_rank(n + 1)
     tensor_rank = (n + 1) * free_rank(1)

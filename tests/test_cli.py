@@ -520,6 +520,12 @@ class TestErrorHandling:
         "nobile --trials": (["nobile", "--f", CUSP_SOURCE, "--n", "1", "--trials", "0", "--base", "0,0"], "BadTrialCount"),
         "rank-remark --n": (["rank-remark", "--n", "-3"], "BadJetOrder"),
         "rank-remark --m": (["rank-remark", "--m", "-1"], "BadDifferentialOrder"),
+        # free ranks of about 60,000 digits, more than int() converts to text
+        "rank-remark huge": (["rank-remark", "--n", "100000", "--m", "100000"], "RankTooLong"),
+        "rank-remark huge --json": (["rank-remark", "--json", "--n", "100000", "--m", "100000"], "RankTooLong"),
+        # 45,150 x 45,450 and 861 x 12,340 cells, counted before any is built
+        "jacm --m 300": (["jacm", "--f", "x1^2*x2", "--m", "300"], "TooManyCells"),
+        "generic-rank jacm:3:x40": (["generic-rank", "--matrix", "jacm:3:x40"], "TooManyCells"),
     }
 
     def test_the_sweep_covers_every_subcommand(self):

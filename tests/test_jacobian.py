@@ -12,6 +12,7 @@ from jetjac import (
     Point,
     PolyMatrix,
     Polynomial,
+    TooManyCells,
     TooManyMultiIndices,
     base_variables,
     eval_matrix,
@@ -208,6 +209,24 @@ class TestJacM:
     def test_m_validation(self):
         with pytest.raises(ValueError):
             jac_m([CUSP], 0)
+
+
+class TestCellCap:
+    """jac_m counts its r M x N cells before it builds any entry."""
+
+    def test_cap_is_the_largest_count_allowed(self, monkeypatch):
+        # the cusp with m = 2: M = 3 rows, N = 5 columns
+        monkeypatch.setattr(jacobian, "CELL_CAP", 15)
+        assert jac_m([parse_poly("x1^3 - x2^2", 2, Q)], 2).rows == 3
+        monkeypatch.setattr(jacobian, "CELL_CAP", 14)
+        with pytest.raises(TooManyCells) as err:
+            jac_m([parse_poly("x1^3 - x2^2", 2, Q)], 2)
+        assert str(err.value) == "a 3 x 5 matrix has 15 cells (cap 14)"
+
+    def test_counts_from_the_closed_forms(self):
+        # 2.05e9 cells: counting them must not build them
+        with pytest.raises(TooManyCells):
+            jac_m([parse_poly("x1^2*x2", 2, Q)], 300)
 
 
 class TestPolyMatrix:

@@ -17,6 +17,7 @@ from jetjac import (
     Point,
     PolyMatrix,
     Polynomial,
+    TooManyCells,
     at_point,
     check_fdbd,
     dn_matrix,
@@ -28,9 +29,10 @@ from jetjac import (
     jet_grid,
     parse_poly,
     rank,
+    rank_at,
     reverse_blocks,
 )
-from jetjac import jetmatrix
+from jetjac import jacobian, jetmatrix
 from jetjac.linalg import random_point, trial_rng
 
 from _corpus import GF2, ORACLE_FIELDS, Q, base_polynomials, jets, random_base_polynomial
@@ -215,6 +217,19 @@ class TestDnMatrixAt:
         assert DnMatrix(L, 2).s == 3
         assert (len(L.entries), len(checked)) == (190, 21)
         assert {id(g) for g in checked} == {id(g) for g in L.entries}
+
+
+class TestCellCap:
+    def test_only_the_symbolic_matrix_is_counted(self, monkeypatch):
+        # D_2(Jac_2 cusp) has 9 x 15 = 135 cells; at a point it is never laid out
+        L = jac_m([CUSP], 2)
+        monkeypatch.setattr(jacobian, "CELL_CAP", 135)
+        assert dn_matrix(L, 2).rows == 9
+        monkeypatch.setattr(jacobian, "CELL_CAP", 134)
+        with pytest.raises(TooManyCells):
+            dn_matrix(L, 2)
+        jet = Point.from_flat([1, 1] + [0] * 4, 2, 2, Q)
+        assert rank_at(DnMatrix(L, 2), jet) == 9
 
 
 class TestJetJacobian:
