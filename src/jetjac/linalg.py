@@ -19,9 +19,9 @@ the rank.
 Minors and determinants of polynomial matrices come from one
 division-free Laplace expansion, shared between all row selections with
 a common prefix.  It multiplies and adds raw term dicts whose monomials
-are packed into ints: B bits per variable that occurs in an entry, with
-B the bit length of k e for k x k minors and e the largest exponent in any
-entry.  A k x k minor is a sum of products of k entries, so no exponent
+are packed into ints: B bits per variable that occurs in an entry,
+with B the bit length of k e for k x k minors and e the largest
+exponent in any entry.  A k x k minor is a sum of products of k entries, so no exponent
 in it exceeds k e < 2^B, no field carries into the next, and multiplying
 two monomials is adding two ints.  MINOR_CAP bounds the minors listed
 and stored, MINOR_TERM_CAP the terms stored on the way.
@@ -283,10 +283,10 @@ def _laplace_walk(mx: PolyMatrix, k: int, cap: int) -> dict:
     reduced mod p, or normalised over Q, once; only the k x k minors are
     unpacked into monomial keys, each packed monomial once per walk.  A
     minor has the largest base_count and max_order of the entries.  At
-    most cap intermediate minors are stored
-    (TooManyMinors, checked per level), holding at most MINOR_TERM_CAP
-    terms together (TooManyMinorTerms, checked as each minor is stored,
-    so the budget also bounds the memory held)."""
+    most cap intermediate minors are stored (TooManyMinors, checked per
+    level), holding at most MINOR_TERM_CAP terms together
+    (TooManyMinorTerms, checked as each minor is stored, so the budget
+    also bounds the memory held)."""
     spec = mx.spec
     if k == 0:
         return {(): {0: Polynomial.constant(spec, 1)}}

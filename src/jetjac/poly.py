@@ -36,11 +36,11 @@ from __future__ import annotations
 
 import math
 import re
-from operator import itemgetter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import total_ordering
-from typing import Iterable, Mapping, Sequence
+from operator import itemgetter
+from typing import Mapping, Sequence
 
 from .field import FieldElement, FieldSpec, MixedFields
 
@@ -413,23 +413,24 @@ class Polynomial:
         p = self.spec.characteristic
         out = {}
         for key, c in self.terms.items():
+            # one pass over the key: lower each needed exponent g by d,
+            # scaling by C(g, d), and drop the term if some g < d
             lowered = []
-            met = 0
+            divided = 0
             for t in key:
                 d = 0 if t[0] else needed.get(t[1], 0)
                 if not d:
                     lowered.append(t)
-                    continue
-                g = t[2]
-                if g < d:
+                elif t[2] < d:
                     break
-                c *= math.comb(g, d)
-                met += 1
-                if g > d:
-                    lowered.append((0, t[1], g - d))
+                else:
+                    c *= math.comb(t[2], d)
+                    divided += 1
+                    if t[2] > d:
+                        lowered.append((0, t[1], t[2] - d))
             else:
-                # every needed variable divides the term
-                if met == len(needed):
+                # a needed variable missing from the key has g = 0 < d
+                if divided == len(needed):
                     c = c % p if p else _rational(c)
                     if c:
                         out[tuple(lowered)] = c

@@ -18,6 +18,7 @@ from jetjac import (
     jet_grid,
     parse_poly,
 )
+import jetjac.poly
 
 from _corpus import GF2, GF5, Q, random_base_polynomial
 from _oracles import evaluate_termwise, polynomial_str
@@ -347,6 +348,15 @@ class TestCanonicalPrinting:
     def test_unit_coefficients_omitted(self):
         assert str(poly("x1 - x2")) == "x1-x2"
         assert str(poly("-x1")) == "-x1"
+
+    def test_the_printer_memos_stay_bounded(self, monkeypatch):
+        # each key triple's sort weight and text are kept until the memo
+        # passes its cap, then it starts over; the output does not change
+        monkeypatch.setattr(jetjac.poly, "_MEMO_CAP", 3)
+        f = parse_poly(" + ".join(f"x{i}^{i}" for i in range(1, 9)), 8, Q)
+        assert str(f) == "x8^8+x7^7+x6^6+x5^5+x4^4+x3^3+x2^2+x1"
+        assert len(jetjac.poly._weight.__self__) <= 4
+        assert len(jetjac.poly._factor.__self__) <= 4
 
     @given(st.data())
     def test_matches_the_former_printer(self, data):
