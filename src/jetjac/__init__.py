@@ -92,6 +92,7 @@ from .poly import (
     BadExponent,
     CoefficientTooLong,
     JetVariable,
+    MalformedMonomial,
     MissingCoordinate,
     MultiIndex,
     ParseError,

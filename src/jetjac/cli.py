@@ -127,8 +127,8 @@ def matrix_dims(mx: PolyMatrix | DnMatrix) -> tuple[int, int]:
     D = D_n(L).  A matrix without variables gives (1, 0)."""
     if isinstance(mx, DnMatrix):
         return (mx.s, mx.n) if mx.s else (1, 0)
-    s = max((e.base_count for e in mx.entries), default=0)
-    return (s, max(e.max_order for e in mx.entries)) if s else (1, 0)
+    s, r = mx.dims
+    return (s, r) if s else (1, 0)
 
 
 def matrix_argument(spec_text: str, field: FieldSpec) -> PolyMatrix | DnMatrix:

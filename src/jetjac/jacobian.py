@@ -127,12 +127,17 @@ def index_families(s: int, m: int) -> IndexFamilies:
 
 @dataclass(frozen=True)
 class PolyMatrix:
-    """Dense matrix of polynomials; provenance is a label, not content."""
+    """Dense matrix of polynomials; provenance is a label, not content.
+
+    grid_order is the jet order up to which every variable of x1..xs
+    counts as a variable of the matrix, whether or not an entry contains
+    it: D_n(L) sets it to n, and it is 0 otherwise."""
 
     rows: int
     cols: int
     entries: tuple[Polynomial, ...]
     provenance: str = field(default="", compare=False)
+    grid_order: int = field(default=0, compare=False)
 
     def __post_init__(self):
         if self.rows * self.cols != len(self.entries):
@@ -159,13 +164,20 @@ class PolyMatrix:
             for j in range(self.cols)
             for i in range(self.rows)
         )
-        return PolyMatrix(self.cols, self.rows, entries, self.provenance)
+        return PolyMatrix(self.cols, self.rows, entries, self.provenance, self.grid_order)
+
+    @property
+    def dims(self) -> tuple[int, int]:
+        """(s, r): the largest base_count and the largest max_order of an
+        entry, (0, 0) without entries."""
+        entries = self.entries
+        return max((e.base_count for e in entries), default=0), max((e.max_order for e in entries), default=0)
 
     def variables(self) -> tuple[JetVariable, ...]:
-        """jet_grid(s, r), with s the largest base_count and r the largest
-        max_order of an entry: every variable an entry may contain."""
-        s = max((e.base_count for e in self.entries), default=0)
-        return jet_grid(s, max((e.max_order for e in self.entries), default=0))
+        """jet_grid(s, grid_order) and every variable that occurs in an
+        entry, canonically ordered."""
+        used = {v for e in self.entries for v in e.variables()}
+        return tuple(sorted(used.union(jet_grid(self.dims[0], self.grid_order))))
 
     def __str__(self) -> str:
         return _bracketed([[str(e) for e in self.row(i)] for i in range(self.rows)])

@@ -60,6 +60,7 @@ def dn_matrix(L: PolyMatrix, n: int) -> PolyMatrix:
         (n + 1) * a,
         tuple(entries),
         provenance=f"D_{n}({L.provenance or 'L'})",
+        grid_order=n,
     )
 
 
@@ -154,7 +155,7 @@ def jet_jacobian(fs: list[Polynomial], n: int) -> PolyMatrix:
                 for i in range(1, s + 1):
                     entries.append(dk.partial(JetVariable(i, j)))
     return PolyMatrix(
-        (n + 1) * len(fs), (n + 1) * s, tuple(entries), provenance=f"jetjac_{n}"
+        (n + 1) * len(fs), (n + 1) * s, tuple(entries), provenance=f"jetjac_{n}", grid_order=n
     )
 
 

@@ -36,7 +36,7 @@ import math
 import random
 from dataclasses import dataclass
 
-from .field import FieldElement, FieldSpec
+from .field import FieldElement, FieldSpec, MixedFields
 from .hasse import jet_series
 from .jacobian import PolyMatrix, ScalarMatrix
 from .jetmatrix import DnMatrix, _block_layout, _series_values
@@ -77,8 +77,14 @@ class BadTrialCount(ValueError):
 
 
 def eval_matrix(mx: PolyMatrix, point: Point) -> ScalarMatrix:
-    """Entrywise evaluation of a polynomial matrix at a point."""
-    values = tuple(e.evaluate(point).value for e in mx.entries)
+    """Entrywise evaluation of a polynomial matrix at a point, by
+    poly._raw_value on the raw coordinates, read once for all entries."""
+    if mx.entries and mx.spec != point.spec:
+        raise MixedFields(f"point over {point.spec}, polynomial over {mx.spec}")
+    vals = {(v.order, v.base): fe.value for v, fe in point.coords.items()}
+    p = point.spec.characteristic
+    powers: dict = {}
+    values = tuple(_raw_value(e, vals, p, powers) for e in mx.entries)
     return ScalarMatrix(mx.rows, mx.cols, values, point.spec)
 
 
@@ -282,7 +288,7 @@ def _laplace_walk(mx: PolyMatrix, k: int, cap: int) -> dict:
     signed products straight into one dict, whose coefficients are then
     reduced mod p, or normalised over Q, once; only the k x k minors are
     unpacked into monomial keys, each packed monomial once per walk.  A
-    minor has the largest base_count and max_order of the entries.  At
+    minor takes mx.dims as its base_count and max_order.  At
     most cap intermediate minors are stored (TooManyMinors, checked per
     level), holding at most MINOR_TERM_CAP terms together
     (TooManyMinorTerms, checked as each minor is stored, so the budget
@@ -305,7 +311,7 @@ def _laplace_walk(mx: PolyMatrix, k: int, cap: int) -> dict:
                 packed = [(sum(e << shift[o, b] for o, b, e in key), a) for key, a in g.terms.items()]
                 row.append((c, 1 << c, packed, [(m, -a) for m, a in packed]))
         nonzero.append(row)
-    shape = (max(g.base_count for g in mx.entries), max(g.max_order for g in mx.entries))
+    shape = mx.dims
     # a packed monomial of a k x k minor unpacked into its key, once
     keys = _Memo(lambda m: tuple((o, b, x) for o, b, s in fields if (x := m >> s & mask)))
     # sparsest rows first: a sparse row extends each minor in few ways, so

@@ -72,6 +72,11 @@ class WrongCoordinateCount(ValueError):
     """A flat point lists more or fewer coordinates than its variables."""
 
 
+class MalformedMonomial(ValueError):
+    """A monomial with a negative exponent, a base index below 1 or a
+    negative jet order."""
+
+
 class CoefficientTooLong(ValueError):
     """A coefficient or exponent has more decimal digits than int()
     converts to text (sys.get_int_max_str_digits), so the polynomial
@@ -169,6 +174,25 @@ def _times(k1: tuple, k2: tuple) -> tuple:
     return tuple(out)
 
 
+def _canonical(spec: FieldSpec, items, base_count: int, max_order: int):
+    # (terms, base_count, max_order) from (triples, coefficient) pairs:
+    # each key sorted with its zero exponents dropped and a repeated
+    # variable's exponents added, terms on one key summed, zeros dropped
+    terms: dict[tuple, object] = {}
+    for triples, coeff in items:
+        exps: dict[tuple[int, int], int] = {}
+        for order, base, e in triples:
+            if e < 0 or base < 1 or order < 0:
+                raise MalformedMonomial(f"no monomial has the factor x{base}_{order}^{e}")
+            base_count, max_order = max(base_count, base), max(max_order, order)
+            if e:
+                exps[order, base] = exps.get((order, base), 0) + e
+        key = tuple(sorted((order, base, e) for (order, base), e in exps.items()))
+        c = spec.raw(coeff)
+        terms[key] = spec.raw(terms[key] + c) if key in terms else c
+    return {key: c for key, c in terms.items() if c}, base_count, max_order
+
+
 class Polynomial:
     """Sparse polynomial over a FieldSpec in jet variables.
 
@@ -180,21 +204,16 @@ class Polynomial:
     __slots__ = ("spec", "terms", "base_count", "max_order", "_hash")
 
     def __init__(self, spec: FieldSpec, terms=None, base_count: int = 0, max_order: int = 0):
-        """terms maps monomial keys, as in the module docstring, to
-        coefficients; they are stored as FieldSpec.raw stores them, and
-        zeros are dropped.  base_count and max_order grow to cover every
-        variable in the keys."""
-        clean = {}
-        for key, coeff in (terms or {}).items():
-            c = spec.raw(coeff)
-            if c:
-                clean[key] = c
-            for order, base, _ in key:
-                base_count, max_order = max(base_count, base), max(max_order, order)
+        """terms maps monomial keys to coefficients.  A key lists triples
+        (j, i, e) as in the module docstring, in any order, with zero
+        exponents or a variable more than once; it is brought to canonical
+        form, and terms whose keys then agree are summed
+        (MalformedMonomial for e < 0, i < 1 or j < 0).  Coefficients are
+        stored as FieldSpec.raw stores them, and zeros are dropped.
+        base_count and max_order grow to cover every variable in the keys,
+        even with exponent 0 or in a term that cancels."""
         self.spec = spec
-        self.terms = clean
-        self.base_count = base_count
-        self.max_order = max_order
+        self.terms, self.base_count, self.max_order = _canonical(spec, (terms or {}).items(), base_count, max_order)
         self._hash = None
 
     @classmethod
@@ -227,20 +246,12 @@ class Polynomial:
     def from_terms(cls, spec: FieldSpec, sparse: Mapping, base_count: int = 0, max_order: int = 0) -> "Polynomial":
         """Build from {monomial: coefficient} where a monomial is a mapping
         JetVariable -> exponent (or an iterable of (variable, exponent));
-        monomials that agree once sorted are summed.  Every variable
-        mentioned counts towards base_count and max_order, even with
-        exponent 0 or in a term that cancels."""
-        terms: dict[tuple, object] = {}
-        for mono, coeff in sparse.items():
-            exps: dict[tuple[int, int], int] = {}
-            for v, e in mono.items() if isinstance(mono, Mapping) else mono:
-                base_count, max_order = max(base_count, v.base), max(max_order, v.order)
-                if e:
-                    var = (v.order, v.base)
-                    exps[var] = exps.get(var, 0) + e
-            key = tuple(sorted((order, base, e) for (order, base), e in exps.items()))
-            terms[key] = spec.raw(terms.get(key, 0) + spec.raw(coeff))
-        return cls(spec, terms, base_count, max_order)
+        each monomial becomes a key as in __init__."""
+        keyed = (
+            (((v.order, v.base, e) for v, e in (mono.items() if isinstance(mono, Mapping) else mono)), coeff)
+            for mono, coeff in sparse.items()
+        )
+        return cls._make(spec, *_canonical(spec, keyed, base_count, max_order))
 
     # -- structure ---------------------------------------------------
 
@@ -441,7 +452,7 @@ class Polynomial:
         from _raw_value."""
         if point.spec != self.spec:
             raise MixedFields(f"point over {point.spec}, polynomial over {self.spec}")
-        vals = {(v.order, v.base): fe.value for v, fe in point.coords.items()}
+        vals = {(v.order, v.base): point[v].value for v in self.variables()}
         return FieldElement(self.spec, _raw_value(self, vals, self.spec.characteristic, {}))
 
     # -- identity ----------------------------------------------------

@@ -565,6 +565,18 @@ class TestErrorHandling:
         else:
             assert (out, err) == (want, "")
 
+    def test_a_high_order_jet_variable_draws_two_coordinates(self):
+        # the point assigns x1 and x1_100000000, not the 10^8 jet variables between them
+        matrix = '{"rows":1,"cols":1,"entries":[["x1_100000000"]]}'
+        out = run_within_10s("generic-rank", "--matrix", matrix)
+        assert out == "generic rank = 1 (probabilistic; trials=20, seed=0)\n"
+
+    def test_an_inline_matrix_draws_no_jet_variable_it_lacks(self, capsys):
+        # x2_1 occurs and x1_1 does not: the point draws x1, x2, x2_1 in that order
+        matrix = '{"rows": 2, "cols": 2, "entries": [["x1^2", "x1 + x1"], ["x2_1^2 + x2_1^2", "x1 + 1"]]}'
+        code, out, _ = invoke(capsys, "generic-rank", "--matrix", matrix, "--field", "Fp:3", "--trials", "2")
+        assert (code, out) == (0, "generic rank = 2 (probabilistic; trials=2, seed=0)\n")
+
     def test_no_bare_builtin_error_is_a_domain_error(self):
         assert ValueError not in DOMAIN_ERRORS
         assert ArithmeticError not in DOMAIN_ERRORS

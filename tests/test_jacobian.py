@@ -20,6 +20,7 @@ from jetjac import (
     index_families,
     jac,
     jac_m,
+    jet_grid,
     parse_poly,
     rank,
 )
@@ -252,3 +253,24 @@ class TestPolyMatrix:
 
     def test_text_rendering(self):
         assert str(jac_m([CUSP], 2)).splitlines()[0] == "[3*x1^2, -2*x2, 3*x1, 0, -1]"
+
+    def test_dims_are_the_largest_base_count_and_max_order(self):
+        entries = (parse_poly("x1", 3, Q), parse_poly("x2_4", 2, Q))
+        assert PolyMatrix(1, 2, entries).dims == (3, 4)
+        assert PolyMatrix(0, 0, ()).dims == (0, 0)
+
+    def test_variables_are_the_base_variables_and_those_that_occur(self):
+        # x1_1 occurs in no entry, so it is not drawn; x1 and x3 are base variables
+        entries = (parse_poly("x2_1", 3, Q), parse_poly("x1^2 - x1^2", 3, Q))
+        assert PolyMatrix(1, 2, entries).variables() == (
+            JetVariable(1, 0), JetVariable(2, 0), JetVariable(3, 0), JetVariable(2, 1)
+        )
+
+    def test_variables_of_a_high_order_jet_variable(self):
+        mx = PolyMatrix(1, 1, (parse_poly("x1_100000000", 1, Q),))
+        assert mx.variables() == (JetVariable(1, 0), JetVariable(1, 100000000))
+
+    def test_grid_order_adds_every_jet_variable_up_to_it(self):
+        mx = PolyMatrix(1, 1, (parse_poly("x2", 2, Q),), grid_order=1)
+        assert mx.variables() == jet_grid(2, 1)
+        assert mx.transpose().grid_order == 1

@@ -10,6 +10,7 @@ from jetjac import (
     BadExponent,
     FieldSpec,
     JetVariable,
+    MalformedMonomial,
     MissingCoordinate,
     ParseError,
     Point,
@@ -199,6 +200,36 @@ class TestSparseKeys:
         assert f.terms == {((0, 3, 1), (0, 100000, 2)): 1}
         assert str(f) == "x3*x100000^2"
         assert f.variables() == (JetVariable(3, 0), JetVariable(100000, 0))
+
+    def test_the_constructor_brings_keys_to_canonical_form(self):
+        # unsorted triples, a zero exponent and a repeated variable
+        f = Polynomial(Q, {((0, 2, 1), (1, 1, 0), (0, 1, 1)): 2, ((0, 1, 1), (0, 2, 1)): 1, ((0, 1, 1), (0, 1, 2)): 1})
+        assert f == parse_poly("3*x1*x2 + x1^3", 2)
+        assert f.terms == {((0, 1, 1), (0, 2, 1)): 3, ((0, 1, 3),): 1}
+        assert str(f) == "x1^3+3*x1*x2"
+        # the zero-exponent x1_1 counts towards max_order, as in from_terms
+        assert (f.base_count, f.max_order) == (2, 1)
+        assert Polynomial(Q, {((0, 1, 1),): 1, ((0, 1, 1), (0, 2, 0)): -1}).is_zero
+
+    @pytest.mark.parametrize(
+        "triple", [(0, 1, -1), (0, 0, 1), (-1, 1, 1)], ids=["negative exponent", "base 0", "negative order"]
+    )
+    def test_malformed_keys_are_refused(self, triple):
+        with pytest.raises(MalformedMonomial):
+            Polynomial(Q, {(triple,): 1})
+
+    def test_from_terms_refuses_a_negative_exponent(self):
+        with pytest.raises(MalformedMonomial):
+            Polynomial.from_terms(Q, {((X1, -1),): 1})
+        with pytest.raises(MalformedMonomial):
+            Polynomial.from_terms(Q, {frozenset({X1: 1, X2: -2}.items()): 1})
+
+    def test_evaluate_reads_only_the_variables_that_occur(self):
+        f = parse_poly("x2^2 + x1_3", 2)
+        point = Point(Q, {JetVariable(2, 0): Q.element(3), JetVariable(1, 3): Q.element(-1)})
+        assert f.evaluate(point) == Q.element(8)
+        with pytest.raises(MissingCoordinate):
+            f.evaluate(Point(Q, {JetVariable(2, 0): Q.element(3)}))
 
 
 class TestCalculus:
