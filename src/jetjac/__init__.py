@@ -34,6 +34,7 @@ from .jacobian import (
     EmptyInput,
     IndexFamilies,
     PolyMatrix,
+    ShapeMismatch,
     TooManyCells,
     TooManyMultiIndices,
     exponent_vectors,

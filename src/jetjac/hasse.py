@@ -246,10 +246,19 @@ def hs_components(f: Polynomial, n: int) -> HSExpansion:
                 _, i, e = t
                 powers[t] = _power_terms(i, e, n, p)
             factors.append(powers[t])
-        # the number of products of each weight, before any is formed
-        sizes = [1] + [0] * n
-        for by_weight in factors:
-            sizes = [sum(sizes[a] * len(by_weight[k - a]) for a in range(k + 1)) for k in range(n + 1)]
+        # the number of products of each weight, before any is formed: the
+        # first factor's bucket lengths, convolved on nonzero entries alone
+        sizes = [len(by_weight) for by_weight in factors[0]] if factors else [1] + [0] * n
+        for by_weight in factors[1:]:
+            grown = [0] * (n + 1)
+            lengths = [(w, len(found)) for w, found in enumerate(by_weight) if found]
+            for a, size in enumerate(sizes):
+                if size:
+                    for w, length in lengths:
+                        if a + w > n:
+                            break
+                        grown[a + w] += size * length
+            sizes = grown
         count += sum(sizes)
         if count > TERM_CAP:
             raise TooManyTerms(count)

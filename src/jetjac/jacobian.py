@@ -8,6 +8,11 @@ Both index families are enumerated by degree and then lexicographically
 descending with x1 heaviest, which pins the matrix layout; other sources
 may order them differently.
 
+jac_m reads each f once: divided_partials takes every Delta^delta f with
+|delta| <= m from one pass over the terms of f, by Taylor's formula.  The
+cells (beta, alpha = beta + delta) depend on (s, m) alone; each block
+starts as zeros and only those cells are placed, walked from the rows.
+
 PolyMatrix and ScalarMatrix are the dense matrix types of the package:
 polynomial entries, and raw field values such as a matrix at a point.
 """
@@ -16,9 +21,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from operator import add
 
 from .field import FieldElement, FieldSpec, MixedFields
-from .poly import JetVariable, MultiIndex, Polynomial, jet_grid
+from .poly import JetVariable, MultiIndex, Polynomial, _rational, jet_grid
 
 # at most this many exponents in the row and column families together
 INDEX_CAP = 2_000_000
@@ -45,6 +51,11 @@ class TooManyMultiIndices(ValueError):
 
 class TooManyCells(ValueError):
     """A symbolic matrix would have more than CELL_CAP cells."""
+
+
+class ShapeMismatch(ValueError):
+    """A matrix's entry count is not rows x cols, or its shape is not a
+    multiple of a block shape."""
 
 
 def _check_cells(rows: int, cols: int):
@@ -141,7 +152,7 @@ class PolyMatrix:
 
     def __post_init__(self):
         if self.rows * self.cols != len(self.entries):
-            raise ValueError("entry count does not match the shape")
+            raise ShapeMismatch(f"{len(self.entries)} entries for a {self.rows} x {self.cols} matrix")
         specs = {e.spec for e in self.entries}
         if len(specs) > 1:
             raise MixedFields("matrix entries belong to different fields")
@@ -199,7 +210,7 @@ class ScalarMatrix:
 
     def __post_init__(self):
         if self.rows * self.cols != len(self.values):
-            raise ValueError("entry count does not match the shape")
+            raise ShapeMismatch(f"{len(self.values)} values for a {self.rows} x {self.cols} matrix")
 
     def at(self, i: int, j: int) -> FieldElement:
         if not (0 <= i < self.rows and 0 <= j < self.cols):
@@ -230,12 +241,63 @@ def jac(fs: list[Polynomial]) -> PolyMatrix:
     return jac_m(fs, 1)
 
 
+def divided_partials(f: Polynomial, s: int, m: int) -> dict[MultiIndex, Polynomial]:
+    """{delta: f.divided_partial(delta)} for every delta in N^s with
+    |delta| <= m, from one pass over the terms of f.
+
+    By Taylor's formula f(x + y) = sum_delta (Delta^delta f)(x) y^delta, a
+    term c*x^g adds c*prod_i C(g_i, delta_i)*x^(g - delta) to Delta^delta f
+    for each delta <= g with |delta| <= m; for one delta no two terms of f
+    meet on a monomial.  Jet variables, and base variables past x_s, are
+    left as they are.  Coefficients are reduced as divided_partial reduces
+    them, so a binomial that vanishes mod p drops its term.  Every partial
+    keeps f's base_count and max_order; delta = 0 gives f itself.
+    """
+    p = f.spec.characteristic
+    found: dict[MultiIndex, dict] = {}
+    for key, c in f.terms.items():
+        # states (i, left, coefficient, delta, lowered): delta <= g is chosen
+        # on the triples before i, with norm m - left, and lowered holds those
+        # triples divided by it.  Each state made gives Delta^delta f the
+        # term lowered + key[i:], then grows on the triples from i on
+        states = [(0, m, c, (0,) * s, ())]
+        for j, (order, b, g) in enumerate(key):
+            if order or b > s:
+                break
+            for i, left, cc, delta, low in states[:]:
+                head = low + key[i:j]
+                for d in range(1, min(g, left) + 1):
+                    cd = cc * math.comb(g, d)
+                    cd = cd % p if p else _rational(cd)
+                    if not cd:
+                        continue
+                    lowered = head + ((0, b, g - d),) if d < g else head
+                    dd = delta[: b - 1] + (d,) + delta[b:]
+                    terms = found.get(dd)
+                    if terms is None:
+                        terms = found[dd] = {}
+                    terms[lowered + key[j + 1 :]] = cd
+                    if d < left:
+                        states.append((j + 1, left - d, cd, dd, lowered))
+    partials = {(0,) * s: f}
+    for d in range(1, m + 1):
+        for delta in exponent_vectors(d, s):
+            partials[delta] = Polynomial._make(f.spec, found.get(delta, {}), f.base_count, f.max_order)
+    return partials
+
+
 def jac_m(fs: list[Polynomial], m: int) -> PolyMatrix:
     """The order-m Jacobian: r*M x N divided-power derivative matrix.
 
     For m = 1 this is the usual Jacobian.  Its cells are counted from
     M = C(m+s-1, s) and N = C(m+s, s) - 1 before any entry is built: at
-    most CELL_CAP (TooManyCells otherwise).
+    most CELL_CAP (TooManyCells otherwise).  Each f is read once, by
+    divided_partials, and each of its blocks starts as zeros; only the
+    cells (beta, alpha) with alpha = beta + delta are then placed, found
+    by walking the delta with |delta| <= m - |beta| from each row.  The
+    cells depend on (s, m) alone, so they are listed once for all of fs.
+    Every cell of one delta holds the same object, and the other cells
+    hold f's zero.
     """
     if not fs:
         raise EmptyInput("no polynomials given")
@@ -243,20 +305,29 @@ def jac_m(fs: list[Polynomial], m: int) -> PolyMatrix:
         raise BadDifferentialOrder("m must be >= 1")
     s = max(f.base_count for f in fs)
     fam = index_families(s, m)
-    _check_cells(len(fs) * fam.M, fam.N)
+    M, N = fam.M, fam.N
+    _check_cells(len(fs) * M, N)
+    lam = fam.lambda_
+    column = {alpha: j for j, alpha in enumerate(lam)}
+    # (index in the block, delta).  Row 0, beta = 0, holds alpha = delta in
+    # every column; a later row holds alpha = beta, and beta + delta for the
+    # delta of norm 1 .. m - |beta|, which are the first C(m - |beta| + s, s) - 1
+    # columns
+    cells = list(enumerate(lam))
+    zero_delta = (0,) * s
+    for i in range(1, M):
+        beta = fam.lambda0[i]
+        row = i * N
+        cells.append((row + column[beta], zero_delta))
+        for delta in lam[: math.comb(m - sum(beta) + s, s) - 1]:
+            cells.append((row + column[tuple(map(add, beta, delta))], delta))
     entries = []
     for f in fs:
-        zero = Polynomial.zero(f.spec, f.base_count, f.max_order)
-        partials = {}  # delta -> divided partial; many (beta, alpha) share one
-        for beta in fam.lambda0:
-            for alpha in fam.lambda_:
-                if all(a >= b for a, b in zip(alpha, beta)):
-                    delta = tuple(a - b for a, b in zip(alpha, beta))
-                    if delta not in partials:
-                        partials[delta] = f.divided_partial(delta)
-                    entries.append(partials[delta])
-                else:
-                    entries.append(zero)
+        partials = divided_partials(f, s, m)
+        block = [Polynomial.zero(f.spec, f.base_count, f.max_order)] * (M * N)
+        for index, delta in cells:
+            block[index] = partials[delta]
+        entries += block
     return PolyMatrix(
-        len(fs) * fam.M, fam.N, tuple(entries), provenance=f"jac_{m}"
+        len(fs) * M, N, tuple(entries), provenance=f"jac_{m}"
     )

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 from .field import FieldSpec
 from .hasse import BadJetOrder, HSExpansion, _require_base, _substituted, hs_components
-from .jacobian import PolyMatrix, ScalarMatrix, _check_cells, jac
+from .jacobian import PolyMatrix, ScalarMatrix, ShapeMismatch, _check_cells, jac
 from .poly import JetVariable, Polynomial, jet_grid
 
 
@@ -162,7 +162,7 @@ def jet_jacobian(fs: list[Polynomial], n: int) -> PolyMatrix:
 def reverse_blocks(mx: PolyMatrix, b: int, a: int) -> PolyMatrix:
     """Reverse the block-row and block-column order of a blocked matrix."""
     if mx.rows % b or mx.cols % a:
-        raise ValueError("shape is not a multiple of the block shape")
+        raise ShapeMismatch(f"a {mx.rows} x {mx.cols} matrix is not made of {b} x {a} blocks")
     nb, na = mx.rows // b, mx.cols // a
     entries = []
     for i in range(mx.rows):

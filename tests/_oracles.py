@@ -4,7 +4,7 @@ checked against."""
 import math
 from fractions import Fraction
 
-from jetjac import HSExpansion, JetVariable, NotBasePolynomial, Polynomial, TooManyMinors
+from jetjac import HSExpansion, JetVariable, NotBasePolynomial, PolyMatrix, Polynomial, TooManyMinors, index_families
 
 
 def hs_components_leibniz(f: Polynomial, n: int) -> HSExpansion:
@@ -236,3 +236,27 @@ def exponent_vectors_recursive(norm: int, s: int):
     for first in range(norm, -1, -1):
         for rest in exponent_vectors_recursive(norm - first, s - 1):
             yield (first,) + rest
+
+
+def jac_m_by_cells(fs: list[Polynomial], m: int) -> PolyMatrix:
+    """The order-m Jacobian as jacobian.jac_m built it before it read f
+    once: every (beta, alpha) cell tests whether alpha dominates beta, and
+    each new delta = alpha - beta takes one more pass over f through
+    Polynomial.divided_partial.  The cells of one delta share one object,
+    and the other cells share f's zero."""
+    s = max(f.base_count for f in fs)
+    fam = index_families(s, m)
+    entries = []
+    for f in fs:
+        zero = Polynomial.zero(f.spec, f.base_count, f.max_order)
+        partials = {}
+        for beta in fam.lambda0:
+            for alpha in fam.lambda_:
+                if all(a >= b for a, b in zip(alpha, beta)):
+                    delta = tuple(a - b for a, b in zip(alpha, beta))
+                    if delta not in partials:
+                        partials[delta] = f.divided_partial(delta)
+                    entries.append(partials[delta])
+                else:
+                    entries.append(zero)
+    return PolyMatrix(len(fs) * fam.M, fam.N, tuple(entries), provenance=f"jac_{m}")

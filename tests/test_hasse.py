@@ -273,6 +273,17 @@ class TestTermCap:
         with pytest.raises(TooManyTerms):
             hs_components(f, 10)
 
+    def test_one_variable_terms_count_each_weight_once(self, monkeypatch):
+        # d_0 .. d_1000 of x1 + x2 hold 2 * 1001 terms; each monomial's
+        # count is its power's bucket lengths, with nothing to convolve
+        f = parse_poly("x1 + x2", 2, Q)
+        monkeypatch.setattr(hasse, "TERM_CAP", 2002)
+        assert sum(len(c.terms) for c in hs_components(f, 1000)) == 2002
+        monkeypatch.setattr(hasse, "TERM_CAP", 2001)
+        with pytest.raises(TooManyTerms) as err:
+            hs_components(f, 1000)
+        assert err.value.count == 2002
+
     def test_counts_before_building(self):
         # the exact count of 778280 terms is known before any is formed
         f = parse_poly("x1^7*x2^7*x3^7*x4^7", 4, Q)

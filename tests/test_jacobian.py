@@ -12,6 +12,8 @@ from jetjac import (
     Point,
     PolyMatrix,
     Polynomial,
+    ScalarMatrix,
+    ShapeMismatch,
     TooManyCells,
     TooManyMultiIndices,
     base_variables,
@@ -28,7 +30,8 @@ from jetjac import (
 from jetjac import jacobian
 
 from _corpus import GF2, Q, random_base_polynomial
-from _oracles import exponent_vectors_recursive
+from jetjac import FieldSpec
+from _oracles import exponent_vectors_recursive, jac_m_by_cells
 
 CUSP = parse_poly("x1^3 - x2^2", 2, Q)
 
@@ -212,6 +215,73 @@ class TestJacM:
             jac_m([CUSP], 0)
 
 
+FIELDS = [Q, GF2, FieldSpec.prime_field(3), FieldSpec.prime_field(101), FieldSpec.prime_field(32003)]
+
+
+def one_pass_corpus(spec: FieldSpec, rng: random.Random) -> list[list[Polynomial]]:
+    """Tuples of polynomials for jac_m: random ones in x1..xs, one whose
+    binomials C(p, d) vanish mod p, ones with jet variables, constants,
+    and tuples whose members have different base counts."""
+    p = spec.characteristic or 7
+    corpus = [[random_base_polynomial(rng, s, 5, 5, spec)] for s in (1, 2, 3, 3)]
+    corpus += [
+        [parse_poly(f"x1^{p}*x2 + 2*x2^{p + 1} - x1*x2*x3^2", 3, spec)],
+        [parse_poly("x1^2*x1_1 - 3*x2*x2_2^2 + x1_1^3 + x1^3*x2^2*x2_1", 2, spec)],
+        [parse_poly("5", 2, spec)],
+        [Polynomial.zero(spec, 3)],
+        [parse_poly("x1^3 - x1^2", 1, spec), random_base_polynomial(rng, 3, 4, 4, spec), parse_poly("x1*x2^4", 2, spec)],
+    ]
+    return corpus
+
+
+def sharing(mx: PolyMatrix) -> list[int]:
+    """Each entry's position of the first entry that is the same object."""
+    first = {}
+    return [first.setdefault(id(e), k) for k, e in enumerate(mx.entries)]
+
+
+class TestOnePass:
+    """jac_m reads each f once and places the dominated cells; the per-cell
+    construction it replaced is the oracle."""
+
+    @pytest.mark.parametrize("m", range(1, 7))
+    @pytest.mark.parametrize("spec", FIELDS, ids=str)
+    def test_matches_the_per_cell_construction(self, spec, m):
+        rng = random.Random(1000 * m + spec.characteristic)
+        for fs in one_pass_corpus(spec, rng):
+            fast, slow = jac_m(fs, m), jac_m_by_cells(fs, m)
+            assert (fast.rows, fast.cols, fast.provenance) == (slow.rows, slow.cols, slow.provenance)
+            assert fast.entries == slow.entries
+            assert [(e.base_count, e.max_order) for e in fast.entries] == [
+                (e.base_count, e.max_order) for e in slow.entries
+            ]
+            assert sharing(fast) == sharing(slow)
+
+    @pytest.mark.parametrize("spec", FIELDS, ids=str)
+    def test_divided_partials_are_the_divided_partial_of_each_delta(self, spec):
+        rng = random.Random(spec.characteristic)
+        for fs in one_pass_corpus(spec, rng):
+            for f in fs:
+                for s in {f.base_count, 3}:
+                    for m in range(1, 7):
+                        got = jacobian.divided_partials(f, s, m)
+                        deltas = [d for k in range(m + 1) for d in exponent_vectors(k, s)]
+                        assert list(got) == deltas
+                        for delta in deltas:
+                            want = f.divided_partial(delta)
+                            assert got[delta] == want
+                            assert (got[delta].base_count, got[delta].max_order) == (f.base_count, f.max_order)
+                        assert got[(0,) * s] is f
+
+    def test_a_binomial_that_vanishes_mod_p_drops_its_term(self):
+        f = parse_poly("x1^3 + x1*x2", 2, FieldSpec.prime_field(3))
+        partials = jacobian.divided_partials(f, 2, 2)
+        # C(3, 1) = C(3, 2) = 0 mod 3: only x1*x2 leaves first partials
+        assert str(partials[(1, 0)]) == "x2"
+        assert partials[(2, 0)].is_zero
+        assert str(partials[(1, 1)]) == "1"
+
+
 class TestCellCap:
     """jac_m counts its r M x N cells before it builds any entry."""
 
@@ -232,8 +302,15 @@ class TestCellCap:
 
 class TestPolyMatrix:
     def test_shape_validation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ShapeMismatch) as err:
             PolyMatrix(2, 2, (Polynomial.zero(Q),))
+        assert str(err.value) == "1 entries for a 2 x 2 matrix"
+        assert isinstance(err.value, ValueError)
+
+    def test_scalar_matrix_shape_validation(self):
+        with pytest.raises(ShapeMismatch) as err:
+            ScalarMatrix(2, 3, (1, 2, 3, 4, 5), Q)
+        assert str(err.value) == "5 values for a 2 x 3 matrix"
 
     def test_provenance_ignored_by_equality(self):
         a = PolyMatrix(1, 1, (Polynomial.zero(Q),), provenance="a")

@@ -17,6 +17,7 @@ from jetjac import (
     Point,
     PolyMatrix,
     Polynomial,
+    ShapeMismatch,
     TooManyCells,
     at_point,
     check_fdbd,
@@ -280,8 +281,9 @@ class TestReverseBlocks:
         assert twice == D
 
     def test_shape_mismatch(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ShapeMismatch) as err:
             reverse_blocks(jac([CUSP]), 2, 2)
+        assert str(err.value) == "a 1 x 2 matrix is not made of 2 x 2 blocks"
 
 
 class TestCheckFdbd:
