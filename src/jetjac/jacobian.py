@@ -153,8 +153,8 @@ class PolyMatrix:
     def __post_init__(self):
         if self.rows * self.cols != len(self.entries):
             raise ShapeMismatch(f"{len(self.entries)} entries for a {self.rows} x {self.cols} matrix")
-        specs = {e.spec for e in self.entries}
-        if len(specs) > 1:
+        # entries share a few spec objects: hash a spec only when they do not
+        if len({id(e.spec) for e in self.entries}) > 1 and len({e.spec for e in self.entries}) > 1:
             raise MixedFields("matrix entries belong to different fields")
 
     @property
@@ -319,8 +319,10 @@ def jac_m(fs: list[Polynomial], m: int) -> PolyMatrix:
         beta = fam.lambda0[i]
         row = i * N
         cells.append((row + column[beta], zero_delta))
-        for delta in lam[: math.comb(m - sum(beta) + s, s) - 1]:
-            cells.append((row + column[tuple(map(add, beta, delta))], delta))
+        cells += [
+            (row + column[tuple(map(add, beta, delta))], delta)
+            for delta in lam[: math.comb(m - sum(beta) + s, s) - 1]
+        ]
     entries = []
     for f in fs:
         partials = divided_partials(f, s, m)

@@ -9,6 +9,7 @@ from jetjac import (
     EmptyIndexFamily,
     EmptyInput,
     JetVariable,
+    MixedFields,
     Point,
     PolyMatrix,
     Polynomial,
@@ -306,6 +307,14 @@ class TestPolyMatrix:
             PolyMatrix(2, 2, (Polynomial.zero(Q),))
         assert str(err.value) == "1 entries for a 2 x 2 matrix"
         assert isinstance(err.value, ValueError)
+
+    def test_entries_over_one_field(self):
+        # equal specs that are distinct objects agree; different fields do not
+        a, b = Polynomial.constant(FieldSpec.prime_field(7), 1), Polynomial.constant(FieldSpec.prime_field(7), 2)
+        assert a.spec is not b.spec
+        assert PolyMatrix(1, 2, (a, b)).spec == FieldSpec.prime_field(7)
+        with pytest.raises(MixedFields):
+            PolyMatrix(1, 2, (a, Polynomial.constant(Q, 1)))
 
     def test_scalar_matrix_shape_validation(self):
         with pytest.raises(ShapeMismatch) as err:
