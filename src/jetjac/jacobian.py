@@ -292,12 +292,9 @@ def jac_m(fs: list[Polynomial], m: int) -> PolyMatrix:
     For m = 1 this is the usual Jacobian.  Its cells are counted from
     M = C(m+s-1, s) and N = C(m+s, s) - 1 before any entry is built: at
     most CELL_CAP (TooManyCells otherwise).  Each f is read once, by
-    divided_partials, and each of its blocks starts as zeros; only the
-    cells (beta, alpha) with alpha = beta + delta are then placed, found
-    by walking the delta with |delta| <= m - |beta| from each row.  The
-    cells depend on (s, m) alone, so they are listed once for all of fs.
-    Every cell of one delta holds the same object, and the other cells
-    hold f's zero.
+    divided_partials; its block starts as f's zero, and only the cells
+    (beta, beta + delta) are placed, all cells of one delta holding one
+    object.  Those cells depend on (s, m) alone and are listed once.
     """
     if not fs:
         raise EmptyInput("no polynomials given")

@@ -263,7 +263,7 @@ class TestOnePass:
         rng = random.Random(spec.characteristic)
         for fs in one_pass_corpus(spec, rng):
             for f in fs:
-                for s in {f.base_count, 3}:
+                for s in {1, f.base_count, 3}:
                     for m in range(1, 7):
                         got = jacobian.divided_partials(f, s, m)
                         deltas = [d for k in range(m + 1) for d in exponent_vectors(k, s)]
