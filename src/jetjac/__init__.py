@@ -14,7 +14,6 @@ from .field import (
     FieldError,
     FieldSpec,
     MixedFields,
-    binomial,
     is_prime,
 )
 from .hasse import (
@@ -101,7 +100,6 @@ from .poly import (
     Polynomial,
     UnknownVariable,
     WrongCoordinateCount,
-    base_variables,
     jet_grid,
     parse_poly,
 )

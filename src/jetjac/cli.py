@@ -125,8 +125,6 @@ def parse_point(text: str, s: int, n: int, spec: FieldSpec) -> Point:
 def matrix_dims(mx: PolyMatrix | DnMatrix) -> tuple[int, int]:
     """(s, max jet order) across all entries of the matrix: (D.s, D.n) for
     D = D_n(L).  A matrix without variables gives (1, 0)."""
-    if isinstance(mx, DnMatrix):
-        return (mx.s, mx.n) if mx.s else (1, 0)
     s, r = mx.dims
     return (s, r) if s else (1, 0)
 
@@ -191,7 +189,7 @@ def _matrix_json_fields(text: str) -> tuple[int, int, list[str]]:
 def _matrix_report(mx: PolyMatrix) -> tuple[str, dict]:
     """The "[a, b]" rows and the {rows, cols, entries} object of a
     matrix, from one rendering of its entries."""
-    table = [[str(e) for e in mx.row(i)] for i in range(mx.rows)]
+    table = mx.rendered()
     return _bracketed(table), {"rows": mx.rows, "cols": mx.cols, "entries": table}
 
 

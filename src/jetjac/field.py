@@ -9,7 +9,6 @@ a reduced Fraction otherwise, a prime-field value as its residue in
 
 from __future__ import annotations
 
-import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -117,10 +116,6 @@ class FieldSpec:
             return cls(p)
         raise ValueError(f"bad field selector {text!r} (use Q or Fp:<prime>)")
 
-    @property
-    def kind(self) -> str:
-        return "rationals" if self.characteristic == 0 else "prime-field"
-
     def raw(self, x) -> Raw:
         """Coerce x (int, Fraction, FieldElement, or a string in the
         coordinate grammar of check_coordinate) to its canonical raw
@@ -162,9 +157,6 @@ class FieldSpec:
 
     def __str__(self) -> str:
         return "Q" if self.characteristic == 0 else f"Fp:{self.characteristic}"
-
-
-QQ = FieldSpec.rationals()
 
 
 class FieldElement:
@@ -266,11 +258,3 @@ class FieldElement:
     def __repr__(self) -> str:
         return f"FieldElement({self.spec}, {self.value})"
 
-
-def binomial(n: int, k: int, spec: FieldSpec) -> FieldElement:
-    """C(n, k) computed over the integers, then reduced into the field.
-
-    Computing the integer binomial first keeps divided-power coefficients
-    well defined in characteristic p, where factorials may vanish.
-    """
-    return spec.element(math.comb(n, k))

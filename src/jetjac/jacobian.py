@@ -15,10 +15,16 @@ starts as zeros and only those cells are placed, walked from the rows.
 
 PolyMatrix and ScalarMatrix are the dense matrix types of the package:
 polynomial entries, and raw field values such as a matrix at a point.
+A PolyMatrix knows which entries share one object (jac_m repeats one
+object per delta, and D_n(L) one per block), so every pass that reads
+entry contents (evaluation, expansion, printing, the variables and
+dims) reads each distinct object once and lays the results out by
+`layout`.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from operator import add
@@ -140,9 +146,12 @@ def index_families(s: int, m: int) -> IndexFamilies:
 class PolyMatrix:
     """Dense matrix of polynomials; provenance is a label, not content.
 
-    grid_order is the jet order up to which every variable of x1..xs
-    counts as a variable of the matrix, whether or not an entry contains
-    it: D_n(L) sets it to n, and it is 0 otherwise."""
+    `distinct` holds the distinct entry objects in order of first
+    occurrence and `layout`, per entry, the index of its object there;
+    both are computed on first read.  grid_order is the jet order up to
+    which every variable of x1..xs counts as a variable of the matrix,
+    whether or not an entry contains it: D_n(L) sets it to n, and it is 0
+    otherwise."""
 
     rows: int
     cols: int
@@ -177,21 +186,38 @@ class PolyMatrix:
         )
         return PolyMatrix(self.cols, self.rows, entries, self.provenance, self.grid_order)
 
+    @functools.cached_property
+    def distinct(self) -> tuple[Polynomial, ...]:
+        return tuple({id(e): e for e in self.entries}.values())
+
+    @functools.cached_property
+    def layout(self) -> tuple[int, ...]:
+        index = {id(g): i for i, g in enumerate(self.distinct)}
+        return tuple(map(index.__getitem__, map(id, self.entries)))
+
     @property
     def dims(self) -> tuple[int, int]:
         """(s, r): the largest base_count and the largest max_order of an
         entry, (0, 0) without entries."""
-        entries = self.entries
-        return max((e.base_count for e in entries), default=0), max((e.max_order for e in entries), default=0)
+        distinct = self.distinct
+        return max((g.base_count for g in distinct), default=0), max((g.max_order for g in distinct), default=0)
 
     def variables(self) -> tuple[JetVariable, ...]:
         """jet_grid(s, grid_order) and every variable that occurs in an
         entry, canonically ordered."""
-        used = {v for e in self.entries for v in e.variables()}
+        used = {v for g in self.distinct for v in g.variables()}
         return tuple(sorted(used.union(jet_grid(self.dims[0], self.grid_order))))
 
+    def rendered(self) -> list[list[str]]:
+        """The rows of the matrix as printed entries, each distinct object
+        printed once."""
+        texts = [str(g) for g in self.distinct]
+        flat = list(map(texts.__getitem__, self.layout))
+        cols = self.cols
+        return [flat[i * cols : (i + 1) * cols] for i in range(self.rows)]
+
     def __str__(self) -> str:
-        return _bracketed([[str(e) for e in self.row(i)] for i in range(self.rows)])
+        return _bracketed(self.rendered())
 
 
 @dataclass(frozen=True)

@@ -24,37 +24,32 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .field import FieldSpec
-from .hasse import BadJetOrder, HSExpansion, _require_base, _substituted, hs_components
+from .hasse import BadJetOrder, _require_base, _substituted, hs_components
 from .jacobian import PolyMatrix, ScalarMatrix, ShapeMismatch, _check_cells, jac
 from .poly import JetVariable, Polynomial, jet_grid
 
 
 def dn_matrix(L: PolyMatrix, n: int) -> PolyMatrix:
     """The (n+1)b x (n+1)a block matrix with block (i, j) = d_{j-i}(L)
-    for j >= i and 0 otherwise; d is applied to each entry of L.  At
-    most CELL_CAP cells (TooManyCells otherwise)."""
+    for j >= i and 0 otherwise; d is applied to each entry of L, once
+    per distinct entry object.  At most CELL_CAP cells (TooManyCells
+    otherwise)."""
     s = DnMatrix(L, n).s  # checks n and each entry of L
     _check_cells((n + 1) * L.rows, (n + 1) * L.cols)
     zero = Polynomial.zero(L.spec, s)
-    cache: dict[Polynomial, HSExpansion] = {}
-
-    def expansion(entry: Polynomial) -> HSExpansion:
-        ex = cache.get(entry)
-        if ex is None:
-            ex = hs_components(entry, n)
-            cache[entry] = ex
-        return ex
-
+    components = [hs_components(g, n).components for g in L.distinct]
+    entry_components = list(map(components.__getitem__, L.layout))
     b, a = L.rows, L.cols
+    # row r of the top block row; block row bi shifts it right by bi blocks
+    top = [
+        [d[k] for k in range(n + 1) for d in entry_components[r * a : (r + 1) * a]]
+        for r in range(b)
+    ]
     entries = []
     for bi in range(n + 1):
         for r in range(b):
-            for bj in range(n + 1):
-                for c in range(a):
-                    if bj < bi:
-                        entries.append(zero)
-                    else:
-                        entries.append(expansion(L.at(r, c))[bj - bi])
+            entries += [zero] * (bi * a)
+            entries += top[r][: (n + 1 - bi) * a]
     return PolyMatrix(
         (n + 1) * b,
         (n + 1) * a,
@@ -70,8 +65,8 @@ def _series_values(D: DnMatrix, series: dict[int, list], n: int) -> list[list]:
     # hasse.jet_series to order n, once per distinct entry object
     p = D.spec.characteristic
     powers: dict = {}
-    distinct = [_substituted(g, n, series, powers, p) for g in D.distinct]
-    return list(map(distinct.__getitem__, D.layout))
+    distinct = [_substituted(g, n, series, powers, p) for g in D.L.distinct]
+    return list(map(distinct.__getitem__, D.L.layout))
 
 
 def _block_layout(D: DnMatrix, entry_values: list[list]) -> ScalarMatrix:
@@ -94,34 +89,23 @@ def _block_layout(D: DnMatrix, entry_values: list[list]) -> ScalarMatrix:
 
 @dataclass(frozen=True)
 class DnMatrix:
-    """D_n(L) left unexpanded: rows, cols, spec and variables() are those
-    of dn_matrix(L, n).  Building it checks n and each entry of L once and
-    keeps s, the largest base index of L, so linalg.at_point and
-    linalg.rank_at put it at any number of points by Taylor mode without
-    checking L again.  jac_m repeats one object for many entries, so it
-    also keeps the distinct entry objects of L and, per entry of L, the
-    index of its object among them: a value at a point is computed once
-    per object and laid out through `layout`."""
+    """D_n(L) left unexpanded: rows, cols, spec, dims and variables() are
+    those of dn_matrix(L, n).  Building it checks n and each distinct
+    entry object of L once and keeps s, the largest base index of L, so
+    linalg.at_point and linalg.rank_at put it at any number of points by
+    Taylor mode without checking L again; a value at a point is computed
+    once per object of L and laid out through L.layout."""
 
     L: PolyMatrix
     n: int
     s: int = field(init=False, repr=False, compare=False)
-    distinct: tuple[Polynomial, ...] = field(init=False, repr=False, compare=False)
-    layout: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.n < 0:
             raise BadJetOrder("n must be >= 0")
-        index: dict[int, int] = {}
-        distinct = []
-        for g in self.L.entries:
-            if id(g) not in index:
-                index[id(g)] = len(distinct)
-                distinct.append(g)
-                _require_base(g)
-        object.__setattr__(self, "s", max((g.base_count for g in distinct), default=0))
-        object.__setattr__(self, "distinct", tuple(distinct))
-        object.__setattr__(self, "layout", tuple(index[id(g)] for g in self.L.entries))
+        for g in self.L.distinct:
+            _require_base(g)
+        object.__setattr__(self, "s", self.L.dims[0])
 
     @property
     def rows(self) -> int:
@@ -134,6 +118,10 @@ class DnMatrix:
     @property
     def spec(self) -> FieldSpec:
         return self.L.spec
+
+    @property
+    def dims(self) -> tuple[int, int]:
+        return self.s, self.n
 
     def variables(self) -> tuple[JetVariable, ...]:
         return jet_grid(self.s, self.n)

@@ -48,8 +48,10 @@ from .field import is_prime
 from .hasse import BadJetOrder, _require_base, hs_components, hs_values, jet_series
 from .jacobian import BadDifferentialOrder, PolyMatrix, index_families, jac_m
 from .jetmatrix import DnMatrix, dn_matrix
-from .linalg import SAMPLE_RANGE, BadTrialCount, _base_rank, rank_at, trial_rng
+from .linalg import SAMPLE_RANGE, BadTrialCount, eval_matrix, rank, rank_at, trial_rng
 from .poly import JetVariable, MissingCoordinate, Point, Polynomial, _raw_value
+
+SMOOTH_POINT_ATTEMPTS = 200  # seeded trials of find_smooth_point
 
 
 class ConstantPolynomial(ValueError):
@@ -458,7 +460,7 @@ def _univariate_in(f: Polynomial, target: int, vals: dict):
     return [coeffs.get(k, 0) for k in range(top + 1)]
 
 
-def find_smooth_point(f: Polynomial, seed=0, attempts: int = 200) -> Point:
+def find_smooth_point(f: Polynomial, seed=0) -> Point:
     """A point of V(f) where some first partial is nonzero.
 
     Freezes all but one coordinate at seeded random values and solves the
@@ -468,10 +470,10 @@ def find_smooth_point(f: Polynomial, seed=0, attempts: int = 200) -> Point:
     polynomial in the bit size of the coefficients.  Roots in GF(p) are
     tried in ascending order, rational roots 0 first and then by
     (|numerator|, denominator, positive before negative).  Deterministic
-    in seed.  A trial keeps its coordinates as raw scalars keyed by
-    variable and tests each root on them with poly._raw_value, the s
-    first partials sharing one table of powers; only the point it
-    returns is built as a Point.
+    in seed; at most SMOOTH_POINT_ATTEMPTS trials.  A trial keeps its
+    coordinates as raw scalars keyed by variable and tests each root on
+    them with poly._raw_value, the s first partials sharing one table of
+    powers; only the point it returns is built as a Point.
     """
     s = f.base_count
     spec = f.spec
@@ -479,7 +481,7 @@ def find_smooth_point(f: Polynomial, seed=0, attempts: int = 200) -> Point:
     if s < 1 or f.is_constant:
         raise NoSmoothPointFound("the equation has no variables to solve for")
     partials = [f.partial(JetVariable(i, 0)) for i in range(1, s + 1)]
-    for t in range(attempts):
+    for t in range(SMOOTH_POINT_ATTEMPTS):
         rng = trial_rng(seed, t, "smooth-point")
         solve = t % s + 1  # x_solve is solved for
         vals = {
@@ -494,7 +496,7 @@ def find_smooth_point(f: Polynomial, seed=0, attempts: int = 200) -> Point:
             if any(_raw_value(g, vals, p, powers) for g in partials):
                 return Point.from_base(list(vals.values()), spec)
     raise NoSmoothPointFound(
-        f"no smooth point of V(f) found in {attempts} attempts; "
+        f"no smooth point of V(f) found in {SMOOTH_POINT_ATTEMPTS} attempts; "
         "the equation may be degenerate (e.g. a p-th power in characteristic p)"
     )
 
@@ -591,10 +593,8 @@ def generic_cokernel_rank(pres: Presentation, trials: int = 20, seed=0) -> Coker
     jet is A_0 = L(a_0) (see linalg.rank_at), so when A_0 has rank
     min(b, a) the sample is cols - (n+1) min(b, a) whatever the jet is,
     and no jet is built; otherwise the jet is extended and ranked.  A_0
-    is evaluated on the raw coordinates of a_0, read off the Point once
-    per trial (linalg._base_rank), with no jet series.  The
-    witness, the first jet of least sample, is extended once at the end.
-    Skipping the other extensions changes no outcome: each uses its own
+    is eval_matrix(L, a_0), with no jet series.  The witness, the first
+    jet of least sample, is extended once at the end.  Skipping the other extensions changes no outcome: each uses its own
     seeded generator, and at a smooth base some first partial is nonzero,
     so extend_to_jet solves the order-k equation at every k and cannot
     raise there."""
@@ -607,7 +607,7 @@ def generic_cokernel_rank(pres: Presentation, trials: int = 20, seed=0) -> Coker
     for t in range(trials):
         base = find_smooth_point(pres.f, seed=f"{seed}:{t}")
         jet = None
-        if _base_rank(D, {(0, i): base[JetVariable(i, 0)].value for i in range(1, D.s + 1)}) == full:
+        if rank(eval_matrix(D.L, base)) == full:
             sample = D.cols - (pres.n + 1) * full
         else:
             jet = extend_to_jet(pres.f, base, pres.n, seed=f"{seed}:{t}")

@@ -3,16 +3,17 @@
 A matrix at a point is a ScalarMatrix of raw scalars, which rank reads
 without wrapping them in field elements.  at_point puts a DnMatrix
 D_n(L) at a point by Taylor mode; any other polynomial matrix is
-evaluated entry by entry (eval_matrix).  Rank uses one elimination
-routine per scalar kind: over Q each row is cleared of denominators and
-integer Bareiss elimination runs with exact integer division; over GF(p)
-plain Gaussian elimination runs with one inverse per pivot.  rank_at
+evaluated by eval_matrix, once per distinct entry object.  Rank uses
+one elimination routine per scalar kind: over Q each row is cleared of
+denominators and integer Bareiss elimination runs with exact integer
+division; over GF(p) plain Gaussian elimination runs with one inverse
+per pivot.  Both leave a row whose head is zero untouched.  rank_at
 ranks D_n(L) at a jet by the block rule: every diagonal block is the
 b x a matrix A_0 = L(a_0), so when A_0 has full row or column rank, or
 every block above the diagonal vanishes, the rank is (n+1) rank(A_0);
-only otherwise is the whole (n+1)b x (n+1)a matrix eliminated.  A_0 is
-ranked first: each distinct entry object of L is evaluated once at the
-raw order-0 coordinates by poly._raw_value, the evaluator that
+only otherwise is the whole (n+1)b x (n+1)a matrix eliminated.  A_0 =
+eval_matrix(L, a) is ranked first: each distinct entry object of L is
+evaluated once by poly._raw_value, the evaluator that
 Polynomial.evaluate wraps too, with one table of powers for all of them.
 The series of L to order n is computed only when A_0 does not decide
 the rank.
@@ -78,13 +79,15 @@ class BadTrialCount(ValueError):
 
 def eval_matrix(mx: PolyMatrix, point: Point) -> ScalarMatrix:
     """Entrywise evaluation of a polynomial matrix at a point, by
-    poly._raw_value on the raw coordinates, read once for all entries."""
+    poly._raw_value on the raw coordinates, read once for all entries;
+    each distinct entry object is evaluated once."""
     if mx.entries and mx.spec != point.spec:
         raise MixedFields(f"point over {point.spec}, polynomial over {mx.spec}")
     vals = {(v.order, v.base): fe.value for v, fe in point.coords.items()}
     p = point.spec.characteristic
     powers: dict = {}
-    values = tuple(_raw_value(e, vals, p, powers) for e in mx.entries)
+    distinct = [_raw_value(g, vals, p, powers) for g in mx.distinct]
+    values = tuple(map(distinct.__getitem__, mx.layout))
     return ScalarMatrix(mx.rows, mx.cols, values, point.spec)
 
 
@@ -123,39 +126,27 @@ def rank_at(mx: PolyMatrix | DnMatrix, point: Point) -> int:
         block row, then x_(n-1) = 0, and so on;
       - every A_k with k >= 1 is zero, as at every zero jet: D is then
         block diagonal with n + 1 copies of A_0.
-    A_0 comes first, evaluated at the raw order-0 coordinates alone
-    (_base_rank).  The series of L(a(t)) to order n is computed only when
-    A_0 is deficient and some coordinate of positive order is nonzero, so
+    A_0 = eval_matrix(L, a) comes first; L holds base variables alone.
+    The series of L(a(t)) to order n is computed only when A_0 is
+    deficient and some coordinate of positive order is nonzero, so
     a zero jet takes no series of L at all; only when some A_k is then
     nonzero is the whole (n+1)b x (n+1)a matrix laid out and eliminated.
     The point is checked to order n in every case.  A matrix without rows
     or columns has rank 0 at any point, and any other matrix is evaluated
-    entry by entry."""
+    by eval_matrix."""
     if mx.rows == 0 or mx.cols == 0:
         return 0
     if not isinstance(mx, DnMatrix):
         return rank(eval_matrix(mx, point))
     n = mx.n
     series = jet_series(point, mx.spec, mx.s, n)
-    r0 = _base_rank(mx, {(0, i): v[0] for i, v in series.items()})
+    r0 = rank(eval_matrix(mx.L, point))
     if r0 == min(mx.L.rows, mx.L.cols) or not any(any(v[1:]) for v in series.values()):
         return (n + 1) * r0
     values = _series_values(mx, series, n)
     if not any(any(v[1:]) for v in values):
         return (n + 1) * r0
     return rank(_block_layout(mx, values))
-
-
-def _base_rank(D: DnMatrix, base_values: dict) -> int:
-    """rank A_0 = L(a_0) for D = D_n(L), where x_i takes the raw scalar
-    base_values[(0, i)], as poly._raw_value reads it.  Each distinct
-    entry object of L is evaluated once, and all of them share one table
-    of powers."""
-    p = D.spec.characteristic
-    powers: dict = {}
-    distinct = [_raw_value(g, base_values, p, powers) for g in D.distinct]
-    values = tuple(map(distinct.__getitem__, D.layout))
-    return rank(ScalarMatrix(D.L.rows, D.L.cols, values, D.spec))
 
 
 def _integer_row(fracs) -> list[int]:
@@ -165,11 +156,16 @@ def _integer_row(fracs) -> list[int]:
 
 
 def _rank_integer(a: list[list[int]], cols: int) -> int:
-    """Bareiss elimination on integer rows.  After each step every entry
+    """Bareiss elimination on integer rows.  After step k every entry
     below the pivots is a minor of the input, so dividing by the previous
-    pivot is exact.  That holds for every row, so a row whose head is
-    already zero must still be rescaled by pivot/prev."""
+    pivot p_(k-1) is exact.  A row whose head is zero is left untouched,
+    as in _rank_mod_p: it keeps the minors of the step j that last
+    changed it (the input, with p_j = 1, if none did), which are its
+    step-(k-1) minors times p_j/p_(k-1).  So its next update divides by
+    p_j, exactly, and a row chosen as pivot is first multiplied by
+    p_(k-1)/p_j, exactly too."""
     rows = len(a)
+    last = [1] * rows  # per row, the pivot of the step that last changed it
     r = 0
     prev = 1
     for c in range(cols):
@@ -177,18 +173,21 @@ def _rank_integer(a: list[list[int]], cols: int) -> int:
         if pivot_row is None:
             continue
         a[pivot_row], a[r] = a[r], a[pivot_row]
+        last[pivot_row], last[r] = last[r], last[pivot_row]
         top = a[r]
+        if last[r] != prev:
+            top[c:] = [x * prev // last[r] for x in top[c:]]
         pivot = top[c]
         tail = top[c + 1 :]
         for i in range(r + 1, rows):
             row = a[i]
             head = row[c]
             if head:
+                scale = last[i]
                 row[c + 1 :] = [
-                    (pivot * x - head * y) // prev for x, y in zip(row[c + 1 :], tail)
+                    (pivot * x - head * y) // scale for x, y in zip(row[c + 1 :], tail)
                 ]
-            elif pivot != prev:
-                row[c + 1 :] = [pivot * x // prev for x in row[c + 1 :]]
+                last[i] = pivot
         prev = pivot
         r += 1
         if r == rows:
@@ -239,20 +238,21 @@ class MinorSet:
         return len(self.values)
 
 
-def minors(mx: PolyMatrix, k: int, cap: int = MINOR_CAP) -> MinorSet:
+def minors(mx: PolyMatrix, k: int) -> MinorSet:
     """Every k x k minor of mx as a polynomial (the determinantal
     generators of the rank-deficiency locus), listed by row selection and
     then column selection, each in itertools.combinations order.
 
-    At most cap minors are listed, and at most cap intermediate minors
-    are stored while computing them (TooManyMinors otherwise), with at
-    most MINOR_TERM_CAP terms among them (TooManyMinorTerms otherwise)."""
+    At most MINOR_CAP minors are listed, and at most MINOR_CAP
+    intermediate minors are stored while computing them (TooManyMinors
+    otherwise), with at most MINOR_TERM_CAP terms among them
+    (TooManyMinorTerms otherwise)."""
     if k < 0 or k > min(mx.rows, mx.cols):
         raise BadMinorSize(f"k must be between 0 and min({mx.rows}, {mx.cols})")
     count = math.comb(mx.rows, k) * math.comb(mx.cols, k)
-    if count > cap:
-        raise TooManyMinors(count, cap)
-    found = _laplace_walk(mx, k, cap)
+    if count > MINOR_CAP:
+        raise TooManyMinors(count, MINOR_CAP)
+    found = _laplace_walk(mx, k)
     zero = Polynomial.zero(mx.spec)
     selections = []
     values = []
@@ -264,7 +264,7 @@ def minors(mx: PolyMatrix, k: int, cap: int = MINOR_CAP) -> MinorSet:
     return MinorSet(k, tuple(selections), tuple(values))
 
 
-def _laplace_walk(mx: PolyMatrix, k: int, cap: int) -> dict:
+def _laplace_walk(mx: PolyMatrix, k: int) -> dict:
     """The nonzero k x k minors of mx as {row selection: {column bitmask:
     minor}}.
 
@@ -279,17 +279,17 @@ def _laplace_walk(mx: PolyMatrix, k: int, cap: int) -> dict:
     order, so a finished minor takes the sign of that permutation.
 
     The walk runs on raw term dicts.  The variables that occur in some
-    entry are numbered in key order, and each monomial key of an entry is
-    packed once into one int with B bits per variable, so multiplying two
-    monomials adds two ints.  With e the largest exponent in any entry, B
-    is the bit length of k e: a minor of size at most k is a sum of
-    products of at most k entries, so none of its exponents exceeds
-    k e < 2^B and no field carries into the next.  Each new minor sums its
+    entry are numbered in key order, and each monomial key of each
+    distinct entry object is packed once into one int with B bits per
+    variable, so multiplying two monomials adds two ints.  With e the
+    largest exponent in any entry, B is the bit length of k e: a minor of
+    size at most k is a sum of products of at most k entries, so none of
+    its exponents exceeds k e < 2^B and no field carries into the next.  Each new minor sums its
     signed products straight into one dict, whose coefficients are then
     reduced mod p, or normalised over Q, once; only the k x k minors are
     unpacked into monomial keys, each packed monomial once per walk.  A
-    minor takes mx.dims as its base_count and max_order.  At
-    most cap intermediate minors are stored (TooManyMinors, checked per
+    minor takes mx.dims as its base_count and max_order.  At most
+    MINOR_CAP intermediate minors are stored (TooManyMinors, checked per
     level), holding at most MINOR_TERM_CAP terms together
     (TooManyMinorTerms, checked as each minor is stored, so the budget
     also bounds the memory held)."""
@@ -297,20 +297,21 @@ def _laplace_walk(mx: PolyMatrix, k: int, cap: int) -> dict:
     if k == 0:
         return {(): {0: Polynomial.constant(spec, 1)}}
     p = spec.characteristic
-    triples = {t for g in mx.entries for key in g.terms for t in key}
+    triples = {t for g in mx.distinct for key in g.terms for t in key}
     width = (k * max((e for _, _, e in triples), default=0)).bit_length()
     # the variables in key order, each with its field of bits
     fields = [(o, b, i * width) for i, (o, b) in enumerate(sorted({t[:2] for t in triples}))]
     shift = {(o, b): s for o, b, s in fields}
     mask = (1 << width) - 1
-    nonzero = []
-    for i in range(mx.rows):
-        row = []
-        for c, g in enumerate(mx.row(i)):
-            if g:
-                packed = [(sum(e << shift[o, b] for o, b, e in key), a) for key, a in g.terms.items()]
-                row.append((c, 1 << c, packed, [(m, -a) for m, a in packed]))
-        nonzero.append(row)
+    packs = []
+    for g in mx.distinct:
+        packed = [(sum(e << shift[o, b] for o, b, e in key), a) for key, a in g.terms.items()]
+        packs.append((packed, [(m, -a) for m, a in packed]))
+    cols, layout = mx.cols, mx.layout
+    nonzero = [
+        [(c, 1 << c, *packs[j]) for c, j in enumerate(layout[i * cols : (i + 1) * cols]) if packs[j][0]]
+        for i in range(mx.rows)
+    ]
     shape = mx.dims
     # a packed monomial of a k x k minor unpacked into its key, once
     keys = _Memo(lambda m: tuple((o, b, x) for o, b, s in fields if (x := m >> s & mask)))
@@ -357,8 +358,8 @@ def _laplace_walk(mx: PolyMatrix, k: int, cap: int) -> dict:
         if not grown:
             continue
         stored += len(grown)
-        if stored > cap:
-            raise TooManyMinors(stored, cap)
+        if stored > MINOR_CAP:
+            raise TooManyMinors(stored, MINOR_CAP)
         row_sel = taken + (r,)
         inversions += sum(1 for q in taken if q > r)
         if len(row_sel) < k:

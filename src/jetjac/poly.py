@@ -122,10 +122,6 @@ def jet_grid(s: int, n: int) -> tuple[JetVariable, ...]:
     return tuple(JetVariable(i, j) for j in range(n + 1) for i in range(1, s + 1))
 
 
-def base_variables(s: int) -> tuple[JetVariable, ...]:
-    return jet_grid(s, 0)
-
-
 MultiIndex = tuple[int, ...]
 
 

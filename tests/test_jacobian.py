@@ -17,7 +17,7 @@ from jetjac import (
     ShapeMismatch,
     TooManyCells,
     TooManyMultiIndices,
-    base_variables,
+    dn_matrix,
     eval_matrix,
     exponent_vectors,
     index_families,
@@ -29,6 +29,7 @@ from jetjac import (
 )
 
 from jetjac import jacobian
+from jetjac.cli import matrix_argument
 
 from _corpus import GF2, Q, random_base_polynomial
 from jetjac import FieldSpec
@@ -355,6 +356,34 @@ class TestPolyMatrix:
     def test_variables_of_a_high_order_jet_variable(self):
         mx = PolyMatrix(1, 1, (parse_poly("x1_100000000", 1, Q),))
         assert mx.variables() == (JetVariable(1, 0), JetVariable(1, 100000000))
+
+    def test_distinct_and_layout_rebuild_the_entries_object_for_object(self):
+        quartic = jac_m([parse_poly("x1^3 - x2^2 + x1*x2*x3 + x3^4", 3, Q)], 3)
+        # a JSON matrix parses each entry on its own: equal, distinct objects
+        json_matrix = matrix_argument('{"rows": 2, "cols": 2, "entries": [["x1", "x2"], ["x1", "x1"]]}', Q)
+        cases = [quartic, dn_matrix(jac_m([CUSP], 2), 2), quartic.transpose(), PolyMatrix(0, 0, ()), json_matrix]
+        for mx in cases:
+            rebuilt = tuple(mx.distinct[i] for i in mx.layout)
+            assert len(rebuilt) == len(mx.entries)
+            assert all(a is b for a, b in zip(rebuilt, mx.entries))
+            assert len({id(g) for g in mx.distinct}) == len(mx.distinct)
+        assert (len(quartic.entries), len(quartic.distinct)) == (190, 21)
+        assert json_matrix.layout == (0, 1, 2, 3)
+        assert str(json_matrix) == "[x1, x2]\n[x1, x1]"
+
+    def test_each_entry_object_is_printed_once(self, monkeypatch):
+        mx = jac_m([parse_poly("x1^3 - x2^2 + x1*x2*x3 + x3^4", 3, Q)], 3)
+        printed = []
+        printer = Polynomial.__str__
+
+        def counting_printer(g):
+            printed.append(g)
+            return printer(g)
+
+        monkeypatch.setattr(Polynomial, "__str__", counting_printer)
+        table = mx.rendered()
+        assert len(printed) == 21
+        assert table == [[printer(e) for e in mx.row(i)] for i in range(mx.rows)]
 
     def test_grid_order_adds_every_jet_variable_up_to_it(self):
         mx = PolyMatrix(1, 1, (parse_poly("x2", 2, Q),), grid_order=1)

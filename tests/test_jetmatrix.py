@@ -120,6 +120,25 @@ class TestDnMatrix:
                 for idx, ex in enumerate(expansions):
                     assert block.entries[idx] == ex[j - i]
 
+    def test_expands_each_entry_object_once(self, monkeypatch):
+        # Jac_3 of the quartic has 190 entries but 21 distinct objects
+        expanded = []
+        components = jetmatrix.hs_components
+
+        def counting_components(g, n):
+            expanded.append(g)
+            return components(g, n)
+
+        monkeypatch.setattr(jetmatrix, "hs_components", counting_components)
+        L = jac_m([jp("x1^3 - x2^2 + x1*x2*x3 + x3^4", 3)], 3)
+        D = dn_matrix(L, 2)
+        assert [id(g) for g in expanded] == [id(g) for g in L.distinct]
+        assert (len(L.entries), len(expanded)) == (190, 21)
+        spec = BlockSpec(2, L.rows, L.cols)
+        for i in range(3):
+            for j in range(i, 3):
+                assert spec.block(D, i, j).entries == tuple(components(e, 2)[j - i] for e in L.entries)
+
 
 class TestExactScalarsOverQ:
     """Every raw value over Q is an int or a Fraction, never a float or a

@@ -260,11 +260,12 @@ class TestSmoothSampling:
         point = find_smooth_point(f, seed=1)
         assert f.evaluate(point).is_zero
 
-    def test_degenerate_equation_fails(self):
+    def test_degenerate_equation_fails(self, monkeypatch):
         # x^2 over GF(2) is a square: V(f) = {0} and the derivative vanishes
         f = parse_poly("x1^2", 1, GF2)
+        monkeypatch.setattr(jetscheme, "SMOOTH_POINT_ATTEMPTS", 30)
         with pytest.raises(NoSmoothPointFound):
-            find_smooth_point(f, seed=0, attempts=30)
+            find_smooth_point(f, seed=0)
 
     def test_extend_to_jet_stays_on_scheme(self):
         for n in (0, 1, 2, 3):
@@ -481,7 +482,7 @@ class TestGenericCokernelRank:
     @pytest.mark.parametrize("spec", [Q, GF101], ids=str)
     def test_a_deficient_base_block_extends_and_ranks_the_jet(self, spec, monkeypatch):
         calls = self.record_extensions(monkeypatch)
-        monkeypatch.setattr(jetscheme, "_base_rank", lambda D, base_values: -1)
+        monkeypatch.setattr(jetscheme, "rank", lambda mx: -1)
         for pres, seed in self.corpus(spec):
             calls.clear()
             report = generic_cokernel_rank(pres, trials=4, seed=seed)

@@ -82,6 +82,22 @@ class TestEvalMatrix:
         got = eval_matrix(mx, Point.from_base([5, 7], Q))
         assert not any(got.values)
 
+    def test_evaluates_each_entry_object_once(self, monkeypatch):
+        # Jac_3 of the quartic has 190 entries but 21 distinct objects
+        evaluated = []
+        raw_value = linalg._raw_value
+
+        def counting_raw_value(g, *args):
+            evaluated.append(g)
+            return raw_value(g, *args)
+
+        monkeypatch.setattr(linalg, "_raw_value", counting_raw_value)
+        mx = jac_m([parse_poly(QUARTIC, 3, Q)], 3)
+        point = Point.from_base([1, Fraction(-2, 3), 5], Q)
+        got = eval_matrix(mx, point)
+        assert (len(mx.entries), len(evaluated)) == (190, 21)
+        assert got.values == tuple(e.evaluate(point).value for e in mx.entries)
+
 
 class TestRank:
     def test_examples(self):
@@ -154,6 +170,9 @@ def mod_p_rank_oracle(rows, p):
 
 INTEGERS = st.integers(-6, 6)
 RATIONALS = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 7))
+# about one entry in four nonzero: most heads are zero, so rows are skipped
+# for several steps before they pivot or are eliminated
+SPARSE_RATIONALS = st.integers(0, 3).flatmap(lambda k: RATIONALS if k == 0 else st.just(0))
 
 
 def grid(draw, rows, cols, entries):
@@ -204,7 +223,15 @@ def block_diagonal(draw, entries=RATIONALS):
 
 
 RATIONAL_MATRICES = st.one_of(
-    planted_rank(), with_zero_lines(planted_rank()), block_diagonal()
+    planted_rank(),
+    with_zero_lines(planted_rank()),
+    block_diagonal(),
+    st.integers(1, 8).flatmap(lambda rows: st.integers(1, 10).map(lambda cols: (rows, cols))).flatmap(
+        lambda shape: st.lists(
+            st.lists(SPARSE_RATIONALS, min_size=shape[1], max_size=shape[1]), min_size=shape[0], max_size=shape[0]
+        )
+    ),
+    planted_rank(SPARSE_RATIONALS),
 )
 INTEGER_MATRICES = st.one_of(
     planted_rank(INTEGERS),
@@ -234,6 +261,39 @@ class TestRankProperties:
         # reports rank 2
         rows = [[2, 0, 0], [0, -1, -1], [0, 1, 0]]
         assert rank(scalar(rows)) == rational_rank_oracle(rows) == 3
+
+    def test_rows_skipped_for_several_steps(self):
+        # three rows have zero heads under the first three pivots:
+        # [0, 0, 0, 7, 1] then pivots, [0, 0, 0, 4, 3] is eliminated by it
+        # and pivots next, and [0, 0, 0, 14, 2] becomes zero
+        rows = [
+            [2, 1, 0, 0, 1],
+            [0, 0, 0, 7, 1],
+            [0, 3, 1, 0, 2],
+            [0, 0, 0, 4, 3],
+            [0, 0, 5, 1, 0],
+            [0, 0, 0, 14, 2],
+        ]
+        assert rank(scalar(rows)) == rational_rank_oracle(rows) == 5
+        # a multiple of [0, 0, 0, 7, 1] too: both skipped rows become zero
+        rows[3] = [0, 0, 0, 21, 3]
+        assert rank(scalar(rows)) == rational_rank_oracle(rows) == 4
+
+    def test_sparse_and_low_rank_integer_blocks(self):
+        rng = random.Random(41)
+
+        def sparse(rows, cols, density):
+            return [[rng.randint(-9, 9) if rng.random() < density else 0 for _ in range(cols)] for _ in range(rows)]
+
+        for _ in range(400):
+            rows, cols, density = rng.randint(1, 10), rng.randint(1, 10), rng.choice((0.15, 0.3, 0.6))
+            if rng.random() < 0.5:
+                a = sparse(rows, cols, density)
+            else:
+                k = rng.randint(0, min(rows, cols))
+                b, c = sparse(rows, k, density), sparse(k, cols, density)
+                a = [[sum(b[i][t] * c[t][j] for t in range(k)) for j in range(cols)] for i in range(rows)]
+            assert rank(scalar(a)) == rational_rank_oracle(a), a
 
 
 QUARTIC = "x1^3 - x2^2 + x1*x2*x3 + x3^4"
@@ -388,11 +448,12 @@ class TestRankAt:
 
     @pytest.mark.parametrize("spec", [Q, GF2, GF101], ids=str)
     def test_base_rank_matches_the_dense_rank_at_the_base_point(self, spec):
-        # _base_rank(D, a_0) against D_0(L) = L laid out at the base point
+        # A_0 = eval_matrix(L, a) at the jet against D_0(L) = L laid out
+        # by Taylor mode at the base point
         for label, D, jet in rank_at_corpus(spec):
             base = Point(D.spec, {v: x for v, x in jet.coords.items() if v.order == 0})
             want = rank(at_point(DnMatrix(D.L, 0), base))
-            got = linalg._base_rank(D, {(0, i): jet[JetVariable(i, 0)].value for i in range(1, D.s + 1)})
+            got = rank(eval_matrix(D.L, jet))
             assert got == want, (label, str(D.L), str(jet))
 
     def test_checks_the_point_to_order_n(self):
@@ -473,15 +534,17 @@ class TestMinors:
             minors(big, 10)
         assert err.value.count == 184756**2
 
-    def test_cap_bounds_intermediate_minors(self):
+    def test_cap_bounds_intermediate_minors(self, monkeypatch):
         # every minor of the Hilbert matrix is nonzero, so its 6x6
         # determinant stores all C(6, d) minors of its first d rows, 63 in
         # all, though it lists only one
         hilbert = (Polynomial.constant(Q, Fraction(1, i + j + 1)) for i in range(6) for j in range(6))
         dense = PolyMatrix(6, 6, tuple(hilbert))
-        assert len(minors(dense, 6, cap=63)) == 1
+        monkeypatch.setattr(linalg, "MINOR_CAP", 63)
+        assert len(minors(dense, 6)) == 1
+        monkeypatch.setattr(linalg, "MINOR_CAP", 62)
         with pytest.raises(TooManyMinors) as err:
-            minors(dense, 6, cap=62)
+            minors(dense, 6)
         assert err.value.count == 63
 
     def test_term_cap_bounds_intermediate_minors(self, monkeypatch):
@@ -697,7 +760,7 @@ def test_packed_walk_matches_the_polynomial_walk(spec):
     for label, mx in packed_walk_corpus(spec):
         shape = mx.dims
         for k in range(min(mx.rows, mx.cols) + 1):
-            got = linalg._laplace_walk(mx, k, linalg.MINOR_CAP)
+            got = linalg._laplace_walk(mx, k)
             want = laplace_walk_polynomials(mx, k, linalg.MINOR_CAP)
             assert got.keys() == want.keys(), (label, k)
             for row_sel, by_columns in want.items():
