@@ -36,27 +36,30 @@ def dn_matrix(L: PolyMatrix, n: int) -> PolyMatrix:
     otherwise)."""
     s = DnMatrix(L, n).s  # checks n and each entry of L
     _check_cells((n + 1) * L.rows, (n + 1) * L.cols)
-    zero = Polynomial.zero(L.spec, s)
     components = [hs_components(g, n).components for g in L.distinct]
-    entry_components = list(map(components.__getitem__, L.layout))
-    b, a = L.rows, L.cols
-    # row r of the top block row; block row bi shifts it right by bi blocks
-    top = [
-        [d[k] for k in range(n + 1) for d in entry_components[r * a : (r + 1) * a]]
-        for r in range(b)
-    ]
-    entries = []
-    for bi in range(n + 1):
-        for r in range(b):
-            entries += [zero] * (bi * a)
-            entries += top[r][: (n + 1 - bi) * a]
+    zero = Polynomial.zero(L.spec, s)
+    entries = _blocks(list(map(components.__getitem__, L.layout)), n, L.rows, L.cols, zero)
     return PolyMatrix(
-        (n + 1) * b,
-        (n + 1) * a,
+        (n + 1) * L.rows,
+        (n + 1) * L.cols,
         tuple(entries),
         provenance=f"D_{n}({L.provenance or 'L'})",
         grid_order=n,
     )
+
+
+def _blocks(series: list, n: int, b: int, a: int, zero) -> list:
+    # the cells, row by row, of the (n+1)b x (n+1)a block matrix whose
+    # block (i, j) holds term j - i of the series of each of the b x a
+    # entries (given row by row) for j >= i, and zero for j < i.  Block
+    # row i is the top block row shifted right by i blocks
+    top = [[x[k] for k in range(n + 1) for x in series[r * a : (r + 1) * a]] for r in range(b)]
+    out = []
+    for bi in range(n + 1):
+        for r in range(b):
+            out += [zero] * (bi * a)
+            out += top[r][: (n + 1 - bi) * a]
+    return out
 
 
 def _series_values(D: DnMatrix, series: dict[int, list], n: int) -> list[list]:
@@ -72,19 +75,8 @@ def _series_values(D: DnMatrix, series: dict[int, list], n: int) -> list[list]:
 def _block_layout(D: DnMatrix, entry_values: list[list]) -> ScalarMatrix:
     # D_n(L) at the point from its series values: block (i, j) holds the
     # t^(j-i) coefficients A_(j-i) for j >= i
-    n, b, a = D.n, D.L.rows, D.L.cols
-    zero = D.spec.zero.value
-    # row r of the top block row; block row bi shifts it right by bi blocks
-    top = [
-        [vals[k] for k in range(n + 1) for vals in entry_values[r * a : (r + 1) * a]]
-        for r in range(b)
-    ]
-    values = []
-    for bi in range(n + 1):
-        for r in range(b):
-            values.extend([zero] * (bi * a))
-            values.extend(top[r][: (n + 1 - bi) * a])
-    return ScalarMatrix((n + 1) * b, (n + 1) * a, tuple(values), D.spec)
+    values = _blocks(entry_values, D.n, D.L.rows, D.L.cols, D.spec.zero.value)
+    return ScalarMatrix(D.rows, D.cols, tuple(values), D.spec)
 
 
 @dataclass(frozen=True)
