@@ -56,6 +56,7 @@ from .jetscheme import (
     JetSchemeDesc,
     NobileCertificate,
     NoSmoothPointFound,
+    NotBasePoint,
     NotSingularBase,
     PointNotOnScheme,
     Presentation,

@@ -141,7 +141,7 @@ def matrix_argument(spec_text: str, field: FieldSpec) -> PolyMatrix | DnMatrix:
     rows, cols, flat = _matrix_json_fields(spec_text)
     s = max((infer_base_count(entry) for entry in flat), default=1)
     entries = tuple(parse_poly(entry, s, field) for entry in flat)
-    return PolyMatrix(rows, cols, entries, provenance="json")
+    return PolyMatrix(rows, cols, entries)
 
 
 def build_matrix(spec_text: str, field: FieldSpec) -> PolyMatrix:
@@ -289,7 +289,7 @@ def cmd_nobile(args) -> tuple[str, dict]:
         "f": str(cert.f),
         "n": cert.n,
         "m": cert.m,
-        "base": [str(cert.base.coords[v]) for v in sorted(cert.base.coords)],
+        "base": [str(x) for _, x in sorted(cert.base.values.items())],
         "membership": cert.membership,
         "rank": cert.rank,
         "bound": cert.bound,

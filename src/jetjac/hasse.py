@@ -288,14 +288,11 @@ def jet_series(point: Point, spec: FieldSpec, s: int, n: int) -> dict[int, list]
     every x_i^(j) with j <= n."""
     if point.spec != spec:
         raise MixedFields(f"point over {point.spec}, polynomial over {spec}")
-    coords = point.coords
-    for v in jet_grid(s, n):
-        if v not in coords:
-            raise MissingCoordinate(f"point assigns no value to {v.name}")
-    return {
-        i: [coords[JetVariable(i, j)].value for j in range(n + 1)]
-        for i in range(1, s + 1)
-    }
+    try:
+        return {i: [point.values[j, i] for j in range(n + 1)] for i in range(1, s + 1)}
+    except KeyError:
+        v = next(v for v in jet_grid(s, n) if (v.order, v.base) not in point.values)
+        raise MissingCoordinate(f"point assigns no value to {v.name}") from None
 
 
 def hs_values(g: Polynomial, n: int, series: dict[int, list], powers: dict) -> list:

@@ -144,7 +144,7 @@ def index_families(s: int, m: int) -> IndexFamilies:
 
 @dataclass(frozen=True)
 class PolyMatrix:
-    """Dense matrix of polynomials; provenance is a label, not content.
+    """Dense matrix of polynomials.
 
     `distinct` holds the distinct entry objects in order of first
     occurrence and `layout`, per entry, the index of its object there;
@@ -156,7 +156,6 @@ class PolyMatrix:
     rows: int
     cols: int
     entries: tuple[Polynomial, ...]
-    provenance: str = field(default="", compare=False)
     grid_order: int = field(default=0, compare=False)
 
     def __post_init__(self):
@@ -184,7 +183,7 @@ class PolyMatrix:
             for j in range(self.cols)
             for i in range(self.rows)
         )
-        return PolyMatrix(self.cols, self.rows, entries, self.provenance, self.grid_order)
+        return PolyMatrix(self.cols, self.rows, entries, self.grid_order)
 
     @functools.cached_property
     def distinct(self) -> tuple[Polynomial, ...]:
@@ -353,6 +352,4 @@ def jac_m(fs: list[Polynomial], m: int) -> PolyMatrix:
         for index, delta in cells:
             block[index] = partials[delta]
         entries += block
-    return PolyMatrix(
-        len(fs) * M, N, tuple(entries), provenance=f"jac_{m}"
-    )
+    return PolyMatrix(len(fs) * M, N, tuple(entries))

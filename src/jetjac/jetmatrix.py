@@ -39,13 +39,7 @@ def dn_matrix(L: PolyMatrix, n: int) -> PolyMatrix:
     components = [hs_components(g, n).components for g in L.distinct]
     zero = Polynomial.zero(L.spec, s)
     entries = _blocks(list(map(components.__getitem__, L.layout)), n, L.rows, L.cols, zero)
-    return PolyMatrix(
-        (n + 1) * L.rows,
-        (n + 1) * L.cols,
-        tuple(entries),
-        provenance=f"D_{n}({L.provenance or 'L'})",
-        grid_order=n,
-    )
+    return PolyMatrix((n + 1) * L.rows, (n + 1) * L.cols, tuple(entries), grid_order=n)
 
 
 def _blocks(series: list, n: int, b: int, a: int, zero) -> list:
@@ -134,9 +128,7 @@ def jet_jacobian(fs: list[Polynomial], n: int) -> PolyMatrix:
             for j in range(n + 1):
                 for i in range(1, s + 1):
                     entries.append(dk.partial(JetVariable(i, j)))
-    return PolyMatrix(
-        (n + 1) * len(fs), (n + 1) * s, tuple(entries), provenance=f"jetjac_{n}", grid_order=n
-    )
+    return PolyMatrix((n + 1) * len(fs), (n + 1) * s, tuple(entries), grid_order=n)
 
 
 def reverse_blocks(mx: PolyMatrix, b: int, a: int) -> PolyMatrix:
@@ -151,7 +143,7 @@ def reverse_blocks(mx: PolyMatrix, b: int, a: int) -> PolyMatrix:
         for j in range(mx.cols):
             bj, c = divmod(j, a)
             entries.append(mx.at(src_row, (na - 1 - bj) * a + c))
-    return PolyMatrix(mx.rows, mx.cols, tuple(entries), mx.provenance + " (blocks reversed)")
+    return PolyMatrix(mx.rows, mx.cols, tuple(entries))
 
 
 @dataclass(frozen=True)

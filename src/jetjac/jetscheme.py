@@ -48,7 +48,7 @@ from .field import is_prime
 from .hasse import BadJetOrder, _require_base, hs_components, hs_values, jet_series
 from .jacobian import BadDifferentialOrder, PolyMatrix, index_families, jac_m
 from .jetmatrix import DnMatrix, dn_matrix
-from .linalg import SAMPLE_RANGE, BadTrialCount, eval_matrix, rank, rank_at, trial_rng
+from .linalg import BadTrialCount, draw, eval_matrix, rank, rank_at, trial_rng
 from .poly import JetVariable, MissingCoordinate, Point, Polynomial, _raw_value
 
 SMOOTH_POINT_ATTEMPTS = 200  # seeded trials of find_smooth_point
@@ -64,6 +64,10 @@ class PointNotOnScheme(ValueError):
 
 class NotSingularBase(ValueError):
     """The base point is not a singular point of the hypersurface."""
+
+
+class NotBasePoint(ValueError):
+    """A point with a coordinate of positive jet order, given as a base point."""
 
 
 class RankTooLong(ValueError):
@@ -198,14 +202,12 @@ def zero_jet_over(base: Point, n: int) -> Point:
     """The jet whose base coordinates are `base` and whose positive-order
     coordinates all vanish; it lies on the jet scheme whenever the base
     point lies on the hypersurface."""
-    if any(v.order > 0 for v in base.coords):
-        raise ValueError("expected a base point (order-0 coordinates only)")
-    s = max(v.base for v in base.coords)
-    coords = dict(base.coords)
-    for k in range(1, n + 1):
-        for i in range(1, s + 1):
-            coords[JetVariable(i, k)] = base.spec.zero
-    return Point(base.spec, coords)
+    if any(order for order, _ in base.values):
+        raise NotBasePoint("expected a base point (order-0 coordinates only)")
+    s = max(i for _, i in base.values)
+    values = dict(base.values)
+    values.update(((k, i), 0) for k in range(1, n + 1) for i in range(1, s + 1))
+    return Point._make(base.spec, values)
 
 
 # -- smooth point and smooth jet sampling -----------------------------
@@ -471,9 +473,9 @@ def find_smooth_point(f: Polynomial, seed=0) -> Point:
     tried in ascending order, rational roots 0 first and then by
     (|numerator|, denominator, positive before negative).  Deterministic
     in seed; at most SMOOTH_POINT_ATTEMPTS trials.  A trial keeps its
-    coordinates as raw scalars keyed by variable and tests each root on
-    them with poly._raw_value, the s first partials sharing one table of
-    powers; only the point it returns is built as a Point.
+    coordinates as the raw values of a Point and tests each root on them
+    with poly._raw_value, the s first partials sharing one table of
+    powers; the point found is made from that dict.
     """
     s = f.base_count
     spec = f.spec
@@ -484,17 +486,14 @@ def find_smooth_point(f: Polynomial, seed=0) -> Point:
     for t in range(SMOOTH_POINT_ATTEMPTS):
         rng = trial_rng(seed, t, "smooth-point")
         solve = t % s + 1  # x_solve is solved for
-        vals = {
-            (0, i): None if i == solve else rng.randrange(p) if p else rng.randint(-SAMPLE_RANGE, SAMPLE_RANGE)
-            for i in range(1, s + 1)
-        }
+        vals = {(0, i): None if i == solve else draw(rng, p) for i in range(1, s + 1)}
         coeffs = _univariate_in(f, solve, vals)
         roots = _residue_roots(coeffs, p) if p else _rational_roots(coeffs)
         for root in roots:
-            vals[0, solve] = root
+            vals[0, solve] = spec.raw(root)
             powers: dict = {}
             if any(_raw_value(g, vals, p, powers) for g in partials):
-                return Point.from_base(list(vals.values()), spec)
+                return Point._make(spec, vals)
     raise NoSmoothPointFound(
         f"no smooth point of V(f) found in {SMOOTH_POINT_ATTEMPTS} attempts; "
         "the equation may be degenerate (e.g. a p-th power in characteristic p)"
@@ -504,59 +503,53 @@ def find_smooth_point(f: Polynomial, seed=0) -> Point:
 def extend_to_jet(f: Polynomial, base, n: int, seed=0) -> Point:
     """Extend coordinates over a smooth base point to a jet on the scheme.
 
-    `base` is a Point (or coordinate mapping) that must assign all base
-    variables; it may also fix some higher-order coordinates.  At each
+    `base` is a Point, or a mapping read as Point(f.spec, base), that must
+    assign all base variables; it may also fix higher-order ones.  At each
     order k the missing coordinates are filled with seeded random values
     except one at a nonzero gradient position, which is solved from the
     order-k equation (the equation is affine in the order-k coordinates
     with the first partials of f as coefficients).  Its value d_k(f) at
     the jet so far is the t^k coefficient of f(a(t)), computed by Taylor
-    mode with the solved coordinate set to 0.  f and its gradient at the
-    base point come from poly._raw_value on the raw base coordinates.
+    mode with the solved coordinate set to 0.  The jet is one dict of raw
+    values, which poly._raw_value reads for f and its gradient at the
+    base point and which becomes the Point returned.
     """
     if n < 0:
         raise BadJetOrder("n must be >= 0")
     spec = f.spec
     p = spec.characteristic
-    coords = dict(base.coords) if isinstance(base, Point) else dict(base)
+    vals = dict((base if isinstance(base, Point) else Point(spec, base)).values)
     s = f.base_count
     for i in range(1, s + 1):
-        if JetVariable(i, 0) not in coords:
+        if (0, i) not in vals:
             raise MissingCoordinate(f"base coordinate x{i} is not assigned")
-    vals = {(0, i): coords[JetVariable(i, 0)].value for i in range(1, s + 1)}
     powers: dict = {}
     if _raw_value(f, vals, p, powers):
         raise PointNotOnScheme("the base point is not on the hypersurface")
     grad = {i: _raw_value(f.partial(JetVariable(i, 0)), vals, p, powers) for i in range(1, s + 1)}
     rng = trial_rng(seed, n, "jet-fill")
 
-    def fill():
-        return spec.element(rng.randrange(p) if p else rng.randint(-SAMPLE_RANGE, SAMPLE_RANGE))
-
     def order_k_value(k):
         # d_k(f) at the coordinates of orders <= k: the t^k coefficient of f(a(t))
-        series = jet_series(Point(spec, coords), spec, s, k)
-        return spec.element(hs_values(f, k, series, {})[k])
+        series = {i: [vals[j, i] for j in range(k + 1)] for i in range(1, s + 1)}
+        return hs_values(f, k, series, {})[k]
 
     for k in range(1, n + 1):
-        unknown = [i for i in range(1, s + 1) if JetVariable(i, k) not in coords]
+        unknown = [i for i in range(1, s + 1) if (k, i) not in vals]
         solvable = [i for i in unknown if grad[i]]
         if unknown and solvable:
             solve_i = solvable[0]
             for i in unknown:
                 if i != solve_i:
-                    coords[JetVariable(i, k)] = fill()
-            target = JetVariable(solve_i, k)
-            coords[target] = spec.zero  # the offset is d_k(f) with the target at 0
-            coords[target] = -order_k_value(k) / grad[solve_i]
+                    vals[k, i] = draw(rng, p)
+            vals[k, solve_i] = 0  # the offset is d_k(f) with the target at 0
+            vals[k, solve_i] = spec.raw(Fraction(-order_k_value(k), grad[solve_i]))
         else:
             for i in unknown:
-                coords[JetVariable(i, k)] = fill()
-            if not order_k_value(k).is_zero:
-                raise PointNotOnScheme(
-                    f"the order-{k} coordinates violate the jet equation"
-                )
-    return Point(spec, coords)
+                vals[k, i] = draw(rng, p)
+            if order_k_value(k):
+                raise PointNotOnScheme(f"the order-{k} coordinates violate the jet equation")
+    return Point._make(spec, vals)
 
 
 @dataclass(frozen=True)
@@ -760,7 +753,7 @@ def nobile_certificate(
         raise BadTrialCount("trials must be >= 1")
     s = f.base_count
     for i in range(1, s + 1):
-        if JetVariable(i, 0) not in singular_base.coords:
+        if (0, i) not in singular_base.values:
             raise MissingCoordinate(f"base point assigns no value to x{i}")
     if not f.evaluate(singular_base).is_zero:
         raise NotSingularBase("the base point is not on the hypersurface")

@@ -37,7 +37,7 @@ import math
 import random
 from dataclasses import dataclass
 
-from .field import FieldElement, FieldSpec, MixedFields
+from .field import FieldSpec, MixedFields
 from .hasse import jet_series
 from .jacobian import PolyMatrix, ScalarMatrix
 from .jetmatrix import DnMatrix, _block_layout, _series_values
@@ -46,6 +46,12 @@ from .poly import Point, Polynomial, _Memo, _rational, _raw_value
 MINOR_CAP = 100_000
 MINOR_TERM_CAP = 2_000_000
 SAMPLE_RANGE = 10  # rational evaluation coordinates are drawn from [-10, 10]
+
+
+def draw(rng: random.Random, p: int) -> int:
+    """One seeded coordinate, raw: a uniform residue over GF(p), an
+    integer in [-SAMPLE_RANGE, SAMPLE_RANGE] over Q."""
+    return rng.randrange(p) if p else rng.randint(-SAMPLE_RANGE, SAMPLE_RANGE)
 
 
 class TooManyMinors(ValueError):
@@ -83,10 +89,9 @@ def eval_matrix(mx: PolyMatrix, point: Point) -> ScalarMatrix:
     each distinct entry object is evaluated once."""
     if mx.entries and mx.spec != point.spec:
         raise MixedFields(f"point over {point.spec}, polynomial over {mx.spec}")
-    vals = {(v.order, v.base): fe.value for v, fe in point.coords.items()}
     p = point.spec.characteristic
     powers: dict = {}
-    distinct = [_raw_value(g, vals, p, powers) for g in mx.distinct]
+    distinct = [_raw_value(g, point.values, p, powers) for g in mx.distinct]
     values = tuple(map(distinct.__getitem__, mx.layout))
     return ScalarMatrix(mx.rows, mx.cols, values, point.spec)
 
@@ -377,12 +382,7 @@ def random_point(spec: FieldSpec, variables, rng: random.Random) -> Point:
     """A point with coordinates drawn from a fixed range: integers in
     [-SAMPLE_RANGE, SAMPLE_RANGE] over Q, uniform residues over GF(p)."""
     p = spec.characteristic
-    coords = {}
-    for v in variables:
-        coords[v] = FieldElement(
-            spec, rng.randrange(p) if p else rng.randint(-SAMPLE_RANGE, SAMPLE_RANGE)
-        )
-    return Point(spec, coords)
+    return Point._make(spec, {(v.order, v.base): draw(rng, p) for v in variables})
 
 
 def trial_rng(seed: int, trial: int, label: str = "trial") -> random.Random:

@@ -9,12 +9,14 @@ multiply and compare without being remapped, and a term holds one
 triple per variable in it, however many variables there are.  This
 module decides that format; the kernels of hasse, linalg and jetscheme
 read and build keys in it, and the API surface goes through JetVariable
-and monomials().  A polynomial also carries base_count, the number s of
-base variables it was built over, and max_order, the largest jet order
-mentioned: parse_poly("x1", 3) has base_count 3.  Coefficients are kept
-raw, as FieldSpec.raw stores them (over Q an int or a Fraction, over
-GF(p) a residue int), so the inner loops stay cheap; FieldElement is the
-scalar type at the API surface.
+and monomials().  A Point is keyed the same way: x_i^(j) takes the raw
+scalar under (j, i), so every evaluator reads a point as it is.  A
+polynomial also carries base_count, the number s of base variables it
+was built over, and max_order, the largest jet order mentioned:
+parse_poly("x1", 3) has base_count 3.  Coefficients are kept raw, as
+FieldSpec.raw stores them (over Q an int or a Fraction, over GF(p) a
+residue int), so the inner loops stay cheap; FieldElement is the scalar
+type at the API surface.
 
 The ASCII grammar accepted by parse_poly:
 
@@ -97,9 +99,9 @@ class JetVariable:
 
     def __post_init__(self):
         if self.base < 1:
-            raise ValueError("variable base index starts at 1")
+            raise MalformedMonomial("variable base index starts at 1")
         if self.order < 0:
-            raise ValueError("jet order must be >= 0")
+            raise MalformedMonomial("jet order must be >= 0")
 
     @property
     def name(self) -> str:
@@ -448,8 +450,7 @@ class Polynomial:
         from _raw_value."""
         if point.spec != self.spec:
             raise MixedFields(f"point over {point.spec}, polynomial over {self.spec}")
-        vals = {(v.order, v.base): point[v].value for v in self.variables()}
-        return FieldElement(self.spec, _raw_value(self, vals, self.spec.characteristic, {}))
+        return FieldElement(self.spec, _raw_value(self, point.values, self.spec.characteristic, {}))
 
     # -- identity ----------------------------------------------------
 
@@ -522,12 +523,28 @@ def _raw_value(g: Polynomial, vals: Mapping, p: int, powers: dict):
     return acc % p if p else _rational(acc)
 
 
-@dataclass(frozen=True, eq=False)
 class Point:
-    """An assignment of field values to jet variables."""
+    """An assignment of field values to jet variables.
 
-    spec: FieldSpec
-    coords: Mapping[JetVariable, FieldElement]
+    `values` maps (j, i), the pair that names x_i^(j) in a monomial key,
+    to its coordinate as FieldSpec.raw stores it, which every evaluator
+    reads as it is.  Point(spec, {JetVariable: value}) coerces each value
+    by FieldSpec.raw (BadCoordinate for a float, MixedFields for an
+    element of another field); point[v] and coords build FieldElements.
+    """
+
+    __slots__ = ("spec", "values")
+
+    def __init__(self, spec: FieldSpec, coords: Mapping):
+        self.spec = spec
+        self.values = {(v.order, v.base): spec.raw(x) for v, x in coords.items()}
+
+    @classmethod
+    def _make(cls, spec: FieldSpec, values: dict) -> "Point":
+        # trusted fast path: values keyed (order, base), raw as FieldSpec.raw stores them
+        obj = object.__new__(cls)
+        obj.spec, obj.values = spec, values
+        return obj
 
     @classmethod
     def from_flat(cls, values: Sequence, s: int, n: int, spec: FieldSpec) -> "Point":
@@ -536,30 +553,33 @@ class Point:
         values = list(values)
         if len(values) != s * (n + 1):
             raise WrongCoordinateCount(f"expected {s * (n + 1)} coordinates, got {len(values)}")
-        coords = {}
-        for j in range(n + 1):
-            for i in range(1, s + 1):
-                coords[JetVariable(i, j)] = spec.element(values[j * s + i - 1])
-        return cls(spec, coords)
+        raw = spec.raw
+        return cls._make(spec, {(j, i): raw(values[j * s + i - 1]) for j in range(n + 1) for i in range(1, s + 1)})
 
     @classmethod
     def from_base(cls, values: Sequence, spec: FieldSpec) -> "Point":
         return cls.from_flat(values, len(values), 0, spec)
 
+    @property
+    def coords(self) -> dict[JetVariable, FieldElement]:
+        return {JetVariable(base, order): FieldElement(self.spec, x) for (order, base), x in self.values.items()}
+
     def __getitem__(self, v: JetVariable) -> FieldElement:
         try:
-            return self.coords[v]
+            return FieldElement(self.spec, self.values[v.order, v.base])
         except KeyError:
             raise MissingCoordinate(f"point assigns no value to {v.name}") from None
 
     def __eq__(self, other):
         if not isinstance(other, Point):
             return NotImplemented
-        return self.spec == other.spec and dict(self.coords) == dict(other.coords)
+        return self.spec == other.spec and self.values == other.values
+
+    def __repr__(self) -> str:
+        return f"Point({self.spec}, {self})"
 
     def __str__(self) -> str:
-        parts = [f"{v.name}={self.coords[v]}" for v in sorted(self.coords)]
-        return "(" + ", ".join(parts) + ")"
+        return "(" + ", ".join(f"{_name(*key)}={x}" for key, x in sorted(self.values.items())) + ")"
 
 
 # -- parser ----------------------------------------------------------

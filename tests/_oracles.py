@@ -259,4 +259,4 @@ def jac_m_by_cells(fs: list[Polynomial], m: int) -> PolyMatrix:
                     entries.append(partials[delta])
                 else:
                     entries.append(zero)
-    return PolyMatrix(len(fs) * fam.M, fam.N, tuple(entries), provenance=f"jac_{m}")
+    return PolyMatrix(len(fs) * fam.M, fam.N, tuple(entries))

@@ -7,6 +7,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from jetjac import (
+    BadCoordinate,
     ConstantPolynomial,
     DnMatrix,
     FieldSpec,
@@ -14,6 +15,7 @@ from jetjac import (
     MissingCoordinate,
     MixedFields,
     NoSmoothPointFound,
+    NotBasePoint,
     NotBasePolynomial,
     NotSingularBase,
     Point,
@@ -30,6 +32,7 @@ from jetjac import (
     hs_values,
     index_families,
     jac_m,
+    jet_grid,
     jet_equations,
     jet_jacobian,
     jet_series,
@@ -38,12 +41,13 @@ from jetjac import (
     parse_poly,
     presentation_of,
     rank,
+    rank_at,
     rank_counterexample_check,
     zero_jet_over,
 )
 
 from jetjac import jetscheme
-from jetjac.linalg import SAMPLE_RANGE, trial_rng
+from jetjac.linalg import SAMPLE_RANGE, random_point, trial_rng
 
 from _corpus import GF2, GF5, ORACLE_FIELDS, Q, base_polynomials, jets
 
@@ -309,6 +313,78 @@ class TestSmoothSampling:
         jet = zero_jet_over(ORIGIN, 2)
         assert jet[JetVariable(1, 2)] == 0
         assert on_jet_scheme(jet_equations(CUSP, 2), jet)
+
+    def test_zero_jet_over_refuses_a_jet(self):
+        with pytest.raises(NotBasePoint, match=r"^expected a base point \(order-0 coordinates only\)$"):
+            zero_jet_over(cusp_point(0, 0, 0, 0, n=1), 2)
+
+
+def is_canonical_raw(spec: FieldSpec, x) -> bool:
+    """Whether x is stored as FieldSpec.raw stores a value: a residue int
+    over GF(p); over Q an int when integral, else a Fraction."""
+    if spec.characteristic:
+        return type(x) is int and 0 <= x < spec.characteristic
+    return type(x) is int or (type(x) is Fraction and x.denominator != 1)
+
+
+class TestPointValues:
+    """A Point stores raw scalars under (order, base), the pairs of the
+    monomial key triples; its accessors build field elements from them."""
+
+    def check(self, point: Point):
+        values = point.values
+        assert values and all(is_canonical_raw(point.spec, x) for x in values.values())
+        variables = [JetVariable(base, order) for order, base in values]
+        for v in variables:
+            assert point[v].spec == point.spec and point[v].value == values[v.order, v.base]
+        assert point.coords == {v: point[v] for v in variables}
+        assert point == Point(point.spec, point.coords)
+        assert str(point) == "(" + ", ".join(f"{v.name}={point[v]}" for v in sorted(variables)) + ")"
+
+    def test_constructors_store_canonical_raw_values(self):
+        X1, X2 = JetVariable(1, 0), JetVariable(2, 0)
+        point = Point(Q, {X1: Fraction(4, 2), X2: Q.element(Fraction(1, 3)), JetVariable(1, 1): "-6/3"})
+        assert point.values == {(0, 1): 2, (0, 2): Fraction(1, 3), (1, 1): -2}
+        assert [type(x) for x in point.values.values()] == [int, Fraction, int]
+        assert Point(GF5, {X1: -1, X2: Fraction(1, 2)}).values == {(0, 1): 4, (0, 2): 3}
+        flat = Point.from_flat([Fraction(6, 3), "-1/2", 7, "0"], 2, 1, Q)
+        assert flat.values == {(0, 1): 2, (0, 2): Fraction(-1, 2), (1, 1): 7, (1, 2): 0}
+        points = [point, flat, Point.from_flat(["1/2", -3, 5, 200], 2, 1, GF101), Point.from_base([-1, 9], GF5)]
+        for spec in (Q, GF101):
+            points.append(random_point(spec, jet_grid(2, 2), trial_rng(3, 0)))
+            f = parse_poly("x1^3 - x2^2 + 1/2*x1*x2", 2, spec)
+            for seed in range(4):
+                base = find_smooth_point(f, seed=seed)
+                points += [base, zero_jet_over(base, 2), extend_to_jet(f, base, 3, seed=seed)]
+        points.append(zero_jet_over(Point.from_base([Fraction(2, 2), "1/2"], Q), 1))
+        for p in points:
+            self.check(p)
+
+    def test_coordinates_are_checked_at_construction(self):
+        X1, X2 = JetVariable(1, 0), JetVariable(2, 0)
+        with pytest.raises(BadCoordinate):
+            Point(Q, {X1: 0.5, X2: 1})
+        with pytest.raises(MixedFields):
+            Point(Q, {X1: GF5.element(3), X2: 1})
+
+    @pytest.mark.parametrize("spec", [Q, GF101], ids=str)
+    def test_evaluation_builds_no_jet_variable(self, spec, monkeypatch):
+        f = parse_poly("x1^3 - x2^2 + x1*x2*x3 + x3^4", 3, spec)
+        desc, D = jet_equations(f, 2), DnMatrix(jac_m([f], 2), 2)
+        jets = [
+            zero_jet_over(Point.from_base([0, 0, 0], spec), 2),
+            Point.from_flat([1, 1, 0] + [0] * 6, 3, 2, spec),
+            Point.from_flat([0, 0, 0, 1, 2, 3, 4, 5, 6], 3, 2, spec),  # the dense fallback of rank_at
+        ]
+        built = []
+        post_init = JetVariable.__post_init__
+        monkeypatch.setattr(JetVariable, "__post_init__", lambda v: (built.append(v), post_init(v)))
+        for jet in jets:
+            eval_matrix(D.L, jet)
+            on_jet_scheme(desc, jet)
+            rank_at(D, jet)
+            f.evaluate(jet)
+        assert built == []
 
 
 # The jet lifting before Taylor mode, kept verbatim as the oracle.

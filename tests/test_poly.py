@@ -53,9 +53,9 @@ class TestJetVariable:
         )
 
     def test_validation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(MalformedMonomial, match=r"^variable base index starts at 1$"):
             JetVariable(0, 0)
-        with pytest.raises(ValueError):
+        with pytest.raises(MalformedMonomial, match=r"^jet order must be >= 0$"):
             JetVariable(1, -1)
 
 
