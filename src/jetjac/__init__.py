@@ -90,7 +90,10 @@ from .linalg import (
     rank_at,
 )
 from .poly import (
+    BadBaseCount,
     BadExponent,
+    BadMultiIndex,
+    BadPower,
     CoefficientTooLong,
     JetVariable,
     MalformedMonomial,

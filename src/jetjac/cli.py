@@ -24,7 +24,7 @@ import re
 import sys
 from dataclasses import asdict
 
-from .field import BadCoordinate, FieldError, FieldSpec, check_coordinate
+from .field import _COORDINATE, BadCoordinate, FieldError, FieldSpec, check_coordinate
 from .hasse import BadJetOrder, NotBasePolynomial, TooManyTerms, check_commutation, hs_components
 from .jacobian import (
     BadDifferentialOrder,
@@ -56,6 +56,7 @@ from .poly import (
     Point,
     Polynomial,
     WrongCoordinateCount,
+    _flat_keys,
     _integer,
     parse_poly,
 )
@@ -117,9 +118,13 @@ def parse_polys(text: str, spec: FieldSpec) -> list[Polynomial]:
 
 def parse_point(text: str, s: int, n: int, spec: FieldSpec) -> Point:
     """Coordinates are integers or fractions a/b (b > 0), each with an
-    optional sign."""
-    values = [check_coordinate(v.strip()) for v in text.split(",")]
-    return Point.from_flat(values, s, n, spec)
+    optional sign.  The list is checked at once (re-read only to name the
+    first bad coordinate) and counted, then read straight to raw values."""
+    texts = list(map(str.strip, text.split(",")))
+    if not all(map(_COORDINATE.fullmatch, texts)):
+        for t in texts:
+            check_coordinate(t)
+    return Point._make(spec, dict(zip(_flat_keys(len(texts), s, n), spec.raw_texts(texts))))
 
 
 def matrix_dims(mx: PolyMatrix | DnMatrix) -> tuple[int, int]:

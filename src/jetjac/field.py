@@ -118,10 +118,10 @@ class FieldSpec:
 
     def raw(self, x) -> Raw:
         """Coerce x (int, Fraction, FieldElement, or a string in the
-        coordinate grammar of check_coordinate) to its canonical raw
-        value: a residue int in [0, p) over GF(p); over Q an int when x is
-        integral, else a reduced Fraction.  Anything else, such as a
-        float, raises BadCoordinate."""
+        coordinate grammar of check_coordinate, read by int()) to its
+        canonical raw value: a residue int in [0, p) over GF(p); over Q an
+        int when x is integral, else a reduced Fraction.  Anything else,
+        such as a float, raises BadCoordinate."""
         p = self.characteristic
         if type(x) is int:
             return x % p if p else x
@@ -130,12 +130,8 @@ class FieldSpec:
                 raise MixedFields(f"{x.spec} value used where {self} expected")
             return x.value
         if isinstance(x, str):
-            text = check_coordinate(x)
-            try:
-                x = Fraction(text)
-            except ValueError:  # more digits than int() converts
-                raise BadCoordinate(f"coordinate of {len(text)} characters is too long") from None
-        elif not isinstance(x, (int, Fraction)):
+            return self._raw_text(check_coordinate(x))
+        if not isinstance(x, (int, Fraction)):
             raise BadCoordinate(f"{x!r} is not an integer or a fraction a/b")
         if p == 0:
             return x.numerator if x.denominator == 1 else x
@@ -143,6 +139,28 @@ class FieldSpec:
         if den == 0:
             raise DivisionByZero(f"denominator of {x} vanishes in GF({p})")
         return x.numerator * pow(den, -1, p) % p
+
+    def raw_texts(self, texts: list[str]) -> list[Raw]:
+        """[self.raw(t) for t in texts] for texts check_coordinate accepts,
+        without a second check: by int() when every text is an integer."""
+        p = self.characteristic
+        try:
+            values = list(map(int, texts))
+        except ValueError:  # an a/b, or more digits than int() converts
+            return list(map(self._raw_text, texts))
+        return [x % p for x in values] if p else values
+
+    def _raw_text(self, text: str) -> Raw:
+        # raw of a text check_coordinate accepted, by int() on its parts
+        num, _, den = text.partition("/")
+        try:
+            num, den = int(num), int(den or 1)
+        except ValueError:  # more digits than int() converts
+            raise BadCoordinate(f"coordinate of {len(text)} characters is too long") from None
+        p = self.characteristic
+        if p and den % p:
+            return num * pow(den, -1, p) % p
+        return num if den == 1 else self.raw(Fraction(num, den))
 
     def element(self, x) -> "FieldElement":
         return FieldElement(self, x)

@@ -148,10 +148,10 @@ class PolyMatrix:
 
     `distinct` holds the distinct entry objects in order of first
     occurrence and `layout`, per entry, the index of its object there;
-    both are computed on first read.  grid_order is the jet order up to
-    which every variable of x1..xs counts as a variable of the matrix,
-    whether or not an entry contains it: D_n(L) sets it to n, and it is 0
-    otherwise."""
+    both are found on first read, or handed over by jac_m through
+    PolyMatrix._make.  grid_order is the jet order up to which every
+    variable of x1..xs counts as a variable of the matrix, whether or
+    not an entry contains it: D_n(L) sets it to n, and it is 0 otherwise."""
 
     rows: int
     cols: int
@@ -164,6 +164,15 @@ class PolyMatrix:
         # entries share a few spec objects: hash a spec only when they do not
         if len({id(e.spec) for e in self.entries}) > 1 and len({e.spec for e in self.entries}) > 1:
             raise MixedFields("matrix entries belong to different fields")
+
+    @classmethod
+    def _make(cls, rows: int, cols: int, distinct: tuple, layout: tuple) -> "PolyMatrix":
+        # trusted fast path: entry k is distinct[layout[k]], and distinct
+        # lists objects of one field in order of first occurrence
+        obj = object.__new__(cls)
+        entries = tuple(map(distinct.__getitem__, layout))
+        obj.__dict__.update(rows=rows, cols=cols, entries=entries, grid_order=0, distinct=distinct, layout=layout)
+        return obj
 
     @property
     def spec(self) -> FieldSpec:
@@ -316,10 +325,11 @@ def jac_m(fs: list[Polynomial], m: int) -> PolyMatrix:
 
     For m = 1 this is the usual Jacobian.  Its cells are counted from
     M = C(m+s-1, s) and N = C(m+s, s) - 1 before any entry is built: at
-    most CELL_CAP (TooManyCells otherwise).  Each f is read once, by
-    divided_partials; its block starts as f's zero, and only the cells
-    (beta, beta + delta) are placed, all cells of one delta holding one
-    object.  Those cells depend on (s, m) alone and are listed once.
+    most CELL_CAP (TooManyCells otherwise); then the fields of fs are
+    checked once (MixedFields).  Each f is read once, by
+    divided_partials.  The cells (beta, beta + delta) of a block depend
+    on (s, m) alone and are laid out once, each delta's cells holding one
+    object and the others f's zero; that layout is handed to PolyMatrix.
     """
     if not fs:
         raise EmptyInput("no polynomials given")
@@ -329,27 +339,30 @@ def jac_m(fs: list[Polynomial], m: int) -> PolyMatrix:
     fam = index_families(s, m)
     M, N = fam.M, fam.N
     _check_cells(len(fs) * M, N)
+    if len({f.spec for f in fs}) > 1:
+        raise MixedFields("matrix entries belong to different fields")
     lam = fam.lambda_
     column = {alpha: j for j, alpha in enumerate(lam)}
-    # (index in the block, delta).  Row 0, beta = 0, holds alpha = delta in
-    # every column; a later row holds alpha = beta, and beta + delta for the
-    # delta of norm 1 .. m - |beta|, which are the first C(m - |beta| + s, s) - 1
-    # columns
-    cells = list(enumerate(lam))
-    zero_delta = (0,) * s
+    # The block's objects by slot, in order of first occurrence: slot j < N
+    # holds the partial of delta = lam[j] (row 0 holds alpha = delta), N
+    # holds f (row 1 starts with alpha = beta) and N + 1 the zero.  Row i
+    # holds alpha = beta and beta + delta for delta of norm 1 .. m - |beta|:
+    # the first C(m - |beta| + s, s) - 1 columns
+    template = list(range(N)) + [N + 1] * ((M - 1) * N)
     for i in range(1, M):
         beta = fam.lambda0[i]
         row = i * N
-        cells.append((row + column[beta], zero_delta))
-        cells += [
-            (row + column[tuple(map(add, beta, delta))], delta)
-            for delta in lam[: math.comb(m - sum(beta) + s, s) - 1]
-        ]
-    entries = []
+        template[row + column[beta]] = N
+        for j, delta in enumerate(lam[: math.comb(m - sum(beta) + s, s) - 1]):
+            template[row + column[tuple(map(add, beta, delta))]] = j
+    slots = max(template) + 1  # f occurs when M > 1, the zero when a cell is left
+    distinct, layout, offsets = [], [], {}
     for f in fs:
-        partials = divided_partials(f, s, m)
-        block = [Polynomial.zero(f.spec, f.base_count, f.max_order)] * (M * N)
-        for index, delta in cells:
-            block[index] = partials[delta]
-        entries += block
-    return PolyMatrix(len(fs) * M, N, tuple(entries))
+        offset = offsets.get(id(f))
+        if offset is None:  # a repeated f repeats its block's objects
+            offset = offsets[id(f)] = len(distinct)
+            partials = divided_partials(f, s, m)
+            zero = Polynomial.zero(f.spec, f.base_count, f.max_order)
+            distinct += [*map(partials.__getitem__, lam), f, zero][:slots]
+        layout += map(offset.__add__, template) if offset else template
+    return PolyMatrix._make(len(fs) * M, N, tuple(distinct), tuple(layout))

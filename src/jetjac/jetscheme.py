@@ -44,7 +44,7 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .field import is_prime
+from .field import MixedFields, is_prime
 from .hasse import BadJetOrder, _require_base, hs_components, hs_values, jet_series
 from .jacobian import BadDifferentialOrder, PolyMatrix, index_families, jac_m
 from .jetmatrix import DnMatrix, dn_matrix
@@ -67,7 +67,7 @@ class NotSingularBase(ValueError):
 
 
 class NotBasePoint(ValueError):
-    """A point with a coordinate of positive jet order, given as a base point."""
+    """A point with a coordinate of positive jet order, or none at all, given as a base point."""
 
 
 class RankTooLong(ValueError):
@@ -204,6 +204,8 @@ def zero_jet_over(base: Point, n: int) -> Point:
     point lies on the hypersurface."""
     if any(order for order, _ in base.values):
         raise NotBasePoint("expected a base point (order-0 coordinates only)")
+    if not base.values:
+        raise NotBasePoint("expected a base point with at least one coordinate")
     s = max(i for _, i in base.values)
     values = dict(base.values)
     values.update(((k, i), 0) for k in range(1, n + 1) for i in range(1, s + 1))
@@ -503,9 +505,9 @@ def find_smooth_point(f: Polynomial, seed=0) -> Point:
 def extend_to_jet(f: Polynomial, base, n: int, seed=0) -> Point:
     """Extend coordinates over a smooth base point to a jet on the scheme.
 
-    `base` is a Point, or a mapping read as Point(f.spec, base), that must
-    assign all base variables; it may also fix higher-order ones.  At each
-    order k the missing coordinates are filled with seeded random values
+    `base` is a Point over f's field (MixedFields otherwise), or a mapping
+    read as Point(f.spec, base), that must assign all base variables; it
+    may also fix higher-order ones.  At each order k the missing coordinates are filled with seeded random values
     except one at a nonzero gradient position, which is solved from the
     order-k equation (the equation is affine in the order-k coordinates
     with the first partials of f as coefficients).  Its value d_k(f) at
@@ -518,6 +520,8 @@ def extend_to_jet(f: Polynomial, base, n: int, seed=0) -> Point:
         raise BadJetOrder("n must be >= 0")
     spec = f.spec
     p = spec.characteristic
+    if isinstance(base, Point) and base.spec != spec:
+        raise MixedFields(f"point over {base.spec}, polynomial over {spec}")
     vals = dict((base if isinstance(base, Point) else Point(spec, base)).values)
     s = f.base_count
     for i in range(1, s + 1):

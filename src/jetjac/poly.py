@@ -41,6 +41,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import total_ordering
+from itertools import chain
 from operator import itemgetter
 from typing import Mapping, Sequence
 
@@ -72,6 +73,18 @@ class MissingCoordinate(KeyError):
 
 class WrongCoordinateCount(ValueError):
     """A flat point lists more or fewer coordinates than its variables."""
+
+
+class BadBaseCount(ValueError):
+    """A polynomial parsed over fewer than one base variable."""
+
+
+class BadPower(ValueError):
+    """A polynomial power whose exponent is not a natural number."""
+
+
+class BadMultiIndex(ValueError):
+    """A multi-index with a negative entry."""
 
 
 class MalformedMonomial(ValueError):
@@ -240,17 +253,6 @@ class Polynomial:
     def variable(cls, spec: FieldSpec, v: JetVariable, base_count: int = 0) -> "Polynomial":
         return cls._make(spec, {((v.order, v.base, 1),): 1}, max(base_count, v.base), v.order)
 
-    @classmethod
-    def from_terms(cls, spec: FieldSpec, sparse: Mapping, base_count: int = 0, max_order: int = 0) -> "Polynomial":
-        """Build from {monomial: coefficient} where a monomial is a mapping
-        JetVariable -> exponent (or an iterable of (variable, exponent));
-        each monomial becomes a key as in __init__."""
-        keyed = (
-            (((v.order, v.base, e) for v, e in (mono.items() if isinstance(mono, Mapping) else mono)), coeff)
-            for mono, coeff in sparse.items()
-        )
-        return cls._make(spec, *_canonical(spec, keyed, base_count, max_order))
-
     # -- structure ---------------------------------------------------
 
     @property
@@ -376,7 +378,7 @@ class Polynomial:
 
     def __pow__(self, e: int):
         if not isinstance(e, int) or e < 0:
-            raise ValueError("polynomial powers take a natural exponent")
+            raise BadPower("polynomial powers take a natural exponent")
         if not e:
             return Polynomial.constant(self.spec, 1, self.base_count, self.max_order)
         # start from self rather than 1, so integer coefficients stay integers
@@ -415,7 +417,7 @@ class Polynomial:
         """
         delta = tuple(delta)
         if any(d < 0 for d in delta):
-            raise ValueError("multi-index entries must be naturals")
+            raise BadMultiIndex("multi-index entries must be naturals")
         needed = {i + 1: d for i, d in enumerate(delta) if d}  # by base index
         if not needed:
             return self
@@ -523,6 +525,13 @@ def _raw_value(g: Polynomial, vals: Mapping, p: int, powers: dict):
     return acc % p if p else _rational(acc)
 
 
+def _flat_keys(count: int, s: int, n: int) -> list[tuple[int, int]]:
+    # the (j, i) keys of count coordinates in canonical order, x_1..x_s to order n
+    if count != s * (n + 1):
+        raise WrongCoordinateCount(f"expected {s * (n + 1)} coordinates, got {count}")
+    return [(j, i) for j in range(n + 1) for i in range(1, s + 1)]
+
+
 class Point:
     """An assignment of field values to jet variables.
 
@@ -551,10 +560,7 @@ class Point:
         """Build from a flat list in canonical order: x_1..x_s, then the
         order-1 coordinates x_1^(1)..x_s^(1), and so on up to order n."""
         values = list(values)
-        if len(values) != s * (n + 1):
-            raise WrongCoordinateCount(f"expected {s * (n + 1)} coordinates, got {len(values)}")
-        raw = spec.raw
-        return cls._make(spec, {(j, i): raw(values[j * s + i - 1]) for j in range(n + 1) for i in range(1, s + 1)})
+        return cls._make(spec, dict(zip(_flat_keys(len(values), s, n), map(spec.raw, values))))
 
     @classmethod
     def from_base(cls, values: Sequence, spec: FieldSpec) -> "Point":
@@ -584,7 +590,8 @@ class Point:
 
 # -- parser ----------------------------------------------------------
 
-_TOKEN = re.compile(r"(?P<ws>\s+)|(?P<num>\d+)|(?P<name>[A-Za-z]\w*)|(?P<op>[-+*/^])")
+# whitespace, then an integer, a name, an operator or a character that starts no token
+_TOKEN = re.compile(r"(\s*)(?:(\d+)|([A-Za-z]\w*)|([-+*/^])|(\S))")
 _VAR = re.compile(r"x(\d+)(?:_(\d+))?$")
 
 
@@ -597,118 +604,108 @@ def _integer(digits: str, position: int) -> int:
         raise ParseError(f"integer literal of {len(digits)} digits is too long", position) from None
 
 
-def _tokenize(src: str):
-    tokens = []
-    pos = 0
-    while pos < len(src):
-        m = _TOKEN.match(src, pos)
-        if m is None:
-            raise ParseError(f"unexpected character {src[pos]!r}", pos)
-        if m.lastgroup != "ws":
-            tokens.append((m.lastgroup, m.group(), pos))
-        pos = m.end()
-    return tokens
+def _terms(src: str, s: int) -> tuple[list[tuple[dict, int, int]], int]:
+    # (exps, num, den) per term of src, and the largest jet order named:
+    # exps maps (j, i) to the summed exponent of x_i^(j) in order of first
+    # occurrence, ^0 included; num/den is the term's sign times its numbers
+    tokens = _TOKEN.findall(src)
+    end = len(tokens)
+    tokens.append(("",) * 5)  # past the end
 
+    def fail(error, message, k, shift=0):
+        # raises the error at token k, or the one at the first character that starts no token
+        for j, token in enumerate(tokens):
+            if token[4]:
+                error, message, k, shift = ParseError, f"unexpected character {token[4]!r}", j, 0
+                break
+        skipped = sum(map(len, chain.from_iterable(tokens[:k]))) + len(tokens[k][0]) + shift
+        raise error(message, skipped if k < end else len(src))
 
-class _Parser:
-    def __init__(self, tokens, s: int, spec: FieldSpec, length: int):
-        self.tokens = tokens
-        self.i = 0
-        self.s = s
-        self.spec = spec
-        self.length = length
+    def integer(k, digits, shift=0):
+        try:
+            return int(digits)
+        except ValueError:
+            fail(ParseError, f"integer literal of {len(digits)} digits is too long", k, shift)
 
-    def peek(self):
-        return self.tokens[self.i] if self.i < len(self.tokens) else (None, "", self.length)
-
-    def take(self):
-        tok = self.peek()
-        self.i += 1
-        return tok
-
-    def parse(self):
-        terms = []  # list of ({JetVariable: exp}, raw coeff)
-        sign = 1
-        kind, text, pos = self.peek()
-        if kind == "op" and text in "+-":
-            self.take()
-            sign = -1 if text == "-" else 1
-        if self.peek()[0] is None:
-            raise ParseError("empty polynomial", self.peek()[2])
-        terms.append(self.term(sign))
-        while self.peek()[0] is not None:
-            kind, text, pos = self.take()
-            if kind != "op" or text not in "+-":
-                raise ParseError(f"expected '+' or '-', found {text!r}", pos)
-            terms.append(self.term(-1 if text == "-" else 1))
-        return terms
-
-    def term(self, sign: int):
-        mono: dict[JetVariable, int] = {}
-        coeff = self.factor(mono, Fraction(sign))
-        while True:
-            kind, text, pos = self.peek()
-            if kind == "op" and text == "*":
-                self.take()
-                coeff = self.factor(mono, coeff)
+    terms = []
+    max_order = 0
+    k = 1 if tokens[0][3] in ("+", "-") else 0
+    sign = -1 if tokens[0][3] == "-" else 1
+    if k == end:
+        fail(ParseError, "empty polynomial", k)
+    while True:
+        num, den, exps = sign, 1, {}
+        while True:  # one factor per pass
+            _, digits, name, op, _ = tokens[k]
+            if digits:
+                num *= integer(k, digits)
+                if tokens[k + 1][3] == "/":
+                    k += 2
+                    if not tokens[k][1]:
+                        fail(ParseError, "expected an integer denominator", k)
+                    den *= integer(k, tokens[k][1]) or fail(ParseError, "zero denominator", k)
+            elif name:
+                m = _VAR.match(name) or fail(UnknownVariable, f"unknown variable {name!r}", k)
+                base = integer(k, m.group(1), 1)
+                order = integer(k, m.group(2), m.start(2)) if m.group(2) else 0
+                if not 1 <= base <= s:
+                    fail(UnknownVariable, f"variable {name!r} outside x1..x{s}", k)
+                e = 1
+                if tokens[k + 1][3] == "^":
+                    k += 2
+                    if tokens[k][3] == "-":
+                        fail(BadExponent, "negative exponent", k)
+                    e = integer(k, tokens[k][1]) if tokens[k][1] else fail(ParseError, "expected an exponent", k)
+                exps[order, base] = exps.get((order, base), 0) + e
+                max_order = max(max_order, order)
             else:
-                return mono, coeff
-
-    def factor(self, mono, coeff):
-        kind, text, pos = self.take()
-        if kind == "num":
-            value = Fraction(_integer(text, pos))
-            if self.peek()[:2] == ("op", "/"):
-                self.take()
-                kind2, text2, pos2 = self.take()
-                if kind2 != "num":
-                    raise ParseError("expected an integer denominator", pos2)
-                den = _integer(text2, pos2)
-                if den == 0:
-                    raise ParseError("zero denominator", pos2)
-                value /= den
-            return coeff * value
-        if kind == "name":
-            m = _VAR.match(text)
-            if m is None:
-                raise UnknownVariable(f"unknown variable {text!r}", pos)
-            base = _integer(m.group(1), pos + 1)
-            order = _integer(m.group(2), pos + m.start(2)) if m.group(2) else 0
-            if not 1 <= base <= self.s:
-                raise UnknownVariable(
-                    f"variable {text!r} outside x1..x{self.s}", pos
-                )
-            v = JetVariable(base, order)
-            e = 1
-            if self.peek()[:2] == ("op", "^"):
-                self.take()
-                kind2, text2, pos2 = self.take()
-                if kind2 == "op" and text2 == "-":
-                    raise BadExponent("negative exponent", pos2)
-                if kind2 != "num":
-                    raise ParseError("expected an exponent", pos2)
-                e = _integer(text2, pos2)
-            mono[v] = mono.get(v, 0) + e
-            return coeff
-        raise ParseError(f"expected a coefficient or variable, found {text!r}", pos)
+                fail(ParseError, f"expected a coefficient or variable, found {op!r}", k)
+            k += 1
+            if tokens[k][3] != "*":
+                break
+            k += 1
+        terms.append((exps, num, den))
+        if k == end:
+            return terms, max_order
+        _, digits, name, op, _ = tokens[k]
+        if op != "+" and op != "-":
+            fail(ParseError, f"expected '+' or '-', found {digits or name or op!r}", k)
+        sign = -1 if op == "-" else 1
+        k += 1
 
 
 def parse_poly(src: str, s: int, spec: FieldSpec = None) -> Polynomial:
     """Parse the grammar above into canonical sparse form.
 
     s fixes the number of base variables: names x1..xs are legal and the
-    result's base_count is s.
+    result's base_count is s (BadBaseCount for s < 1).  Each term's key
+    and coefficient come from one pass over the tokens, in ints, with a
+    Fraction only where a "/" occurs.  Over GF(p), a denominator that p
+    divides is first summed with the terms of the same written monomial.
     """
     if spec is None:
         spec = FieldSpec.rationals()
     if s < 1:
-        raise ValueError("s must be >= 1")
-    tokens = _tokenize(src)
-    parsed = _Parser(tokens, s, spec, len(src)).parse()
-    # from_terms sums the terms whose monomials agree once sorted
-    sparse: dict[tuple, object] = {}
-    for mono, coeff in parsed:
-        key = tuple(mono.items())
-        prev = sparse.get(key)
-        sparse[key] = coeff if prev is None else prev + coeff
-    return Polynomial.from_terms(spec, sparse, base_count=s)
+        raise BadBaseCount("s must be >= 1")
+    parsed, max_order = _terms(src, s)
+    p = spec.characteristic
+    terms: dict[tuple, object] = {}
+    for exps, num, den in parsed:
+        key = tuple(sorted([(j, i, e) for (j, i), e in exps.items() if e]))
+        if not p:
+            c = num if den == 1 else _rational(Fraction(num, den))
+        elif den % p:
+            c = num * pow(den, -1, p) % p
+        else:  # summed by written monomial first, as below
+            break
+        if key in terms:
+            c = (terms[key] + c) % p if p else _rational(terms[key] + c)
+        terms[key] = c
+    else:
+        return Polynomial._make(spec, {key: c for key, c in terms.items() if c}, s, max_order)
+    groups: dict[tuple, Fraction] = {}
+    for exps, num, den in parsed:
+        g = tuple(exps.items())
+        groups[g] = groups.get(g, 0) + Fraction(num, den)
+    items = ((((j, i, e) for (j, i), e in g), c) for g, c in groups.items())
+    return Polynomial._make(spec, *_canonical(spec, items, s, 0))

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 from hypothesis import strategies as st
 
-from jetjac import FieldSpec, JetVariable, Point, Polynomial
+from jetjac import FieldSpec, Point, Polynomial
 
 MASTER_SEED = 20260810
 
@@ -35,11 +35,8 @@ def corpus_params(count, master_seed=MASTER_SEED, max_s=3, max_deg=4, max_n=3, m
 
 
 def poly_from_int_terms(s, terms, spec):
-    sparse = {
-        tuple((JetVariable(i + 1, 0), e) for i, e in enumerate(exps) if e): c
-        for exps, c in terms.items()
-    }
-    return Polynomial.from_terms(spec, sparse, base_count=s)
+    sparse = {tuple((0, i + 1, e) for i, e in enumerate(exps) if e): c for exps, c in terms.items()}
+    return Polynomial(spec, sparse, base_count=s)
 
 
 def random_base_polynomial(rng, s, max_deg, max_terms, spec, nonzero=False):

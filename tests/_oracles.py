@@ -2,9 +2,26 @@
 checked against."""
 
 import math
+import re
 from fractions import Fraction
 
-from jetjac import HSExpansion, JetVariable, NotBasePolynomial, PolyMatrix, Polynomial, TooManyMinors, index_families
+from jetjac import (
+    BadCoordinate,
+    BadExponent,
+    FieldSpec,
+    HSExpansion,
+    JetVariable,
+    NotBasePolynomial,
+    ParseError,
+    Point,
+    PolyMatrix,
+    Polynomial,
+    TooManyMinors,
+    UnknownVariable,
+    WrongCoordinateCount,
+    index_families,
+)
+from jetjac.field import check_coordinate
 
 
 def hs_components_leibniz(f: Polynomial, n: int) -> HSExpansion:
@@ -42,7 +59,7 @@ def hs_components_leibniz(f: Polynomial, n: int) -> HSExpansion:
                 acc[k] = acc[k] + vec[k]
     # d_k has base_count s and max_order k
     components = tuple(
-        Polynomial.from_terms(spec, {tuple(m.items()): c for m, c in acc[k].monomials()}, s, k)
+        Polynomial(spec, {tuple((v.order, v.base, e) for v, e in m.items()): c for m, c in acc[k].monomials()}, s, k)
         for k in range(n + 1)
     )
     return HSExpansion(f, n, components)
@@ -260,3 +277,155 @@ def jac_m_by_cells(fs: list[Polynomial], m: int) -> PolyMatrix:
                 else:
                     entries.append(zero)
     return PolyMatrix(len(fs) * fam.M, fam.N, tuple(entries))
+
+
+# -- the parsers as they were before they read their input in one pass -----
+
+_TOKEN_BY_MATCH = re.compile(r"(?P<ws>\s+)|(?P<num>\d+)|(?P<name>[A-Za-z]\w*)|(?P<op>[-+*/^])")
+_VAR_BY_MATCH = re.compile(r"x(\d+)(?:_(\d+))?$")
+
+
+def _integer(digits: str, position: int) -> int:
+    try:
+        return int(digits)
+    except ValueError:
+        raise ParseError(f"integer literal of {len(digits)} digits is too long", position) from None
+
+
+def tokenize_by_match(src: str):
+    tokens = []
+    pos = 0
+    while pos < len(src):
+        m = _TOKEN_BY_MATCH.match(src, pos)
+        if m is None:
+            raise ParseError(f"unexpected character {src[pos]!r}", pos)
+        if m.lastgroup != "ws":
+            tokens.append((m.lastgroup, m.group(), pos))
+        pos = m.end()
+    return tokens
+
+
+class _ParserByTokens:
+    def __init__(self, tokens, s: int, spec: FieldSpec, length: int):
+        self.tokens = tokens
+        self.i = 0
+        self.s = s
+        self.spec = spec
+        self.length = length
+
+    def peek(self):
+        return self.tokens[self.i] if self.i < len(self.tokens) else (None, "", self.length)
+
+    def take(self):
+        tok = self.peek()
+        self.i += 1
+        return tok
+
+    def parse(self):
+        terms = []  # list of ({JetVariable: exp}, raw coeff)
+        sign = 1
+        kind, text, pos = self.peek()
+        if kind == "op" and text in "+-":
+            self.take()
+            sign = -1 if text == "-" else 1
+        if self.peek()[0] is None:
+            raise ParseError("empty polynomial", self.peek()[2])
+        terms.append(self.term(sign))
+        while self.peek()[0] is not None:
+            kind, text, pos = self.take()
+            if kind != "op" or text not in "+-":
+                raise ParseError(f"expected '+' or '-', found {text!r}", pos)
+            terms.append(self.term(-1 if text == "-" else 1))
+        return terms
+
+    def term(self, sign: int):
+        mono: dict[JetVariable, int] = {}
+        coeff = self.factor(mono, Fraction(sign))
+        while True:
+            kind, text, pos = self.peek()
+            if kind == "op" and text == "*":
+                self.take()
+                coeff = self.factor(mono, coeff)
+            else:
+                return mono, coeff
+
+    def factor(self, mono, coeff):
+        kind, text, pos = self.take()
+        if kind == "num":
+            value = Fraction(_integer(text, pos))
+            if self.peek()[:2] == ("op", "/"):
+                self.take()
+                kind2, text2, pos2 = self.take()
+                if kind2 != "num":
+                    raise ParseError("expected an integer denominator", pos2)
+                den = _integer(text2, pos2)
+                if den == 0:
+                    raise ParseError("zero denominator", pos2)
+                value /= den
+            return coeff * value
+        if kind == "name":
+            m = _VAR_BY_MATCH.match(text)
+            if m is None:
+                raise UnknownVariable(f"unknown variable {text!r}", pos)
+            base = _integer(m.group(1), pos + 1)
+            order = _integer(m.group(2), pos + m.start(2)) if m.group(2) else 0
+            if not 1 <= base <= self.s:
+                raise UnknownVariable(
+                    f"variable {text!r} outside x1..x{self.s}", pos
+                )
+            v = JetVariable(base, order)
+            e = 1
+            if self.peek()[:2] == ("op", "^"):
+                self.take()
+                kind2, text2, pos2 = self.take()
+                if kind2 == "op" and text2 == "-":
+                    raise BadExponent("negative exponent", pos2)
+                if kind2 != "num":
+                    raise ParseError("expected an exponent", pos2)
+                e = _integer(text2, pos2)
+            mono[v] = mono.get(v, 0) + e
+            return coeff
+        raise ParseError(f"expected a coefficient or variable, found {text!r}", pos)
+
+
+def parse_poly_by_tokens(src: str, s: int, spec: FieldSpec = None) -> Polynomial:
+    """poly.parse_poly as it was before it read its tokens in one pass:
+    a token list of (kind, text, position), a recursive-descent parser
+    that keeps a JetVariable per factor and a Fraction coefficient per
+    term, and the Polynomial constructor over the terms summed by their
+    monomials in order of first occurrence.  parse_poly must give the
+    same terms, base_count and max_order, or the same error class,
+    message and position."""
+    if spec is None:
+        spec = FieldSpec.rationals()
+    if s < 1:
+        raise ValueError("s must be >= 1")
+    tokens = tokenize_by_match(src)
+    parsed = _ParserByTokens(tokens, s, spec, len(src)).parse()
+    # the constructor sums the terms whose monomials agree once sorted
+    sparse: dict[tuple, object] = {}
+    for mono, coeff in parsed:
+        key = tuple(mono.items())
+        prev = sparse.get(key)
+        sparse[key] = coeff if prev is None else prev + coeff
+    return Polynomial(spec, {tuple((v.order, v.base, e) for v, e in key): c for key, c in sparse.items()}, s)
+
+
+def parse_point_by_fractions(text: str, s: int, n: int, spec: FieldSpec) -> Point:
+    """cli.parse_point as it was before it read its coordinates in one
+    pass: each coordinate checked, the count checked, then each one
+    checked again and read by Fraction(str) on its way into a Point.
+    parse_point must give the same point or the same error."""
+    values = [check_coordinate(v.strip()) for v in text.split(",")]
+    if len(values) != s * (n + 1):
+        raise WrongCoordinateCount(f"expected {s * (n + 1)} coordinates, got {len(values)}")
+    out = {}
+    for j in range(n + 1):
+        for i in range(1, s + 1):
+            coordinate = check_coordinate(values[j * s + i - 1])
+            try:
+                x = Fraction(coordinate)
+            except ValueError:  # more digits than int() converts
+                raise BadCoordinate(f"coordinate of {len(coordinate)} characters is too long") from None
+            out[j, i] = spec.raw(x)
+    return Point._make(spec, out)

@@ -318,6 +318,17 @@ class TestSmoothSampling:
         with pytest.raises(NotBasePoint, match=r"^expected a base point \(order-0 coordinates only\)$"):
             zero_jet_over(cusp_point(0, 0, 0, 0, n=1), 2)
 
+    def test_zero_jet_over_refuses_an_empty_point(self):
+        with pytest.raises(NotBasePoint, match=r"^expected a base point with at least one coordinate$"):
+            zero_jet_over(Point(Q, {}), 1)
+
+    def test_extend_to_jet_refuses_a_point_over_another_field(self):
+        # (1, 1) lies on the cusp over every field; GF(5) residues are no Q jet
+        with pytest.raises(MixedFields, match=r"^point over Fp:5, polynomial over Q$"):
+            extend_to_jet(CUSP, Point.from_base([1, 1], FieldSpec.prime_field(5)), 1)
+        with pytest.raises(MixedFields):
+            extend_to_jet(parse_poly("x1^3 - x2^2", 2, GF101), Point.from_base([1, 1], Q), 1)
+
 
 def is_canonical_raw(spec: FieldSpec, x) -> bool:
     """Whether x is stored as FieldSpec.raw stores a value: a residue int
