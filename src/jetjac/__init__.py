@@ -106,6 +106,7 @@ from .poly import (
     WrongCoordinateCount,
     jet_grid,
     parse_poly,
+    parse_polys,
 )
 
 __version__ = "0.1.0"

@@ -10,8 +10,8 @@ stdout before the report is written ends the run with exit 1 and nothing
 on stderr.  Polynomials use the x<i> /
 x<i>_<j> grammar, points are flat comma-separated coordinate lists in
 canonical order (all base coordinates, then all order-1 coordinates, and
-so on), and the number of base variables is inferred from the highest
-variable index mentioned.
+so on), and the number of base variables is the highest base index
+that a variable of the polynomials names (poly.parse_polys).
 """
 
 from __future__ import annotations
@@ -54,11 +54,9 @@ from .poly import (
     MissingCoordinate,
     ParseError,
     Point,
-    Polynomial,
     WrongCoordinateCount,
     _flat_keys,
-    _integer,
-    parse_poly,
+    parse_polys,
 )
 
 
@@ -94,14 +92,7 @@ DOMAIN_ERRORS = (
     RankTooLong,
 )
 
-_VAR_MENTION = re.compile(r"x(\d+)(?:_\d+)?")
 _COORDINATE_FLAGS = ("--point", "--base")
-
-
-def infer_base_count(source: str) -> int:
-    """Number of base variables: the highest index mentioned (at least 1)."""
-    indices = [_integer(m.group(1), m.start(1)) for m in _VAR_MENTION.finditer(source)]
-    return max([1, *indices])
 
 
 def parse_field(text: str) -> FieldSpec:
@@ -109,11 +100,6 @@ def parse_field(text: str) -> FieldSpec:
         return FieldSpec.parse(text)
     except (ValueError, FieldError) as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
-
-
-def parse_polys(text: str, spec: FieldSpec) -> list[Polynomial]:
-    s = infer_base_count(text)
-    return [parse_poly(part, s, spec) for part in text.split(",")]
 
 
 def parse_point(text: str, s: int, n: int, spec: FieldSpec) -> Point:
@@ -139,14 +125,12 @@ def matrix_argument(spec_text: str, field: FieldSpec) -> PolyMatrix | DnMatrix:
     (kept unexpanded), or an inline JSON {rows, cols, entries}."""
     if spec_text.startswith("jacm:"):
         (m,), polys_text = _builder_fields(spec_text, "jacm:<m>:<polys>")
-        return jac_m(parse_polys(polys_text, field), m)
+        return jac_m(parse_polys(polys_text.split(","), field), m)
     if spec_text.startswith("dnl:"):
         (n, m), polys_text = _builder_fields(spec_text, "dnl:<n>:<m>:<polys>")
-        return DnMatrix(jac_m(parse_polys(polys_text, field), m), n)
+        return DnMatrix(jac_m(parse_polys(polys_text.split(","), field), m), n)
     rows, cols, flat = _matrix_json_fields(spec_text)
-    s = max((infer_base_count(entry) for entry in flat), default=1)
-    entries = tuple(parse_poly(entry, s, field) for entry in flat)
-    return PolyMatrix(rows, cols, entries)
+    return PolyMatrix(rows, cols, tuple(parse_polys(flat, field)))
 
 
 def build_matrix(spec_text: str, field: FieldSpec) -> PolyMatrix:
@@ -207,32 +191,32 @@ def _numbered(values: list[str]) -> str:
 
 
 def cmd_hs_derive(args) -> tuple[str, dict]:
-    f = parse_poly(args.f, infer_base_count(args.f), args.field)
+    (f,) = parse_polys([args.f], args.field)
     components = [str(c) for c in hs_components(f, args.n)]
     return _numbered(components), {"n": args.n, "components": components}
 
 
 def cmd_verify_identities(args) -> tuple[str, dict]:
-    f = parse_poly(args.f, infer_base_count(args.f), args.field)
+    (f,) = parse_polys([args.f], args.field)
     report = check_commutation(f, args.n)
     return str(report), asdict(report)
 
 
 def cmd_jacm(args) -> tuple[str, dict]:
-    return _matrix_report(jac_m(parse_polys(args.f, args.field), args.m))
+    return _matrix_report(jac_m(parse_polys(args.f.split(","), args.field), args.m))
 
 
 def cmd_dnl(args) -> tuple[str, dict]:
-    return _matrix_report(dn_matrix(jac_m(parse_polys(args.f, args.field), args.m), args.n))
+    return _matrix_report(dn_matrix(jac_m(parse_polys(args.f.split(","), args.field), args.m), args.n))
 
 
 def cmd_check_fdbd(args) -> tuple[str, dict]:
-    report = check_fdbd(parse_polys(args.f, args.field), args.n)
+    report = check_fdbd(parse_polys(args.f.split(","), args.field), args.n)
     return str(report), asdict(report)
 
 
 def cmd_jet_equations(args) -> tuple[str, dict]:
-    f = parse_poly(args.f, infer_base_count(args.f), args.field)
+    (f,) = parse_polys([args.f], args.field)
     desc = jet_equations(f, args.n)
     equations = [str(eq) for eq in desc.equations]
     return _numbered(equations), {"s": desc.s, "n": desc.n, "equations": equations}
@@ -267,7 +251,7 @@ def cmd_generic_rank(args) -> tuple[str, dict]:
 
 
 def cmd_singular_check(args) -> tuple[str, dict]:
-    f = parse_poly(args.f, infer_base_count(args.f), args.field)
+    (f,) = parse_polys([args.f], args.field)
     desc = jet_equations(f, args.n)
     point = parse_point(args.point, desc.s, desc.n, args.field)
     # higher_rank_test raises PointNotOnScheme off the jet scheme
@@ -285,7 +269,7 @@ def cmd_singular_check(args) -> tuple[str, dict]:
 
 
 def cmd_nobile(args) -> tuple[str, dict]:
-    f = parse_poly(args.f, infer_base_count(args.f), args.field)
+    (f,) = parse_polys([args.f], args.field)
     base = parse_point(args.base, f.base_count, 0, args.field)
     cert = nobile_certificate(
         f, args.n, args.m, base, trials=args.trials, seed=args.seed

@@ -9,9 +9,12 @@ poly, so no Polynomial arithmetic runs and each component is built once.
 A term of d_k holds one key triple per variable in it, at most deg f,
 whatever s and k are.  Their values at a jet (hs_values, Taylor mode)
 come from truncated series of raw scalars, since evaluation at a point
-is a ring homomorphism and commutes with taking t^k coefficients; there
-powers come from the binomial theorem on a_i(t) = a_i^(0) + O(t), at
-most n series products whatever e is.
+is a ring homomorphism and commutes with taking t^k coefficients.  One
+kernel builds every such series: a product grown one coefficient at a
+time by one convolution, resumable from any length (an online product,
+van der Hoeven, "Relax, but don't be too lazy", JSC 34, 2002).  Powers
+a_i(t)^e come by squaring, and both they and the products of monomial
+prefixes are kept in a cache that a jet growing order by order keeps.
 Over Q the symbolic kernel runs on integers: it expands D*f, with D the
 lcm of the coefficient denominators of f, and divides each term by D as
 it stores it.  It counts the terms before it builds them and raises
@@ -29,6 +32,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
 from .field import FieldSpec, MixedFields
 from .poly import JetVariable, MissingCoordinate, Point, Polynomial, _rational, jet_grid
@@ -80,82 +84,63 @@ def _require_base(f: Polynomial):
         )
 
 
-def _series_mul(a, b, n, p=0):
-    """Product of two t-series of raw scalars truncated after t^n,
-    reduced mod p when p > 0."""
-    out = [0] * (n + 1)
-    for i, ai in enumerate(a):
-        if not ai:
+def _grow(out, a, b, n, p, rational):
+    # grows out, the product of the t-series a and b, to its first n + 1
+    # terms, one convolution per new term; a and b hold at least n + 1.
+    # It divides by nothing mod p, so it serves every characteristic.
+    # With rational (over Q, some term a Fraction) each sum is taken on
+    # the least common denominator: one gcd per term, not two per product
+    for k in range(len(out), n + 1):
+        xs, ys = a[: k + 1], b[k::-1]
+        if not rational:
+            c = sum(map(mul, xs, ys))
+            out.append(c % p if p else c)
             continue
-        for j in range(n + 1 - i):
-            bj = b[j]
-            if bj:
-                out[i + j] += ai * bj
-    if p:
-        out = [c % p for c in out]
+        dens = [x.denominator * y.denominator for x, y in zip(xs, ys)]
+        den = math.lcm(*dens)
+        num = sum(x.numerator * y.numerator * (den // d) for x, y, d in zip(xs, ys, dens))
+        out.append(Fraction(num, den))
     return out
 
 
-def _series_pow(a, e, n, p=0):
-    """a^e truncated after t^n, for a t-series of raw scalars.
-    With a = a_0 + b and b = O(t), the binomial theorem gives
-    a^e = sum_{r <= min(e, n)} C(e, r) a_0^(e-r) b^r, since b^r = O(t^r);
-    b^r = b^(r-1) b costs one series product per r.  When a_0 is zero,
-    a^e = b^e, which vanishes when e > n."""
-    if e < 2:
-        return a if e else [1] + [0] * n
-    a0 = a[0]
-    b = [0] + a[1:]
-    if not a0:
-        if e > n:
-            return [0] * (n + 1)
-        result = b
-        for _ in range(e - 1):
-            result = _series_mul(result, b, n, p)
-        return result
-    top = min(e, n)
-    # a0_powers[i] = a_0^(e - top + i), so a_0^(e-r) = a0_powers[top - r]
-    a0_powers = [pow(a0, e - top, p) if p else a0 ** (e - top)]
-    for _ in range(top):
-        a0_powers.append(a0_powers[-1] * a0 % p if p else a0_powers[-1] * a0)
-    result = [a0_powers[top]] + [0] * n
-    b_r = b
-    for r in range(1, top + 1):
-        if r > 1:
-            b_r = _series_mul(b_r, b, n, p)
-        scale = a0_powers[top - r] * math.comb(e, r)
-        if p:
-            scale %= p
-        if scale:
-            for k in range(r, n + 1):
-                if b_r[k]:
-                    result[k] += scale * b_r[k]
-    if p:
-        result = [c % p for c in result]
-    return result
-
-
-def _substituted(f, n, var_series, powers, p=0):
+def _substituted(f, n, series, cache, p=0):
     """The t-series of f(a_1(t), ..., a_s(t)) truncated after t^n, where
-    var_series[i] is the raw-scalar series a_i(t).  powers caches
-    a_i(t)^e by the key triple (0, i, e) and may be shared by every f
-    substituted into the same series.  Over Q an integral value is stored
-    as an int, as FieldSpec.raw stores it."""
+    series[i] lists at least n + 1 raw scalars of a_i(t).  cache keeps
+    the series of each power a_i(t)^e, e >= 2, under its key triple
+    (0, i, e), squared from a_i^(e div 2) and times a_i for odd e, and
+    the product of each monomial key prefix of two or more triples.  A
+    call grows every list it reads to n + 1 terms, so one cache serves
+    every f substituted into the same series, and a series that grows
+    order by order keeps it once each list is cut back to the terms that
+    still hold.  Over Q an integral value is stored as an int, as
+    FieldSpec.raw stores it."""
+    rational = not p and not all(type(c) is int for a in series.values() for c in a)
+
+    def power(i, e):
+        # a_i(t)^e, grown to n + 1 with the powers below it, from the top bit of e down
+        a = series[i]
+        if e > n and not a[0]:
+            return [0] * (n + 1)  # a_i(t)^e = O(t^e)
+        out, x = a, 1
+        for bit in bin(e)[3:]:
+            x *= 2
+            out = _grow(cache.setdefault((0, i, x), []), out, out, n, p, rational)
+            if bit == "1":
+                x += 1
+                out = _grow(cache.setdefault((0, i, x), []), out, a, n, p, rational)
+        return out
+
     acc = [0] * (n + 1)
     for key, coeff in f.terms.items():
-        prod = [coeff] + [0] * n
-        for t in key:
-            powed = powers.get(t)
-            if powed is None:
-                _, i, e = t
-                powed = powers[t] = _series_pow(var_series[i], e, n, p)
-            prod = _series_mul(prod, powed, n, p)
+        prod = power(*key[0][1:]) if key else [1] + [0] * n
+        for end in range(2, len(key) + 1):
+            out = cache.setdefault(key[:end], [])
+            if len(out) <= n:
+                _grow(out, prod, power(*key[end - 1][1:]), n, p, rational)
+            prod = out
         for k in range(n + 1):
-            if prod[k]:
-                acc[k] += prod[k]
-    if p:
-        return [c % p for c in acc]
-    return [_rational(c) for c in acc]
+            acc[k] += coeff * prod[k]
+    return [c % p for c in acc] if p else list(map(_rational, acc))
 
 
 def _power_terms(i, e, n, p):
@@ -295,14 +280,15 @@ def jet_series(point: Point, spec: FieldSpec, s: int, n: int) -> dict[int, list]
         raise MissingCoordinate(f"point assigns no value to {v.name}") from None
 
 
-def hs_values(g: Polynomial, n: int, series: dict[int, list], powers: dict) -> list:
+def hs_values(g: Polynomial, n: int, series: dict[int, list], cache: dict) -> list:
     """Raw values [d_0(g)(a), ..., d_n(g)(a)] at the jet a given by
     `series` (from jet_series): the t-coefficients of g(a(t)), with
     a_i(t) = sum_j a_i^(j) t^j.  Evaluation is a ring homomorphism, so
     they equal the components evaluated at a, without building them.
-    `powers` caches a_i(t)^e; pass one dict for every g at the same jet."""
+    `cache` keeps the series of powers and monomials of the a_i(t); pass
+    one dict for every g at the same jet."""
     _require_base(g)
-    return _substituted(g, n, series, powers, g.spec.characteristic)
+    return _substituted(g, n, series, cache, g.spec.characteristic)
 
 
 @dataclass(frozen=True)

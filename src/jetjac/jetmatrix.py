@@ -9,7 +9,9 @@ entrywise, and check_fdbd verifies exactly that.
 
 DnMatrix stands for D_n(L) until it is put at a point; linalg.at_point
 then gives D_n(L) there by Taylor mode, from the values of d_0, ..., d_n
-of each entry of L at the jet, and never builds the symbolic blocks.
+of each entry of L at the jet, and never builds the symbolic blocks: the
+entries are substituted into the jet's series with one cache, so a
+power or monomial that several entries share is expanded once.
 At a jet a the result is block upper-triangular and Toeplitz: block
 (i, j) is A_(j-i), the t^(j-i) coefficient of L(a(t)), and every
 diagonal block is A_0 = L(a_0).  linalg.rank_at reads the rank off A_0
@@ -61,8 +63,8 @@ def _series_values(D: DnMatrix, series: dict[int, list], n: int) -> list[list]:
     # t-series g(a(t)) truncated after t^n, from the jet series of
     # hasse.jet_series to order n, once per distinct entry object
     p = D.spec.characteristic
-    powers: dict = {}
-    distinct = [_substituted(g, n, series, powers, p) for g in D.L.distinct]
+    cache: dict = {}
+    distinct = [_substituted(g, n, series, cache, p) for g in D.L.distinct]
     return list(map(distinct.__getitem__, D.L.layout))
 
 

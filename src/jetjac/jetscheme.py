@@ -13,7 +13,8 @@ cokernel rank: D_n(L) has full rank (n+1)M where a sample is gens - rels.
 
 Every test at a point works in Taylor mode and builds no symbolic d_k:
 membership checks f(a(t)) = 0 mod t^(n+1), jet lifting solves for the
-t^k coefficient, and the rank criteria rank D_n(Jac_m f) at the jet with
+t^k coefficient order by order on one set of growing series, and the
+rank criteria rank D_n(Jac_m f) at the jet with
 linalg.rank_at, which reads the rank off the diagonal block Jac_m f(a_0)
 when it has full rank (at a smooth base) or when the jet is a zero jet;
 a certificate builds Jac_m f and D_n(Jac_m f) once for all its jets.
@@ -507,14 +508,19 @@ def extend_to_jet(f: Polynomial, base, n: int, seed=0) -> Point:
 
     `base` is a Point over f's field (MixedFields otherwise), or a mapping
     read as Point(f.spec, base), that must assign all base variables; it
-    may also fix higher-order ones.  At each order k the missing coordinates are filled with seeded random values
-    except one at a nonzero gradient position, which is solved from the
-    order-k equation (the equation is affine in the order-k coordinates
-    with the first partials of f as coefficients).  Its value d_k(f) at
-    the jet so far is the t^k coefficient of f(a(t)), computed by Taylor
-    mode with the solved coordinate set to 0.  The jet is one dict of raw
-    values, which poly._raw_value reads for f and its gradient at the
-    base point and which becomes the Point returned.
+    may also fix higher-order ones.  At each order k the missing
+    coordinates are filled with seeded random values except one at a
+    nonzero gradient position, which is solved from the order-k equation
+    (the equation is affine in the order-k coordinates with the first
+    partials of f as coefficients).  Its value d_k(f) at the jet so far
+    is the t^k coefficient of f(a(t)), computed by Taylor mode with the
+    solved coordinate set to 0.  One series per variable and one cache of
+    series products serve every order: order k appends a coefficient to
+    each series and grows the products, which are cut back to k
+    coefficients once the solved value is set, so the lift costs O(n^2)
+    coefficient products.  The jet is one dict of raw values, which
+    poly._raw_value reads for f and its gradient at the base point and
+    which becomes the Point returned.
     """
     if n < 0:
         raise BadJetOrder("n must be >= 0")
@@ -532,27 +538,24 @@ def extend_to_jet(f: Polynomial, base, n: int, seed=0) -> Point:
         raise PointNotOnScheme("the base point is not on the hypersurface")
     grad = {i: _raw_value(f.partial(JetVariable(i, 0)), vals, p, powers) for i in range(1, s + 1)}
     rng = trial_rng(seed, n, "jet-fill")
-
-    def order_k_value(k):
-        # d_k(f) at the coordinates of orders <= k: the t^k coefficient of f(a(t))
-        series = {i: [vals[j, i] for j in range(k + 1)] for i in range(1, s + 1)}
-        return hs_values(f, k, series, {})[k]
-
+    series = {i: [vals[0, i]] for i in range(1, s + 1)}
+    cache: dict = {}
     for k in range(1, n + 1):
         unknown = [i for i in range(1, s + 1) if (k, i) not in vals]
         solvable = [i for i in unknown if grad[i]]
-        if unknown and solvable:
-            solve_i = solvable[0]
-            for i in unknown:
-                if i != solve_i:
-                    vals[k, i] = draw(rng, p)
-            vals[k, solve_i] = 0  # the offset is d_k(f) with the target at 0
-            vals[k, solve_i] = spec.raw(Fraction(-order_k_value(k), grad[solve_i]))
-        else:
-            for i in unknown:
-                vals[k, i] = draw(rng, p)
-            if order_k_value(k):
-                raise PointNotOnScheme(f"the order-{k} coordinates violate the jet equation")
+        solve_i = solvable[0] if solvable else None
+        for i in unknown:
+            vals[k, i] = 0 if i == solve_i else draw(rng, p)  # the offset is d_k(f) with the target at 0
+        for i in range(1, s + 1):
+            series[i].append(vals[k, i])
+        # d_k(f) at the coordinates of orders <= k: the t^k coefficient of f(a(t))
+        value = hs_values(f, k, series, cache)[k]
+        if solve_i:
+            vals[k, solve_i] = series[solve_i][k] = spec.raw(Fraction(-value, grad[solve_i]))
+            for grown in cache.values():
+                del grown[k:]  # coefficient k was computed with the target at 0
+        elif value:
+            raise PointNotOnScheme(f"the order-{k} coordinates violate the jet equation")
     return Point._make(spec, vals)
 
 

@@ -117,6 +117,29 @@ def evaluate_termwise(f: Polynomial, point) -> object:
     return f.spec.raw(acc)
 
 
+def multiplicity(f: Polynomial, a: Point) -> int:
+    """The multiplicity of f at the base point a: the least |delta| with
+    the divided partial Delta^delta f nonzero at a, by Taylor's formula
+    f(a + y) = sum_delta (Delta^delta f)(a) y^delta, valid in every
+    characteristic.  Each delta is taken alone, norm by norm, and no
+    matrix is built.  f must be nonzero."""
+    s = f.base_count
+
+    def deltas(norm, width):
+        # every delta in N^width with |delta| = norm
+        if width == 1:
+            yield (norm,)
+            return
+        for head in range(norm, -1, -1):
+            for rest in deltas(norm - head, width - 1):
+                yield (head,) + rest
+
+    # delta = the exponent of a term of top degree leaves its coefficient
+    for norm in range(f.degree() + 1):
+        if any(f.divided_partial(delta).evaluate(a).value for delta in deltas(norm, s)):
+            return norm
+
+
 def residue_roots_scan(coeffs: list[int], p: int) -> list[int]:
     """Roots in GF(p), ascending, of the univariate polynomial with the
     given integer coefficients (ascending), by evaluating it at every

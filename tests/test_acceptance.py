@@ -26,12 +26,13 @@ from jetjac import (
     jet_equations,
     on_jet_scheme,
     parse_poly,
+    parse_polys,
     presentation_of,
     rank,
     rank_counterexample_check,
     zero_jet_over,
 )
-from jetjac.cli import infer_base_count, run
+from jetjac.cli import run
 from jetjac.linalg import random_point, trial_rng
 
 from _corpus import GF2, GF5, Q, corpus_params, poly_from_int_terms
@@ -75,10 +76,7 @@ def jacm_via_cli(capsys, field: str, spec):
     assert run(argv) == 0
     payload = json.loads(capsys.readouterr().out)
     flat = [e for row in payload["entries"] for e in row]
-    s = max(infer_base_count(e) for e in flat)
-    return PolyMatrix(
-        payload["rows"], payload["cols"], tuple(parse_poly(e, s, spec) for e in flat)
-    )
+    return PolyMatrix(payload["rows"], payload["cols"], tuple(parse_polys(flat, spec)))
 
 
 def test_criterion_1_example_reproduction(capsys):

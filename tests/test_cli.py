@@ -8,8 +8,8 @@ from pathlib import Path
 import pytest
 
 import jetjac
-from jetjac import DnMatrix, FieldSpec, PolyMatrix, Polynomial, dn_matrix, hasse, jac_m, linalg, parse_poly
-from jetjac.cli import DOMAIN_ERRORS, build_matrix, build_parser, infer_base_count, matrix_argument, matrix_dims, run
+from jetjac import DnMatrix, FieldSpec, PolyMatrix, Polynomial, UnknownVariable, dn_matrix, hasse, jac_m, linalg, parse_poly, parse_polys
+from jetjac.cli import DOMAIN_ERRORS, build_matrix, build_parser, matrix_argument, matrix_dims, run
 
 Q = FieldSpec.rationals()
 GF2 = FieldSpec.prime_field(2)
@@ -47,9 +47,7 @@ def run_within_10s(*argv):
 
 def parse_matrix_payload(payload, spec):
     flat = [e for row in payload["entries"] for e in row]
-    s = max(infer_base_count(e) for e in flat)
-    entries = tuple(parse_poly(e, s, spec) for e in flat)
-    return PolyMatrix(payload["rows"], payload["cols"], entries)
+    return PolyMatrix(payload["rows"], payload["cols"], tuple(parse_polys(flat, spec)))
 
 
 class TestMatrixCommands:
@@ -632,11 +630,23 @@ class TestErrorHandling:
         assert (code, out) == (2, "")
         assert "argument --field" in err
 
-    def test_infer_base_count(self):
-        assert infer_base_count("x1^3 - x2^2") == 2
-        assert infer_base_count("x7_2 + x3") == 7
-        assert infer_base_count("5") == 1
-        assert infer_base_count("x0") == 1
+    def test_the_base_count_is_the_highest_index_named(self):
+        assert [f.base_count for f in parse_polys(["x1^3 - x2^2"])] == [2]
+        assert [f.base_count for f in parse_polys(["x7_2 + x3"])] == [7]
+        assert [f.base_count for f in parse_polys(["5"])] == [1]
+        assert [f.base_count for f in parse_polys(["x1", "x3_2", "2"])] == [3, 3, 3]
+        with pytest.raises(UnknownVariable, match=r"'x0' outside x1\.\.x1 "):
+            parse_polys(["x0"])
+        with pytest.raises(UnknownVariable, match=r"'x0' outside x1\.\.x4 "):
+            parse_polys(["x0 + x1", "x4"])
+
+    def test_the_first_error_in_the_text_wins_over_a_long_index(self, capsys):
+        # the base count is read from the tokens the parser reads, so a
+        # character that starts no token is named before the index after it
+        digits = self.too_many_digits()
+        code, out, err = invoke(capsys, "jacm", "--m", "1", "--f", f"x1 + $ + x{digits}")
+        assert (code, out) == (1, "")
+        assert err == "ParseError: unexpected character '$' (at position 5)\n"
 
     def test_x0_is_an_unknown_variable(self, capsys):
         code, out, err = invoke(capsys, "jacm", "--f", "x0", "--m", "1")

@@ -21,7 +21,6 @@ from jetjac import (
     jet_series,
     parse_poly,
 )
-from jetjac.hasse import _series_mul, _series_pow
 
 from _corpus import GF2, GF3, GF5, Q, base_polynomials, corpus_params, poly_from_int_terms, random_base_polynomial
 from _oracles import hs_components_leibniz
@@ -168,32 +167,82 @@ class TestTaylorValuesOverQ:
         assert integral
 
 
+def _series_product(a, b, n, p):
+    # a(t) b(t) truncated after t^n, each coefficient summed on its own
+    out = [sum(a[i] * b[k - i] for i in range(k + 1)) for k in range(n + 1)]
+    return [c % p for c in out] if p else out
+
+
 def _pow_by_products(a, e, n, p):
     out = [1] + [0] * n
     for _ in range(e):
-        out = _series_mul(out, a, n, p)
+        out = _series_product(out, a, n, p)
     return out
 
 
+def _random_series(rng, p, n, a0_is_zero=False):
+    if p:
+        a = [rng.randrange(p) for _ in range(n + 1)]
+    else:
+        a = [Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(n + 1)]
+    a[0] = 0 if a0_is_zero else a[0] or 1
+    return a
+
+
 class TestSeriesPower:
-    """_series_pow by the binomial theorem against e repeated products,
-    for e = 0..3n, with zero and nonzero constant terms."""
+    """The series kernel's powers a(t)^e, the series of x1^e at a(t),
+    against e repeated products, for e = 0..3n, with zero and nonzero
+    constant terms a_0 (so e > n with a_0 = 0 too), over Q with Fraction
+    coefficients and over GF(p).  The cache keeps each power it builds
+    under (0, 1, e)."""
 
     N = 3
 
-    @pytest.mark.parametrize("p", [0, 2, 3, 101])
+    @pytest.mark.parametrize("p", [0, 2, 3, 101, 32003])
     def test_raw_scalars(self, p):
+        spec = FieldSpec.prime_field(p) if p else Q
         rng = random.Random(41 + p)
         n = self.N
         for a0_is_zero in (False, True):
             for _ in range(4):
-                if p:
-                    a = [rng.randrange(p) for _ in range(n + 1)]
-                else:
-                    a = [Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(n + 1)]
-                a[0] = 0 if a0_is_zero else a[0] or 1
+                a = _random_series(rng, p, n, a0_is_zero)
+                cache = {}
                 for e in range(3 * n + 1):
-                    assert _series_pow(a, e, n, p) == _pow_by_products(a, e, n, p), (a, e)
+                    want = _pow_by_products(a, e, n, p)
+                    assert hasse._substituted(parse_poly(f"x1^{e}", 1, spec), n, {1: a}, cache, p) == want, (a, e)
+                    if (0, 1, e) in cache:
+                        assert cache[0, 1, e][: n + 1] == want, (a, e)
+
+    @pytest.mark.parametrize("p", [0, 2, 3, 32003])
+    def test_a_cache_grown_order_by_order_matches_one_batch_call(self, p):
+        """The lift's use of the kernel: at order k every series gains a
+        coefficient, one of them first as a 0 placeholder; the kernel reads
+        coefficient k, the placeholder is set, and every cached list is cut
+        back to k coefficients.  The coefficients read, the final series
+        and the cached lists equal those of one call on the whole jet."""
+        spec = FieldSpec.prime_field(p) if p else Q
+        rng = random.Random(47 + p)
+        for _ in range(12):
+            s, n = rng.randint(1, 3), rng.randint(0, 6)
+            f = random_base_polynomial(rng, s, 4, 5, spec) + Polynomial.constant(spec, rng.randint(1, 5), s)
+            jet = {i: _random_series(rng, p, n, rng.random() < 0.3) for i in range(1, s + 1)}
+            batch: dict = {}
+            want = hasse._substituted(f, n, jet, batch, p)
+            series = {i: [a[0]] for i, a in jet.items()}
+            cache: dict = {}
+            read = hasse._substituted(f, 0, series, cache, p)
+            for k in range(1, n + 1):
+                target = rng.randint(1, s)
+                for i in series:
+                    series[i].append(0 if i == target else jet[i][k])
+                hasse._substituted(f, k, series, cache, p)
+                series[target][k] = jet[target][k]
+                for grown in cache.values():
+                    del grown[k:]
+                read.append(hasse._substituted(f, k, series, cache, p)[k])
+            assert read == want, (str(f), n)
+            assert hasse._substituted(f, n, series, cache, p) == want
+            assert {key: grown[: n + 1] for key, grown in cache.items()} == batch
 
 
 class TestDerivationAxioms:

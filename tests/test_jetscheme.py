@@ -1,3 +1,4 @@
+import math
 import random
 from dataclasses import replace
 from fractions import Fraction
@@ -49,7 +50,8 @@ from jetjac import (
 from jetjac import jetscheme
 from jetjac.linalg import SAMPLE_RANGE, random_point, trial_rng
 
-from _corpus import GF2, GF5, ORACLE_FIELDS, Q, base_polynomials, jets
+from _corpus import GF2, GF3, GF5, GF32003, ORACLE_FIELDS, Q, base_polynomials, jets
+from _oracles import multiplicity
 
 CUSP = parse_poly("x1^3 - x2^2", 2, Q)
 GF101 = FieldSpec.prime_field(101)
@@ -489,6 +491,34 @@ class TestExtendToJetOracle:
             for t in range(5):
                 base = find_smooth_point(f, seed=f"0:{t}")
                 assert extend_to_jet(f, base, 3, seed=t) == extend_to_jet_oracle(f, base, 3, seed=t)
+
+
+class TestMultiplicityFixesTheRank:
+    """At a point a of V(f) with multiplicity mu (the oracle reads it off
+    the divided partials at a, with no matrix), Jac_m f(a) has rank
+    C(m - mu + s, s), which is 0 when mu > m: its row space is the ideal
+    of f(a + y) in k[y]/(y)^(m+1).  At the zero jet over a, D_n(Jac_m f)
+    is n + 1 copies of that block.  Checked at the origin, a singular
+    point of each surface (mu = 2), and at smooth points (mu = 1)."""
+
+    SOURCES = ["x1^3 - x2^2 + x1*x2*x3 + x3^4", "x1^2 + x2^3 + x3^4", "x1^3 - x2^2"]
+    N = 2
+
+    @pytest.mark.parametrize("spec", [Q, GF2, GF3, GF5, GF32003], ids=str)
+    @pytest.mark.parametrize("source", SOURCES)
+    def test_rank_at_the_origin_and_at_smooth_points(self, source, spec):
+        f = parse_poly(source, 3 if "x3" in source else 2, spec)
+        s = f.base_count
+        points = [Point.from_base([0] * s, spec)]
+        points += [find_smooth_point(f, seed=f"mu:{t}") for t in range(2)]
+        mus = [multiplicity(f, a) for a in points]
+        assert mus == [2, 1, 1]
+        for m in range(1, 6):
+            L = jac_m([f], m)
+            for a, mu in zip(points, mus):
+                want = math.comb(m - mu + s, s) if mu <= m else 0
+                assert rank(eval_matrix(L, a)) == want, (source, str(spec), m, str(a))
+                assert rank_at(DnMatrix(L, self.N), zero_jet_over(a, self.N)) == (self.N + 1) * want
 
 
 class TestGenericCokernelRank:
