@@ -115,12 +115,12 @@ def _substituted(f, n, series, cache, p=0):
     still hold.  Over Q an integral value is stored as an int, as
     FieldSpec.raw stores it."""
     rational = not p and not all(type(c) is int for a in series.values() for c in a)
+    # the order of each a_i(t): its first nonzero term, n + 1 if none is
+    order = {i: next((j for j, c in enumerate(a[: n + 1]) if c), n + 1) for i, a in series.items()}
 
     def power(i, e):
         # a_i(t)^e, grown to n + 1 with the powers below it, from the top bit of e down
         a = series[i]
-        if e > n and not a[0]:
-            return [0] * (n + 1)  # a_i(t)^e = O(t^e)
         out, x = a, 1
         for bit in bin(e)[3:]:
             x *= 2
@@ -132,6 +132,8 @@ def _substituted(f, n, series, cache, p=0):
 
     acc = [0] * (n + 1)
     for key, coeff in f.terms.items():
+        if sum(e * order[i] for _, i, e in key) > n:
+            continue  # the monomial vanishes to order n, as at a zero jet over the origin
         prod = power(*key[0][1:]) if key else [1] + [0] * n
         for end in range(2, len(key) + 1):
             out = cache.setdefault(key[:end], [])
