@@ -87,10 +87,16 @@ def _require_base(f: Polynomial):
 def _grow(out, a, b, n, p, rational):
     # grows out, the product of the t-series a and b, to its first n + 1
     # terms, one convolution per new term; a and b hold at least n + 1.
-    # It divides by nothing mod p, so it serves every characteristic.
-    # With rational (over Q, some term a Fraction) each sum is taken on
-    # the least common denominator: one gcd per term, not two per product
-    for k in range(len(out), n + 1):
+    # Terms past the sum of the last nonzero terms of a and b are 0, so a
+    # series that ends early, as at a zero jet, costs little.  It divides
+    # by nothing mod p, so it serves every characteristic.  With rational
+    # (over Q, some term a Fraction) each sum is taken on the least
+    # common denominator: one gcd per term, not two per product
+    if len(out) > n:
+        return out
+    da, db = (next((i for i in range(n, -1, -1) if x[i]), -1) for x in (a, b))
+    top = min(n, da + db) if min(da, db) >= 0 else -1
+    for k in range(len(out), top + 1):
         xs, ys = a[: k + 1], b[k::-1]
         if not rational:
             c = sum(map(mul, xs, ys))
@@ -100,6 +106,7 @@ def _grow(out, a, b, n, p, rational):
         den = math.lcm(*dens)
         num = sum(x.numerator * y.numerator * (den // d) for x, y, d in zip(xs, ys, dens))
         out.append(Fraction(num, den))
+    out += [0] * (n + 1 - len(out))
     return out
 
 
@@ -115,8 +122,6 @@ def _substituted(f, n, series, cache, p=0):
     still hold.  Over Q an integral value is stored as an int, as
     FieldSpec.raw stores it."""
     rational = not p and not all(type(c) is int for a in series.values() for c in a)
-    # the order of each a_i(t): its first nonzero term, n + 1 if none is
-    order = {i: next((j for j, c in enumerate(a[: n + 1]) if c), n + 1) for i, a in series.items()}
 
     def power(i, e):
         # a_i(t)^e, grown to n + 1 with the powers below it, from the top bit of e down
@@ -132,8 +137,6 @@ def _substituted(f, n, series, cache, p=0):
 
     acc = [0] * (n + 1)
     for key, coeff in f.terms.items():
-        if sum(e * order[i] for _, i, e in key) > n:
-            continue  # the monomial vanishes to order n, as at a zero jet over the origin
         prod = power(*key[0][1:]) if key else [1] + [0] * n
         for end in range(2, len(key) + 1):
             out = cache.setdefault(key[:end], [])

@@ -9,9 +9,8 @@ entrywise, and check_fdbd verifies exactly that.
 
 DnMatrix stands for D_n(L) until it is put at a point; linalg.at_point
 then gives D_n(L) there by Taylor mode, from the values of d_0, ..., d_n
-of each entry of L at the jet, and never builds the symbolic blocks: the
-entries are substituted into the jet's series with one cache, so a
-power or monomial that several entries share is expanded once.
+of each entry of L at the jet, and never builds the symbolic blocks; the
+entries share one series cache, so a power or monomial is built once.
 At a jet a the result is block upper-triangular and Toeplitz: block
 (i, j) is A_(j-i), the t^(j-i) coefficient of L(a(t)), and every
 diagonal block is A_0 = L(a_0).  linalg.rank_at reads the rank off A_0

@@ -40,7 +40,7 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial, total_ordering
+from functools import total_ordering
 from itertools import chain
 from operator import itemgetter
 from typing import Mapping, Sequence
@@ -595,38 +595,39 @@ _TOKEN = re.compile(r"(\s*)(?:(\d+)|([A-Za-z]\w*)|([-+*/^])|(\S))")
 _VAR = re.compile(r"x(\d+)(?:_(\d+))?$")
 
 
-def _fail(src, tokens, error, message, k, shift=0):
-    # raises the error at token k, or the one at the first character that starts no token
-    for j, token in enumerate(tokens):
-        if token[4]:
-            error, message, k, shift = ParseError, f"unexpected character {token[4]!r}", j, 0
-            break
-    skipped = sum(map(len, chain.from_iterable(tokens[:k]))) + len(tokens[k][0]) + shift
-    raise error(message, skipped if k < len(tokens) - 1 else len(src))
+def _reader(src: str):
+    # the tokens of src, then an empty one past the end; fail(error,
+    # message, k, shift) raises the error at token k, or the one at the
+    # first character that starts no token; integer(k, digits, shift) is
+    # int(digits), or a ParseError when the literal has more digits than
+    # int() converts (sys.get_int_max_str_digits)
+    tokens = _TOKEN.findall(src) + [("",) * 5]
 
+    def fail(error, message, k, shift=0):
+        for j, token in enumerate(tokens):
+            if token[4]:
+                error, message, k, shift = ParseError, f"unexpected character {token[4]!r}", j, 0
+                break
+        skipped = sum(map(len, chain.from_iterable(tokens[:k]))) + len(tokens[k][0]) + shift
+        raise error(message, skipped if k < len(tokens) - 1 else len(src))
 
-def _integer(src, tokens, k, digits, shift=0) -> int:
-    # int(digits) for token k, or a ParseError when the literal has more
-    # digits than int() converts (sys.get_int_max_str_digits)
-    try:
-        return int(digits)
-    except ValueError:
-        _fail(src, tokens, ParseError, f"integer literal of {len(digits)} digits is too long", k, shift)
+    def integer(k, digits, shift=0):
+        try:
+            return int(digits)
+        except ValueError:
+            fail(ParseError, f"integer literal of {len(digits)} digits is too long", k, shift)
 
-
-def _tokens(src: str) -> list[tuple]:
-    # the tokens of src, then an empty one past the end
-    return _TOKEN.findall(src) + [("",) * 5]
+    return tokens, fail, integer
 
 
 def _base_count(src: str) -> int:
     # the highest base index among the variable names of src, at least 1
-    tokens = _tokens(src)
+    tokens, _, integer = _reader(src)
     s = 1
     for k, token in enumerate(tokens):
         m = token[2] and _VAR.match(token[2])
         if m:
-            s = max(s, _integer(src, tokens, k, m.group(1), 1))
+            s = max(s, integer(k, m.group(1), 1))
     return s
 
 
@@ -634,10 +635,8 @@ def _terms(src: str, s: int) -> tuple[list[tuple[dict, int, int]], int]:
     # (exps, num, den) per term of src, and the largest jet order named:
     # exps maps (j, i) to the summed exponent of x_i^(j) in order of first
     # occurrence, ^0 included; num/den is the term's sign times its numbers
-    tokens = _tokens(src)
+    tokens, fail, integer = _reader(src)
     end = len(tokens) - 1
-    fail = partial(_fail, src, tokens)
-    integer = partial(_integer, src, tokens)
     terms = []
     max_order = 0
     k = 1 if tokens[0][3] in ("+", "-") else 0

@@ -192,9 +192,9 @@ def _random_series(rng, p, n, a0_is_zero=False):
 class TestSeriesPower:
     """The series kernel's powers a(t)^e, the series of x1^e at a(t),
     against e repeated products, for e = 0..3n, with zero and nonzero
-    constant terms a_0 (so e > n with a_0 = 0 too), over Q with Fraction
-    coefficients and over GF(p).  The cache keeps each power it builds
-    under (0, 1, e)."""
+    constant terms a_0 (so e > n with a_0 = 0 too) and with series that
+    end after t^1, over Q with Fraction coefficients and over GF(p).
+    The cache keeps each power it builds under (0, 1, e)."""
 
     N = 3
 
@@ -203,9 +203,11 @@ class TestSeriesPower:
         spec = FieldSpec.prime_field(p) if p else Q
         rng = random.Random(41 + p)
         n = self.N
-        for a0_is_zero in (False, True):
+        for a0_is_zero, ends_early in itertools.product((False, True), repeat=2):
             for _ in range(4):
                 a = _random_series(rng, p, n, a0_is_zero)
+                if ends_early:
+                    a[2:] = [0] * (n - 1)
                 cache = {}
                 for e in range(3 * n + 1):
                     want = _pow_by_products(a, e, n, p)
@@ -226,6 +228,9 @@ class TestSeriesPower:
             s, n = rng.randint(1, 3), rng.randint(0, 6)
             f = random_base_polynomial(rng, s, 4, 5, spec) + Polynomial.constant(spec, rng.randint(1, 5), s)
             jet = {i: _random_series(rng, p, n, rng.random() < 0.3) for i in range(1, s + 1)}
+            for a in jet.values():
+                end = rng.randint(1, n + 1)  # some series end early
+                a[end:] = [0] * (n + 1 - end)
             batch: dict = {}
             want = hasse._substituted(f, n, jet, batch, p)
             series = {i: [a[0]] for i, a in jet.items()}
