@@ -143,8 +143,9 @@ def _substituted(f, n, series, cache, p=0):
             if len(out) <= n:
                 _grow(out, prod, power(*key[end - 1][1:]), n, p, rational)
             prod = out
-        for k in range(n + 1):
-            acc[k] += coeff * prod[k]
+        for k, c in enumerate(prod[: n + 1]):
+            if c:
+                acc[k] += coeff * c
     return [c % p for c in acc] if p else list(map(_rational, acc))
 
 
