@@ -595,8 +595,25 @@ _TOKEN = re.compile(r"(\s*)(?:(\d+)|([A-Za-z]\w*)|([-+*/^])|(\S))")
 _VAR = re.compile(r"x(\d+)(?:_(\d+))?$")
 
 
-def _reader(src: str):
-    # the tokens of src, then an empty one past the end; fail(error,
+def _base_count(src: str) -> int:
+    # the highest base index among the variable names of src, at least 1;
+    # an index that int() refuses is skipped, and _terms reports it in order
+    s = 1
+    for token in _TOKEN.findall(src):
+        m = token[2] and _VAR.match(token[2])
+        if m:
+            try:
+                s = max(s, int(m.group(1)))
+            except ValueError:
+                pass
+    return s
+
+
+def _terms(src: str, s: int) -> tuple[list[tuple[dict, int, int]], int]:
+    # (exps, num, den) per term of src, and the largest jet order named:
+    # exps maps (j, i) to the summed exponent of x_i^(j) in order of first
+    # occurrence, ^0 included; num/den is the term's sign times its numbers.
+    # The tokens of src end in an empty one past the end; fail(error,
     # message, k, shift) raises the error at token k, or the one at the
     # first character that starts no token; integer(k, digits, shift) is
     # int(digits), or a ParseError when the literal has more digits than
@@ -617,25 +634,6 @@ def _reader(src: str):
         except ValueError:
             fail(ParseError, f"integer literal of {len(digits)} digits is too long", k, shift)
 
-    return tokens, fail, integer
-
-
-def _base_count(src: str) -> int:
-    # the highest base index among the variable names of src, at least 1
-    tokens, _, integer = _reader(src)
-    s = 1
-    for k, token in enumerate(tokens):
-        m = token[2] and _VAR.match(token[2])
-        if m:
-            s = max(s, integer(k, m.group(1), 1))
-    return s
-
-
-def _terms(src: str, s: int) -> tuple[list[tuple[dict, int, int]], int]:
-    # (exps, num, den) per term of src, and the largest jet order named:
-    # exps maps (j, i) to the summed exponent of x_i^(j) in order of first
-    # occurrence, ^0 included; num/den is the term's sign times its numbers
-    tokens, fail, integer = _reader(src)
     end = len(tokens) - 1
     terms = []
     max_order = 0
@@ -724,6 +722,7 @@ def parse_poly(src: str, s: int, spec: FieldSpec = None) -> Polynomial:
 def parse_polys(sources: Sequence[str], spec: FieldSpec = None) -> list[Polynomial]:
     """parse_poly of each source over x1..xs, with s the highest base
     index any of them names (at least 1).  The indices are read with the
-    parser's tokens and error rule, so the first error in a source wins."""
+    parser's tokens, and one too long for int() is left for the parser to
+    report in order, so the first error in a source wins."""
     s = max(map(_base_count, sources), default=1)
     return [parse_poly(src, s, spec) for src in sources]

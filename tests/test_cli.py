@@ -648,6 +648,14 @@ class TestErrorHandling:
         assert (code, out) == (1, "")
         assert err == "ParseError: unexpected character '$' (at position 5)\n"
 
+    def test_an_earlier_error_wins_over_a_long_base_index(self, capsys):
+        # an index int() refuses is left out of the base count, so the
+        # parser meets the negative exponent before it
+        digits = self.too_many_digits()
+        code, out, err = invoke(capsys, "jacm", "--m", "1", "--f", f"x1^-1 + x{digits}")
+        assert (code, out) == (1, "")
+        assert err == "BadExponent: negative exponent (at position 3)\n"
+
     def test_x0_is_an_unknown_variable(self, capsys):
         code, out, err = invoke(capsys, "jacm", "--f", "x0", "--m", "1")
         assert (code, out) == (1, "")
