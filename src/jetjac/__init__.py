@@ -7,7 +7,9 @@ determinantal minors, and rank-based singularity certificates.
 """
 
 from .field import (
+    BadCharacteristic,
     BadCoordinate,
+    BadFieldSelector,
     CharacteristicTooLarge,
     DivisionByZero,
     FieldElement,

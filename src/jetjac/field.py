@@ -50,6 +50,14 @@ class CharacteristicTooLarge(FieldError):
     longer known to be exact."""
 
 
+class BadCharacteristic(ValueError):
+    """A characteristic that is neither 0 nor a prime."""
+
+
+class BadFieldSelector(ValueError):
+    """A field selector other than "Q" or "Fp:<integer>"."""
+
+
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 # the least strong pseudoprime to all of _MR_BASES (Sorenson & Webster 2017)
 PRIME_BOUND = 3317044064679887385961981
@@ -93,7 +101,7 @@ class FieldSpec:
                 "where the primality test is no longer exact"
             )
         if p != 0 and not is_prime(p):
-            raise ValueError(f"characteristic must be 0 or a prime, got {p}")
+            raise BadCharacteristic(f"characteristic must be 0 or a prime, got {p}")
 
     @classmethod
     def rationals(cls) -> "FieldSpec":
@@ -112,9 +120,9 @@ class FieldSpec:
             try:
                 p = int(text[3:])
             except ValueError:
-                raise ValueError(f"bad field selector {text!r}") from None
+                raise BadFieldSelector(f"bad field selector {text!r}") from None
             return cls(p)
-        raise ValueError(f"bad field selector {text!r} (use Q or Fp:<prime>)")
+        raise BadFieldSelector(f"bad field selector {text!r} (use Q or Fp:<prime>)")
 
     def raw(self, x) -> Raw:
         """Coerce x (int, Fraction, FieldElement, or a string in the

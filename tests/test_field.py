@@ -6,7 +6,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from jetjac import (
+    BadCharacteristic,
     BadCoordinate,
+    BadFieldSelector,
     CharacteristicTooLarge,
     DivisionByZero,
     FieldElement,
@@ -51,6 +53,21 @@ class TestFieldSpec:
         with pytest.raises(ValueError):
             FieldSpec(1)
         FieldSpec(101)  # fine
+
+    def test_a_characteristic_neither_zero_nor_prime_is_named(self):
+        assert issubclass(BadCharacteristic, ValueError)
+        for p in (4, 1, -3):
+            with pytest.raises(BadCharacteristic, match=rf"^characteristic must be 0 or a prime, got {p}$"):
+                FieldSpec(p)
+        with pytest.raises(BadCharacteristic):
+            FieldSpec.parse("Fp:9")
+
+    def test_a_bad_field_selector_is_named(self):
+        assert issubclass(BadFieldSelector, ValueError)
+        with pytest.raises(BadFieldSelector, match=r"^bad field selector 'Fp:abc'$"):
+            FieldSpec.parse("Fp:abc")
+        with pytest.raises(BadFieldSelector, match=r"^bad field selector 'R' \(use Q or Fp:<prime>\)$"):
+            FieldSpec.parse("R")
 
     def test_str_round_trip(self):
         for spec in (Q, GF2, FieldSpec.prime_field(10007)):
