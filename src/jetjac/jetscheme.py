@@ -19,8 +19,8 @@ linalg.rank_at, which reads the rank off the diagonal block Jac_m f(a_0)
 when it has full rank (at a smooth base) or when the jet is a zero jet;
 a certificate builds Jac_m f and D_n(Jac_m f) once for all its jets.
 Its cokernel samples come from the diagonal block at each sampled smooth
-base point, so a sample costs one smooth-point search and one b x a rank,
-and only the witness jet is lifted to order n.
+base point, so a sample costs one smooth-point search and one b x a rank;
+the witness is the zero jet over one of them, and no jet is lifted.
 The symbolic equations and presentation matrices are built only when a
 caller reads them.
 
@@ -561,10 +561,9 @@ def extend_to_jet(f: Polynomial, base, n: int, seed=0) -> Point:
 
 @dataclass(frozen=True)
 class CokernelReport:
-    """Cokernel rank of a presentation at sampled smooth jets; `witness`
-    is the first sampled jet whose cokernel rank is `cokernel_rank`.
-    A sample whose base block has full rank is read off that block, and
-    `witness` is the only jet that is always lifted to order n."""
+    """Cokernel rank of a presentation at sampled smooth jets, each read
+    off the base block; `witness` is the zero jet over the first base
+    point whose sample, the exact cokernel rank there, is `cokernel_rank`."""
 
     expected: int
     samples: tuple[int, ...]
@@ -587,37 +586,26 @@ def generic_cokernel_rank(pres: Presentation, trials: int = 20, seed=0) -> Coker
     presentation matrix there and report generators minus rank, compared
     against the free rank expected away from the singular locus.
 
-    Trial t takes the smooth base point a_0 = find_smooth_point(f,
-    seed=f"{seed}:{t}") and the jet extend_to_jet(f, a_0, n,
-    seed=f"{seed}:{t}") over it.  Every diagonal block of D_n(L) at that
-    jet is A_0 = L(a_0) (see linalg.rank_at), so when A_0 has rank
-    min(b, a) the sample is cols - (n+1) min(b, a) whatever the jet is,
-    and no jet is built; otherwise the jet is extended and ranked.  A_0
-    is eval_matrix(L, a_0), with no jet series.  The witness, the first
-    jet of least sample, is extended once at the end.  Skipping the other extensions changes no outcome: each uses its own
-    seeded generator, and at a smooth base some first partial is nonzero,
-    so extend_to_jet solves the order-k equation at every k and cannot
-    raise there."""
+    Trial t ranks A_0 = eval_matrix(L, a_0) at the smooth base point
+    a_0 = find_smooth_point(f, seed=f"{seed}:{t}").  At the zero jet over
+    a_0, D_n(L) is block diagonal with n + 1 copies of A_0, so its exact
+    cokernel rank is the sample cols - (n+1) rank A_0; at a smooth base
+    A_0 has full rank M, and by linalg.rank_at every jet over a_0 gives
+    the same sample.  A deficient A_0 could only over-count a cokernel,
+    since a block-triangular matrix has at least the rank of its diagonal
+    blocks: all_match and the rank jump would fail, never certify.  The
+    witness is the zero jet over the base of the first least sample."""
     if trials < 1:
         raise BadTrialCount("trials must be >= 1")
     expected = pres.gens - pres.rels
     D = pres._dn
-    full = min(D.L.rows, D.L.cols)
     samples = []
     for t in range(trials):
         base = find_smooth_point(pres.f, seed=f"{seed}:{t}")
-        jet = None
-        if rank(eval_matrix(D.L, base)) == full:
-            sample = D.cols - (pres.n + 1) * full
-        else:
-            jet = extend_to_jet(pres.f, base, pres.n, seed=f"{seed}:{t}")
-            sample = D.cols - rank_at(D, jet)
+        sample = D.cols - (pres.n + 1) * rank(eval_matrix(D.L, base))
         if not samples or sample < min(samples):
-            witness = (t, base, jet)
+            witness = base
         samples.append(sample)
-    t, base, jet = witness
-    if jet is None:
-        jet = extend_to_jet(pres.f, base, pres.n, seed=f"{seed}:{t}")
     return CokernelReport(
         expected=expected,
         samples=tuple(samples),
@@ -625,7 +613,7 @@ def generic_cokernel_rank(pres: Presentation, trials: int = 20, seed=0) -> Coker
         all_match=all(x == expected for x in samples),
         trials=trials,
         seed=seed,
-        witness=jet,
+        witness=zero_jet_over(witness, pres.n),
     )
 
 
@@ -692,9 +680,9 @@ class NobileCertificate:
     module blowup with the blowup of the minors ideal; (iv) the minors do
     not vanish at sampled smooth jets, witnessing the rank jump behind
     non-principality.  Irreducibility and normality remain user
-    assertions, restated in `assumptions`.  `witness_jet` is a jet sampled
-    in (iii), `cokernel.witness`, and is never None; `witness_rank`, the
-    rank there, is gens - `cokernel.cokernel_rank`.
+    assertions, restated in `assumptions`.  `witness_jet`, the zero jet
+    over a base point sampled in (iii), is `cokernel.witness`; the exact
+    rank there is `witness_rank` = gens - `cokernel.cokernel_rank`.
     """
 
     f: Polynomial

@@ -550,16 +550,17 @@ class TestGenericCokernelRank:
 
     @staticmethod
     def eager_samples(pres, trials, seed):
-        """Every trial's jet extended and ranked densely, and the jet of
-        the first least sample: the certificate without the block rule."""
+        """Every trial's jet extended and ranked densely, and the base
+        point of the first least sample: the certificate without the
+        block rule."""
         D = DnMatrix(pres.L, pres.n)
-        samples, jets = [], []
+        samples, bases = [], []
         for t in range(trials):
             base = find_smooth_point(pres.f, seed=f"{seed}:{t}")
             jet = extend_to_jet(pres.f, base, pres.n, seed=f"{seed}:{t}")
             samples.append(D.cols - rank(at_point(D, jet)))
-            jets.append(jet)
-        return tuple(samples), jets[samples.index(min(samples))]
+            bases.append(base)
+        return tuple(samples), bases[samples.index(min(samples))]
 
     @staticmethod
     def corpus(spec):
@@ -573,41 +574,39 @@ class TestGenericCokernelRank:
     def test_samples_and_witness_match_the_eager_jets(self, spec):
         for pres, seed in self.corpus(spec):
             report = generic_cokernel_rank(pres, trials=5, seed=seed)
-            samples, witness = self.eager_samples(pres, 5, seed)
+            samples, base = self.eager_samples(pres, 5, seed)
+            # a sample read off the base block is the cokernel rank at a lifted jet over it
             assert report.samples == samples, (str(pres.f), pres.n, pres.m, seed)
-            assert report.witness == witness
+            assert report.witness == zero_jet_over(base, pres.n)
+            D = DnMatrix(pres.L, pres.n)
+            assert rank(at_point(D, report.witness)) == D.cols - min(samples)
 
-    @staticmethod
-    def record_extensions(monkeypatch):
-        """The seeds of the jets that generic_cokernel_rank extends."""
-        seeds = []
+    def test_a_default_certificate_extends_no_jet(self, monkeypatch):
+        calls = []
 
-        def recording_extend(*args, seed):
-            seeds.append(seed)
-            return extend_to_jet(*args, seed=seed)
+        def recording_extend(*args, **kwargs):
+            calls.append(kwargs.get("seed"))
+            return extend_to_jet(*args, **kwargs)
 
         monkeypatch.setattr(jetscheme, "extend_to_jet", recording_extend)
-        return seeds
-
-    def test_a_default_certificate_extends_one_jet(self, monkeypatch):
-        calls = self.record_extensions(monkeypatch)
         cert = nobile_certificate(CUSP, 1, 2, ORIGIN)
         assert len(cert.cokernel.samples) == 20
-        assert calls == ["0:0"]
-        assert cert.witness_jet == extend_to_jet(CUSP, find_smooth_point(CUSP, seed="0:0"), 1, seed="0:0")
+        assert calls == []
+        assert cert.witness_jet == zero_jet_over(find_smooth_point(CUSP, seed="0:0"), 1)
 
     @pytest.mark.parametrize("spec", [Q, GF101], ids=str)
-    def test_a_deficient_base_block_extends_and_ranks_the_jet(self, spec, monkeypatch):
-        calls = self.record_extensions(monkeypatch)
-        monkeypatch.setattr(jetscheme, "rank", lambda mx: -1)
+    def test_a_deficient_base_block_cannot_certify(self, spec, monkeypatch):
+        # every sampled base is the singular origin: each sample is the
+        # exact cokernel rank at the zero jet over it, above the expected one
         for pres, seed in self.corpus(spec):
-            calls.clear()
-            report = generic_cokernel_rank(pres, trials=4, seed=seed)
-            samples, witness = self.eager_samples(pres, 4, seed)
-            assert report.samples == samples
-            assert report.witness == witness
-            # every trial's jet, the witness's among them, is extended once
-            assert calls == [f"{seed}:{t}" for t in range(4)]
+            origin = Point.from_base([0] * pres.f.base_count, spec)
+            monkeypatch.setattr(jetscheme, "find_smooth_point", lambda f, seed: origin)
+            cert = nobile_certificate(pres.f, pres.n, pres.m, origin, trials=3, seed=seed)
+            D = DnMatrix(pres.L, pres.n)
+            sample = D.cols - rank(at_point(D, zero_jet_over(origin, pres.n)))
+            assert cert.cokernel.samples == (sample,) * 3
+            assert not cert.cokernel.all_match and not cert.rank_jump
+            assert cert.verdict == "inconclusive: some certificate fact failed"
 
 
 class TestRankCounterexample:
