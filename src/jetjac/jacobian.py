@@ -186,14 +186,6 @@ class PolyMatrix:
     def row(self, i: int) -> tuple[Polynomial, ...]:
         return self.entries[i * self.cols : (i + 1) * self.cols]
 
-    def transpose(self) -> "PolyMatrix":
-        entries = tuple(
-            self.entries[i * self.cols + j]
-            for j in range(self.cols)
-            for i in range(self.rows)
-        )
-        return PolyMatrix(self.cols, self.rows, entries, self.grid_order)
-
     @functools.cached_property
     def distinct(self) -> tuple[Polynomial, ...]:
         return tuple({id(e): e for e in self.entries}.values())
@@ -256,14 +248,6 @@ class ScalarMatrix:
             FieldElement(self.spec, v)
             for v in self.values[i * self.cols : (i + 1) * self.cols]
         )
-
-    def transpose(self) -> "ScalarMatrix":
-        values = tuple(
-            self.values[i * self.cols + j]
-            for j in range(self.cols)
-            for i in range(self.rows)
-        )
-        return ScalarMatrix(self.cols, self.rows, values, self.spec)
 
     def __str__(self) -> str:
         return _bracketed([[str(e) for e in self.row(i)] for i in range(self.rows)])

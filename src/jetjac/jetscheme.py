@@ -26,9 +26,10 @@ caller reads them.
 
 Smooth points are sampled by solving f for one coordinate with the others
 frozen.  Over GF(p) the roots of that univariate polynomial g come from
-gcd(g, x^p - x), computed by powering x modulo g, and equal-degree
-splitting (von zur Gathen & Gerhard, Modern Computer Algebra, ch. 14),
-so the cost grows with log p, not with p.  Over Q the roots of the
+gcd(g, x^p - x) and equal-degree splitting (von zur Gathen & Gerhard,
+Modern Computer Algebra, ch. 14); both power a linear base modulo g
+left to right, so a bit of the exponent costs one squaring and a shift,
+and the cost grows with log p, not with p.  Over Q the roots of the
 primitive squarefree part of g modulo the smallest odd prime that keeps
 it squarefree are lifted by Newton steps until the modulus exceeds
 2 |g_0 g_d|, read back as fractions by rational reconstruction and each
@@ -245,33 +246,38 @@ def _divmod(a: list[int], b: list[int], p: int) -> tuple[list[int], list[int]]:
     return q, _trim(r[:db])
 
 
-def _mulmod(a: list[int], b: list[int], g: list[int], p: int) -> list[int]:
-    """a*b mod the monic g: the product is reduced in place, from its top
-    coefficient down, and taken mod p once at the end."""
-    prod = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b, i):
-                prod[j] += x * y
+def _linear_power(delta: int, e: int, g: list[int], p: int) -> list[int]:
+    """(x + delta)^e mod the monic g of degree at least 2, for e >= 1,
+    left to right: each bit of e after the first squares, folds the
+    square down from its top coefficient and takes it mod p once; a set
+    bit then multiplies by x + delta, a shift and a scaled add."""
     dg = len(g) - 1
-    for top in range(len(prod) - 1, dg - 1, -1):
-        c = prod[top] % p
-        if c:
-            for j, y in enumerate(g, top - dg):
-                prod[j] -= c * y
-    return _trim([c % p for c in prod[:dg]])
-
-
-def _powmod(a: list[int], e: int, g: list[int], p: int) -> list[int]:
-    """a^e mod the monic g (of positive degree), by repeated squaring."""
-    out = [1]
-    while e:
-        if e & 1:
-            out = _mulmod(out, a, g, p)
-        e >>= 1
-        if e:
-            a = _mulmod(a, a, g, p)
-    return out
+    out = [delta, 1]
+    for bit in bin(e)[3:]:
+        prod = [0] * (2 * len(out) - 1)
+        for i, x in enumerate(out):
+            if x:
+                prod[2 * i] += x * x
+                x *= 2
+                for j in range(i + 1, len(out)):
+                    prod[i + j] += x * out[j]
+        for top in range(len(prod) - 1, dg - 1, -1):
+            c = prod[top] % p
+            if c:
+                for j, y in enumerate(g, top - dg):
+                    prod[j] -= c * y
+        out = [c % p for c in prod[:dg]]
+        if bit == "1":
+            out.insert(0, 0)
+            if delta:
+                for i in range(len(out) - 1):
+                    out[i] += delta * out[i + 1]
+            if len(out) > dg:
+                c = out.pop()
+                out = [(x - c * y) % p for x, y in zip(out, g)]
+            elif delta:
+                out = [x % p for x in out]
+    return _trim(out)
 
 
 def _minus(a: list[int], k: int, c: int, p: int) -> list[int]:
@@ -292,16 +298,17 @@ def _gcd(a: list[int], b: list[int], p: int) -> list[int]:
 
 def _split(h: list[int], p: int, delta: int = 0) -> list[int]:
     """Roots of the monic h, a product of distinct linear factors, by
-    equal-degree splitting: for odd p, gcd(h, (x + d)^((p-1)/2) - 1)
-    keeps the roots r with r + d a nonzero square.  Some d < p separates
-    any two roots; the d already tried separate none of the roots of a
-    factor, so its search goes on from the next one."""
+    equal-degree splitting: for odd p, gcd(h, (x + d)^((p-1)/2) - 1),
+    the power from _linear_power, keeps the roots r with r + d a nonzero
+    square.  Some d < p separates any two roots; the d already tried
+    separate none of the roots of a factor, so its search goes on from
+    the next one."""
     if len(h) <= 2:
         return [-h[0] % p] if len(h) == 2 else []
     if p == 2:
         return [0, 1]  # h divides x^2 - x, so h = x^2 + x
     while True:
-        w = _minus(_powmod([delta, 1], (p - 1) // 2, h, p), 0, 1, p)
+        w = _minus(_linear_power(delta, (p - 1) // 2, h, p), 0, 1, p)
         d = _gcd(h, w, p)
         delta += 1
         if 1 < len(d) < len(h):
@@ -311,15 +318,16 @@ def _split(h: list[int], p: int, delta: int = 0) -> list[int]:
 def _residue_roots(coeffs: list[int], p: int) -> list[int] | range:
     """Roots in GF(p), ascending, of the polynomial with these integer
     coefficients (ascending), in O(deg^2 log p) field operations: its
-    distinct linear factors are gcd(g, x^p - x), split by _split.  A
-    polynomial that vanishes mod p gives the lazy range(p)."""
+    distinct linear factors are gcd(g, x^p - x), with x^p mod g from
+    _linear_power, split by _split; a linear g gives its root directly.
+    A polynomial that vanishes mod p gives the lazy range(p)."""
     g = _trim([c % p for c in coeffs])
     if not g:
         return range(p)
     g = _monic(g, p)
-    if len(g) == 1:
-        return []
-    h = _gcd(g, _minus(_powmod([0, 1], p, g, p), 1, 1, p), p)
+    if len(g) <= 2:
+        return [-g[0] % p] if len(g) == 2 else []
+    h = _gcd(g, _minus(_linear_power(0, p, g, p), 1, 1, p), p)
     return sorted(_split(h, p))
 
 
@@ -381,10 +389,11 @@ def _lifting_prime(g: list[int], dg: list[int]) -> int:
             p += 2
 
 
-def _eval_mod(a: list[int], x: int, m: int) -> int:
+def _eval_mod(a: list, x, m: int):
+    """a(x), mod m when m > 0 and exact when m = 0."""
     acc = 0
     for c in reversed(a):
-        acc = (acc * x + c) % m
+        acc = (acc * x + c) % m if m else acc * x + c
     return acc
 
 
@@ -476,24 +485,30 @@ def find_smooth_point(f: Polynomial, seed=0) -> Point:
     tried in ascending order, rational roots 0 first and then by
     (|numerator|, denominator, positive before negative).  Deterministic
     in seed; at most SMOOTH_POINT_ATTEMPTS trials.  A trial keeps its
-    coordinates as the raw values of a Point and tests each root on them
-    with poly._raw_value, the s first partials sharing one table of
-    powers; the point found is made from that dict.
+    coordinates as the raw values of a Point, made from that dict when
+    found.  At a root r, g'(r) is the partial by the solved coordinate,
+    so a simple root is smooth; only a multiple root reads the s first
+    partials with poly._raw_value, built at the first one of the call.
     """
     s = f.base_count
     spec = f.spec
     p = spec.characteristic
     if s < 1 or f.is_constant:
         raise NoSmoothPointFound("the equation has no variables to solve for")
-    partials = [f.partial(JetVariable(i, 0)) for i in range(1, s + 1)]
+    partials = None
     for t in range(SMOOTH_POINT_ATTEMPTS):
         rng = trial_rng(seed, t, "smooth-point")
         solve = t % s + 1  # x_solve is solved for
         vals = {(0, i): None if i == solve else draw(rng, p) for i in range(1, s + 1)}
         coeffs = _univariate_in(f, solve, vals)
+        slope = _derivative(coeffs)
         roots = _residue_roots(coeffs, p) if p else _rational_roots(coeffs)
         for root in roots:
-            vals[0, solve] = spec.raw(root)
+            x = vals[0, solve] = spec.raw(root)
+            if _eval_mod(slope, x, p):
+                return Point._make(spec, vals)
+            if partials is None:
+                partials = [f.partial(JetVariable(i, 0)) for i in range(1, s + 1)]
             powers: dict = {}
             if any(_raw_value(g, vals, p, powers) for g in partials):
                 return Point._make(spec, vals)

@@ -16,6 +16,7 @@ from jetjac import (
     Point,
     PolyMatrix,
     Polynomial,
+    ScalarMatrix,
     TooManyMinors,
     UnknownVariable,
     WrongCoordinateCount,
@@ -193,6 +194,16 @@ def rational_roots_divisors(coeffs) -> list[Fraction]:
                 if acc == 0:
                     roots.append(Fraction(num, b))
     return roots
+
+
+def transpose(mx):
+    """The transpose of a PolyMatrix, which keeps its grid_order, or of a
+    ScalarMatrix."""
+    flat = mx.entries if isinstance(mx, PolyMatrix) else mx.values
+    swapped = tuple(flat[i * mx.cols + j] for j in range(mx.cols) for i in range(mx.rows))
+    if isinstance(mx, PolyMatrix):
+        return PolyMatrix(mx.cols, mx.rows, swapped, mx.grid_order)
+    return ScalarMatrix(mx.cols, mx.rows, swapped, mx.spec)
 
 
 def leibniz_det(rows: list[list[Polynomial]], spec) -> Polynomial:

@@ -33,7 +33,7 @@ from jetjac.cli import matrix_argument
 
 from _corpus import GF2, Q, random_base_polynomial
 from jetjac import FieldSpec
-from _oracles import exponent_vectors_recursive, jac_m_by_cells
+from _oracles import exponent_vectors_recursive, jac_m_by_cells, transpose
 
 CUSP = parse_poly("x1^3 - x2^2", 2, Q)
 
@@ -325,13 +325,13 @@ class TestPolyMatrix:
     def test_row_column_access(self):
         mx = jac_m([CUSP], 2)
         assert mx.row(0) == tuple(parse_poly(e, 2, Q) for e in EXAMPLE_3x5[0])
-        assert mx.transpose().row(4) == tuple(
+        assert transpose(mx).row(4) == tuple(
             parse_poly(row[4], 2, Q) for row in EXAMPLE_3x5
         )
 
     def test_transpose(self):
         mx = jac_m([CUSP], 2)
-        assert mx.transpose().at(4, 0) == mx.at(0, 4)
+        assert transpose(mx).at(4, 0) == mx.at(0, 4)
 
     def test_text_rendering(self):
         assert str(jac_m([CUSP], 2)).splitlines()[0] == "[3*x1^2, -2*x2, 3*x1, 0, -1]"
@@ -356,7 +356,7 @@ class TestPolyMatrix:
         quartic = jac_m([parse_poly("x1^3 - x2^2 + x1*x2*x3 + x3^4", 3, Q)], 3)
         # a JSON matrix parses each entry on its own: equal, distinct objects
         json_matrix = matrix_argument('{"rows": 2, "cols": 2, "entries": [["x1", "x2"], ["x1", "x1"]]}', Q)
-        cases = [quartic, dn_matrix(jac_m([CUSP], 2), 2), quartic.transpose(), PolyMatrix(0, 0, ()), json_matrix]
+        cases = [quartic, dn_matrix(jac_m([CUSP], 2), 2), transpose(quartic), PolyMatrix(0, 0, ()), json_matrix]
         for mx in cases:
             rebuilt = tuple(mx.distinct[i] for i in mx.layout)
             assert len(rebuilt) == len(mx.entries)
@@ -383,4 +383,4 @@ class TestPolyMatrix:
     def test_grid_order_adds_every_jet_variable_up_to_it(self):
         mx = PolyMatrix(1, 1, (parse_poly("x2", 2, Q),), grid_order=1)
         assert mx.variables() == jet_grid(2, 1)
-        assert mx.transpose().grid_order == 1
+        assert transpose(mx).grid_order == 1

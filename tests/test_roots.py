@@ -1,11 +1,12 @@
 """Root finding over GF(p) and Q for smooth-point sampling.
 
-`_mulmod` is checked against the product and `_divmod`,
-`_residue_roots` against the residue scan in `_oracles` and
-`_rational_roots` against the divisor search there (and sympy), and
-`find_smooth_point` against points recorded from the scan-based sampler
-over GF(p) and the divisor search over Q, so the root order and with it
-every seeded output stay fixed.
+`_linear_power` is checked against repeated products by x + delta, each
+reduced by `_divmod`, `_residue_roots` against the residue scan in
+`_oracles` and `_rational_roots` against the divisor search there (and
+sympy), and `find_smooth_point` against points recorded from the
+scan-based sampler over GF(p) and the divisor search over Q, so the
+root order and with it every seeded output stay fixed; its slope test
+at a root is checked at multiple roots, and by the partials it builds.
 """
 
 import math
@@ -15,8 +16,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from jetjac import FieldSpec, JetVariable, NoSmoothPointFound, find_smooth_point, parse_poly
-from jetjac.jetscheme import _divmod, _mulmod, _rational_roots, _residue_roots
+from jetjac import (
+    FieldSpec,
+    JetVariable,
+    NoSmoothPointFound,
+    Point,
+    Polynomial,
+    find_smooth_point,
+    jetscheme,
+    nobile_certificate,
+    parse_poly,
+)
+from jetjac.jetscheme import _divmod, _linear_power, _rational_roots, _residue_roots
 
 from _oracles import rational_roots_divisors, residue_roots_scan
 
@@ -107,10 +118,44 @@ def residue_lists(p, min_size=0, max_size=8):
 
 @pytest.mark.parametrize("p", PRIMES)
 @given(data=st.data())
-def test_mulmod_matches_the_product_and_division(p, data):
-    a, b = data.draw(residue_lists(p)), data.draw(residue_lists(p))
-    g = data.draw(residue_lists(p, 1, 6)) + [1]  # monic, of degree 1 to 6
-    assert _mulmod(a, b, g, p) == _divmod(_times(a, b, p), g, p)[1]
+@settings(max_examples=10)
+def test_linear_power_matches_repeated_products(p, data):
+    # one walk of products checks every e up to 300, (p - 1)/2 and p
+    g = data.draw(residue_lists(p, 2, 6)) + [1]  # monic, of degree 2 to 6
+    delta = data.draw(st.integers(0, p - 1))
+    want = [1]
+    for e in range(1, max(p, 300) + 1):
+        want = _divmod(_times(want, [delta, 1], p), g, p)[1]
+        if e <= 300 or e in ((p - 1) // 2, p):
+            assert _linear_power(delta, e, g, p) == want, e
+
+
+def test_find_smooth_point_reads_the_other_partials_at_a_multiple_root(monkeypatch):
+    # every frozen coordinate is 0: x1^2 + x2 gives x1^2, whose double root
+    # 0 is smooth through the partial by x2; x1^2 - x2^2 is singular there
+    monkeypatch.setattr(jetscheme, "draw", lambda rng, p: 0)
+    for spec in (FieldSpec.rationals(), FieldSpec.prime_field(101)):
+        point = find_smooth_point(parse_poly("x1^2 + x2", 2, spec), seed=0)
+        assert point == Point.from_base([0, 0], spec)
+        with pytest.raises(NoSmoothPointFound):
+            find_smooth_point(parse_poly("x1^2 - x2^2", 2, spec), seed=0)
+
+
+def test_certificate_builds_partials_only_at_multiple_roots(monkeypatch):
+    # 2 for the singular-base check, then 2 in each of the 6 searches
+    # whose first trial freezes x2 at 0 and meets the triple root of x1^3;
+    # building the s partials in every search made 2 + 20 * 2 = 42
+    built = []
+    partial = Polynomial.partial
+
+    def counted(g, v):
+        built.append(v)
+        return partial(g, v)
+
+    monkeypatch.setattr(Polynomial, "partial", counted)
+    cusp = parse_poly("x1^3 - x2^2", 2, FieldSpec.rationals())
+    nobile_certificate(cusp, 1, 2, Point.from_base([0, 0], FieldSpec.rationals()))
+    assert len(built) == 14
 
 
 @pytest.mark.parametrize("p", PRIMES)
