@@ -319,14 +319,14 @@ def _residue_roots(coeffs: list[int], p: int) -> list[int] | range:
     """Roots in GF(p), ascending, of the polynomial with these integer
     coefficients (ascending), in O(deg^2 log p) field operations: its
     distinct linear factors are gcd(g, x^p - x), with x^p mod g from
-    _linear_power, split by _split; a linear g goes to _split at once.
+    _linear_power, split by _split; a linear g gives its root directly.
     A polynomial that vanishes mod p gives the lazy range(p)."""
     g = _trim([c % p for c in coeffs])
     if not g:
         return range(p)
     g = _monic(g, p)
     if len(g) <= 2:
-        return _split(g, p)
+        return [-g[0] % p] if len(g) == 2 else []
     h = _gcd(g, _minus(_linear_power(0, p, g, p), 1, 1, p), p)
     return sorted(_split(h, p))
 
