@@ -19,8 +19,9 @@ linalg.rank_at, which reads the rank off the diagonal block Jac_m f(a_0)
 when it has full rank (at a smooth base) or when the jet is a zero jet;
 a certificate builds Jac_m f and D_n(Jac_m f) once for all its jets.
 Its cokernel samples come from the diagonal block at each sampled smooth
-base point, so a sample costs one smooth-point search and one b x a rank;
-the witness is the zero jet over one of them, and no jet is lifted.
+base point, whose rank a nonzero first partial there fixes, so a sample
+costs one smooth-point search and no matrix; the witness is the zero jet
+over one of them, and no jet is lifted.
 The symbolic equations and presentation matrices are built only when a
 caller reads them.
 
@@ -577,8 +578,9 @@ def extend_to_jet(f: Polynomial, base, n: int, seed=0) -> Point:
 @dataclass(frozen=True)
 class CokernelReport:
     """Cokernel rank of a presentation at sampled smooth jets, each read
-    off the base block; `witness` is the zero jet over the first base
-    point whose sample, the exact cokernel rank there, is `cokernel_rank`."""
+    off the rank of the base block, which a nonzero first partial fixes;
+    `witness` is the zero jet over the first base point whose sample, the
+    exact cokernel rank there, is `cokernel_rank`."""
 
     expected: int
     samples: tuple[int, ...]
@@ -597,27 +599,35 @@ class CokernelReport:
 
 
 def generic_cokernel_rank(pres: Presentation, trials: int = 20, seed=0) -> CokernelReport:
-    """Sample jets over smooth base points of V(f), evaluate the
+    """Sample jets over smooth base points of V(f), read the rank of the
     presentation matrix there and report generators minus rank, compared
     against the free rank expected away from the singular locus.
 
-    Trial t ranks A_0 = eval_matrix(L, a_0) at the smooth base point
+    Trial t takes the base block A_0 = L(a_0) at the smooth base point
     a_0 = find_smooth_point(f, seed=f"{seed}:{t}").  At the zero jet over
     a_0, D_n(L) is block diagonal with n + 1 copies of A_0, so its exact
-    cokernel rank is the sample cols - (n+1) rank A_0; at a smooth base
-    A_0 has full rank M, and by linalg.rank_at every jet over a_0 gives
-    the same sample.  A deficient A_0 could only over-count a cokernel,
-    since a block-triangular matrix has at least the rank of its diagonal
-    blocks: all_match and the rank jump would fail, never certify.  The
-    witness is the zero jet over the base of the first least sample."""
+    cokernel rank is the sample cols - (n+1) rank A_0, and by
+    linalg.rank_at every jet over a_0 gives the same sample.  If f(a_0) = 0
+    and c = d_i f(a_0) != 0, rank A_0 is its row count M, with no matrix:
+    row beta of A_0 holds the coefficients of y^beta g, g(y) = f(a_0 + y),
+    and on the columns beta + e_i, beta ordered by (|beta|, -beta_i), the
+    minor is upper triangular with c on its diagonal, in any
+    characteristic.  Other bases are ranked by eval_matrix and rank; a
+    deficient A_0 could only over-count a cokernel, so all_match and the
+    rank jump would fail, never certify.  The witness is the zero jet
+    over the base of the first least sample."""
     if trials < 1:
         raise BadTrialCount("trials must be >= 1")
     expected = pres.gens - pres.rels
-    D = pres._dn
+    D, f = pres._dn, pres.f
+    p = f.spec.characteristic
+    partials = [f.partial(JetVariable(i, 0)) for i in range(1, f.base_count + 1)]
     samples = []
     for t in range(trials):
-        base = find_smooth_point(pres.f, seed=f"{seed}:{t}")
-        sample = D.cols - (pres.n + 1) * rank(eval_matrix(D.L, base))
+        base = find_smooth_point(f, seed=f"{seed}:{t}")
+        vals, powers = base.values, {}
+        smooth = not _raw_value(f, vals, p, powers) and any(_raw_value(g, vals, p, powers) for g in partials)
+        sample = D.cols - (pres.n + 1) * (D.L.rows if smooth else rank(eval_matrix(D.L, base)))
         if not samples or sample < min(samples):
             witness = base
         samples.append(sample)

@@ -499,20 +499,28 @@ class TestMultiplicityFixesTheRank:
     C(m - mu + s, s), which is 0 when mu > m: its row space is the ideal
     of f(a + y) in k[y]/(y)^(m+1).  At the zero jet over a, D_n(Jac_m f)
     is n + 1 copies of that block.  Checked at the origin, a singular
-    point of each surface (mu = 2), and at smooth points (mu = 1)."""
+    point of each surface (mu = 2), and at smooth points (mu = 1),
+    among them the 20 base points of a default certificate (seeds "0:t"),
+    whose full rank M generic_cokernel_rank reads off a nonzero partial."""
 
     SOURCES = ["x1^3 - x2^2 + x1*x2*x3 + x3^4", "x1^2 + x2^3 + x3^4", "x1^3 - x2^2"]
+    SEEDS = ["mu:0", "mu:1"] + [f"0:{t}" for t in range(20)]
     N = 2
 
-    @pytest.mark.parametrize("spec", [Q, GF2, GF3, GF5, GF32003], ids=str)
+    @pytest.mark.parametrize("spec", [Q, GF2, GF3, GF5, GF101, GF32003], ids=str)
     @pytest.mark.parametrize("source", SOURCES)
     def test_rank_at_the_origin_and_at_smooth_points(self, source, spec):
         f = parse_poly(source, 3 if "x3" in source else 2, spec)
         s = f.base_count
         points = [Point.from_base([0] * s, spec)]
-        points += [find_smooth_point(f, seed=f"mu:{t}") for t in range(2)]
+        for seed in self.SEEDS:
+            try:
+                points.append(find_smooth_point(f, seed=seed))
+            except NoSmoothPointFound:
+                # over Q the E_6 surface has few rational points off its axes
+                assert (source, spec, seed) == ("x1^2 + x2^3 + x3^4", Q, "0:14")
         mus = [multiplicity(f, a) for a in points]
-        assert mus == [2, 1, 1]
+        assert mus == [2] + [1] * (len(points) - 1)
         for m in range(1, 6):
             L = jac_m([f], m)
             for a, mu in zip(points, mus):
@@ -542,6 +550,39 @@ class TestGenericCokernelRank:
         for n in (0, 1, 2):
             report = generic_cokernel_rank(presentation_of(CUSP, n, 1), trials=4, seed=0)
             assert report.cokernel_rank == (n + 1) * (2 - 1)
+
+    @staticmethod
+    def count_matrix_calls(monkeypatch):
+        """Counts of the calls through jetscheme.eval_matrix and
+        jetscheme.rank, which fact (ii)'s linalg.rank_at does not make."""
+        calls = {"eval_matrix": 0, "rank": 0}
+        for name in calls:
+
+            def counted(*args, _name=name, _inner=getattr(jetscheme, name), **kwargs):
+                calls[_name] += 1
+                return _inner(*args, **kwargs)
+
+            monkeypatch.setattr(jetscheme, name, counted)
+        return calls
+
+    def test_a_certificate_builds_no_matrix_per_sample(self, monkeypatch):
+        # the partial that makes each sampled base smooth fixes its block's rank
+        calls = self.count_matrix_calls(monkeypatch)
+        cert = nobile_certificate(CUSP, 1, 2, ORIGIN)
+        assert len(cert.cokernel.samples) == 20 and cert.cokernel.all_match
+        assert calls == {"eval_matrix": 0, "rank": 0}
+
+    @pytest.mark.parametrize("spec", [Q, GF101], ids=str)
+    def test_a_base_off_the_hypersurface_is_ranked_by_its_matrix(self, spec, monkeypatch):
+        # g = 1 + 2y + 4y^2 has g'(0) != 0, but rows g and y*g of Jac_2 f(0),
+        # [2, 4] and [1, 2], are dependent: a nonzero partial alone fixes nothing
+        pres = presentation_of(parse_poly("4*x1^2 + 2*x1 + 1", 1, spec), 0, 2)
+        origin = Point.from_base([0], spec)
+        monkeypatch.setattr(jetscheme, "find_smooth_point", lambda f, seed: origin)
+        calls = self.count_matrix_calls(monkeypatch)
+        report = generic_cokernel_rank(pres, trials=2, seed=0)
+        assert report.samples == (pres.gens - rank(eval_matrix(pres.L, origin)),) * 2 == (1, 1)
+        assert calls == {"eval_matrix": 2, "rank": 2}
 
     def test_degenerate_equation_raises(self):
         pres = presentation_of(parse_poly("x1^2", 1, GF2), 1, 1)
@@ -598,10 +639,14 @@ class TestGenericCokernelRank:
     def test_a_deficient_base_block_cannot_certify(self, spec, monkeypatch):
         # every sampled base is the singular origin: each sample is the
         # exact cokernel rank at the zero jet over it, above the expected one
+        calls = self.count_matrix_calls(monkeypatch)
         for pres, seed in self.corpus(spec):
             origin = Point.from_base([0] * pres.f.base_count, spec)
             monkeypatch.setattr(jetscheme, "find_smooth_point", lambda f, seed: origin)
             cert = nobile_certificate(pres.f, pres.n, pres.m, origin, trials=3, seed=seed)
+            # no partial is nonzero at the origin, so each trial ranks its block
+            assert calls == {"eval_matrix": 3, "rank": 3}
+            calls.update(eval_matrix=0, rank=0)
             D = DnMatrix(pres.L, pres.n)
             sample = D.cols - rank(at_point(D, zero_jet_over(origin, pres.n)))
             assert cert.cokernel.samples == (sample,) * 3
