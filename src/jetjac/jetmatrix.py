@@ -117,11 +117,14 @@ class DnMatrix:
 def jet_jacobian(fs: list[Polynomial], n: int) -> PolyMatrix:
     """The Jacobian of (d_0(f), ..., d_n(f)) with respect to all jet
     variables up to order n: row block k differentiates d_k(f_l), column
-    block j differentiates by x_1^(j), ..., x_s^(j)."""
+    block j differentiates by x_1^(j), ..., x_s^(j).  At most CELL_CAP
+    cells, counted before any component is built (TooManyCells
+    otherwise)."""
     if n < 0:
         raise BadJetOrder("n must be >= 0")
-    expansions = [hs_components(f, n) for f in fs]
     s = max(f.base_count for f in fs)
+    _check_cells((n + 1) * len(fs), (n + 1) * s)
+    expansions = [hs_components(f, n) for f in fs]
     entries = []
     for k in range(n + 1):
         for ex in expansions:

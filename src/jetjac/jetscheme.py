@@ -14,14 +14,13 @@ cokernel rank: D_n(L) has full rank (n+1)M where a sample is gens - rels.
 Every test at a point works in Taylor mode and builds no symbolic d_k:
 membership checks f(a(t)) = 0 mod t^(n+1), jet lifting solves for the
 t^k coefficient order by order on one set of growing series, and the
-rank criteria rank D_n(Jac_m f) at the jet with
-linalg.rank_at, which reads the rank off the diagonal block Jac_m f(a_0)
-when it has full rank (at a smooth base) or when the jet is a zero jet;
-a certificate builds Jac_m f and D_n(Jac_m f) once for all its jets.
-Its cokernel samples come from the diagonal block at each sampled smooth
-base point, whose rank a nonzero first partial there fixes, so a sample
-costs one smooth-point search and no matrix; the witness is the zero jet
-over one of them, and no jet is lifted.
+rank criteria rank D_n(Jac_m f) at the jet with linalg.rank_at, which
+reads the rank off the diagonal block Jac_m f(a_0) when it has full rank
+(at a smooth base) or when the jet is a zero jet.  A certificate builds
+no matrix.  Its fact (ii) evaluates a proven formula: the rank at the
+zero jet over a base of multiplicity mu is (n+1) C(m - mu + s, s), and 0
+when mu > m, as the row space of Jac_m f(a) is the ideal of f(a + y) in
+k[y]/(y)^(m+1); singular-check there is the independent matrix check.
 The symbolic equations and presentation matrices are built only when a
 caller reads them.
 
@@ -49,10 +48,10 @@ from fractions import Fraction
 
 from .field import MixedFields, is_prime
 from .hasse import BadJetOrder, _require_base, hs_components, hs_values, jet_series
-from .jacobian import BadDifferentialOrder, PolyMatrix, index_families, jac_m
+from .jacobian import BadDifferentialOrder, EmptyIndexFamily, PolyMatrix, jac_m
 from .jetmatrix import DnMatrix, dn_matrix
 from .linalg import BadTrialCount, draw, eval_matrix, rank, rank_at, trial_rng
-from .poly import JetVariable, MissingCoordinate, Point, Polynomial, _raw_value
+from .poly import JetVariable, MissingCoordinate, Point, Polynomial, _rational, _raw_value
 
 SMOOTH_POINT_ATTEMPTS = 200  # seeded trials of find_smooth_point
 
@@ -138,12 +137,7 @@ def higher_rank_test(desc: JetSchemeDesc, point: Point, m: int) -> RankReport:
     criterion: the Jacobian of (f, d_1 f, ..., d_n f) has rank n + 1."""
     if m < 1:
         raise BadDifferentialOrder("m must be >= 1")
-    return _rank_report(desc, DnMatrix(jac_m([desc.f], m), desc.n), point)
-
-
-def _rank_report(desc: JetSchemeDesc, D: DnMatrix, point: Point) -> RankReport:
-    # the rank of D = D_n(Jac_m f) at a point of the jet scheme, against
-    # its row count (n+1)M
+    D = DnMatrix(jac_m([desc.f], m), desc.n)
     if not on_jet_scheme(desc, point):
         raise PointNotOnScheme("the point does not lie on the jet scheme")
     r = rank_at(D, point)
@@ -153,10 +147,9 @@ def _rank_report(desc: JetSchemeDesc, D: DnMatrix, point: Point) -> RankReport:
 @dataclass(frozen=True)
 class Presentation:
     """A module presented as the cokernel of the transpose of
-    `matrix` = D_n(L)."""
+    `matrix` = D_n(L), L = Jac_m f, with gens = (n+1)N and rels = (n+1)M."""
 
     name: str
-    L: PolyMatrix
     gens: int
     rels: int
     module_label: str
@@ -165,24 +158,49 @@ class Presentation:
     m: int
 
     @functools.cached_property
+    def L(self) -> PolyMatrix:
+        """The symbolic Jac_m f, built on first read."""
+        return jac_m([self.f], self.m)
+
+    @functools.cached_property
     def matrix(self) -> PolyMatrix:
         """The symbolic D_n(L), built on first read."""
         return dn_matrix(self.L, self.n)
 
-    @functools.cached_property
-    def _dn(self) -> DnMatrix:
-        # D_n(L) to put at points, checked once for all of them
-        return DnMatrix(self.L, self.n)
+
+@functools.cache
+def _digit_bounds(limit: int) -> tuple[int, int]:
+    # the bit length of 10^(limit + 1), and the least count too long to print
+    return (10 ** (limit + 1)).bit_length(), 10**limit
+
+
+def _count(what: str, top: int, k: int, copies: int = 1) -> int:
+    """copies * (C(top, k) - 1), or RankTooLong when it has more digits
+    than int() converts to text, found before C(top, k) is computed when
+    C(top, k) >= (top // j)^j, j = min(k, top - k), already makes it too
+    long."""
+    limit = sys.get_int_max_str_digits()
+    bits, too_long = _digit_bounds(limit) if limit else (math.inf, math.inf)
+    j = min(k, top - k)
+    if j * ((top // max(j, 1)).bit_length() - 1) < bits:
+        count = copies * (math.comb(top, k) - 1)
+        if count < too_long:
+            return count
+    raise RankTooLong(f"{what} has more than {limit} digits, too many to print")
 
 
 def presentation_of(f: Polynomial, n: int, m: int) -> Presentation:
     """Presentation matrix of the order-m differentials of the hypersurface
-    ring, tensored over the order-n jet algebra when n > 0."""
+    ring, tensored over the order-n jet algebra when n > 0, counted from
+    M = C(m+s-1, s) and N = C(m+s, s) - 1 (RankTooLong past printing)."""
     if m < 1:
         raise BadDifferentialOrder("m must be >= 1")
     if n < 0:
         raise BadJetOrder("n must be >= 0")
-    fam = index_families(f.base_count, m)
+    s = f.base_count
+    if s < 1:
+        raise EmptyIndexFamily("need s >= 1 and m >= 1")
+    gens = _count("the generator count", m + s, s, n + 1)
     if n == 0:
         label = "Omega1" if m == 1 else "OmegaM"
         name = f"order-{m} differentials"
@@ -191,9 +209,8 @@ def presentation_of(f: Polynomial, n: int, m: int) -> Presentation:
         name = f"order-{m} differentials over order-{n} jets"
     return Presentation(
         name=name,
-        L=jac_m([f], m),
-        gens=(n + 1) * fam.N,
-        rels=(n + 1) * fam.M,
+        gens=gens,
+        rels=(n + 1) * math.comb(m + s - 1, s),
         module_label=label,
         f=f,
         n=n,
@@ -606,20 +623,21 @@ def generic_cokernel_rank(pres: Presentation, trials: int = 20, seed=0) -> Coker
     Trial t takes the base block A_0 = L(a_0) at the smooth base point
     a_0 = find_smooth_point(f, seed=f"{seed}:{t}").  At the zero jet over
     a_0, D_n(L) is block diagonal with n + 1 copies of A_0, so its exact
-    cokernel rank is the sample cols - (n+1) rank A_0, and by
+    cokernel rank is the sample gens - (n+1) rank A_0, and by
     linalg.rank_at every jet over a_0 gives the same sample.  If f(a_0) = 0
-    and c = d_i f(a_0) != 0, rank A_0 is its row count M, with no matrix:
+    and c = d_i f(a_0) != 0, the sample is gens - rels, with no matrix:
     row beta of A_0 holds the coefficients of y^beta g, g(y) = f(a_0 + y),
     and on the columns beta + e_i, beta ordered by (|beta|, -beta_i), the
     minor is upper triangular with c on its diagonal, in any
-    characteristic.  Other bases are ranked by eval_matrix and rank; a
-    deficient A_0 could only over-count a cokernel, so all_match and the
-    rank jump would fail, never certify.  The witness is the zero jet
-    over the base of the first least sample."""
+    characteristic.  Other bases (only a replaced sampler hands one over)
+    build L and are ranked by eval_matrix and rank; a deficient A_0 could
+    only over-count a cokernel, so all_match and the rank jump would fail,
+    never certify.  The witness is the zero jet over the first least."""
     if trials < 1:
         raise BadTrialCount("trials must be >= 1")
+    f = pres.f
+    _require_base(f)
     expected = pres.gens - pres.rels
-    D, f = pres._dn, pres.f
     p = f.spec.characteristic
     partials = [f.partial(JetVariable(i, 0)) for i in range(1, f.base_count + 1)]
     samples = []
@@ -627,7 +645,7 @@ def generic_cokernel_rank(pres: Presentation, trials: int = 20, seed=0) -> Coker
         base = find_smooth_point(f, seed=f"{seed}:{t}")
         vals, powers = base.values, {}
         smooth = not _raw_value(f, vals, p, powers) and any(_raw_value(g, vals, p, powers) for g in partials)
-        sample = D.cols - (pres.n + 1) * (D.L.rows if smooth else rank(eval_matrix(D.L, base)))
+        sample = expected if smooth else pres.gens - (pres.n + 1) * rank(eval_matrix(pres.L, base))
         if not samples or sample < min(samples):
             witness = base
         samples.append(sample)
@@ -670,26 +688,42 @@ def rank_counterexample_check(n: int = 1, m: int = 2) -> FreeRankComparison:
     the order-m differentials of a polynomial ring in v variables form a
     free module of rank C(m+v, v) - 1 (no relations), and the jet algebra
     of one base variable is a polynomial ring in n+1 variables.  A rank
-    too long to print is RankTooLong, found before C(m+v, v) is computed
-    when C(m+v, v) >= 2^min(m, v) already makes it too long."""
+    too long to print is RankTooLong (_count)."""
     if n < 0:
         raise BadJetOrder("n must be >= 0")
     if m < 1:
         raise BadDifferentialOrder("m must be >= 1")
-    limit = sys.get_int_max_str_digits()
-
-    def free_rank(v: int) -> int:
-        if not limit or min(m, v) < (10 ** (limit + 1)).bit_length():
-            rank = math.comb(m + v, v) - 1
-            if not limit or rank < 10**limit:
-                return rank
-        raise RankTooLong(f"a free rank has more than {limit} digits, too many to print")
-
-    jet_ring_rank = free_rank(n + 1)
-    tensor_rank = (n + 1) * free_rank(1)
+    jet_ring_rank = _count("a free rank", m + n + 1, n + 1)
+    tensor_rank = _count("a free rank", m + 1, 1, n + 1)
     return FreeRankComparison(
         n, m, jet_ring_rank, tensor_rank, jet_ring_rank == tensor_rank
     )
+
+
+def _taylor_order(f: Polynomial, vals, d: int) -> dict:
+    """The nonzero y^delta coefficients, |delta| = d, of f(a + y) at the
+    base point of raw coordinates vals[(0, i)], keyed by the pairs
+    (i, delta_i > 0).  By Taylor's formula a term c*x^g adds
+    c*prod_i C(g_i, delta_i)*a_i^(g_i - delta_i) for each delta <= g, only
+    delta_i = g_i where a_i = 0, and each sum is reduced mod p once, as
+    divided_partials reduces a partial, so it holds in every
+    characteristic.  No Polynomial is built."""
+    p = f.spec.characteristic
+    sums: dict = {}
+    for key, c in f.terms.items():
+        parts = [((), c, d)]  # (delta so far, coefficient, norm left)
+        for _, i, g in key:
+            x = vals[0, i]
+            parts = [
+                (delta + ((i, e),) if e else delta, cc * math.comb(g, e) * pow(x, g - e, p or None), left - e)
+                for delta, cc, left in parts
+                for e in range(0 if x else g, min(g, left) + 1)
+            ]
+        for delta, cc, left in parts:
+            if not left:
+                sums[delta] = sums.get(delta, 0) + cc
+    reduced = ((delta, acc % p if p else _rational(acc)) for delta, acc in sums.items())
+    return {delta: v for delta, v in reduced if v}
 
 
 @dataclass(frozen=True)
@@ -698,17 +732,19 @@ class NobileCertificate:
     module over the order-n jet scheme is not an isomorphism when the base
     hypersurface point is singular.
 
-    The four facts, each recomputed exactly: (i) the zero jet over the
-    singular base lies on the jet scheme; (ii) the blocked order-m
-    Jacobian is rank-deficient there, so all its maximal minors vanish;
-    (iii) the generic cokernel rank matches the free rank, identifying the
-    module blowup with the blowup of the minors ideal; (iv) the minors do
-    not vanish at sampled smooth jets, witnessing the rank jump behind
-    non-principality.  Irreducibility and normality remain user
-    assertions, restated in `assumptions`.  `witness_jet`, the zero jet
-    over a base point sampled in (iii), is `cokernel.witness`; the exact
-    rank there is `witness_rank` = gens - `cokernel.cokernel_rank`.
-    """
+    The four facts, each exact: (i) the zero jet over the singular base
+    lies on the jet scheme; (ii) the blocked order-m Jacobian is
+    rank-deficient there, so all its maximal minors vanish: its rank, the
+    proven (n+1) C(m - mu + s, s) at the multiplicity mu >= 2 of f at the
+    base, is evaluated with no matrix (singular-check at the zero jet is
+    the independent matrix computation); (iii) the generic cokernel rank
+    matches the free rank, identifying the module blowup with the blowup
+    of the minors ideal; (iv) the minors do not vanish at sampled smooth
+    jets, witnessing the rank jump behind non-principality.
+    Irreducibility and normality remain user assertions, restated in
+    `assumptions`.  `witness_jet`, the zero jet over a base point sampled
+    in (iii), is `cokernel.witness`; the exact rank there is
+    `witness_rank` = gens - `cokernel.cokernel_rank`."""
 
     f: Polynomial
     n: int
@@ -765,34 +801,32 @@ def nobile_certificate(
 ) -> NobileCertificate:
     """Assemble the four-fact singularity certificate at a singular base
     point (all first partials of f vanish there); raises NotSingularBase
-    otherwise."""
+    otherwise.  Order 1 of f(base + y) makes that check, and the next
+    nonzero order, if at most m, is the multiplicity mu."""
     _require_base(f)
     if m < 1:
         raise BadDifferentialOrder("m must be >= 1")
     if trials < 1:
         raise BadTrialCount("trials must be >= 1")
     s = f.base_count
+    vals = singular_base.values
     for i in range(1, s + 1):
-        if (0, i) not in singular_base.values:
+        if (0, i) not in vals:
             raise MissingCoordinate(f"base point assigns no value to x{i}")
     if not f.evaluate(singular_base).is_zero:
         raise NotSingularBase("the base point is not on the hypersurface")
-    for i in range(1, s + 1):
-        g = f.partial(JetVariable(i, 0)).evaluate(singular_base)
-        if not g.is_zero:
-            raise NotSingularBase(
-                f"partial derivative by x{i} is {g} != 0 at the base point"
-            )
-    desc = jet_equations(f, n)
-    zjet = zero_jet_over(singular_base, n)
-    # the rank at the zero jet and the samples share one D_n(Jac_m f);
-    # _rank_report raises PointNotOnScheme off the scheme, so the zero jet
-    # lies on it once the call returns
+    slopes = _taylor_order(f, vals, 1)
+    if slopes:
+        ((i, _),) = min(slopes)
+        raise NotSingularBase(f"partial derivative by x{i} is {slopes[(i, 1),]} != 0 at the base point")
+    jet_equations(f, n)  # a constant f, or n < 0, is refused here
+    zero_jet_over(singular_base, n)  # on the jet scheme, as f(base) = 0
     pres = presentation_of(f, n, m)
-    report = _rank_report(desc, pres._dn, zjet)
+    mu = next((d for d in range(2, m + 1) if _taylor_order(f, vals, d)), m + 1)
+    zero_rank, bound = (n + 1) * math.comb(m - mu + s, s), pres.rels
     cokernel = generic_cokernel_rank(pres, trials=trials, seed=seed)
     witness_rank = pres.gens - cokernel.cokernel_rank
-    rank_jump = witness_rank == report.bound and report.rank < report.bound
+    rank_jump = witness_rank == bound and zero_rank < bound
     assumptions = (
         HYPERSURFACE_ASSUMPTION,
         IRREDUCIBILITY_ASSUMPTION,
@@ -804,9 +838,9 @@ def nobile_certificate(
         m=m,
         base=singular_base,
         membership=True,
-        rank=report.rank,
-        bound=report.bound,
-        full=report.full,
+        rank=zero_rank,
+        bound=bound,
+        full=zero_rank == bound,
         cokernel=cokernel,
         rank_jump=rank_jump,
         witness_jet=cokernel.witness,

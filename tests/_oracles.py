@@ -8,10 +8,14 @@ from fractions import Fraction
 from jetjac import (
     BadCoordinate,
     BadExponent,
+    CokernelReport,
+    DnMatrix,
     FieldSpec,
     HSExpansion,
     JetVariable,
+    NobileCertificate,
     NotBasePolynomial,
+    NotSingularBase,
     ParseError,
     Point,
     PolyMatrix,
@@ -20,9 +24,18 @@ from jetjac import (
     TooManyMinors,
     UnknownVariable,
     WrongCoordinateCount,
+    eval_matrix,
+    find_smooth_point,
     index_families,
+    jac_m,
+    jet_equations,
+    on_jet_scheme,
+    rank,
+    rank_at,
+    zero_jet_over,
 )
 from jetjac.field import check_coordinate
+from jetjac.jetscheme import HYPERSURFACE_ASSUMPTION, IRREDUCIBILITY_ASSUMPTION, NORMALITY_ASSUMPTION
 
 
 def hs_components_leibniz(f: Polynomial, n: int) -> HSExpansion:
@@ -139,6 +152,60 @@ def multiplicity(f: Polynomial, a: Point) -> int:
     for norm in range(f.degree() + 1):
         if any(f.divided_partial(delta).evaluate(a).value for delta in deltas(norm, s)):
             return norm
+
+
+def nobile_certificate_by_matrix(f: Polynomial, n: int, m: int, base: Point, trials: int = 20, seed=0) -> NobileCertificate:
+    """The certificate of nobile_certificate with every fact read off a
+    matrix: the base is checked by evaluating f and its first partials,
+    fact (ii) ranks D_n(Jac_m f) at the zero jet with rank_at, and each
+    cokernel sample ranks the base block Jac_m f(a_0) at its sampled base
+    point a_0, whether or not a first partial is nonzero there.  The
+    expected rank is the shape of D_n(Jac_m f), not a count.  Parameters
+    are taken as valid."""
+    if not f.evaluate(base).is_zero:
+        raise NotSingularBase("the base point is not on the hypersurface")
+    for i in range(1, f.base_count + 1):
+        g = f.partial(JetVariable(i, 0)).evaluate(base)
+        if not g.is_zero:
+            raise NotSingularBase(f"partial derivative by x{i} is {g} != 0 at the base point")
+    zjet = zero_jet_over(base, n)
+    assert on_jet_scheme(jet_equations(f, n), zjet)
+    L = jac_m([f], m)
+    D = DnMatrix(L, n)
+    zero_rank = rank_at(D, zjet)
+    expected = D.cols - D.rows
+    samples, bases = [], []
+    for t in range(trials):
+        bases.append(find_smooth_point(f, seed=f"{seed}:{t}"))
+        samples.append(D.cols - (n + 1) * rank(eval_matrix(L, bases[-1])))
+    low = min(samples)
+    cokernel = CokernelReport(
+        expected=expected,
+        samples=tuple(samples),
+        cokernel_rank=low,
+        all_match=all(x == expected for x in samples),
+        trials=trials,
+        seed=seed,
+        witness=zero_jet_over(bases[samples.index(low)], n),
+    )
+    witness_rank = D.cols - low
+    return NobileCertificate(
+        f=f,
+        n=n,
+        m=m,
+        base=base,
+        membership=True,
+        rank=zero_rank,
+        bound=D.rows,
+        full=zero_rank == D.rows,
+        cokernel=cokernel,
+        rank_jump=witness_rank == D.rows and zero_rank < D.rows,
+        witness_jet=cokernel.witness,
+        witness_rank=witness_rank,
+        assumptions=(HYPERSURFACE_ASSUMPTION, IRREDUCIBILITY_ASSUMPTION, NORMALITY_ASSUMPTION),
+        trials=trials,
+        seed=seed,
+    )
 
 
 def residue_roots_scan(coeffs: list[int], p: int) -> list[int]:

@@ -525,6 +525,11 @@ class TestErrorHandling:
         # free ranks of about 60,000 digits, more than int() converts to text
         "rank-remark huge": (["rank-remark", "--n", "100000", "--m", "100000"], "RankTooLong"),
         "rank-remark huge --json": (["rank-remark", "--json", "--n", "100000", "--m", "100000"], "RankTooLong"),
+        # C(m + 2, 2) of about 6,000 digits: nobile counts generators, not cells
+        "nobile --m huge": (
+            ["nobile", "--f", CUSP_SOURCE, "--n", "1", "--m", "1" + "0" * 3000, "--base", "0,0"],
+            "RankTooLong",
+        ),
         # 45,150 x 45,450 and 861 x 12,340 cells, counted before any is built
         "jacm --m 300": (["jacm", "--f", "x1^2*x2", "--m", "300"], "TooManyCells"),
         "generic-rank jacm:3:x40": (["generic-rank", "--matrix", "jacm:3:x40"], "TooManyCells"),

@@ -256,6 +256,23 @@ class TestJetJacobian:
     def test_n0_is_jac(self):
         assert jet_jacobian([CUSP], 0) == jac([CUSP])
 
+    def test_cells_are_counted_before_any_component(self, monkeypatch):
+        # 2 x 4 cells at n = 1; at n = 10^9, 2 * (10^9 + 1)^2 cells, refused at once
+        monkeypatch.setattr(jacobian, "CELL_CAP", 8)
+        J = jet_jacobian([CUSP], 1)
+        assert (J.rows, J.cols) == (2, 4)
+        monkeypatch.setattr(jacobian, "CELL_CAP", 7)
+        with pytest.raises(TooManyCells):
+            jet_jacobian([CUSP], 1)
+        monkeypatch.undo()
+
+        def unreachable(*args):
+            raise AssertionError("a component was built")
+
+        monkeypatch.setattr(jetmatrix, "hs_components", unreachable)
+        with pytest.raises(TooManyCells, match=r"^a 1000000001 x 2000000002 matrix has "):
+            jet_jacobian([CUSP], 10**9)
+
     def test_cusp_n1(self):
         expected = PolyMatrix(
             2,

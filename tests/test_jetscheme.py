@@ -1,5 +1,7 @@
+import itertools
 import math
 import random
+from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 
@@ -15,6 +17,7 @@ from jetjac import (
     JetVariable,
     MissingCoordinate,
     MixedFields,
+    NobileCertificate,
     NoSmoothPointFound,
     NotBasePoint,
     NotBasePolynomial,
@@ -22,6 +25,7 @@ from jetjac import (
     Point,
     PointNotOnScheme,
     Polynomial,
+    RankTooLong,
     at_point,
     dn_matrix,
     eval_matrix,
@@ -47,11 +51,12 @@ from jetjac import (
     zero_jet_over,
 )
 
-from jetjac import jetscheme
+from jetjac import jacobian, jetmatrix, jetscheme, linalg
+from jetjac.jacobian import exponent_vectors
 from jetjac.linalg import SAMPLE_RANGE, random_point, trial_rng
 
 from _corpus import GF2, GF3, GF5, GF32003, ORACLE_FIELDS, Q, base_polynomials, jets
-from _oracles import multiplicity
+from _oracles import multiplicity, nobile_certificate_by_matrix
 
 CUSP = parse_poly("x1^3 - x2^2", 2, Q)
 GF101 = FieldSpec.prime_field(101)
@@ -505,6 +510,9 @@ class TestMultiplicityFixesTheRank:
 
     SOURCES = ["x1^3 - x2^2 + x1*x2*x3 + x3^4", "x1^2 + x2^3 + x3^4", "x1^3 - x2^2"]
     SEEDS = ["mu:0", "mu:1"] + [f"0:{t}" for t in range(20)]
+    # the cusp moved to (1, 0); mod 3 it is x1^3 - 1 - x2^2, whose Taylor
+    # coefficients C(3, 1) and C(3, 2) at x1 = 1 vanish
+    MOVED_CUSP = "x1^3 - 3*x1^2 + 3*x1 - 1 - x2^2"
     N = 2
 
     @pytest.mark.parametrize("spec", [Q, GF2, GF3, GF5, GF101, GF32003], ids=str)
@@ -527,6 +535,75 @@ class TestMultiplicityFixesTheRank:
                 want = math.comb(m - mu + s, s) if mu <= m else 0
                 assert rank(eval_matrix(L, a)) == want, (source, str(spec), m, str(a))
                 assert rank_at(DnMatrix(L, self.N), zero_jet_over(a, self.N)) == (self.N + 1) * want
+
+    @pytest.mark.parametrize("spec", [Q, GF2, GF3, GF5, GF101, GF32003], ids=str)
+    def test_the_taylor_pass_reads_the_divided_partials(self, spec):
+        # every order of f(a + y) up to one past mu, at points on and off V(f)
+        rng = random.Random(f"taylor:{spec}")
+        for source in self.SOURCES + [self.MOVED_CUSP]:
+            s = 3 if "x3" in source else 2
+            f = parse_poly(source, s, spec)
+            points = [Point.from_base([0] * s, spec), Point.from_base([1] + [0] * (s - 1), spec)]
+            points += [find_smooth_point(f, seed=f"0:{t}") for t in range(3)]
+            points += [Point.from_base([rng.randint(-9, 9) for _ in range(s)], spec) for _ in range(3)]
+            for a in points:
+                mu = next(d for d in itertools.count() if jetscheme._taylor_order(f, a.values, d))
+                assert mu == multiplicity(f, a), (source, str(spec), str(a))
+                for d in range(mu + 2):
+                    want = {}
+                    for delta in exponent_vectors(d, s):
+                        value = f.divided_partial(delta).evaluate(a).value
+                        if value:
+                            want[tuple((i, e) for i, e in enumerate(delta, 1) if e)] = value
+                    assert jetscheme._taylor_order(f, a.values, d) == want, (source, str(spec), str(a), d)
+
+
+class TestCertificateOracle:
+    """nobile_certificate reads fact (ii) off the multiplicity and each
+    sample off a nonzero partial; the oracle ranks D_n(Jac_m f) at the
+    zero jet and the base block at every sampled base.  Every field of
+    the two certificates agrees, and so does every error they end in."""
+
+    # (source, base, n, m)
+    EXTRA = [
+        ("x1^2 - x2^4", (0, 0), 1, 1),  # mu = 2 > m = 1: rank 0 at the zero jet
+        ("x1^2 - x2^4", (0, 0), 2, 2),
+        ("x1^3 + x2^4", (0, 0), 1, 2),  # mu = 3 > m; over GF(3), d_1 f = 3 x1^2 vanishes
+        ("x1^3 + x2^4", (0, 0), 1, 3),
+        (TestMultiplicityFixesTheRank.MOVED_CUSP, (1, 0), 1, 2),
+        (TestMultiplicityFixesTheRank.MOVED_CUSP, (1, 0), 2, 3),
+        ("x1^5 - x2^7 + x1^2*x2^3", (0, 0), 1, 4),
+        ("x1^3 + x2^5", (0, 0), 2, 2),  # E_8: mu = 3
+        ("x1^3 + x2^5", (0, 0), 1, 5),
+        ("x1^3 - x2^2", (1, 1), 1, 2),  # a smooth base
+        ("x1^3 - x2^2", (1, 2), 1, 2),  # a base off the hypersurface
+    ]
+
+    @staticmethod
+    def outcome(build, *args):
+        try:
+            return build(*args)
+        except (NotSingularBase, NoSmoothPointFound) as exc:
+            return type(exc), str(exc)
+
+    @pytest.mark.parametrize("spec", [Q, GF2, GF3, GF5, GF101, GF32003], ids=str)
+    def test_every_field_matches_the_matrix_path(self, spec):
+        cases = [
+            (pres.f, pres.n, pres.m, Point.from_base([0] * pres.f.base_count, spec), seed)
+            for pres, seed in TestGenericCokernelRank.corpus(spec)
+        ]
+        for k, (source, base, n, m) in enumerate(self.EXTRA):
+            cases.append((parse_poly(source, 2, spec), n, m, Point.from_base(list(base), spec), k))
+        certified = 0
+        for f, n, m, base, seed in cases:
+            got = self.outcome(nobile_certificate, f, n, m, base, 5, seed)
+            want = self.outcome(nobile_certificate_by_matrix, f, n, m, base, 5, seed)
+            assert got == want, (str(f), str(spec), n, m, str(base), seed)
+            certified += isinstance(got, NobileCertificate) and got.all_facts_hold
+        # all but the two refused bases and, over GF(2) and GF(3), the curves
+        # whose points there are all singular: x1^2 - x2^4 = (x1 - x2^2)^2
+        # mod 2, and x1^5 - x2^7 + x1^2*x2^3, whose one point is the origin
+        assert certified >= len(cases) - 5
 
 
 class TestGenericCokernelRank:
@@ -554,7 +631,7 @@ class TestGenericCokernelRank:
     @staticmethod
     def count_matrix_calls(monkeypatch):
         """Counts of the calls through jetscheme.eval_matrix and
-        jetscheme.rank, which fact (ii)'s linalg.rank_at does not make."""
+        jetscheme.rank."""
         calls = {"eval_matrix": 0, "rank": 0}
         for name in calls:
 
@@ -681,6 +758,15 @@ class TestRankCounterexample:
         report = rank_counterexample_check(0, 2)
         assert (report.jet_ring_rank, report.tensor_rank) == (2, 2)
 
+    def test_a_rank_too_long_is_refused_before_its_binomial(self, monkeypatch):
+        # C(m + 3001, 3001) at m = 10^3000 has about 9 million digits
+        def unreachable(*args):
+            raise AssertionError("the binomial was computed")
+
+        monkeypatch.setattr(math, "comb", unreachable)
+        with pytest.raises(RankTooLong, match=r"^a free rank has more than \d+ digits"):
+            rank_counterexample_check(3000, 10**3000)
+
     def test_names_its_own_parameters(self):
         with pytest.raises(ValueError, match=r"^n must be >= 0$"):
             rank_counterexample_check(-1, 2)
@@ -733,8 +819,9 @@ class TestNobileCertificate:
         assert len(searches) == trials
         assert cert.witness_jet == cert.cokernel.witness
 
-    def test_builds_jac_m_and_dn_once(self, monkeypatch):
-        # the zero-jet rank and the samples share one Jac_m f and one D_n(L)
+    def test_builds_neither_jac_m_nor_dn(self, monkeypatch):
+        # the zero-jet rank comes from the multiplicity, and each sample from
+        # a nonzero partial: neither Jac_m f nor D_n(L) is built
         built = []
 
         def counted_jac_m(*args):
@@ -749,7 +836,26 @@ class TestNobileCertificate:
         monkeypatch.setattr(jetscheme, "jac_m", counted_jac_m)
         monkeypatch.setattr(DnMatrix, "__post_init__", counted_check)
         nobile_certificate(CUSP, 3, 3, ORIGIN, trials=2, seed=0)
-        assert sorted(built) == ["DnMatrix", "jac_m"]
+        assert built == []
+
+    def test_a_default_certificate_calls_no_matrix_routine(self, monkeypatch):
+        calls = Counter()
+
+        def counting(name, inner):
+            def counted(*args, **kwargs):
+                calls[name] += 1
+                return inner(*args, **kwargs)
+
+            return counted
+
+        for module in (jacobian, jetmatrix, linalg, jetscheme):
+            for name in ("jac_m", "rank_at", "eval_matrix", "rank"):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
+        monkeypatch.setattr(DnMatrix, "__post_init__", counting("DnMatrix", DnMatrix.__post_init__))
+        cert = nobile_certificate(CUSP, 1, 2, ORIGIN)
+        assert cert.all_facts_hold and (cert.rank, cert.bound) == (2, 6)
+        assert calls == Counter()
 
     def test_witness_is_a_full_rank_jet_on_the_scheme(self):
         cert = nobile_certificate(CUSP, 1, 2, ORIGIN, trials=8, seed=0)

@@ -142,10 +142,11 @@ def test_find_smooth_point_reads_the_other_partials_at_a_multiple_root(monkeypat
 
 
 def test_certificate_builds_partials_only_at_multiple_roots(monkeypatch):
-    # 2 for the singular-base check, 2 that read each cokernel sample off
-    # a nonzero partial, then 2 in each of the 6 searches whose first
-    # trial freezes x2 at 0 and meets the triple root of x1^3; building
-    # the s partials in every search made 2 + 20 * 2 = 42
+    # 2 that read each cokernel sample off a nonzero partial, then 2 in
+    # each of the 6 searches whose first trial freezes x2 at 0 and meets
+    # the triple root of x1^3; the singular-base check reads orders 0 and
+    # 1 of f(base + y) and builds none.  Building the s partials in every
+    # search made 2 + 2 + 20 * 2 = 44
     built = []
     partial = Polynomial.partial
 
@@ -156,7 +157,7 @@ def test_certificate_builds_partials_only_at_multiple_roots(monkeypatch):
     monkeypatch.setattr(Polynomial, "partial", counted)
     cusp = parse_poly("x1^3 - x2^2", 2, FieldSpec.rationals())
     nobile_certificate(cusp, 1, 2, Point.from_base([0, 0], FieldSpec.rationals()))
-    assert len(built) == 16
+    assert len(built) == 14
 
 
 @pytest.mark.parametrize("p", PRIMES)
