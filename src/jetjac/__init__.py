@@ -34,6 +34,7 @@ from .jacobian import (
     EmptyIndexFamily,
     EmptyInput,
     IndexFamilies,
+    JacmMatrix,
     PolyMatrix,
     ShapeMismatch,
     TooManyCells,
@@ -42,6 +43,7 @@ from .jacobian import (
     index_families,
     jac,
     jac_m,
+    taylor_coefficients,
 )
 from .jetmatrix import (
     DnMatrix,

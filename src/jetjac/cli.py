@@ -30,6 +30,7 @@ from .jacobian import (
     BadDifferentialOrder,
     EmptyIndexFamily,
     EmptyInput,
+    JacmMatrix,
     PolyMatrix,
     TooManyCells,
     TooManyMultiIndices,
@@ -113,30 +114,32 @@ def parse_point(text: str, s: int, n: int, spec: FieldSpec) -> Point:
     return Point._make(spec, dict(zip(_flat_keys(len(texts), s, n), spec.raw_texts(texts))))
 
 
-def matrix_dims(mx: PolyMatrix | DnMatrix) -> tuple[int, int]:
+def matrix_dims(mx: PolyMatrix | JacmMatrix | DnMatrix) -> tuple[int, int]:
     """(s, max jet order) across all entries of the matrix: (D.s, D.n) for
     D = D_n(L).  A matrix without variables gives (1, 0)."""
     s, r = mx.dims
     return (s, r) if s else (1, 0)
 
 
-def matrix_argument(spec_text: str, field: FieldSpec) -> PolyMatrix | DnMatrix:
+def matrix_argument(spec_text: str, field: FieldSpec) -> PolyMatrix | JacmMatrix | DnMatrix:
     """Read a matrix argument: "jacm:<m>:<polys>", "dnl:<n>:<m>:<polys>"
-    (kept unexpanded), or an inline JSON {rows, cols, entries}."""
+    (both kept unexpanded), or an inline JSON {rows, cols, entries}."""
     if spec_text.startswith("jacm:"):
         (m,), polys_text = _builder_fields(spec_text, "jacm:<m>:<polys>")
-        return jac_m(parse_polys(polys_text.split(","), field), m)
+        return JacmMatrix(parse_polys(polys_text.split(","), field), m)
     if spec_text.startswith("dnl:"):
         (n, m), polys_text = _builder_fields(spec_text, "dnl:<n>:<m>:<polys>")
-        return DnMatrix(jac_m(parse_polys(polys_text.split(","), field), m), n)
+        return DnMatrix(JacmMatrix(parse_polys(polys_text.split(","), field), m), n)
     rows, cols, flat = _matrix_json_fields(spec_text)
     return PolyMatrix(rows, cols, tuple(parse_polys(flat, field)))
 
 
 def build_matrix(spec_text: str, field: FieldSpec) -> PolyMatrix:
-    """Materialize a matrix argument, expanding a dnl: builder."""
+    """Materialize a matrix argument, expanding a builder reference."""
     mx = matrix_argument(spec_text, field)
-    return dn_matrix(mx.L, mx.n) if isinstance(mx, DnMatrix) else mx
+    if isinstance(mx, DnMatrix):
+        return dn_matrix(mx.L, mx.n)
+    return mx.symbolic if isinstance(mx, JacmMatrix) else mx
 
 
 def _builder_fields(text: str, form: str) -> tuple[list[int], str]:

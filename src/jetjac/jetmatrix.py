@@ -11,6 +11,9 @@ DnMatrix stands for D_n(L) until it is put at a point; linalg.at_point
 then gives D_n(L) there by Taylor mode, from the values of d_0, ..., d_n
 of each entry of L at the jet, and never builds the symbolic blocks; the
 entries share one series cache, so a power or monomial is built once.
+L may be a jacobian.JacmMatrix, Jac_m(fs) unexpanded: DnMatrix checks
+its fs, and its base block A_0 is one Taylor pass per f, so only the
+series of L, and printing, read the symbolic Jac_m.
 At a jet a the result is block upper-triangular and Toeplitz: block
 (i, j) is A_(j-i), the t^(j-i) coefficient of L(a(t)), and every
 diagonal block is A_0 = L(a_0).  linalg.rank_at reads the rank off A_0
@@ -26,7 +29,7 @@ from dataclasses import dataclass, field
 
 from .field import FieldSpec
 from .hasse import BadJetOrder, _require_base, _substituted, hs_components
-from .jacobian import PolyMatrix, ScalarMatrix, ShapeMismatch, _check_cells, jac
+from .jacobian import JacmMatrix, PolyMatrix, ScalarMatrix, ShapeMismatch, _check_cells, jac
 from .poly import JetVariable, Polynomial, jet_grid
 
 
@@ -78,7 +81,8 @@ def _block_layout(D: DnMatrix, entry_values: list[list]) -> ScalarMatrix:
 class DnMatrix:
     """D_n(L) left unexpanded: rows, cols, spec, dims and variables() are
     those of dn_matrix(L, n).  Building it checks n and each distinct
-    entry object of L once and keeps s, the largest base index of L, so
+    entry object of L once (each f of a JacmMatrix, whose entries keep
+    the jet order of their f) and keeps s, the largest base index of L, so
     linalg.at_point and linalg.rank_at put it at any number of points by
     Taylor mode without checking L again; a value at a point is computed
     once per object of L and laid out through L.layout."""
@@ -90,7 +94,7 @@ class DnMatrix:
     def __post_init__(self):
         if self.n < 0:
             raise BadJetOrder("n must be >= 0")
-        for g in self.L.distinct:
+        for g in self.L.fs if isinstance(self.L, JacmMatrix) else self.L.distinct:
             _require_base(g)
         object.__setattr__(self, "s", self.L.dims[0])
 

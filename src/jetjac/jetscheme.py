@@ -16,7 +16,9 @@ membership checks f(a(t)) = 0 mod t^(n+1), jet lifting solves for the
 t^k coefficient order by order on one set of growing series, and the
 rank criteria rank D_n(Jac_m f) at the jet with linalg.rank_at, which
 reads the rank off the diagonal block Jac_m f(a_0) when it has full rank
-(at a smooth base) or when the jet is a zero jet.  A certificate builds
+(at a smooth base) or when the jet is a zero jet; that block is one
+Taylor pass over f (jacobian.taylor_coefficients), with no symbolic
+partial.  A certificate builds
 no matrix.  Its fact (ii) evaluates a proven formula: the rank at the
 zero jet over a base of multiplicity mu is (n+1) C(m - mu + s, s), and 0
 when mu > m, as the row space of Jac_m f(a) is the ideal of f(a + y) in
@@ -48,7 +50,16 @@ from fractions import Fraction
 
 from .field import MixedFields, is_prime
 from .hasse import BadJetOrder, _require_base, hs_components, hs_values, jet_series
-from .jacobian import BadDifferentialOrder, EmptyIndexFamily, PolyMatrix, jac_m
+from .jacobian import (
+    BadDifferentialOrder,
+    EmptyIndexFamily,
+    JacmMatrix,
+    PolyMatrix,
+    _digit_bounds,
+    exponent_vectors,
+    jac_m,
+    taylor_coefficients,
+)
 from .jetmatrix import DnMatrix, dn_matrix
 from .linalg import BadTrialCount, draw, eval_matrix, rank, rank_at, trial_rng
 from .poly import JetVariable, MissingCoordinate, Point, Polynomial, _rational, _raw_value
@@ -137,7 +148,7 @@ def higher_rank_test(desc: JetSchemeDesc, point: Point, m: int) -> RankReport:
     criterion: the Jacobian of (f, d_1 f, ..., d_n f) has rank n + 1."""
     if m < 1:
         raise BadDifferentialOrder("m must be >= 1")
-    D = DnMatrix(jac_m([desc.f], m), desc.n)
+    D = DnMatrix(JacmMatrix([desc.f], m), desc.n)
     if not on_jet_scheme(desc, point):
         raise PointNotOnScheme("the point does not lie on the jet scheme")
     r = rank_at(D, point)
@@ -166,12 +177,6 @@ class Presentation:
     def matrix(self) -> PolyMatrix:
         """The symbolic D_n(L), built on first read."""
         return dn_matrix(self.L, self.n)
-
-
-@functools.cache
-def _digit_bounds(limit: int) -> tuple[int, int]:
-    # the bit length of 10^(limit + 1), and the least count too long to print
-    return (10 ** (limit + 1)).bit_length(), 10**limit
 
 
 def _count(what: str, top: int, k: int, copies: int = 1) -> int:
@@ -506,14 +511,13 @@ def find_smooth_point(f: Polynomial, seed=0) -> Point:
     coordinates as the raw values of a Point, made from that dict when
     found.  At a root r, g'(r) is the partial by the solved coordinate,
     so a simple root is smooth; only a multiple root reads the s first
-    partials with poly._raw_value, built at the first one of the call.
+    partials, as order 1 of taylor_coefficients, with no Polynomial built.
     """
     s = f.base_count
     spec = f.spec
     p = spec.characteristic
     if s < 1 or f.is_constant:
         raise NoSmoothPointFound("the equation has no variables to solve for")
-    partials = None
     for t in range(SMOOTH_POINT_ATTEMPTS):
         rng = trial_rng(seed, t, "smooth-point")
         solve = t % s + 1  # x_solve is solved for
@@ -523,12 +527,8 @@ def find_smooth_point(f: Polynomial, seed=0) -> Point:
         roots = _residue_roots(coeffs, p) if p else _rational_roots(coeffs)
         for root in roots:
             x = vals[0, solve] = spec.raw(root)
-            if _eval_mod(slope, x, p):
-                return Point._make(spec, vals)
-            if partials is None:
-                partials = [f.partial(JetVariable(i, 0)) for i in range(1, s + 1)]
-            powers: dict = {}
-            if any(_raw_value(g, vals, p, powers) for g in partials):
+            # f vanishes at the root, so a nonzero coefficient is a slope
+            if _eval_mod(slope, x, p) or taylor_coefficients(f, vals, s, 1):
                 return Point._make(spec, vals)
     raise NoSmoothPointFound(
         f"no smooth point of V(f) found in {SMOOTH_POINT_ATTEMPTS} attempts; "
@@ -551,8 +551,8 @@ def extend_to_jet(f: Polynomial, base, n: int, seed=0) -> Point:
     series products serve every order: order k appends a coefficient to
     each series and grows the products, which are cut back to k
     coefficients once the solved value is set, so the lift costs O(n^2)
-    coefficient products.  The jet is one dict of raw values, which
-    poly._raw_value reads for f and its gradient at the base point and
+    coefficient products.  The jet is one dict of raw values, from which
+    taylor_coefficients reads f and its gradient at the base point, and
     which becomes the Point returned.
     """
     if n < 0:
@@ -566,10 +566,10 @@ def extend_to_jet(f: Polynomial, base, n: int, seed=0) -> Point:
     for i in range(1, s + 1):
         if (0, i) not in vals:
             raise MissingCoordinate(f"base coordinate x{i} is not assigned")
-    powers: dict = {}
-    if _raw_value(f, vals, p, powers):
+    taylor = taylor_coefficients(f, vals, s, 1)
+    if (0,) * s in taylor:
         raise PointNotOnScheme("the base point is not on the hypersurface")
-    grad = {i: _raw_value(f.partial(JetVariable(i, 0)), vals, p, powers) for i in range(1, s + 1)}
+    grad = {i: taylor.get(delta, 0) for i, delta in enumerate(exponent_vectors(1, s), 1)}
     rng = trial_rng(seed, n, "jet-fill")
     series = {i: [vals[0, i]] for i in range(1, s + 1)}
     cache: dict = {}
@@ -639,6 +639,8 @@ def generic_cokernel_rank(pres: Presentation, trials: int = 20, seed=0) -> Coker
     _require_base(f)
     expected = pres.gens - pres.rels
     p = f.spec.characteristic
+    # built once for all trials: evaluating f and a prebuilt partial at a
+    # base costs less than a Taylor pass there
     partials = [f.partial(JetVariable(i, 0)) for i in range(1, f.base_count + 1)]
     samples = []
     for t in range(trials):
@@ -698,32 +700,6 @@ def rank_counterexample_check(n: int = 1, m: int = 2) -> FreeRankComparison:
     return FreeRankComparison(
         n, m, jet_ring_rank, tensor_rank, jet_ring_rank == tensor_rank
     )
-
-
-def _taylor_order(f: Polynomial, vals, d: int) -> dict:
-    """The nonzero y^delta coefficients, |delta| = d, of f(a + y) at the
-    base point of raw coordinates vals[(0, i)], keyed by the pairs
-    (i, delta_i > 0).  By Taylor's formula a term c*x^g adds
-    c*prod_i C(g_i, delta_i)*a_i^(g_i - delta_i) for each delta <= g, only
-    delta_i = g_i where a_i = 0, and each sum is reduced mod p once, as
-    divided_partials reduces a partial, so it holds in every
-    characteristic.  No Polynomial is built."""
-    p = f.spec.characteristic
-    sums: dict = {}
-    for key, c in f.terms.items():
-        parts = [((), c, d)]  # (delta so far, coefficient, norm left)
-        for _, i, g in key:
-            x = vals[0, i]
-            parts = [
-                (delta + ((i, e),) if e else delta, cc * math.comb(g, e) * pow(x, g - e, p or None), left - e)
-                for delta, cc, left in parts
-                for e in range(0 if x else g, min(g, left) + 1)
-            ]
-        for delta, cc, left in parts:
-            if not left:
-                sums[delta] = sums.get(delta, 0) + cc
-    reduced = ((delta, acc % p if p else _rational(acc)) for delta, acc in sums.items())
-    return {delta: v for delta, v in reduced if v}
 
 
 @dataclass(frozen=True)
@@ -801,8 +777,9 @@ def nobile_certificate(
 ) -> NobileCertificate:
     """Assemble the four-fact singularity certificate at a singular base
     point (all first partials of f vanish there); raises NotSingularBase
-    otherwise.  Order 1 of f(base + y) makes that check, and the next
-    nonzero order, if at most m, is the multiplicity mu."""
+    otherwise.  One taylor_coefficients pass reads f(base + y) to order
+    m: orders 0 and 1 make that check, and the least nonzero order, if at
+    most m, is the multiplicity mu."""
     _require_base(f)
     if m < 1:
         raise BadDifferentialOrder("m must be >= 1")
@@ -813,16 +790,18 @@ def nobile_certificate(
     for i in range(1, s + 1):
         if (0, i) not in vals:
             raise MissingCoordinate(f"base point assigns no value to x{i}")
-    if not f.evaluate(singular_base).is_zero:
+    if singular_base.spec != f.spec:
+        raise MixedFields(f"point over {singular_base.spec}, polynomial over {f.spec}")
+    taylor = taylor_coefficients(f, vals, s, m)
+    if (0,) * s in taylor:
         raise NotSingularBase("the base point is not on the hypersurface")
-    slopes = _taylor_order(f, vals, 1)
-    if slopes:
-        ((i, _),) = min(slopes)
-        raise NotSingularBase(f"partial derivative by x{i} is {slopes[(i, 1),]} != 0 at the base point")
+    for i, delta in enumerate(exponent_vectors(1, s), 1):
+        if delta in taylor:
+            raise NotSingularBase(f"partial derivative by x{i} is {taylor[delta]} != 0 at the base point")
     jet_equations(f, n)  # a constant f, or n < 0, is refused here
     zero_jet_over(singular_base, n)  # on the jet scheme, as f(base) = 0
     pres = presentation_of(f, n, m)
-    mu = next((d for d in range(2, m + 1) if _taylor_order(f, vals, d)), m + 1)
+    mu = min(map(sum, taylor), default=m + 1)
     zero_rank, bound = (n + 1) * math.comb(m - mu + s, s), pres.rels
     cokernel = generic_cokernel_rank(pres, trials=trials, seed=seed)
     witness_rank = pres.gens - cokernel.cokernel_rank

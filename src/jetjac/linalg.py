@@ -2,21 +2,24 @@
 
 A matrix at a point is a ScalarMatrix of raw scalars, which rank reads
 without wrapping them in field elements.  at_point puts a DnMatrix
-D_n(L) at a point by Taylor mode; any other polynomial matrix is
-evaluated by eval_matrix, once per distinct entry object.  Rank uses
-one elimination routine per scalar kind: over Q each row is cleared of
-denominators and integer Bareiss elimination runs with exact integer
-division; over GF(p) plain Gaussian elimination runs with one inverse
-per pivot.  Both leave a row whose head is zero untouched.  rank_at
-ranks D_n(L) at a jet by the block rule: every diagonal block is the
-b x a matrix A_0 = L(a_0), so when A_0 has full row or column rank, or
-every block above the diagonal vanishes, the rank is (n+1) rank(A_0);
+D_n(L) at a point by Taylor mode; eval_matrix puts a JacmMatrix there
+by one Taylor pass per distinct f (jacobian.taylor_coefficients), with
+no symbolic partial, and any other polynomial matrix once per distinct
+entry object.  Rank uses one elimination routine per scalar kind: over
+Q each row is cleared of denominators (a row of ints is taken as it is)
+and integer Bareiss elimination runs with exact integer division; over
+GF(p) plain Gaussian elimination runs with one inverse per pivot.  Both
+leave a row whose head is zero untouched.  rank_at ranks D_n(L) at a
+jet by the block rule: every diagonal block is the b x a matrix
+A_0 = L(a_0), so when A_0 has full row or column rank, or every block
+above the diagonal vanishes, the rank is (n+1) rank(A_0);
 only otherwise is the whole (n+1)b x (n+1)a matrix eliminated.  A_0 =
-eval_matrix(L, a) is ranked first: each distinct entry object of L is
-evaluated once by poly._raw_value, the evaluator that
-Polynomial.evaluate wraps too, with one table of powers for all of them.
-The series of L to order n is computed only when A_0 does not decide
-the rank.
+eval_matrix(L, a) is ranked first: by the Taylor pass when L is a
+JacmMatrix, and otherwise each distinct entry object of L is evaluated
+once by poly._raw_value, the evaluator that Polynomial.evaluate wraps
+too, with one table of powers for all of them.  The series of L to
+order n, which reads the symbolic L, is computed only when A_0 does not
+decide the rank.
 Minors and determinants of polynomial matrices come from one
 division-free Laplace expansion, shared between all row selections with
 a common prefix.  It multiplies and adds raw term dicts whose monomials
@@ -39,7 +42,7 @@ from dataclasses import dataclass
 
 from .field import FieldSpec, MixedFields
 from .hasse import jet_series
-from .jacobian import PolyMatrix, ScalarMatrix
+from .jacobian import JacmMatrix, PolyMatrix, ScalarMatrix
 from .jetmatrix import DnMatrix, _block_layout, _series_values
 from .poly import Point, Polynomial, _Memo, _rational, _raw_value
 
@@ -83,10 +86,15 @@ class BadTrialCount(ValueError):
     """A sampling budget of fewer than one trial."""
 
 
-def eval_matrix(mx: PolyMatrix, point: Point) -> ScalarMatrix:
+def eval_matrix(mx: PolyMatrix | JacmMatrix, point: Point) -> ScalarMatrix:
     """Entrywise evaluation of a polynomial matrix at a point, by
     poly._raw_value on the raw coordinates, read once for all entries;
-    each distinct entry object is evaluated once."""
+    each distinct entry object is evaluated once.  A JacmMatrix is read
+    off one Taylor pass per distinct f instead (JacmMatrix.values_at)."""
+    if isinstance(mx, JacmMatrix):
+        if mx.spec != point.spec:
+            raise MixedFields(f"point over {point.spec}, polynomial over {mx.spec}")
+        return ScalarMatrix(mx.rows, mx.cols, mx.values_at(point.values), point.spec)
     if mx.entries and mx.spec != point.spec:
         raise MixedFields(f"point over {point.spec}, polynomial over {mx.spec}")
     p = point.spec.characteristic
@@ -96,9 +104,9 @@ def eval_matrix(mx: PolyMatrix, point: Point) -> ScalarMatrix:
     return ScalarMatrix(mx.rows, mx.cols, values, point.spec)
 
 
-def at_point(mx: PolyMatrix | DnMatrix, point: Point) -> ScalarMatrix:
+def at_point(mx: PolyMatrix | JacmMatrix | DnMatrix, point: Point) -> ScalarMatrix:
     """A matrix at a point: a DnMatrix by Taylor mode, without checking L
-    again, and any other polynomial matrix entry by entry."""
+    again, and any other matrix by eval_matrix."""
     if isinstance(mx, DnMatrix):
         return _block_layout(mx, _series_values(mx, jet_series(point, mx.spec, mx.s, mx.n), mx.n))
     return eval_matrix(mx, point)
@@ -117,7 +125,7 @@ def rank(mx: ScalarMatrix) -> int:
     return _rank_integer([_integer_row(row) for row in row_values], cols)
 
 
-def rank_at(mx: PolyMatrix | DnMatrix, point: Point) -> int:
+def rank_at(mx: PolyMatrix | JacmMatrix | DnMatrix, point: Point) -> int:
     """rank(at_point(mx, point)), read off the diagonal block of a
     DnMatrix where the block rule decides it.
 
@@ -155,7 +163,10 @@ def rank_at(mx: PolyMatrix | DnMatrix, point: Point) -> int:
 
 
 def _integer_row(fracs) -> list[int]:
-    # scaling a row by the lcm of its denominators leaves the rank unchanged
+    # scaling a row by the lcm of its denominators leaves the rank unchanged;
+    # a row of ints is taken as it is
+    if set(map(type, fracs)) == {int}:
+        return list(fracs)
     scale = math.lcm(*(x.denominator for x in fracs))
     return [x.numerator * (scale // x.denominator) for x in fracs]
 
@@ -390,10 +401,10 @@ def trial_rng(seed: int, trial: int, label: str = "trial") -> random.Random:
     return random.Random(f"{label}:{seed}:{trial}")
 
 
-def generic_rank(mx: PolyMatrix | DnMatrix, trials: int = 20, seed: int = 0) -> int:
+def generic_rank(mx: PolyMatrix | JacmMatrix | DnMatrix, trials: int = 20, seed: int = 0) -> int:
     """Rank at a random point, maximized over seeded trials.  The points
-    are drawn over mx.variables(), so a DnMatrix gives the same result as
-    the dn_matrix it stands for.
+    are drawn over mx.variables(), so a DnMatrix or a JacmMatrix gives the
+    same result as the dn_matrix or jac_m it stands for.
 
     This is a probabilistic lower bound for the rank over the fraction
     field; it equals it with high probability.  Deterministic in seed.

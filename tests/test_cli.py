@@ -496,6 +496,8 @@ class TestErrorHandling:
         name = {"--n": "BadJetOrder", "--m": "BadDifferentialOrder"}[flags[0]]
         assert err == f"{name}: {message}\n"
 
+    HUGE = "1" + "0" * 3000
+
     # every out-of-range integer flag of every subcommand, and the sizes
     # inside a builder reference, with the error class it must raise
     OUT_OF_RANGE = {
@@ -529,6 +531,21 @@ class TestErrorHandling:
         "nobile --m huge": (
             ["nobile", "--f", CUSP_SOURCE, "--n", "1", "--m", "1" + "0" * 3000, "--base", "0,0"],
             "RankTooLong",
+        ),
+        # a 3,001-digit m or n: index-family exponents and cells of about
+        # 6,000 digits, too many to print, are named by their digit count
+        "jacm --m huge": (["jacm", "--f", "x1*x2", "--m", HUGE], "TooManyMultiIndices"),
+        "dnl --n huge": (["dnl", "--f", "x1*x2", "--n", HUGE], "TooManyCells"),
+        "dnl --m huge": (["dnl", "--f", "x1*x2", "--n", "1", "--m", HUGE], "TooManyMultiIndices"),
+        "check-fdbd --n huge": (["check-fdbd", "--f", "x1*x2", "--n", HUGE], "TooManyCells"),
+        "singular-check --m huge": (
+            ["singular-check", "--f", "x1*x2", "--n", "1", "--m", HUGE, "--point", "0,0,0,0"],
+            "TooManyMultiIndices",
+        ),
+        "generic-rank jacm huge": (["generic-rank", "--matrix", f"jacm:{HUGE}:x1*x2"], "TooManyMultiIndices"),
+        "rank-at-point jacm huge": (
+            ["rank-at-point", "--matrix", f"jacm:{HUGE}:x1*x2", "--point", "0,0"],
+            "TooManyMultiIndices",
         ),
         # 45,150 x 45,450 and 861 x 12,340 cells, counted before any is built
         "jacm --m 300": (["jacm", "--f", "x1^2*x2", "--m", "300"], "TooManyCells"),

@@ -1,14 +1,19 @@
 import itertools
 import math
 import random
+import sys
 from fractions import Fraction
 
 import pytest
 
 from jetjac import (
+    BadDifferentialOrder,
+    DnMatrix,
     EmptyIndexFamily,
     EmptyInput,
+    JacmMatrix,
     JetVariable,
+    MissingCoordinate,
     MixedFields,
     Point,
     PolyMatrix,
@@ -20,18 +25,20 @@ from jetjac import (
     dn_matrix,
     eval_matrix,
     exponent_vectors,
+    generic_rank,
     index_families,
     jac,
     jac_m,
     jet_grid,
     parse_poly,
     rank,
+    rank_at,
 )
 
-from jetjac import jacobian
-from jetjac.cli import matrix_argument
+from jetjac import jacobian, linalg
+from jetjac.cli import matrix_argument, run
 
-from _corpus import GF2, Q, random_base_polynomial
+from _corpus import GF2, GF3, ORACLE_FIELDS, Q, random_base_polynomial
 from jetjac import FieldSpec
 from _oracles import exponent_vectors_recursive, jac_m_by_cells, transpose
 
@@ -384,3 +391,171 @@ class TestPolyMatrix:
         mx = PolyMatrix(1, 1, (parse_poly("x2", 2, Q),), grid_order=1)
         assert mx.variables() == jet_grid(2, 1)
         assert transpose(mx).grid_order == 1
+
+
+class TestNumericJacm:
+    """JacmMatrix, Jac_m(fs) left unexpanded, against the symbolic jac_m:
+    the same shape, variables and errors, and at any point the same
+    values, value by value and type by type, read off one Taylor pass per
+    distinct f."""
+
+    SOURCES = [
+        "x1^3 - x2^2 + x1*x2*x3 + x3^4",
+        # C(4, 1), C(4, 2) and C(6, 2) vanish mod 2, C(3, 1), C(6, 3) and C(9, 3) mod 3
+        "x1^4*x2^3 + x1^2 - x2^9 + x1^6",
+        "x1^3*x2 + x2^6 - x1^9*x2^3 + 5",
+        "x1 + x2_1",
+        "x1^2*x2_1 + x2*x1_2^2 - x1*x2",
+        "x2^2*x1_1 + x1^3",
+    ]
+
+    @staticmethod
+    def cases(spec):
+        rng = random.Random(f"numeric-jacm:{spec}")
+        for source in TestNumericJacm.SOURCES:
+            yield [parse_poly(source, 2 if "x3" not in source else 3, spec)]
+        for s in (1, 2, 3):
+            yield [random_base_polynomial(rng, s, 5, 5, spec) for _ in range(rng.randint(1, 2))]
+        f, g = (parse_poly(source, 2, spec) for source in ("x1^3 - x2^2", "x1*x2^4 + x2^3"))
+        yield [f, g, f]  # a repeated f repeats its block
+        yield [f, parse_poly("x1^3 - x2^2", 2, spec)]  # an equal f of its own
+
+    @staticmethod
+    def points(mx, spec, rng):
+        # the zero point, integer points and, over Q, a/b coordinates
+        keys = [(v.order, v.base) for v in mx.variables()]
+        yield Point._make(spec, dict.fromkeys(keys, 0))
+        for _ in range(3):
+            coords = [Fraction(rng.randint(-9, 9), rng.choice([1, 1, 3, 5])) for _ in keys]
+            if spec.characteristic:
+                coords = [x.numerator for x in coords]
+            yield Point._make(spec, {key: spec.raw(x) for key, x in zip(keys, coords)})
+
+    @pytest.mark.parametrize("spec", ORACLE_FIELDS, ids=str)
+    def test_values_and_ranks_match_the_symbolic_matrix(self, spec):
+        rng = random.Random(f"numeric-points:{spec}")
+        for fs in self.cases(spec):
+            for m in range(1, 5):
+                numeric, symbolic = JacmMatrix(fs, m), jac_m(fs, m)
+                shape = lambda mx: (mx.rows, mx.cols, mx.spec, mx.dims, mx.variables())
+                assert shape(numeric) == shape(symbolic), ([str(f) for f in fs], m)
+                for point in self.points(numeric, spec, rng):
+                    got, want = eval_matrix(numeric, point), eval_matrix(symbolic, point)
+                    assert got == want, ([str(f) for f in fs], m, str(point))
+                    assert list(map(type, got.values)) == list(map(type, want.values))
+                    assert rank(got) == rank(want)
+
+    @pytest.mark.parametrize("spec", ORACLE_FIELDS, ids=str)
+    def test_blocked_ranks_match_at_jets(self, spec):
+        # the series route of rank_at reads the symbolic layout of the stand-in
+        rng = random.Random(f"numeric-jets:{spec}")
+        for fs in self.cases(spec):
+            if any(f.max_order for f in fs):
+                continue
+            s, n = max(f.base_count for f in fs), 2
+            for m in (1, 2, 3):
+                numeric, symbolic = DnMatrix(JacmMatrix(fs, m), n), DnMatrix(jac_m(fs, m), n)
+                for _ in range(3):
+                    coords = [rng.choice([0, 0, 1, -2, 3]) for _ in range(s * (n + 1))]
+                    jet = Point.from_flat(coords, s, n, spec)
+                    assert rank_at(numeric, jet) == rank_at(symbolic, jet)
+
+    def test_printing_and_expansion_read_the_symbolic_matrix(self):
+        fs = [CUSP, parse_poly("x1*x2", 2, Q)]
+        numeric, symbolic = JacmMatrix(fs, 3), jac_m(fs, 3)
+        assert str(numeric) == str(symbolic)
+        assert (numeric.distinct, numeric.layout) == (symbolic.distinct, symbolic.layout)
+        assert dn_matrix(numeric, 2) == dn_matrix(symbolic, 2)
+
+    @pytest.mark.parametrize(
+        "spec, source, m",
+        [(Q, "x1 + x2_1", 1), (Q, "x1 + x2_1", 2), (GF2, "x1^2*x2_1 + x1*x1_1", 1), (GF3, "x1^3*x2_2 + x2*x1_1^2", 1)],
+        ids=str,
+    )
+    def test_generic_rank_draws_the_same_points(self, monkeypatch, spec, source, m):
+        # for m = 1 a jet variable of a term whose first partials vanish
+        # occurs in no entry, and no point draws it
+        drawn = []
+        draw_point = linalg.random_point
+
+        def recorded(spec, variables, rng):
+            point = draw_point(spec, variables, rng)
+            drawn.append(point.values)
+            return point
+
+        monkeypatch.setattr(linalg, "random_point", recorded)
+        fs = [parse_poly(source, 2, spec)]
+        numeric = generic_rank(JacmMatrix(fs, m), trials=5, seed=3)
+        points, drawn[:] = list(drawn), []
+        assert numeric == generic_rank(jac_m(fs, m), trials=5, seed=3)
+        assert points == drawn
+
+    def test_errors_come_in_the_order_of_jac_m(self, monkeypatch):
+        # each input breaks every check after the one named, so the
+        # first check that fails is the one raised
+        monkeypatch.setattr(jacobian, "CELL_CAP", 50)
+        f, g = CUSP, parse_poly("x1^3 - x2^2", 2, GF2)
+        constants = [Polynomial.constant(Q, 1), Polynomial.constant(GF2, 1)]  # no base variable
+        cases = [
+            ([], 0, EmptyInput),
+            (constants, 0, BadDifferentialOrder),
+            (constants, 2, EmptyIndexFamily),
+            ([f, g] * 10, 10**6, TooManyMultiIndices),
+            ([f, g], 5, TooManyCells),  # 2 * 15 x 20 cells, before MixedFields
+            ([f, g], 2, MixedFields),
+        ]
+        for fs, m, error in cases:
+            for build in (jac_m, JacmMatrix):
+                with pytest.raises(error):
+                    build(fs, m)
+
+    def test_a_point_must_assign_every_variable(self):
+        numeric = JacmMatrix([parse_poly("x1*x2_1 + x2^2", 2, Q)], 2)
+        with pytest.raises(MissingCoordinate, match="x2_1"):
+            eval_matrix(numeric, Point.from_base([1, 2], Q))
+        with pytest.raises(MixedFields):
+            eval_matrix(numeric, Point.from_base([1, 2], GF2))
+
+    POINT_QUERIES = [
+        ["singular-check", "--f", "x1^3 - x2^2 + x1*x2*x3 + x3^4", "--n", "3", "--m", "3", "--point=" + ",".join(["0"] * 12)],
+        ["singular-check", "--f", "x1^3 - x2^2", "--n", "1", "--m", "2", "--point=1,1,2,3"],
+        ["rank-at-point", "--matrix", "dnl:2:3:x1^3 - x2^2 + x1*x2*x3 + x3^4 - 1", "--point=1,0,0,-1/3,2,5/7,0,1,1"],
+        ["rank-at-point", "--matrix", "jacm:8:x1^3 - x2^2 + x1*x2*x3 + x3^4", "--point=2,-1,3"],
+        ["generic-rank", "--field", "Fp:32003", "--matrix", "dnl:4:2:x1^3 - x2^2 + x1*x2*x3 + x3^4"],
+        ["generic-rank", "--matrix", "jacm:3:x1^3 - x2^2,x1*x2"],
+    ]
+
+    def test_point_queries_build_no_divided_partials(self, monkeypatch, capsys):
+        calls = []
+        build = jacobian.divided_partials
+        monkeypatch.setattr(jacobian, "divided_partials", lambda *args: calls.append(args) or build(*args))
+        for argv in self.POINT_QUERIES:
+            assert run(argv) == 0, argv
+        assert calls == []
+        # printing still builds them: one pass per f
+        assert run(["jacm", "--f", "x1^3 - x2^2", "--m", "2"]) == 0
+        assert len(calls) == 1
+        capsys.readouterr()
+
+    def test_too_many_cells_before_any_value(self, monkeypatch, capsys):
+        calls = []
+        monkeypatch.setattr(jacobian, "taylor_coefficients", lambda *args: calls.append(args))
+        assert run(["generic-rank", "--matrix", "jacm:3:x40"]) == 1
+        assert capsys.readouterr().err.startswith("TooManyCells: ")
+        assert calls == []
+
+
+class TestBudgetMessages:
+    def test_a_count_is_printed_while_int_can_print_it(self):
+        with pytest.raises(TooManyCells, match=r"^a 1001 x 1000 matrix has 1001000 cells \(cap 1000000\)$"):
+            jacobian._check_cells(1001, 1000)
+        limit = sys.get_int_max_str_digits()
+        with pytest.raises(TooManyCells, match=rf"^a 2 x 10\^{limit} or more matrix has 10\^{limit} or more cells"):
+            jacobian._check_cells(2, 10**limit)
+        with pytest.raises(TooManyMultiIndices, match=rf"m = {10**3000} hold 10\^{limit} or more exponents"):
+            index_families(2, 10**3000)
+
+    def test_the_last_printable_count(self):
+        limit = sys.get_int_max_str_digits()
+        assert jacobian._shown(10**limit - 1) == "9" * limit
+        assert jacobian._shown(10**limit) == f"10^{limit} or more"

@@ -141,12 +141,13 @@ def test_find_smooth_point_reads_the_other_partials_at_a_multiple_root(monkeypat
             find_smooth_point(parse_poly("x1^2 - x2^2", 2, spec), seed=0)
 
 
-def test_certificate_builds_partials_only_at_multiple_roots(monkeypatch):
-    # 2 that read each cokernel sample off a nonzero partial, then 2 in
-    # each of the 6 searches whose first trial freezes x2 at 0 and meets
-    # the triple root of x1^3; the singular-base check reads orders 0 and
-    # 1 of f(base + y) and builds none.  Building the s partials in every
-    # search made 2 + 2 + 20 * 2 = 44
+def test_certificate_builds_partials_only_for_its_samples(monkeypatch):
+    # 2 that read each cokernel sample off a nonzero partial, built once
+    # for the 20 samples; the singular-base check and each multiple root
+    # met by a search (6 in this certificate, whose first trial freezes x2
+    # at 0 and meets the triple root of x1^3) read the slopes of f off
+    # taylor_coefficients, which builds no Polynomial.  Building the s
+    # partials in every search made 2 + 2 + 20 * 2 = 44
     built = []
     partial = Polynomial.partial
 
@@ -157,7 +158,7 @@ def test_certificate_builds_partials_only_at_multiple_roots(monkeypatch):
     monkeypatch.setattr(Polynomial, "partial", counted)
     cusp = parse_poly("x1^3 - x2^2", 2, FieldSpec.rationals())
     nobile_certificate(cusp, 1, 2, Point.from_base([0, 0], FieldSpec.rationals()))
-    assert len(built) == 14
+    assert len(built) == 2
 
 
 @pytest.mark.parametrize("p", PRIMES)
