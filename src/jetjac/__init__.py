@@ -12,6 +12,7 @@ from .field import (
     BadFieldSelector,
     CharacteristicTooLarge,
     DivisionByZero,
+    DomainError,
     FieldElement,
     FieldError,
     FieldSpec,

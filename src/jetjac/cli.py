@@ -24,74 +24,19 @@ import re
 import sys
 from dataclasses import asdict
 
-from .field import _COORDINATE, BadCoordinate, FieldError, FieldSpec, check_coordinate
-from .hasse import BadJetOrder, NotBasePolynomial, TooManyTerms, check_commutation, hs_components
-from .jacobian import (
-    BadDifferentialOrder,
-    EmptyIndexFamily,
-    EmptyInput,
-    JacmMatrix,
-    PolyMatrix,
-    TooManyCells,
-    TooManyMultiIndices,
-    _bracketed,
-    jac_m,
-)
+from .field import _COORDINATE, DomainError, FieldError, FieldSpec, check_coordinate
+from .hasse import check_commutation, hs_components
+from .jacobian import JacmMatrix, PolyMatrix, _bracketed, jac_m
 from .jetmatrix import DnMatrix, check_fdbd, dn_matrix
-from .jetscheme import (
-    ConstantPolynomial,
-    NoSmoothPointFound,
-    NotSingularBase,
-    PointNotOnScheme,
-    RankTooLong,
-    higher_rank_test,
-    jet_equations,
-    nobile_certificate,
-    rank_counterexample_check,
-)
-from .linalg import BadMinorSize, BadTrialCount, TooManyMinorTerms, TooManyMinors, generic_rank, minors, rank_at
-from .poly import (
-    CoefficientTooLong,
-    MissingCoordinate,
-    ParseError,
-    Point,
-    WrongCoordinateCount,
-    _flat_keys,
-    parse_polys,
-)
+from .jetscheme import higher_rank_test, jet_equations, nobile_certificate, rank_counterexample_check
+from .linalg import generic_rank, minors, rank_at
+from .poly import Point, _flat_keys, parse_polys
 
 
-class BadMatrixJSON(ValueError):
+class BadMatrixJSON(ValueError, DomainError):
     """An inline --matrix value is not a {rows, cols, entries} object
     with integer sizes and rows of polynomial strings."""
 
-
-DOMAIN_ERRORS = (
-    BadCoordinate,
-    BadMatrixJSON,
-    FieldError,
-    ParseError,
-    NotBasePolynomial,
-    EmptyInput,
-    TooManyMinors,
-    TooManyMinorTerms,
-    TooManyMultiIndices,
-    TooManyCells,
-    TooManyTerms,
-    MissingCoordinate,
-    WrongCoordinateCount,
-    ConstantPolynomial,
-    PointNotOnScheme,
-    NotSingularBase,
-    NoSmoothPointFound,
-    BadJetOrder,
-    BadDifferentialOrder,
-    EmptyIndexFamily,
-    BadMinorSize,
-    BadTrialCount,
-    CoefficientTooLong,
-    RankTooLong,
-)
 
 _COORDINATE_FLAGS = ("--point", "--base")
 
@@ -423,7 +368,7 @@ def run(argv: list[str]) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         text, payload = args.func(args)
-    except DOMAIN_ERRORS as exc:
+    except DomainError as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
     try:

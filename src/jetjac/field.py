@@ -17,7 +17,14 @@ from typing import Union
 Raw = Union[Fraction, int]
 
 
-class FieldError(Exception):
+class DomainError(Exception):
+    """Base class of the errors that an input outside the documented
+    grammar, range or budgets raises; the CLI prints the name of any of
+    them on stderr and exits 1.  Errors that only a misuse of the library
+    raises, such as ShapeMismatch or NotBasePoint, stay outside it."""
+
+
+class FieldError(DomainError):
     """Base class for scalar arithmetic errors."""
 
 
@@ -29,7 +36,7 @@ class DivisionByZero(FieldError):
     """Division by the zero element of the field."""
 
 
-class BadCoordinate(ValueError):
+class BadCoordinate(ValueError, DomainError):
     """A point coordinate is neither an integer nor a fraction a/b."""
 
 

@@ -30,11 +30,14 @@ partial_{x_i^(j)} (d_k f) = d_{k-j} (partial_{x_i} f) for all admissible
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import mul
+from itertools import accumulate
+from operator import itemgetter, mul
 
-from .field import FieldSpec, MixedFields
+from .field import DomainError, FieldSpec, MixedFields
 from .poly import JetVariable, MissingCoordinate, Point, Polynomial, _rational, jet_grid
 
 
@@ -42,15 +45,15 @@ from .poly import JetVariable, MissingCoordinate, Point, Polynomial, _rational, 
 TERM_CAP = 100_000
 
 
-class NotBasePolynomial(ValueError):
+class NotBasePolynomial(ValueError, DomainError):
     """Input contains jet variables of positive order."""
 
 
-class BadJetOrder(ValueError):
+class BadJetOrder(ValueError, DomainError):
     """A jet order n below 0."""
 
 
-class TooManyTerms(ValueError):
+class TooManyTerms(ValueError, DomainError):
     """The components d_0(f), ..., d_n(f) would exceed TERM_CAP terms."""
 
     def __init__(self, count: int):
@@ -151,10 +154,12 @@ def _substituted(f, n, series, cache, p=0):
 
 def _power_terms(i, e, n, p):
     """a(t)^e truncated after t^n, for a(t) = sum_j y_j t^j with
-    y_j = x_i^(j), by the multinomial theorem: by_weight[w] lists
+    y_j = x_i^(j), by the multinomial theorem: the pairs (w, bucket), w
+    ascending over the weights that occur, where bucket lists
     (c, coeff) for the monomials y_0^c_0 ... y_w^c_w of weight
     sum_j j c_j = w, with c the monomial key, whose triples (j, i, c_j)
-    hold the nonzero c_j, j ascending.
+    hold the nonzero c_j, j ascending.  Only weights that occur are
+    stored, so nothing of size n is allocated.
     With r = c_1 + ... + c_w parts of positive order, c_0 = e - r and
     coeff = e! / (c_0! c_1! ... c_w!) = C(e, r) r! / (c_1! ... c_w!).
     Moving one factor from y_0 to y_j multiplies the exact coefficient by
@@ -166,7 +171,7 @@ def _power_terms(i, e, n, p):
     whose coefficient vanishes mod p are never visited.  Raises
     TooManyTerms once more than TERM_CAP monomials are listed: each of
     them is a term of d_w of any f with x_i^e in a monomial."""
-    by_weight = [[] for _ in range(n + 1)]
+    by_weight = defaultdict(list)
     listed = 0
 
     def add(w, c, coeff):
@@ -180,16 +185,16 @@ def _power_terms(i, e, n, p):
         # the exponents of a term of (a^p)^(e div p) are multiples of p and
         # those of a^(e mod p) are below p, so the products are distinct
         low = _power_terms(i, e % p, n, p)
-        for w_high, high in enumerate(_power_terms(i, e // p, n // p, p)):
-            for w_low in range(n + 1 - p * w_high):
+        for w_high, high in _power_terms(i, e // p, n // p, p):
+            for w_low, found in _upto(low, n - p * w_high):
                 for c_high, k_high in high:
-                    for c_low, k_low in low[w_low]:
+                    for c_low, k_low in found:
                         c = {j: x for j, _, x in c_low}
                         for j, _, x in c_high:
                             c[j] = c.get(j, 0) + p * x
                         key = tuple((j, i, x) for j, x in sorted(c.items()))
                         add(w_low + p * w_high, key, k_high * k_low % p)
-        return by_weight
+        return sorted(by_weight.items())
 
     def visit(w, coeff, top, c0, parts):
         # the monomial y_0^c0 prod y_j^c_j over the (j, i, c_j) in parts,
@@ -205,7 +210,38 @@ def _power_terms(i, e, n, p):
             visit(w + j, coeff * c0 // (cj + 1), j, c0 - 1, grown)
 
     visit(0, 1, n, e, ())
-    return by_weight
+    return sorted(by_weight.items())
+
+
+def _upto(by_weight, top):
+    # the (w, bucket) pairs of a _power_terms list with w <= top
+    return by_weight[: bisect_right(by_weight, top, key=itemgetter(0))]
+
+
+def _product_count(factors, n, count):
+    """count plus the number of products of one term of each factor (a
+    _power_terms list) whose weights sum to at most n.  The sizes by
+    weight of the products of all factors but the last are convolved,
+    and the last factor is counted from its cumulative bucket lengths,
+    one bisection per weight of the others.  Each pair of weights met in
+    a convolution is at least one product, and each factor holds y_0^e,
+    of weight 0, so a convolution that meets more than TERM_CAP pairs
+    stops there with TooManyTerms and the lower bound counted so far."""
+    if not factors:
+        return count + 1
+    sizes = {0: 1}
+    for by_weight in factors[:-1]:
+        grown, pairs = {}, 0
+        for a, size in sizes.items():
+            for w, found in _upto(by_weight, n - a):
+                grown[a + w] = grown.get(a + w, 0) + size * len(found)
+                pairs += 1
+            if pairs > TERM_CAP:
+                raise TooManyTerms(count + sum(grown.values()))
+        sizes = grown
+    last = factors[-1]
+    below = [0, *accumulate(len(found) for _, found in last)]
+    return count + sum(size * below[bisect_right(last, n - a, key=itemgetter(0))] for a, size in sizes.items())
 
 
 def hs_components(f: Polynomial, n: int) -> HSExpansion:
@@ -216,8 +252,8 @@ def hs_components(f: Polynomial, n: int) -> HSExpansion:
     summing to at most n.  Any such product is a term of the result: it
     is nonzero, and it is no other product, of this monomial or another,
     since its exponents of x_i^(0), ..., x_i^(n) sum to the e of x_i.  So
-    the terms are counted, and checked against TERM_CAP, before they are
-    built."""
+    the terms of every monomial are counted, and checked against
+    TERM_CAP, before any is built or anything of size n is allocated."""
     _require_base(f)
     if n < 0:
         raise BadJetOrder("n must be >= 0")
@@ -228,7 +264,7 @@ def hs_components(f: Polynomial, n: int) -> HSExpansion:
     # as it is stored; D = 1 over GF(p) and for integral f
     D = math.lcm(*(c.denominator for c in f.terms.values()))
     powers: dict = {}  # by the key triple (0, i, e) of x_i^e: _power_terms(i, e, n, p)
-    acc = [{} for _ in range(n + 1)]
+    monomials = []  # (coeff, the _power_terms lists of its powers)
     count = 0
     for key, coeff in f.terms.items():
         factors = []
@@ -237,29 +273,20 @@ def hs_components(f: Polynomial, n: int) -> HSExpansion:
                 _, i, e = t
                 powers[t] = _power_terms(i, e, n, p)
             factors.append(powers[t])
-        # the number of products of each weight, before any is formed: the
-        # first factor's bucket lengths, convolved on nonzero entries alone
-        sizes = [len(by_weight) for by_weight in factors[0]] if factors else [1] + [0] * n
-        for by_weight in factors[1:]:
-            grown = [0] * (n + 1)
-            lengths = [(w, len(found)) for w, found in enumerate(by_weight) if found]
-            for a, size in enumerate(sizes):
-                if size:
-                    for w, length in lengths:
-                        if a + w > n:
-                            break
-                        grown[a + w] += size * length
-            sizes = grown
-        count += sum(sizes)
+        count = _product_count(factors, n, count)
         if count > TERM_CAP:
             raise TooManyTerms(count)
+        monomials.append((coeff, factors))
+    acc = [{} for _ in range(n + 1)]
+    for coeff, factors in monomials:
         products = [(0, coeff.numerator * (D // coeff.denominator), ())]
         for by_weight in factors:
             products = [
                 (w0 + w, c0 * cw, pieces + piece)
                 for w0, c0, pieces in products
-                for w in range(n + 1 - w0)
-                for piece, cw in by_weight[w]
+                for w, found in by_weight
+                if w0 + w <= n
+                for piece, cw in found
             ]
         # the pieces of one variable run by order; those of several interleave
         merge = len(factors) > 1

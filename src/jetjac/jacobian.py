@@ -42,7 +42,7 @@ import sys
 from dataclasses import dataclass, field
 from operator import itemgetter
 
-from .field import FieldElement, FieldSpec, MixedFields
+from .field import DomainError, FieldElement, FieldSpec, MixedFields
 from .poly import JetVariable, MissingCoordinate, MultiIndex, Polynomial, _name, _rational, jet_grid
 
 # at most this many exponents in the row and column families together
@@ -51,24 +51,24 @@ INDEX_CAP = 2_000_000
 CELL_CAP = 1_000_000
 
 
-class EmptyInput(ValueError):
+class EmptyInput(ValueError, DomainError):
     """A matrix builder received no polynomials."""
 
 
-class BadDifferentialOrder(ValueError):
+class BadDifferentialOrder(ValueError, DomainError):
     """A differential order m below 1."""
 
 
-class EmptyIndexFamily(ValueError):
+class EmptyIndexFamily(ValueError, DomainError):
     """Index families need s >= 1 base variables and an order m >= 1."""
 
 
-class TooManyMultiIndices(ValueError):
+class TooManyMultiIndices(ValueError, DomainError):
     """The index families of (s, m) would hold more than INDEX_CAP
     exponents."""
 
 
-class TooManyCells(ValueError):
+class TooManyCells(ValueError, DomainError):
     """A symbolic matrix would have more than CELL_CAP cells."""
 
 

@@ -48,7 +48,7 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .field import MixedFields, is_prime
+from .field import DomainError, MixedFields, is_prime
 from .hasse import BadJetOrder, _require_base, hs_components, hs_values, jet_series
 from .jacobian import (
     BadDifferentialOrder,
@@ -67,15 +67,15 @@ from .poly import JetVariable, MissingCoordinate, Point, Polynomial, _rational, 
 SMOOTH_POINT_ATTEMPTS = 200  # seeded trials of find_smooth_point
 
 
-class ConstantPolynomial(ValueError):
+class ConstantPolynomial(ValueError, DomainError):
     """A hypersurface equation must be nonconstant."""
 
 
-class PointNotOnScheme(ValueError):
+class PointNotOnScheme(ValueError, DomainError):
     """The point does not satisfy the jet-scheme equations."""
 
 
-class NotSingularBase(ValueError):
+class NotSingularBase(ValueError, DomainError):
     """The base point is not a singular point of the hypersurface."""
 
 
@@ -83,12 +83,12 @@ class NotBasePoint(ValueError):
     """A point with a coordinate of positive jet order, or none at all, given as a base point."""
 
 
-class RankTooLong(ValueError):
+class RankTooLong(ValueError, DomainError):
     """A free rank has more decimal digits than int() converts to text
     (sys.get_int_max_str_digits), so the comparison cannot be printed."""
 
 
-class NoSmoothPointFound(RuntimeError):
+class NoSmoothPointFound(RuntimeError, DomainError):
     """Smooth-point sampling exhausted its budget (the equation may be
     degenerate, e.g. a p-th power in characteristic p)."""
 
@@ -223,14 +223,18 @@ def presentation_of(f: Polynomial, n: int, m: int) -> Presentation:
     )
 
 
-def zero_jet_over(base: Point, n: int) -> Point:
-    """The jet whose base coordinates are `base` and whose positive-order
-    coordinates all vanish; it lies on the jet scheme whenever the base
-    point lies on the hypersurface."""
+def _require_base_point(base: Point) -> None:
     if any(order for order, _ in base.values):
         raise NotBasePoint("expected a base point (order-0 coordinates only)")
     if not base.values:
         raise NotBasePoint("expected a base point with at least one coordinate")
+
+
+def zero_jet_over(base: Point, n: int) -> Point:
+    """The jet whose base coordinates are `base` and whose positive-order
+    coordinates all vanish; it lies on the jet scheme whenever the base
+    point lies on the hypersurface."""
+    _require_base_point(base)
     s = max(i for _, i in base.values)
     values = dict(base.values)
     values.update(((k, i), 0) for k in range(1, n + 1) for i in range(1, s + 1))
@@ -799,7 +803,7 @@ def nobile_certificate(
         if delta in taylor:
             raise NotSingularBase(f"partial derivative by x{i} is {taylor[delta]} != 0 at the base point")
     jet_equations(f, n)  # a constant f, or n < 0, is refused here
-    zero_jet_over(singular_base, n)  # on the jet scheme, as f(base) = 0
+    _require_base_point(singular_base)  # its zero jet is on the jet scheme, as f(base) = 0
     pres = presentation_of(f, n, m)
     mu = min(map(sum, taylor), default=m + 1)
     zero_rank, bound = (n + 1) * math.comb(m - mu + s, s), pres.rels

@@ -40,7 +40,7 @@ import math
 import random
 from dataclasses import dataclass
 
-from .field import FieldSpec, MixedFields
+from .field import DomainError, FieldSpec, MixedFields
 from .hasse import jet_series
 from .jacobian import JacmMatrix, PolyMatrix, ScalarMatrix
 from .jetmatrix import DnMatrix, _block_layout, _series_values
@@ -57,7 +57,7 @@ def draw(rng: random.Random, p: int) -> int:
     return rng.randrange(p) if p else rng.randint(-SAMPLE_RANGE, SAMPLE_RANGE)
 
 
-class TooManyMinors(ValueError):
+class TooManyMinors(ValueError, DomainError):
     """The requested minor enumeration exceeds the cap."""
 
     def __init__(self, count: int, cap: int):
@@ -65,7 +65,7 @@ class TooManyMinors(ValueError):
         self.count = count
 
 
-class TooManyMinorTerms(ValueError):
+class TooManyMinorTerms(ValueError, DomainError):
     """The intermediate minors of an enumeration exceed MINOR_TERM_CAP
     terms together."""
 
@@ -78,11 +78,11 @@ class NotSquare(ValueError):
     """A determinant of a matrix that is not square."""
 
 
-class BadMinorSize(ValueError):
+class BadMinorSize(ValueError, DomainError):
     """A minor size k outside 0..min(rows, cols)."""
 
 
-class BadTrialCount(ValueError):
+class BadTrialCount(ValueError, DomainError):
     """A sampling budget of fewer than one trial."""
 
 

@@ -45,10 +45,10 @@ from itertools import chain
 from operator import itemgetter
 from typing import Mapping, Sequence
 
-from .field import FieldElement, FieldSpec, MixedFields
+from .field import DomainError, FieldElement, FieldSpec, MixedFields
 
 
-class ParseError(ValueError):
+class ParseError(ValueError, DomainError):
     """Malformed polynomial source; .position is the 0-based offset."""
 
     def __init__(self, message: str, position: int):
@@ -64,14 +64,14 @@ class BadExponent(ParseError):
     """A negative exponent."""
 
 
-class MissingCoordinate(KeyError):
+class MissingCoordinate(KeyError, DomainError):
     """A point does not assign a variable that the polynomial needs."""
 
     def __str__(self):  # KeyError quotes its payload by default
         return self.args[0] if self.args else ""
 
 
-class WrongCoordinateCount(ValueError):
+class WrongCoordinateCount(ValueError, DomainError):
     """A flat point lists more or fewer coordinates than its variables."""
 
 
@@ -92,7 +92,7 @@ class MalformedMonomial(ValueError):
     negative jet order."""
 
 
-class CoefficientTooLong(ValueError):
+class CoefficientTooLong(ValueError, DomainError):
     """A coefficient or exponent has more decimal digits than int()
     converts to text (sys.get_int_max_str_digits), so the polynomial
     cannot be printed."""

@@ -8,8 +8,8 @@ from pathlib import Path
 import pytest
 
 import jetjac
-from jetjac import DnMatrix, FieldSpec, PolyMatrix, Polynomial, UnknownVariable, dn_matrix, hasse, jac_m, linalg, parse_poly, parse_polys
-from jetjac.cli import DOMAIN_ERRORS, build_matrix, build_parser, matrix_argument, matrix_dims, run
+from jetjac import DnMatrix, DomainError, FieldSpec, PolyMatrix, Polynomial, UnknownVariable, dn_matrix, hasse, jac_m, linalg, parse_poly, parse_polys
+from jetjac.cli import build_matrix, build_parser, matrix_argument, matrix_dims, run
 
 Q = FieldSpec.rationals()
 GF2 = FieldSpec.prime_field(2)
@@ -564,7 +564,7 @@ class TestErrorHandling:
         assert (code, out) == (1, "")
         assert err.startswith(f"{name}: ") and err.count("\n") == 1
         error_class = getattr(jetjac, name)
-        assert error_class in DOMAIN_ERRORS and issubclass(error_class, ValueError)
+        assert issubclass(error_class, DomainError) and issubclass(error_class, ValueError)
 
     # a thousand base variables: each query answers or names its error,
     # and none ends in a traceback
@@ -585,7 +585,7 @@ class TestErrorHandling:
         assert code == want_code
         if code:
             assert out == "" and err.startswith(f"{want}: ") and err.count("\n") == 1
-            assert getattr(jetjac, want) in DOMAIN_ERRORS
+            assert issubclass(getattr(jetjac, want), DomainError)
         else:
             assert (out, err) == (want, "")
 
@@ -602,8 +602,28 @@ class TestErrorHandling:
         assert (code, out) == (0, "generic rank = 2 (probabilistic; trials=2, seed=0)\n")
 
     def test_no_bare_builtin_error_is_a_domain_error(self):
-        assert ValueError not in DOMAIN_ERRORS
-        assert ArithmeticError not in DOMAIN_ERRORS
+        assert not issubclass(ValueError, DomainError)
+        assert not issubclass(ArithmeticError, DomainError)
+
+    # raised only by a misuse of the library, never by a CLI input
+    LIBRARY_MISUSE = {
+        "ShapeMismatch", "BadPower", "BadMultiIndex", "MalformedMonomial", "NotSquare",
+        "NotBasePoint", "BadBaseCount", "BadCharacteristic", "BadFieldSelector",
+    }
+
+    def test_every_exception_class_is_a_domain_error_or_a_library_misuse(self):
+        # every exception class the package defines, in every module
+        modules = [module for module in vars(jetjac).values() if type(module) is type(jetjac)]
+        defined = {
+            cls
+            for module in modules
+            for cls in vars(module).values()
+            if isinstance(cls, type) and issubclass(cls, BaseException) and cls.__module__ == module.__name__
+        }
+        domain = {cls.__name__ for cls in defined if issubclass(cls, DomainError) and cls is not DomainError}
+        other = {cls.__name__ for cls in defined if not issubclass(cls, DomainError)}
+        assert {module.__name__ for module in modules} >= {"jetjac.cli", "jetjac.field", "jetjac.jetscheme"}
+        assert (len(domain), other) == (29, self.LIBRARY_MISUSE)
 
     @staticmethod
     def too_many_digits():

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -344,6 +345,28 @@ class TestTermCap:
         with pytest.raises(TooManyTerms) as err:
             hs_components(f, 16)
         assert err.value.count == 778280
+
+    def test_refuses_before_allocating_anything_of_size_n(self, monkeypatch):
+        # x1 lists 101 weights past a cap of 100, and n = 10^6 lists are never built
+        monkeypatch.setattr(hasse, "TERM_CAP", 100)
+        f = parse_poly("x1*x2", 2, Q)
+        tracemalloc.start()
+        try:
+            with pytest.raises(TooManyTerms) as err:
+                hs_components(f, 10**6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert err.value.count == 101 and peak < 10**6
+
+    def test_a_convolution_stops_past_the_cap(self):
+        # x1 * x2 meets 10 * 10001 - 45 pairs of weights at a = 0..9, and
+        # 109956 at a = 10: that lower bound, not the 1.7 * 10^11 products of
+        # x1 * x2 * x3, whose convolution would meet 5 * 10^7 pairs
+        f = parse_poly("x1*x2*x3", 3, Q)
+        with pytest.raises(TooManyTerms) as err:
+            hs_components(f, 10**4)
+        assert err.value.count == 109956
 
 
 class TestSparseComponents:

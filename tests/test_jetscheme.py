@@ -820,6 +820,21 @@ class TestNobileCertificate:
         assert len(searches) == trials
         assert cert.witness_jet == cert.cokernel.witness
 
+    def test_builds_one_zero_jet_the_witness(self, monkeypatch):
+        # the singular base is checked as a base point without building its
+        # zero jet, which holds (n+1)*s coordinates
+        built = []
+
+        def counted(base, n):
+            built.append(base)
+            return zero_jet_over(base, n)
+
+        monkeypatch.setattr(jetscheme, "zero_jet_over", counted)
+        cert = nobile_certificate(CUSP, 3, 2, ORIGIN, trials=3, seed=0)
+        assert len(built) == 1 and cert.witness_jet == zero_jet_over(built[0], 3)
+        with pytest.raises(NotBasePoint, match=r"^expected a base point \(order-0 coordinates only\)$"):
+            nobile_certificate(CUSP, 3, 2, cusp_point(0, 0, 0, 0, n=1))
+
     def test_builds_neither_jac_m_nor_dn(self, monkeypatch):
         # the zero-jet rank comes from the multiplicity, and each sample from
         # a nonzero partial: neither Jac_m f nor D_n(L) is built
