@@ -41,7 +41,7 @@ from .field import DomainError, FieldSpec, MixedFields
 from .poly import JetVariable, MissingCoordinate, Point, Polynomial, _rational, jet_grid
 
 
-# at most this many terms in d_0(f), ..., d_n(f) together
+# at most this many terms in d_0(f), ..., d_n(f) together, a zero component counted as one
 TERM_CAP = 100_000
 
 
@@ -253,7 +253,8 @@ def hs_components(f: Polynomial, n: int) -> HSExpansion:
     is nonzero, and it is no other product, of this monomial or another,
     since its exponents of x_i^(0), ..., x_i^(n) sum to the e of x_i.  So
     the terms of every monomial are counted, and checked against
-    TERM_CAP, before any is built or anything of size n is allocated."""
+    TERM_CAP, before any is built or anything of size n is allocated; so
+    are the n + 1 components, each at least one printed term."""
     _require_base(f)
     if n < 0:
         raise BadJetOrder("n must be >= 0")
@@ -277,6 +278,9 @@ def hs_components(f: Polynomial, n: int) -> HSExpansion:
         if count > TERM_CAP:
             raise TooManyTerms(count)
         monomials.append((coeff, factors))
+    count = max(count, n + 1)  # each component prints at least one term, 0 when it is zero
+    if count > TERM_CAP:
+        raise TooManyTerms(count)
     acc = [{} for _ in range(n + 1)]
     for coeff, factors in monomials:
         products = [(0, coeff.numerator * (D // coeff.denominator), ())]

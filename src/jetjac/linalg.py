@@ -44,7 +44,7 @@ from .field import DomainError, FieldSpec, MixedFields
 from .hasse import jet_series
 from .jacobian import JacmMatrix, PolyMatrix, ScalarMatrix
 from .jetmatrix import DnMatrix, _block_layout, _series_values
-from .poly import Point, Polynomial, _Memo, _rational, _raw_value
+from .poly import Point, Polynomial, _Memo, _rational, _raw_value, jet_grid
 
 MINOR_CAP = 100_000
 MINOR_TERM_CAP = 2_000_000
@@ -151,15 +151,19 @@ def rank_at(mx: PolyMatrix | JacmMatrix | DnMatrix, point: Point) -> int:
         return 0
     if not isinstance(mx, DnMatrix):
         return rank(eval_matrix(mx, point))
-    n = mx.n
-    series = jet_series(point, mx.spec, mx.s, n)
-    r0 = rank(eval_matrix(mx.L, point))
-    if r0 == min(mx.L.rows, mx.L.cols) or not any(any(v[1:]) for v in series.values()):
+    series = jet_series(point, mx.spec, mx.s, mx.n)
+    return _dn_rank(mx, series, rank(eval_matrix(mx.L, point)))
+
+
+def _dn_rank(D: DnMatrix, series: dict[int, list], r0: int) -> int:
+    # rank_at of D at the jet of `series`, given r0 = rank A_0
+    n = D.n
+    if r0 == min(D.L.rows, D.L.cols) or not any(any(v[1:]) for v in series.values()):
         return (n + 1) * r0
-    values = _series_values(mx, series, n)
+    values = _series_values(D, series, n)
     if not any(any(v[1:]) for v in values):
         return (n + 1) * r0
-    return rank(_block_layout(mx, values))
+    return rank(_block_layout(D, values))
 
 
 def _integer_row(fracs) -> list[int]:
@@ -404,19 +408,34 @@ def trial_rng(seed: int, trial: int, label: str = "trial") -> random.Random:
 def generic_rank(mx: PolyMatrix | JacmMatrix | DnMatrix, trials: int = 20, seed: int = 0) -> int:
     """Rank at a random point, maximized over seeded trials.  The points
     are drawn over mx.variables(), so a DnMatrix or a JacmMatrix gives the
-    same result as the dn_matrix or jac_m it stands for.
+    same result as the dn_matrix or jac_m it stands for.  A DnMatrix
+    draws its s base coordinates first and ranks A_0 = L(a_0); the s n
+    coordinates of positive order follow from the same rng, in the same
+    order, only when A_0 is deficient, since rank_at reads (n+1) rank A_0
+    off a full A_0 alone.
 
     This is a probabilistic lower bound for the rank over the fraction
     field; it equals it with high probability.  Deterministic in seed.
     """
     if trials < 1:
         raise BadTrialCount("trials must be >= 1")
-    variables = mx.variables()
+    dn = isinstance(mx, DnMatrix)
+    spec, p = mx.spec, mx.spec.characteristic
+    variables = jet_grid(mx.s, 0) if dn else mx.variables()
     best = 0
     limit = min(mx.rows, mx.cols)
     for t in range(trials):
-        point = random_point(mx.spec, variables, trial_rng(seed, t, "generic-rank"))
-        best = max(best, rank_at(mx, point))
+        rng = trial_rng(seed, t, "generic-rank")
+        point = random_point(spec, variables, rng)
+        if not dn:
+            r = rank_at(mx, point)
+        elif (r0 := rank(eval_matrix(mx.L, point))) == min(mx.L.rows, mx.L.cols):
+            r = (mx.n + 1) * r0
+        else:
+            values = dict(point.values)
+            values.update(((k, i), draw(rng, p)) for k in range(1, mx.n + 1) for i in range(1, mx.s + 1))
+            r = _dn_rank(mx, jet_series(Point._make(spec, values), spec, mx.s, mx.n), r0)
+        best = max(best, r)
         if best == limit:
             break
     return best

@@ -186,7 +186,7 @@ def nobile_certificate_by_matrix(f: Polynomial, n: int, m: int, base: Point, tri
         all_match=all(x == expected for x in samples),
         trials=trials,
         seed=seed,
-        witness=zero_jet_over(bases[samples.index(low)], n),
+        witness=bases[samples.index(low)],
     )
     witness_rank = D.cols - low
     return NobileCertificate(
@@ -200,7 +200,6 @@ def nobile_certificate_by_matrix(f: Polynomial, n: int, m: int, base: Point, tri
         full=zero_rank == D.rows,
         cokernel=cokernel,
         rank_jump=witness_rank == D.rows and zero_rank < D.rows,
-        witness_jet=cokernel.witness,
         witness_rank=witness_rank,
         assumptions=(HYPERSURFACE_ASSUMPTION, IRREDUCIBILITY_ASSUMPTION, NORMALITY_ASSUMPTION),
         trials=trials,

@@ -241,6 +241,22 @@ PROBES = [
         3,
         lines=(f"verdict: {VERDICT}",),
     ),
+    # each of the n + 1 components prints at least one term, so 10^9 of them pass the term budget
+    Probe(cli("hs-derive", "--field", "Fp:32003", "--f", "x1^32003", "--n", "1000000000"), 2, 1, error="TooManyTerms"),
+    Probe(cli("hs-derive", "--f", "5", "--n", "1000000000"), 2, 1, error="TooManyTerms"),
+    Probe(cli("verify-identities", "--f", "5", "--n", "1000000000"), 2, 1, error="TooManyTerms"),
+    # the witness is stored as its base point: no printed number reads its (n+1)*s zeros
+    Probe(
+        cli("nobile", "--f", "x1^3-x2^2", "--n", "10000000", "--m", "1", "--base=0,0"),
+        3,
+        lines=(f"verdict: {VERDICT}",),
+    ),
+    # A_0 = Jac_1(x1*x2) has full rank at the first point: no coordinate of positive order is drawn
+    Probe(
+        cli("generic-rank", "--matrix", "dnl:10000000:1:x1*x2"),
+        5,
+        lines=(re.compile(r"\A" + re.escape("generic rank = 10000001 (probabilistic; trials=20, seed=0)\n")),),
+    ),
 ]
 
 

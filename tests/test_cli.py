@@ -8,7 +8,23 @@ from pathlib import Path
 import pytest
 
 import jetjac
-from jetjac import DnMatrix, DomainError, FieldSpec, PolyMatrix, Polynomial, UnknownVariable, dn_matrix, hasse, jac_m, linalg, parse_poly, parse_polys
+from jetjac import (
+    DnMatrix,
+    DomainError,
+    FieldSpec,
+    PolyMatrix,
+    Polynomial,
+    UnknownVariable,
+    dn_matrix,
+    hasse,
+    hs_components,
+    jac_m,
+    jet_jacobian,
+    jetmatrix,
+    linalg,
+    parse_poly,
+    parse_polys,
+)
 from jetjac.cli import build_matrix, build_parser, matrix_argument, matrix_dims, run
 
 Q = FieldSpec.rationals()
@@ -134,6 +150,36 @@ class TestDerivationCommands:
         code, out, _ = invoke(capsys, "check-fdbd", "--f", "x1^3 - x2^2", "--n", "2")
         assert code == 0
         assert out.startswith("PASS")
+
+    def test_verify_identities_reports_a_failure(self, capsys, monkeypatch):
+        # d_1 of the cusp gains x1_1, so the partial by x1_1 of d_1 is off by 1
+        def perturbed(g, n):
+            expansion = hs_components(g, n)
+            if g != parse_poly(CUSP_SOURCE, 2, Q):
+                return expansion
+            components = list(expansion.components)
+            components[1] += parse_poly("x1_1", 2, Q)
+            return hasse.HSExpansion(g, n, tuple(components))
+
+        monkeypatch.setattr(hasse, "hs_components", perturbed)
+        code, out, err = invoke(capsys, "verify-identities", "--f", CUSP_SOURCE, "--n", "2")
+        assert (code, out, err) == (0, "FAIL: partial_(x1^(1)) d_1 != d_0 partial_(x1) (after 3 cases)\n", "")
+        code, out, _ = invoke(capsys, "verify-identities", "--f", CUSP_SOURCE, "--n", "2", "--json")
+        assert json.loads(out) == {"ok": False, "cases_checked": 3, "counterexample": [1, 1, 1]}
+
+    def test_check_fdbd_reports_a_failure(self, capsys, monkeypatch):
+        # one cell of the 3 x 6 jet Jacobian plus 1: the first mismatch in row order
+        def perturbed(fs, n):
+            direct = jet_jacobian(fs, n)
+            entries = list(direct.entries)
+            entries[1 * direct.cols + 4] += 1
+            return PolyMatrix(direct.rows, direct.cols, tuple(entries), grid_order=n)
+
+        monkeypatch.setattr(jetmatrix, "jet_jacobian", perturbed)
+        code, out, err = invoke(capsys, "check-fdbd", "--f", CUSP_SOURCE, "--n", "2")
+        assert (code, out, err) == (0, "FAIL: entry mismatch at (1, 4)\n", "")
+        code, out, _ = invoke(capsys, "check-fdbd", "--f", CUSP_SOURCE, "--n", "2", "--json")
+        assert json.loads(out)["first_mismatch"] == [1, 4] and not json.loads(out)["ok"]
 
 
 class TestRankCommands:

@@ -696,9 +696,9 @@ class TestGenericCokernelRank:
             samples, base = self.eager_samples(pres, 5, seed)
             # a sample read off the base block is the cokernel rank at a lifted jet over it
             assert report.samples == samples, (str(pres.f), pres.n, pres.m, seed)
-            assert report.witness == zero_jet_over(base, pres.n)
+            assert report.witness == base
             D = DnMatrix(pres.L, pres.n)
-            assert rank(at_point(D, report.witness)) == D.cols - min(samples)
+            assert rank(at_point(D, zero_jet_over(report.witness, pres.n))) == D.cols - min(samples)
 
     def test_a_default_certificate_extends_no_jet(self, monkeypatch):
         calls = []
@@ -818,11 +818,12 @@ class TestNobileCertificate:
         monkeypatch.setattr(jetscheme, "find_smooth_point", counted)
         cert = nobile_certificate(CUSP, 1, 2, ORIGIN, trials=trials, seed=0)
         assert len(searches) == trials
-        assert cert.witness_jet == cert.cokernel.witness
+        assert cert.witness_jet == zero_jet_over(cert.cokernel.witness, 1)
 
     def test_builds_one_zero_jet_the_witness(self, monkeypatch):
         # the singular base is checked as a base point without building its
-        # zero jet, which holds (n+1)*s coordinates
+        # zero jet, which holds (n+1)*s coordinates, and the witness jet is
+        # built once, when it is first read
         built = []
 
         def counted(base, n):
@@ -831,7 +832,9 @@ class TestNobileCertificate:
 
         monkeypatch.setattr(jetscheme, "zero_jet_over", counted)
         cert = nobile_certificate(CUSP, 3, 2, ORIGIN, trials=3, seed=0)
-        assert len(built) == 1 and cert.witness_jet == zero_jet_over(built[0], 3)
+        assert built == []
+        assert cert.witness_jet is cert.witness_jet
+        assert built == [cert.cokernel.witness] and cert.witness_jet == zero_jet_over(built[0], 3)
         with pytest.raises(NotBasePoint, match=r"^expected a base point \(order-0 coordinates only\)$"):
             nobile_certificate(CUSP, 3, 2, cusp_point(0, 0, 0, 0, n=1))
 

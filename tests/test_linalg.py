@@ -623,6 +623,35 @@ class TestGenericRank:
         with pytest.raises(ValueError):
             generic_rank(jac_m([CUSP], 2), trials=0)
 
+    @pytest.mark.parametrize("spec", [Q, GF2, GF5], ids=str)
+    def test_a_dn_matrix_ranks_the_points_drawn_over_its_variables(self, spec):
+        # a trial draws the base block first and the coordinates of positive
+        # order after it, from the same rng, only when A_0 is deficient; the
+        # rank is still rank_at at the point drawn over D.variables()
+        deficient = 0
+        for sources, b in ((["x1^3 - x2^2"], 1), (["x1"], 1), (["x1", "x2", "x1^2", "x1*x2"], 2)):
+            entries = [parse_poly(src, 2, spec) for src in sources]
+            for L in (jac_m(entries[:1], 2), PolyMatrix(b, len(entries) // b, tuple(entries))):
+                for n in (0, 1, 3):
+                    D = DnMatrix(L, n)
+                    for seed in range(8):
+                        point = random_point(spec, D.variables(), trial_rng(seed, 0, "generic-rank"))
+                        assert generic_rank(D, trials=1, seed=seed) == rank_at(D, point), (sources, n, seed)
+                        deficient += rank(eval_matrix(L, point)) < min(L.rows, L.cols)
+        assert deficient
+
+    def test_a_full_base_block_draws_no_coordinate_of_positive_order(self, monkeypatch):
+        drawn = []
+
+        def counted(rng, p):
+            drawn.append(p)
+            return draw(rng, p)
+
+        draw = linalg.draw
+        monkeypatch.setattr(linalg, "draw", counted)
+        D = DnMatrix(jac_m([parse_poly("x1*x2", 2, Q)], 1), 10**7)
+        assert generic_rank(D) == 10**7 + 1 and len(drawn) == 2
+
 
 # -- every minor against the Leibniz formula ----------------------------
 

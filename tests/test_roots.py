@@ -27,7 +27,7 @@ from jetjac import (
     nobile_certificate,
     parse_poly,
 )
-from jetjac.jetscheme import _divmod, _linear_power, _rational_roots, _residue_roots
+from jetjac.roots import _divmod, _linear_power, _rational_roots, _residue_roots
 
 from _oracles import rational_roots_divisors, residue_roots_scan
 
