@@ -26,8 +26,15 @@ k[y]/(y)^(m+1); singular-check there is the independent matrix check.
 The symbolic equations and presentation matrices are built only when a
 caller reads them.
 
-Smooth points are sampled by solving f for one coordinate with the others
-frozen; the roots of that univariate polynomial come from jetjac.roots.
+Smooth points are sampled on lines P + t v through a given point P, the
+certificate's singular base, and by solving f for one coordinate with the
+others frozen.  On a line f(P + t v) = t^k h(t) with deg h <= deg f - k
+(projection from a point; Harris, Algebraic Geometry: A First Course,
+1992): h is linear when the multiplicity of f at P is deg f - 1, or, for
+directions in the tangent cone at P, where the lowest form of f vanishes,
+when f keeps two consecutive orders there, and its root is then rational
+and direct.  The roots of the univariate polynomial of a coordinate line
+come from jetjac.roots.
 """
 
 from __future__ import annotations
@@ -52,10 +59,11 @@ from .jacobian import (
 )
 from .jetmatrix import DnMatrix, dn_matrix
 from .linalg import BadTrialCount, draw, eval_matrix, rank, rank_at, trial_rng
-from .poly import JetVariable, MissingCoordinate, Point, Polynomial, _rational, _raw_value
+from .poly import JetVariable, MissingCoordinate, Point, Polynomial, _raw_value
 from .roots import _derivative, _eval_mod, _rational_roots, _residue_roots
 
 SMOOTH_POINT_ATTEMPTS = 200  # seeded trials of find_smooth_point
+LINE_PASS_PARTS = 10  # per term of f, the most the Taylor pass of find_smooth_point's lines makes
 
 
 class ConstantPolynomial(ValueError, DomainError):
@@ -254,28 +262,118 @@ def _univariate_in(f: Polynomial, target: int, vals: dict):
     return [coeffs.get(k, 0) for k in range(top + 1)]
 
 
-def find_smooth_point(f: Polynomial, seed=0) -> Point:
+@functools.lru_cache(maxsize=8)
+def _expansion(f: Polynomial, base: tuple) -> tuple[dict, tuple | None]:
+    """f(P + y) at the point P of raw base coordinates `base`, from one
+    taylor_coefficients pass to order deg f (at least 1), as (forms, line).
+    forms[j] lists (c, ((i, e), ...)) for each nonzero c*y^delta with
+    |delta| = j, i running over the 0-based indices of delta_i = e > 0.
+    line is (zero, j) when every line P + t v with v_i = 0 for i in zero
+    meets V(f) where f_j(v) + t f_(j+1)(v) = 0, every other form vanishing
+    on it: zero is empty when the nonzero orders of f are j and j + 1, and
+    otherwise holds the variables of the lowest nonzero form f_mu, which
+    vanishes on the tangent cone they cut out, when the terms free of them
+    have the orders j and j + 1 alone.  line is None when neither holds,
+    and ({}, None) is returned with no pass when it would make more than
+    LINE_PASS_PARTS parts per term of f: a term c*x^g makes prod(g_i + 1)
+    over the nonzero P_i, one for each delta <= g there, and just one at
+    the origin.  The last few (f, P) are kept, so every trial of a
+    certificate's sampler shares one pass."""
+    parts = sum(math.prod(e + 1 for _, i, e in key if base[i - 1]) for key in f.terms)
+    if parts > LINE_PASS_PARTS * len(f.terms):
+        return {}, None
+    forms: dict[int, list] = {}
+    vals = {(0, i): x for i, x in enumerate(base, 1)}
+    for delta, c in taylor_coefficients(f, vals, len(base), max(f.degree(), 1)).items():
+        forms.setdefault(sum(delta), []).append((c, tuple((i, e) for i, e in enumerate(delta) if e)))
+    line = None
+    if forms:
+        cone = frozenset(i for _, exps in forms[min(forms)] for i, _ in exps)
+        for zero in (frozenset(), cone):
+            kept = sorted(
+                j for j, form in forms.items() if any(zero.isdisjoint(i for i, _ in exps) for _, exps in form)
+            )
+            if len(kept) == 2 and kept[1] - kept[0] == 1:
+                line = zero, kept[0]
+                break
+    return forms, line
+
+
+def _on_line(f: Polynomial, forms: dict, base: tuple, line: tuple, seed, t: int) -> Point | None:
+    """Trial t of the lines through the point P of raw coordinates `base`
+    that `line` = (zero, j) of _expansion describes: a seeded direction v
+    with v_i = 0 for i in zero, on which f(P + t v) = t^j (h_0 + h_1 t),
+    h_k = f_(j+k)(v).  When h_0 and h_1 are nonzero, the root r = -h_0/h_1
+    gives a point of V(f) where the partial of f along v, r^j h_1, is
+    nonzero; None otherwise."""
+    spec = f.spec
+    p = spec.characteristic
+    zero, j = line
+    rng = trial_rng(seed, t, "smooth-line")
+    v = [0 if i in zero else draw(rng, p) for i in range(len(base))]
+    h = []
+    for form in (forms[j], forms[j + 1]):
+        acc = 0
+        for c, exps in form:
+            for i, e in exps:
+                c *= pow(v[i], e, p) if p else v[i] ** e
+            acc += c
+        h.append(acc % p if p else acc)
+    if not (h[0] and h[1]):
+        return None
+    r = -h[0] * pow(h[1], -1, p) % p if p else -Fraction(h[0]) / h[1]
+    return Point._make(spec, {(0, i): spec.raw(x + r * y) for i, (x, y) in enumerate(zip(base, v), 1)})
+
+
+def find_smooth_point(f: Polynomial, seed=0, through: Point | None = None) -> Point:
     """A point of V(f) where some first partial is nonzero.
 
-    Freezes all but one coordinate at seeded random values and solves the
-    remaining univariate equation: over Q by p-adic lifting of its roots
-    mod a small prime and rational reconstruction, over GF(p) by splitting
-    gcd(g, x^p - x) into its linear factors, in both cases in time
-    polynomial in the bit size of the coefficients.  Roots in GF(p) are
-    tried in ascending order, rational roots 0 first and then by
+    Each trial solves a univariate polynomial on a line, and there are
+    SMOOTH_POINT_ATTEMPTS of them.  Given a point P `through` (MixedFields
+    over another field) on whose lines, or on whose lines in the tangent
+    cone, f(P + t v) = t^j (h_0 + h_1 t) (_expansion), the first half of
+    the trials draw such lines (_on_line), read off the forms of f at P
+    from one Taylor pass shared by every call with the same f and P, and
+    skipped when it would be long (LINE_PASS_PARTS); the root of a linear
+    h is rational and simple, so no root finder runs.  The other trials,
+    all of them otherwise, freeze all coordinates but one at seeded
+    random values and solve for the last, so that without `through` the
+    point of a seed depends on f alone.  A line whose h has a higher
+    degree is not tried: over Q its root is no likelier than on a
+    coordinate line, and it costs more to find.
+
+    On a coordinate line, roots come over Q from p-adic lifting of the
+    roots mod a small prime and rational reconstruction, over GF(p) from
+    splitting gcd(g, x^p - x) into its linear factors, in both cases in
+    time polynomial in the bit size of the coefficients.  Roots in GF(p)
+    are tried in ascending order, rational roots 0 first and then by
     (|numerator|, denominator, positive before negative).  Deterministic
-    in seed; at most SMOOTH_POINT_ATTEMPTS trials.  A trial keeps its
-    coordinates as the raw values of a Point, made from that dict when
-    found.  At a root r, g'(r) is the partial by the solved coordinate,
-    so a simple root is smooth; only a multiple root reads the s first
-    partials, as order 1 of taylor_coefficients, with no Polynomial built.
+    in seed.  A trial keeps its coordinates as the raw values of a Point,
+    made from that dict when found.  At a root r, g'(r) is the partial by
+    the solved coordinate, so a simple root is smooth; only a multiple
+    root reads the s first partials, as order 1 of taylor_coefficients,
+    with no Polynomial built.
     """
     s = f.base_count
     spec = f.spec
     p = spec.characteristic
     if s < 1 or f.is_constant:
         raise NoSmoothPointFound("the equation has no variables to solve for")
-    for t in range(SMOOTH_POINT_ATTEMPTS):
+    lines = 0
+    if through is not None:
+        if through.spec != spec:
+            raise MixedFields(f"point over {through.spec}, polynomial over {spec}")
+        base = tuple(through.values.get((0, i)) for i in range(1, s + 1))
+        if None in base:
+            raise MissingCoordinate(f"point assigns no value to x{base.index(None) + 1}")
+        forms, line = _expansion(f, base)
+        if line is not None:
+            lines = SMOOTH_POINT_ATTEMPTS // 2
+            for t in range(lines):
+                point = _on_line(f, forms, base, line, seed, t)
+                if point is not None:
+                    return point
+    for t in range(SMOOTH_POINT_ATTEMPTS - lines):
         rng = trial_rng(seed, t, "smooth-point")
         solve = t % s + 1  # x_solve is solved for
         vals = {(0, i): None if i == solve else draw(rng, p) for i in range(1, s + 1)}
@@ -372,13 +470,15 @@ class CokernelReport:
         )
 
 
-def generic_cokernel_rank(pres: Presentation, trials: int = 20, seed=0) -> CokernelReport:
+def generic_cokernel_rank(pres: Presentation, trials: int = 20, seed=0, through: Point | None = None) -> CokernelReport:
     """Sample jets over smooth base points of V(f), read the rank of the
     presentation matrix there and report generators minus rank, compared
     against the free rank expected away from the singular locus.
 
     Trial t takes the base block A_0 = L(a_0) at the smooth base point
-    a_0 = find_smooth_point(f, seed=f"{seed}:{t}").  At the zero jet over
+    a_0 = find_smooth_point(f, seed=f"{seed}:{t}", through=through), on a
+    line through `through`, such as the certificate's singular base, when
+    those lines meet V(f) in the root of a linear h.  At the zero jet over
     a_0, D_n(L) is block diagonal with n + 1 copies of A_0, so its exact
     cokernel rank is the sample gens - (n+1) rank A_0, and by
     linalg.rank_at every jet over a_0 gives the same sample.  If f(a_0) = 0
@@ -401,7 +501,7 @@ def generic_cokernel_rank(pres: Presentation, trials: int = 20, seed=0) -> Coker
     partials = [f.partial(JetVariable(i, 0)) for i in range(1, f.base_count + 1)]
     samples = []
     for t in range(trials):
-        base = find_smooth_point(f, seed=f"{seed}:{t}")
+        base = find_smooth_point(f, seed=f"{seed}:{t}", through=through)
         vals, powers = base.values, {}
         smooth = not _raw_value(f, vals, p, powers) and any(_raw_value(g, vals, p, powers) for g in partials)
         sample = expected if smooth else pres.gens - (pres.n + 1) * rank(eval_matrix(pres.L, base))
@@ -540,7 +640,8 @@ def nobile_certificate(
     point (all first partials of f vanish there); raises NotSingularBase
     otherwise.  One taylor_coefficients pass reads f(base + y) to order
     m: orders 0 and 1 make that check, and the least nonzero order, if at
-    most m, is the multiplicity mu."""
+    most m, is the multiplicity mu.  The sampler of the cokernel samples
+    is handed the base, for its lines through it."""
     _require_base(f)
     if m < 1:
         raise BadDifferentialOrder("m must be >= 1")
@@ -564,7 +665,7 @@ def nobile_certificate(
     pres = presentation_of(f, n, m)
     mu = min(map(sum, taylor), default=m + 1)
     zero_rank, bound = (n + 1) * math.comb(m - mu + s, s), pres.rels
-    cokernel = generic_cokernel_rank(pres, trials=trials, seed=seed)
+    cokernel = generic_cokernel_rank(pres, trials=trials, seed=seed, through=singular_base)
     witness_rank = pres.gens - cokernel.cokernel_rank
     rank_jump = witness_rank == bound and zero_rank < bound
     assumptions = (

@@ -159,7 +159,8 @@ def nobile_certificate_by_matrix(f: Polynomial, n: int, m: int, base: Point, tri
     matrix: the base is checked by evaluating f and its first partials,
     fact (ii) ranks D_n(Jac_m f) at the zero jet with rank_at, and each
     cokernel sample ranks the base block Jac_m f(a_0) at its sampled base
-    point a_0, whether or not a first partial is nonzero there.  The
+    point a_0, drawn on lines through the base as the certificate draws
+    it, whether or not a first partial is nonzero there.  The
     expected rank is the shape of D_n(Jac_m f), not a count.  Parameters
     are taken as valid."""
     if not f.evaluate(base).is_zero:
@@ -176,7 +177,7 @@ def nobile_certificate_by_matrix(f: Polynomial, n: int, m: int, base: Point, tri
     expected = D.cols - D.rows
     samples, bases = [], []
     for t in range(trials):
-        bases.append(find_smooth_point(f, seed=f"{seed}:{t}"))
+        bases.append(find_smooth_point(f, seed=f"{seed}:{t}", through=base))
         samples.append(D.cols - (n + 1) * rank(eval_matrix(L, bases[-1])))
     low = min(samples)
     cokernel = CokernelReport(

@@ -195,6 +195,26 @@ PROBES = [
         5,
         lines=json_lines(rank=4004, bound=10010, cokernel_rank=9009, witness_rank=10010, verdict=VERDICT),
     ),
+    # over Q the coordinate trials alone found no smooth point on these three: each line through the
+    # singular origin meets V(f) again in the root of a linear h (for the E_6 surface, lines with x1 = 0)
+    Probe(
+        cli("nobile", "--json", "--f", "x1^2+x2^2+x3^2+x4^3", "--n", "1", "--m", "2", "--base=0,0,0,0"),
+        2,
+        lines=json_lines(rank=2, bound=10, cokernel_rank=18, witness_rank=10, verdict=VERDICT),
+    ),
+    Probe(
+        cli(
+            "nobile", "--json", "--f", "x1^3+x2^3+x3^3+x4^3+x5^3+x6^3+x7^3+x8^3-3*x1*x2*x3*x4", "--n", "1", "--m", "2",
+            "--base=0,0,0,0,0,0,0,0",
+        ),
+        2,
+        lines=json_lines(rank=0, bound=18, cokernel_rank=70, witness_rank=18, verdict=VERDICT),
+    ),
+    Probe(
+        cli("nobile", "--json", "--f", "x1^2+x2^3+x3^4", "--n", "1", "--m", "2", "--base=0,0,0"),
+        2,
+        lines=json_lines(rank=2, bound=8, cokernel_rank=10, witness_rank=8, verdict=VERDICT),
+    ),
     Probe(("-c", LIFT_120), 5),
     # over Q every sample needs a rational smooth point: 200 of them, found by lifting roots mod a small prime
     Probe(

@@ -656,7 +656,7 @@ class TestGenericCokernelRank:
         # [2, 4] and [1, 2], are dependent: a nonzero partial alone fixes nothing
         pres = presentation_of(parse_poly("4*x1^2 + 2*x1 + 1", 1, spec), 0, 2)
         origin = Point.from_base([0], spec)
-        monkeypatch.setattr(jetscheme, "find_smooth_point", lambda f, seed: origin)
+        monkeypatch.setattr(jetscheme, "find_smooth_point", lambda f, seed, through=None: origin)
         calls = self.count_matrix_calls(monkeypatch)
         report = generic_cokernel_rank(pres, trials=2, seed=0)
         assert report.samples == (pres.gens - rank(eval_matrix(pres.L, origin)),) * 2 == (1, 1)
@@ -711,7 +711,7 @@ class TestGenericCokernelRank:
         cert = nobile_certificate(CUSP, 1, 2, ORIGIN)
         assert len(cert.cokernel.samples) == 20
         assert calls == []
-        assert cert.witness_jet == zero_jet_over(find_smooth_point(CUSP, seed="0:0"), 1)
+        assert cert.witness_jet == zero_jet_over(find_smooth_point(CUSP, seed="0:0", through=ORIGIN), 1)
 
     @pytest.mark.parametrize("spec", [Q, GF101], ids=str)
     def test_a_deficient_base_block_cannot_certify(self, spec, monkeypatch):
@@ -720,7 +720,7 @@ class TestGenericCokernelRank:
         calls = self.count_matrix_calls(monkeypatch)
         for pres, seed in self.corpus(spec):
             origin = Point.from_base([0] * pres.f.base_count, spec)
-            monkeypatch.setattr(jetscheme, "find_smooth_point", lambda f, seed: origin)
+            monkeypatch.setattr(jetscheme, "find_smooth_point", lambda f, seed, through=None: origin)
             cert = nobile_certificate(pres.f, pres.n, pres.m, origin, trials=3, seed=seed)
             # no partial is nonzero at the origin, so each trial ranks its block
             assert calls == {"eval_matrix": 3, "rank": 3}

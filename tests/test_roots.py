@@ -7,9 +7,13 @@ sympy), and `find_smooth_point` against points recorded from the
 scan-based sampler over GF(p) and the divisor search over Q, so the
 root order and with it every seeded output stay fixed; its slope test
 at a root is checked at multiple roots, and by the partials it builds.
+Its lines through a singular base are checked for smooth points, for
+solving each linear h with no root finder, and for the one budget they
+share with the coordinate trials.
 """
 
 import math
+import re
 from fractions import Fraction
 
 import pytest
@@ -19,6 +23,8 @@ from hypothesis import strategies as st
 from jetjac import (
     FieldSpec,
     JetVariable,
+    MissingCoordinate,
+    MixedFields,
     NoSmoothPointFound,
     Point,
     Polynomial,
@@ -27,9 +33,10 @@ from jetjac import (
     nobile_certificate,
     parse_poly,
 )
+from jetjac.linalg import trial_rng
 from jetjac.roots import _divmod, _linear_power, _rational_roots, _residue_roots
 
-from _oracles import rational_roots_divisors, residue_roots_scan
+from _oracles import multiplicity, rational_roots_divisors, residue_roots_scan
 
 SMALL_PRIMES = (2, 3, 5, 7)
 PRIMES = SMALL_PRIMES + (101, 32003)
@@ -143,9 +150,9 @@ def test_find_smooth_point_reads_the_other_partials_at_a_multiple_root(monkeypat
 
 def test_certificate_builds_partials_only_for_its_samples(monkeypatch):
     # 2 that read each cokernel sample off a nonzero partial, built once
-    # for the 20 samples; the singular-base check and each multiple root
-    # met by a search (6 in this certificate, whose first trial freezes x2
-    # at 0 and meets the triple root of x1^3) read the slopes of f off
+    # for the 20 samples; the singular-base check and any multiple root
+    # met by a search (none here: each line through the cusp meets it in
+    # the simple root of a linear h) read the slopes of f off
     # taylor_coefficients, which builds no Polynomial.  Building the s
     # partials in every search made 2 + 2 + 20 * 2 = 44
     built = []
@@ -159,6 +166,112 @@ def test_certificate_builds_partials_only_for_its_samples(monkeypatch):
     cusp = parse_poly("x1^3 - x2^2", 2, FieldSpec.rationals())
     nobile_certificate(cusp, 1, 2, Point.from_base([0, 0], FieldSpec.rationals()))
     assert len(built) == 2
+
+
+# singular at the origin, with whether a line through it meets V(f) again
+# in the root of a linear h: the cusp, the quartic (in its tangent cone
+# x2 = 0), A_3 (never: h = v1^2 - v2^4 t^2), the E_6 curve, the umbrella,
+# and three inputs whose coordinate trials over Q found no smooth point in
+# SMOOTH_POINT_ATTEMPTS (the E_6 surface in its tangent cone x1 = 0; the
+# 8-variable cubic is a cube mod 3, (x1 + ... + x8)^3, with no smooth
+# point over GF(3))
+LINE_SOURCES = [
+    ("x1^3 - x2^2", True),
+    ("x1^3 - x2^2 + x1*x2*x3 + x3^4", True),
+    ("x1^2 - x2^4", False),
+    ("x1^3 + x2^4", True),
+    ("x1^2 - x2^2*x3", True),
+    ("x1^2 + x2^2 + x3^2 + x4^3", True),
+    ("x1^3 + x2^3 + x3^3 + x4^3 + x5^3 + x6^3 + x7^3 + x8^3 - 3*x1*x2*x3*x4", True),
+    ("x1^2 + x2^3 + x3^4", True),
+]
+
+
+def _count_root_finders(monkeypatch) -> list:
+    calls = []
+    for name in ("_rational_roots", "_residue_roots"):
+
+        def counted(*args, _inner=getattr(jetscheme, name)):
+            calls.append(args)
+            return _inner(*args)
+
+        monkeypatch.setattr(jetscheme, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("p", (0, 3, 101, 32003))
+@pytest.mark.parametrize("text, linear", LINE_SOURCES)
+def test_lines_through_the_singular_base_find_smooth_points(p, text, linear, monkeypatch):
+    spec = FieldSpec.prime_field(p)
+    s = max(int(name) for name in re.findall(r"x(\d+)", text))
+    f = parse_poly(text, s, spec)
+    origin = Point.from_base([0] * s, spec)
+    if (p, s) == (3, 8):
+        with pytest.raises(NoSmoothPointFound):
+            find_smooth_point(f, seed="0:0", through=origin)
+        return
+    assert linear or f.degree() - multiplicity(f, origin) > 1  # a line meets V(f) again in deg f - mu points
+    calls = _count_root_finders(monkeypatch)
+    for t in range(20):
+        seed = f"0:{t}"
+        point = find_smooth_point(f, seed=seed, through=origin)
+        assert f.evaluate(point).is_zero, seed
+        assert any(not f.partial(JetVariable(i, 0)).evaluate(point).is_zero for i in range(1, s + 1)), seed
+        if not linear:
+            # no line is tried, and the coordinate trials are those of a search without one
+            assert point == find_smooth_point(f, seed=seed), seed
+    if linear:
+        assert calls == []  # every point is the root of a linear h
+
+
+@pytest.mark.parametrize(
+    "text, lines",
+    [
+        # h = v1^2 + v2^4 t^2 is never linear: no line is tried
+        ("x1^2 - x2^4", 0),
+        # h is linear on every line, but f_3 vanishes on GF(2)^2, and the origin is the one point of V(f)
+        ("x1^2 + x1*x2 + x2^2 + x1^2*x2 + x1*x2^2", jetscheme.SMOOTH_POINT_ATTEMPTS // 2),
+    ],
+)
+def test_lines_and_coordinate_trials_share_one_budget(text, lines, monkeypatch):
+    spec = FieldSpec.prime_field(2)
+    f = parse_poly(text, 2, spec)
+    labels = []
+
+    def recording_rng(seed, trial, label="trial"):
+        labels.append(label)
+        return trial_rng(seed, trial, label)
+
+    monkeypatch.setattr(jetscheme, "trial_rng", recording_rng)
+    calls = _count_root_finders(monkeypatch)
+    with pytest.raises(NoSmoothPointFound):
+        find_smooth_point(f, seed=0, through=Point.from_base([0, 0], spec))
+    assert labels == ["smooth-line"] * lines + ["smooth-point"] * (jetscheme.SMOOTH_POINT_ATTEMPTS - lines)
+    assert len(calls) <= jetscheme.SMOOTH_POINT_ATTEMPTS - lines
+
+
+def test_the_point_lines_pass_through_is_checked():
+    Q = FieldSpec.rationals()
+    cusp = parse_poly("x1^3 - x2^2", 2, Q)
+    with pytest.raises(MixedFields):
+        find_smooth_point(cusp, through=Point.from_base([0, 0], FieldSpec.prime_field(101)))
+    with pytest.raises(MissingCoordinate, match="x2"):
+        find_smooth_point(cusp, through=Point.from_base([0], Q))
+
+
+@pytest.mark.parametrize("p", (0, 101))
+def test_a_long_taylor_pass_is_not_made_for_the_lines(p, monkeypatch):
+    # at (1, 1) the pass to order 60 would make 31 * 31 parts for
+    # x1^30*x2^30 and one for the 1, past LINE_PASS_PARTS per term: no pass
+    # is made, no line drawn, and the coordinate trials give their points
+    spec = FieldSpec.prime_field(p)
+    f = parse_poly("x1^30*x2^30 - 1", 2, spec)
+    passes = []
+    monkeypatch.setattr(jetscheme, "taylor_coefficients", lambda *args: passes.append(args[3]) or {})
+    through = Point.from_base([1, 1], spec)
+    for t in range(5):
+        assert find_smooth_point(f, seed=f"0:{t}", through=through) == find_smooth_point(f, seed=f"0:{t}")
+    assert passes == []
 
 
 @pytest.mark.parametrize("p", PRIMES)
