@@ -30,7 +30,7 @@ from .jacobian import JacmMatrix, PolyMatrix, _bracketed, jac_m
 from .jetmatrix import DnMatrix, check_fdbd, dn_matrix
 from .jetscheme import higher_rank_test, jet_equations, nobile_certificate, rank_counterexample_check
 from .linalg import generic_rank, minors, rank_at
-from .poly import Point, _flat_keys, parse_polys
+from .poly import Point, _flat_keys, parse_polys, render
 
 
 class BadMatrixJSON(ValueError, DomainError):
@@ -179,10 +179,14 @@ def cmd_rank_at_point(args) -> tuple[str, dict]:
 
 
 def cmd_minors(args) -> tuple[str, dict]:
+    """The count and the list of the k x k minors, each with its row and
+    column selections.  The minors of one matrix share most of their
+    monomials, so poly.render writes them all at once, for the text and
+    the JSON alike."""
     found = minors(build_matrix(args.matrix, args.field), args.k)
     listed = [
-        {"rows": list(r), "cols": list(c), "value": str(v)}
-        for (r, c), v in zip(found.selections, found.values)
+        {"rows": list(r), "cols": list(c), "value": v}
+        for (r, c), v in zip(found.selections, render(found.values))
     ]
     lines = [f"count = {len(found)}"]
     lines += [f"rows {m['rows']} cols {m['cols']}: {m['value']}" for m in listed]

@@ -295,15 +295,15 @@ def jac(fs: list[Polynomial]) -> PolyMatrix:
 
 
 def divided_partials(f: Polynomial, s: int, m: int) -> dict[MultiIndex, Polynomial]:
-    """{delta: f.divided_partial(delta)} for every delta in N^s with
-    |delta| <= m, from one pass over the terms of f.
+    """{delta: Delta^delta f}, the divided-power (Hasse) derivatives of f,
+    for every delta in N^s with |delta| <= m, from one pass over its terms.
 
     By Taylor's formula f(x + y) = sum_delta (Delta^delta f)(x) y^delta, a
     term c*x^g adds c*prod_i C(g_i, delta_i)*x^(g - delta) to Delta^delta f
     for each delta <= g with |delta| <= m; for one delta no two terms of f
     meet on a monomial.  Jet variables, and base variables past x_s, are
-    left as they are.  Coefficients are reduced as divided_partial reduces
-    them, so a binomial that vanishes mod p drops its term.  Every partial
+    left as they are.  The binomials are integers reduced into the field,
+    so one that vanishes mod p drops its term.  Every partial
     keeps f's base_count and max_order; delta = 0 gives f itself.
     """
     p = f.spec.characteristic

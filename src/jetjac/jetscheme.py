@@ -45,8 +45,9 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
+from . import hasse
 from .field import DomainError, MixedFields
-from .hasse import BadJetOrder, _require_base, hs_components, hs_values, jet_series
+from .hasse import BadJetOrder, TooManyTerms, _require_base, hs_components, hs_values, jet_series
 from .jacobian import (
     BadDifferentialOrder,
     EmptyIndexFamily,
@@ -338,7 +339,9 @@ def find_smooth_point(f: Polynomial, seed=0, through: Point | None = None) -> Po
     h is rational and simple, so no root finder runs.  The other trials,
     all of them otherwise, freeze all coordinates but one at seeded
     random values and solve for the last, so that without `through` the
-    point of a seed depends on f alone.  A line whose h has a higher
+    point of a seed depends on f alone.  Their univariates are dense, so
+    before the first of them TooManyTerms is raised when some deg_{x_i} f
+    + 1 exceeds hasse.TERM_CAP.  A line whose h has a higher
     degree is not tried: over Q its root is no likelier than on a
     coordinate line, and it costs more to find.
 
@@ -373,6 +376,10 @@ def find_smooth_point(f: Polynomial, seed=0, through: Point | None = None) -> Po
                 point = _on_line(f, forms, base, line, seed, t)
                 if point is not None:
                     return point
+    # a coordinate line's univariate is dense: deg_{x_i} f + 1 coefficients
+    width = 1 + max(e for key in f.terms for _, _, e in key)
+    if width > hasse.TERM_CAP:
+        raise TooManyTerms(width)
     for t in range(SMOOTH_POINT_ATTEMPTS - lines):
         rng = trial_rng(seed, t, "smooth-point")
         solve = t % s + 1  # x_solve is solved for

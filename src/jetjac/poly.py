@@ -36,7 +36,6 @@ the identity.
 
 from __future__ import annotations
 
-import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -408,45 +407,6 @@ class Polynomial:
                     break
         return Polynomial._make(self.spec, out, self.base_count, self.max_order)
 
-    def divided_partial(self, delta: Sequence[int]) -> "Polynomial":
-        """Divided-power (Hasse) derivative for a multi-index over the
-        base variables: on x^g it yields prod_i C(g_i, delta_i) * x^(g-delta),
-        and 0 when some g_i < delta_i.  The binomials are integers reduced
-        into the field, so the operator is well defined in characteristic p
-        even when delta! vanishes there.
-        """
-        delta = tuple(delta)
-        if any(d < 0 for d in delta):
-            raise BadMultiIndex("multi-index entries must be naturals")
-        needed = {i + 1: d for i, d in enumerate(delta) if d}  # by base index
-        if not needed:
-            return self
-        p = self.spec.characteristic
-        out = {}
-        for key, c in self.terms.items():
-            # one pass over the key: lower each needed exponent g by d,
-            # scaling by C(g, d), and drop the term if some g < d
-            lowered = []
-            divided = 0
-            for t in key:
-                d = 0 if t[0] else needed.get(t[1], 0)
-                if not d:
-                    lowered.append(t)
-                elif t[2] < d:
-                    break
-                else:
-                    c *= math.comb(t[2], d)
-                    divided += 1
-                    if t[2] > d:
-                        lowered.append((0, t[1], t[2] - d))
-            else:
-                # a needed variable missing from the key has g = 0 < d
-                if divided == len(needed):
-                    c = c % p if p else _rational(c)
-                    if c:
-                        out[tuple(lowered)] = c
-        return Polynomial._make(self.spec, out, self.base_count, self.max_order)
-
     def evaluate(self, point: "Point") -> FieldElement:
         """Exact value at a point assigning every variable that occurs,
         from _raw_value."""
@@ -474,34 +434,63 @@ class Polynomial:
     # -- printing ----------------------------------------------------
 
     def __str__(self) -> str:
-        if not self.terms:
-            return "0"
-        parts = []
         try:
-            # graded lex: by degree, then by the exponent of the first
-            # variable in canonical order where two terms differ
-            ordered = sorted(
-                self.terms.items(), key=lambda kv: (sum(map(_exponent, kv[0])), *map(_weight, kv[0])), reverse=True
-            )
-            for key, c in ordered:
-                # residues mod p are never negative; a Fraction prints as num or num/den
-                num, den = c.numerator, c.denominator
-                if num < 0:
-                    parts.append("-")
-                    num = -num
-                elif parts:
-                    parts.append("+")
-                factors = "*".join(map(_factor, key))
-                if num != 1 or den != 1 or not key:
-                    scalar = str(num) if den == 1 else f"{num}/{den}"
-                    factors = f"{scalar}*{factors}" if key else scalar
-                parts.append(factors)
+            return _written(sorted(self.terms.items(), key=_grlex, reverse=True), None)
         except ValueError:  # only int-to-text conversion raises it here
             raise CoefficientTooLong("a coefficient or exponent has too many digits to print") from None
-        return "".join(parts)
 
     def __repr__(self) -> str:
         return f"Polynomial({self}, field={self.spec})"
+
+
+def _grlex(term: tuple) -> tuple:
+    # the printer's order of a (key, coefficient) pair, descending: graded
+    # lex, by degree, then by the exponent of the first variable in
+    # canonical order where two keys differ
+    key = term[0]
+    return (sum(map(_exponent, key)), *map(_weight, key))
+
+
+def _written(items, text: dict | None) -> str:
+    # the sum of the (key, coefficient) pairs of items in their order, a
+    # monomial written as text[key], or from its factors without text;
+    # "0" for no terms
+    parts = []
+    for key, c in items:
+        # residues mod p are never negative; a Fraction prints as num or num/den
+        num, den = c.numerator, c.denominator
+        if num < 0:
+            parts.append("-")
+            num = -num
+        elif parts:
+            parts.append("+")
+        factors = text[key] if text else "*".join(map(_factor, key))
+        if num != 1 or den != 1 or not key:
+            scalar = str(num) if den == 1 else f"{num}/{den}"
+            factors = f"{scalar}*{factors}" if key else scalar
+        parts.append(factors)
+    return "".join(parts) or "0"
+
+
+def render(polys: Sequence[Polynomial]) -> list[str]:
+    """[str(g) for g in polys], written from one table of the distinct
+    monomials among them: their keys are sorted once in the printer's
+    order and each gets its rank and its text, so a polynomial sorts its
+    terms by rank and joins ready texts (CoefficientTooLong as str).
+    This pays where the polynomials share their monomials, as the minors
+    of one matrix do.  Where they share few, as the components of
+    hs_components or the entries of D_n(L) do, the table costs more than
+    it saves, and str writes them."""
+    union = {}
+    for g in polys:
+        union.update(g.terms)
+    keys = [key for key, _ in sorted(union.items(), key=_grlex, reverse=True)]
+    rank = dict(zip(keys, range(len(keys))))
+    try:
+        text = {key: "*".join(map(_factor, key)) for key in keys}
+        return [_written(sorted(g.terms.items(), key=lambda kv: rank[kv[0]]), text) for g in polys]
+    except ValueError:  # only int-to-text conversion raises it here
+        raise CoefficientTooLong("a coefficient or exponent has too many digits to print") from None
 
 
 def _raw_value(g: Polynomial, vals: Mapping, p: int, powers: dict):

@@ -7,6 +7,7 @@ from fractions import Fraction
 
 from jetjac import (
     BadCoordinate,
+    BadMultiIndex,
     BadExponent,
     CokernelReport,
     DnMatrix,
@@ -36,6 +37,48 @@ from jetjac import (
 )
 from jetjac.field import check_coordinate
 from jetjac.jetscheme import HYPERSURFACE_ASSUMPTION, IRREDUCIBILITY_ASSUMPTION, NORMALITY_ASSUMPTION
+from jetjac.poly import _rational
+
+
+def divided_partial(f: Polynomial, delta) -> Polynomial:
+    """The divided-power (Hasse) derivative of f for a multi-index delta
+    over the base variables: on x^g it yields prod_i C(g_i, delta_i) *
+    x^(g - delta), and 0 when some g_i < delta_i (BadMultiIndex for a
+    negative entry).  The binomials are integers reduced into the field,
+    so the operator is well defined in characteristic p even when delta!
+    vanishes there.  One delta per pass over f: the per-delta oracle of
+    jacobian.divided_partials and taylor_coefficients."""
+    delta = tuple(delta)
+    if any(d < 0 for d in delta):
+        raise BadMultiIndex("multi-index entries must be naturals")
+    needed = {i + 1: d for i, d in enumerate(delta) if d}  # by base index
+    if not needed:
+        return f
+    p = f.spec.characteristic
+    out = {}
+    for key, c in f.terms.items():
+        # one pass over the key: lower each needed exponent g by d,
+        # scaling by C(g, d), and drop the term if some g < d
+        lowered = []
+        divided = 0
+        for t in key:
+            d = 0 if t[0] else needed.get(t[1], 0)
+            if not d:
+                lowered.append(t)
+            elif t[2] < d:
+                break
+            else:
+                c *= math.comb(t[2], d)
+                divided += 1
+                if t[2] > d:
+                    lowered.append((0, t[1], t[2] - d))
+        else:
+            # a needed variable missing from the key has g = 0 < d
+            if divided == len(needed):
+                c = c % p if p else _rational(c)
+                if c:
+                    out[tuple(lowered)] = c
+    return Polynomial._make(f.spec, out, f.base_count, f.max_order)
 
 
 def hs_components_leibniz(f: Polynomial, n: int) -> HSExpansion:
@@ -150,7 +193,7 @@ def multiplicity(f: Polynomial, a: Point) -> int:
 
     # delta = the exponent of a term of top degree leaves its coefficient
     for norm in range(f.degree() + 1):
-        if any(f.divided_partial(delta).evaluate(a).value for delta in deltas(norm, s)):
+        if any(divided_partial(f, delta).evaluate(a).value for delta in deltas(norm, s)):
             return norm
 
 
@@ -360,7 +403,7 @@ def jac_m_by_cells(fs: list[Polynomial], m: int) -> PolyMatrix:
     """The order-m Jacobian as jacobian.jac_m built it before it read f
     once: every (beta, alpha) cell tests whether alpha dominates beta, and
     each new delta = alpha - beta takes one more pass over f through
-    Polynomial.divided_partial.  The cells of one delta share one object,
+    divided_partial.  The cells of one delta share one object,
     and the other cells share f's zero."""
     s = max(f.base_count for f in fs)
     fam = index_families(s, m)
@@ -373,7 +416,7 @@ def jac_m_by_cells(fs: list[Polynomial], m: int) -> PolyMatrix:
                 if all(a >= b for a, b in zip(alpha, beta)):
                     delta = tuple(a - b for a, b in zip(alpha, beta))
                     if delta not in partials:
-                        partials[delta] = f.divided_partial(delta)
+                        partials[delta] = divided_partial(f, delta)
                     entries.append(partials[delta])
                 else:
                     entries.append(zero)

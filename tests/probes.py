@@ -271,6 +271,14 @@ PROBES = [
         3,
         lines=(f"verdict: {VERDICT}",),
     ),
+    # the smooth-point search counts a coordinate line's 10^8 + 1 coefficients before building them
+    Probe(cli("nobile", "--f", "x1^100000000-x2^2", "--n", "1", "--m", "2", "--base=0,0"), 3, 1, error="TooManyTerms"),
+    Probe(
+        cli("nobile", "--field", "Fp:32003", "--f", "x1^100000000-x2^2", "--n", "1", "--m", "2", "--base=0,0"),
+        3,
+        1,
+        error="TooManyTerms",
+    ),
     # A_0 = Jac_1(x1*x2) has full rank at the first point: no coordinate of positive order is drawn
     Probe(
         cli("generic-rank", "--matrix", "dnl:10000000:1:x1*x2"),

@@ -15,6 +15,7 @@ from jetjac import (
     PolyMatrix,
     Polynomial,
     UnknownVariable,
+    cli,
     dn_matrix,
     hasse,
     hs_components,
@@ -276,31 +277,43 @@ class TestRankCommands:
 class TestOneRendering:
     @pytest.mark.parametrize("mode", [[], ["--json"]], ids=["text", "json"])
     @pytest.mark.parametrize(
-        "argv, printed",
+        "argv, printed, rendered",
         [
-            # the distinct entry objects of the 20 x 45 D_4(Jac_2 f)
+            # the distinct entry objects of the 20 x 45 D_4(Jac_2 f), each by str
             (
                 ["dnl", "--f", QUARTIC, "--n", "4", "--m", "2"],
                 lambda: len(dn_matrix(jac_m([parse_poly(QUARTIC, 3, Q)], 2), 4).distinct),
+                [],
             ),
-            # C(9, 6) = 84 minors of a 6 x 9 matrix
-            (["minors", "--field", "Fp:101", "--matrix", "jacm:3:3*x1^3 - 2*x2^2 + 5*x1*x2^2", "--k", "6"], lambda: 84),
+            # C(9, 6) = 84 minors of a 6 x 9 matrix, in one render call and no str
+            (
+                ["minors", "--field", "Fp:101", "--matrix", "jacm:3:3*x1^3 - 2*x2^2 + 5*x1*x2^2", "--k", "6"],
+                lambda: 0,
+                [84],
+            ),
         ],
         ids=["dnl", "minors"],
     )
-    def test_each_polynomial_is_printed_once(self, capsys, monkeypatch, argv, printed, mode):
+    def test_each_polynomial_is_printed_once(self, capsys, monkeypatch, argv, printed, rendered, mode):
         calls = 0
         printer = Polynomial.__str__
+        renderer = cli.render
+        lists = []
 
         def counting_printer(self):
             nonlocal calls
             calls += 1
             return printer(self)
 
+        def recording_renderer(polys):
+            lists.append(len(polys))
+            return renderer(polys)
+
         expected = printed()
         monkeypatch.setattr(Polynomial, "__str__", counting_printer)
+        monkeypatch.setattr(cli, "render", recording_renderer)
         code, _, _ = invoke(capsys, *argv, *mode)
-        assert (code, calls) == (0, expected)
+        assert (code, calls, lists) == (0, expected, rendered)
 
     def test_closed_stdout_ends_quietly(self):
         # the read end is closed before the CLI starts, so its one write
@@ -702,6 +715,14 @@ class TestErrorHandling:
         digits = self.too_many_digits()
         e = 10 ** (len(digits) // 14 + 1)
         code, out, err = invoke(capsys, "hs-derive", "--f", f"x1^{e}", "--n", "15")
+        assert (code, out) == (1, "")
+        assert err == "CoefficientTooLong: a coefficient or exponent has too many digits to print\n"
+
+    def test_a_minor_too_long_to_print_is_a_named_error(self, capsys):
+        # each entry's c of 2,200 digits (by default) prints; the minor c^2*x1*x2 does not
+        c = "7" * (sys.get_int_max_str_digits() // 2 + 50)
+        matrix = json.dumps({"rows": 2, "cols": 2, "entries": [[f"{c}*x1", "0"], ["0", f"{c}*x2"]]})
+        code, out, err = invoke(capsys, "minors", "--matrix", matrix, "--k", "2")
         assert (code, out) == (1, "")
         assert err == "CoefficientTooLong: a coefficient or exponent has too many digits to print\n"
 

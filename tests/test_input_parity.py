@@ -27,7 +27,7 @@ from jetjac import (
 from jetjac.cli import parse_point
 
 from _corpus import GF2, Q
-from _oracles import parse_point_by_fractions, parse_poly_by_tokens
+from _oracles import divided_partial, parse_point_by_fractions, parse_poly_by_tokens
 
 GF101 = FieldSpec.prime_field(101)
 GF32003 = FieldSpec.prime_field(32003)
@@ -256,7 +256,7 @@ class TestNamedErrors:
 
     def test_bad_multi_index(self):
         with pytest.raises(BadMultiIndex, match=r"^multi-index entries must be naturals$"):
-            parse_poly("x1*x2", 2, Q).divided_partial((1, -1))
+            divided_partial(parse_poly("x1*x2", 2, Q), (1, -1))
 
     def test_bad_base_count(self):
         for s in (0, -1):

@@ -56,7 +56,7 @@ from jetjac.jacobian import exponent_vectors, taylor_coefficients
 from jetjac.linalg import SAMPLE_RANGE, random_point, trial_rng
 
 from _corpus import GF2, GF3, GF5, GF32003, ORACLE_FIELDS, Q, base_polynomials, jets
-from _oracles import multiplicity, nobile_certificate_by_matrix
+from _oracles import divided_partial, multiplicity, nobile_certificate_by_matrix
 
 CUSP = parse_poly("x1^3 - x2^2", 2, Q)
 GF101 = FieldSpec.prime_field(101)
@@ -553,7 +553,7 @@ class TestMultiplicityFixesTheRank:
                 for m in range(mu + 2):
                     want = {}
                     for delta in (delta for d in range(m + 1) for delta in exponent_vectors(d, s)):
-                        value = f.divided_partial(delta).evaluate(a).value
+                        value = divided_partial(f, delta).evaluate(a).value
                         if value:
                             want[delta] = value
                     assert taylor_coefficients(f, a.values, s, m) == want, (source, str(spec), str(a), m)

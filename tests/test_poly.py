@@ -1,5 +1,6 @@
 import math
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 
 from jetjac import (
     BadExponent,
+    CoefficientTooLong,
     FieldSpec,
     JetVariable,
     MalformedMonomial,
@@ -16,13 +18,17 @@ from jetjac import (
     Point,
     Polynomial,
     UnknownVariable,
+    hs_components,
+    jac_m,
     jet_grid,
+    minors,
     parse_poly,
 )
 import jetjac.poly
+from jetjac.poly import render
 
-from _corpus import GF2, GF5, Q, random_base_polynomial
-from _oracles import evaluate_termwise, polynomial_str
+from _corpus import GF2, GF5, GF32003, Q, random_base_polynomial
+from _oracles import divided_partial, evaluate_termwise, polynomial_str
 
 X1 = JetVariable(1, 0)
 X2 = JetVariable(2, 0)
@@ -164,7 +170,7 @@ class TestArithmetic:
             "product": (half * poly("2", s=1), "x1"),
             "power": (poly("1/2*x1 + 1/2", s=1) ** 2 * 4, "x1^2 + 2*x1 + 1"),
             "partial": (third.partial(X1), "x1^2"),
-            "divided partial": (third.divided_partial((1,)), "x1^2"),
+            "divided partial": (divided_partial(third, (1,)), "x1^2"),
         }
         for label, (result, want) in results.items():
             assert result == poly(want, s=1), label
@@ -233,17 +239,17 @@ class TestCalculus:
         assert Polynomial.constant(Q, 5, 2).partial(X1).is_zero
 
     def test_divided_partial_examples(self):
-        assert CUSP.divided_partial((2, 0)) == poly("3*x1")
-        assert CUSP.divided_partial((0, 2)) == poly("-1")
+        assert divided_partial(CUSP, (2, 0)) == poly("3*x1")
+        assert divided_partial(CUSP, (0, 2)) == poly("-1")
         # C(4,2) = 6 = 0 mod 2: the divided derivative drops the term
         f = parse_poly("x1^4", 1, GF2)
         assert math.comb(4, 2) % 2 == 0
-        assert f.divided_partial((2,)).is_zero
+        assert divided_partial(f, (2,)).is_zero
         # same derivative over Q is C(4,2) x^2
-        assert poly("x1^4", s=1).divided_partial((2,)) == poly("6*x1^2", s=1)
+        assert divided_partial(poly("x1^4", s=1), (2,)) == poly("6*x1^2", s=1)
 
     def test_divided_partial_zero_index_is_identity(self):
-        assert CUSP.divided_partial((0, 0)) == CUSP
+        assert divided_partial(CUSP, (0, 0)) == CUSP
 
     def test_leibniz_rule(self):
         rng = random.Random(11)
@@ -268,7 +274,7 @@ class TestCalculus:
                 for _ in range(d):
                     iterated = iterated.partial(JetVariable(i + 1, 0))
                 fact *= math.factorial(d)
-            assert f.divided_partial(delta) * fact == iterated
+            assert divided_partial(f, delta) * fact == iterated
 
     def test_divided_power_composition_on_monomials(self):
         rng = random.Random(17)
@@ -278,11 +284,11 @@ class TestCalculus:
             mono = Polynomial(Q, {tuple((0, i + 1, e) for i, e in enumerate(exps) if e): 1}, base_count=s)
             delta = tuple(rng.randint(0, 2) for _ in range(s))
             eps = tuple(rng.randint(0, 2) for _ in range(s))
-            lhs = mono.divided_partial(eps).divided_partial(delta)
+            lhs = divided_partial(divided_partial(mono, eps), delta)
             coeff = 1
             for d, e in zip(delta, eps):
                 coeff *= math.comb(d + e, d)
-            rhs = mono.divided_partial(tuple(d + e for d, e in zip(delta, eps))) * coeff
+            rhs = divided_partial(mono, tuple(d + e for d, e in zip(delta, eps))) * coeff
             assert lhs == rhs
 
 
@@ -393,3 +399,65 @@ class TestCanonicalPrinting:
         terms = data.draw(st.dictionaries(exps, coeffs, max_size=8))
         f = Polynomial(spec, {tuple((v.order, v.base, k) for v, k in zip(grid, e)): c for e, c in terms.items()})
         assert str(f) == polynomial_str(f)
+
+
+GF101 = FieldSpec.prime_field(101)
+
+
+def _distinct_monomials(polys) -> tuple[int, int]:
+    return len(set().union(*(g.terms for g in polys))), sum(len(g.terms) for g in polys)
+
+
+class TestRender:
+    """render(polys) writes [str(g) for g in polys] from one table of
+    their distinct monomials."""
+
+    def test_rationals(self):
+        sources = ["1/2*x1^2 - x1*x2 + 3", "-x1^2 + 1/3*x2 - 1", "x1*x2_1 - 7/5", "-1", "x1", "-x2 + x1*x2", "5/2"]
+        polys = [parse_poly(src, 2, Q) for src in sources]
+        assert render(polys) == [str(g) for g in polys]
+        assert render(polys)[:5] == ["1/2*x1^2-x1*x2+3", "-x1^2+1/3*x2-1", "x1*x2_1-7/5", "-1", "x1"]
+
+    @given(st.data())
+    def test_matches_str(self, data):
+        spec = data.draw(st.sampled_from([Q, GF2, GF101, GF32003]))
+        # few variables and low exponents, so the polynomials share monomials
+        grid = jet_grid(data.draw(st.integers(1, 3)), data.draw(st.integers(0, 1)))
+        coeffs = st.one_of(st.sampled_from([-1, 1, 0]), st.integers(-300, 300))
+        if not spec.characteristic:
+            coeffs = st.one_of(coeffs, st.builds(Fraction, st.integers(-30, 30), st.integers(1, 7)))
+        exps = st.tuples(*[st.integers(0, 2)] * len(grid))
+        polys = [
+            Polynomial(spec, {tuple((v.order, v.base, k) for v, k in zip(grid, e)): c for e, c in terms.items()})
+            for terms in data.draw(st.lists(st.dictionaries(exps, coeffs, max_size=6), max_size=5))
+        ]
+        assert render(polys) == [str(g) for g in polys]
+
+    def test_empty_list_and_zero(self):
+        zero = Polynomial.zero(Q)
+        assert render([]) == []
+        assert render([zero]) == ["0"]
+        assert render([zero, CUSP, zero]) == ["0", "x1^3-x2^2", "0"]
+
+    @pytest.mark.parametrize("spec, k", [(GF101, 6), (GF101, 3), (Q, 2)])
+    def test_minors_share_their_monomials(self, spec, k):
+        f = parse_poly("3*x1^3 - 2*x2^2 + 5*x1*x2^2", 2, spec)
+        polys = minors(jac_m([f], 3), k).values
+        distinct, total = _distinct_monomials(polys)
+        assert distinct < total / 2
+        assert render(polys) == [str(g) for g in polys]
+
+    def test_components_share_none(self):
+        sextic = parse_poly("3*x1^5*x2^2 - 7*x2^4*x3^3 + 2*x1^2*x3^3 + 5*x3^6 - 11*x1*x2", 3, Q)
+        polys = hs_components(sextic, 10)
+        distinct, total = _distinct_monomials(polys)
+        assert distinct == total
+        assert render(polys) == [str(g) for g in polys]
+
+    def test_a_coefficient_too_long_to_print(self):
+        # a coefficient, or an exponent, one digit past what int() converts to text
+        big = 10 ** sys.get_int_max_str_digits()
+        long_exponent = Polynomial(Q, {((0, 1, big),): 1}, base_count=2)
+        for polys in ([Polynomial.constant(Q, big)], [CUSP, CUSP * big], [CUSP, long_exponent]):
+            with pytest.raises(CoefficientTooLong, match=r"^a coefficient or exponent has too many digits to print$"):
+                render(polys)

@@ -9,7 +9,8 @@ root order and with it every seeded output stay fixed; its slope test
 at a root is checked at multiple roots, and by the partials it builds.
 Its lines through a singular base are checked for smooth points, for
 solving each linear h with no root finder, and for the one budget they
-share with the coordinate trials.
+share with the coordinate trials; the coordinate trials' univariates,
+for the term cap counted before the first of them.
 """
 
 import math
@@ -28,7 +29,9 @@ from jetjac import (
     NoSmoothPointFound,
     Point,
     Polynomial,
+    TooManyTerms,
     find_smooth_point,
+    hasse,
     jetscheme,
     nobile_certificate,
     parse_poly,
@@ -362,3 +365,23 @@ def test_rational_root_with_a_22_digit_numerator():
     assert len(str(a)) == 22 and math.gcd(a, b) == 1
     g = _times(_times([-a, b], [3, 0, 1]), [5, 2])
     assert _rational_roots([Fraction(c) for c in g]) == [Fraction(-5, 2), Fraction(a, b)]
+
+
+@pytest.mark.parametrize("p", (0, 32003))
+def test_coordinate_lines_are_counted_against_the_term_cap(p, monkeypatch):
+    # x1^5 - x2^2 solved for x1 is a univariate of 6 coefficients; the
+    # lines through the cusp's origin meet it first, in the root of a linear h
+    spec = FieldSpec.prime_field(p)
+    f = parse_poly("x1^5 - x2^2", 2, spec)
+    calls = _count_root_finders(monkeypatch)
+    monkeypatch.setattr(hasse, "TERM_CAP", 5)
+    with pytest.raises(TooManyTerms, match=r"^would generate at least 6 terms \(cap 5\)$"):
+        find_smooth_point(f, seed=0)
+    assert calls == []
+    cusp = parse_poly("x1^3 - x2^2", 2, spec)
+    monkeypatch.setattr(hasse, "TERM_CAP", 1)
+    assert cusp.evaluate(find_smooth_point(cusp, seed=0, through=Point.from_base([0, 0], spec))).is_zero
+    with pytest.raises(TooManyTerms):
+        find_smooth_point(cusp, seed=0)
+    monkeypatch.setattr(hasse, "TERM_CAP", 6)
+    assert f.evaluate(find_smooth_point(f, seed=0)).is_zero
