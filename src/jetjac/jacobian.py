@@ -184,14 +184,11 @@ class PolyMatrix:
     `distinct` holds the distinct entry objects in order of first
     occurrence and `layout`, per entry, the index of its object there;
     both are found on first read, or handed over by jac_m through
-    PolyMatrix._make.  grid_order is the jet order up to which every
-    variable of x1..xs counts as a variable of the matrix, whether or
-    not an entry contains it: D_n(L) sets it to n, and it is 0 otherwise."""
+    PolyMatrix._make."""
 
     rows: int
     cols: int
     entries: tuple[Polynomial, ...]
-    grid_order: int = field(default=0, compare=False)
 
     def __post_init__(self):
         if self.rows * self.cols != len(self.entries):
@@ -206,7 +203,7 @@ class PolyMatrix:
         # lists objects of one field in order of first occurrence
         obj = object.__new__(cls)
         entries = tuple(map(distinct.__getitem__, layout))
-        obj.__dict__.update(rows=rows, cols=cols, entries=entries, grid_order=0, distinct=distinct, layout=layout)
+        obj.__dict__.update(rows=rows, cols=cols, entries=entries, distinct=distinct, layout=layout)
         return obj
 
     @property
@@ -238,10 +235,10 @@ class PolyMatrix:
         return max((g.base_count for g in distinct), default=0), max((g.max_order for g in distinct), default=0)
 
     def variables(self) -> tuple[JetVariable, ...]:
-        """jet_grid(s, grid_order) and every variable that occurs in an
-        entry, canonically ordered."""
+        """x1..xs and every variable that occurs in an entry, canonically
+        ordered."""
         used = {v for g in self.distinct for v in g.variables()}
-        return tuple(sorted(used.union(jet_grid(self.dims[0], self.grid_order))))
+        return tuple(sorted(used.union(jet_grid(self.dims[0], 0))))
 
     def rendered(self) -> list[list[str]]:
         """The rows of the matrix as printed entries, each distinct object

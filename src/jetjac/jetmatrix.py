@@ -18,9 +18,10 @@ At a jet a the result is block upper-triangular and Toeplitz: block
 (i, j) is A_(j-i), the t^(j-i) coefficient of L(a(t)), and every
 diagonal block is A_0 = L(a_0).  linalg.rank_at reads the rank off A_0
 where that decides it, so the series values and their block layout are
-kept apart.  dn_matrix, the symbolic construction, serves printing and
-the tests; it counts its (n+1)^2 b a cells against jacobian.CELL_CAP
-before it builds any.
+kept apart; linalg.generic_rank ranks L alone and draws no jet.
+dn_matrix, the symbolic construction, serves printing and the tests; it
+counts its (n+1)^2 b a cells against jacobian.CELL_CAP before it builds
+any.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ def dn_matrix(L: PolyMatrix, n: int) -> PolyMatrix:
     components = [hs_components(g, n).components for g in L.distinct]
     zero = Polynomial.zero(L.spec, s)
     entries = _blocks(list(map(components.__getitem__, L.layout)), n, L.rows, L.cols, zero)
-    return PolyMatrix((n + 1) * L.rows, (n + 1) * L.cols, tuple(entries), grid_order=n)
+    return PolyMatrix((n + 1) * L.rows, (n + 1) * L.cols, tuple(entries))
 
 
 def _blocks(series: list, n: int, b: int, a: int, zero) -> list:
@@ -79,8 +80,10 @@ def _block_layout(D: DnMatrix, entry_values: list[list]) -> ScalarMatrix:
 
 @dataclass(frozen=True)
 class DnMatrix:
-    """D_n(L) left unexpanded: rows, cols, spec, dims and variables() are
-    those of dn_matrix(L, n).  Building it checks n and each distinct
+    """D_n(L) left unexpanded: rows, cols, spec and dims are those of
+    dn_matrix(L, n), and variables() is jet_grid(s, n), every coordinate
+    of a jet over the base variables of L, of which dn_matrix(L,
+    n).variables() is a subset.  Building it checks n and each distinct
     entry object of L once (each f of a JacmMatrix, whose entries keep
     the jet order of their f) and keeps s, the largest base index of L, so
     linalg.at_point and linalg.rank_at put it at any number of points by
@@ -136,7 +139,7 @@ def jet_jacobian(fs: list[Polynomial], n: int) -> PolyMatrix:
             for j in range(n + 1):
                 for i in range(1, s + 1):
                     entries.append(dk.partial(JetVariable(i, j)))
-    return PolyMatrix((n + 1) * len(fs), (n + 1) * s, tuple(entries), grid_order=n)
+    return PolyMatrix((n + 1) * len(fs), (n + 1) * s, tuple(entries))
 
 
 def reverse_blocks(mx: PolyMatrix, b: int, a: int) -> PolyMatrix:

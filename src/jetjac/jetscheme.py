@@ -236,9 +236,8 @@ def zero_jet_over(base: Point, n: int) -> Point:
     point lies on the hypersurface."""
     _require_base_point(base)
     s = max(i for _, i in base.values)
-    values = dict(base.values)
-    values.update(((k, i), 0) for k in range(1, n + 1) for i in range(1, s + 1))
-    return Point._make(base.spec, values)
+    zeros = {(k, i): 0 for k in range(1, n + 1) for i in range(1, s + 1)}
+    return Point._make(base.spec, base.values | zeros)
 
 
 # -- smooth point and smooth jet sampling -----------------------------

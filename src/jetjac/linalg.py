@@ -30,7 +30,9 @@ in it exceeds k e < 2^B, no field carries into the next, and multiplying
 two monomials is adding two ints.  MINOR_CAP bounds the minors listed
 and stored, MINOR_TERM_CAP the terms stored on the way.
 Generic rank is probabilistic: the maximum exact rank over seeded random
-evaluation points, always reported with its seed.
+evaluation points, always reported with its seed.  Every matrix is
+drawn over its variables() by one loop; D_n(L) is (n+1) times the
+generic rank of L, which needs the base coordinates alone.
 """
 
 from __future__ import annotations
@@ -44,7 +46,7 @@ from .field import DomainError, FieldSpec, MixedFields
 from .hasse import jet_series
 from .jacobian import JacmMatrix, PolyMatrix, ScalarMatrix
 from .jetmatrix import DnMatrix, _block_layout, _series_values
-from .poly import Point, Polynomial, _Memo, _rational, _raw_value, jet_grid
+from .poly import Point, Polynomial, _Memo, _rational, _raw_value
 
 MINOR_CAP = 100_000
 MINOR_TERM_CAP = 2_000_000
@@ -144,26 +146,23 @@ def rank_at(mx: PolyMatrix | JacmMatrix | DnMatrix, point: Point) -> int:
     deficient and some coordinate of positive order is nonzero, so
     a zero jet takes no series of L at all; only when some A_k is then
     nonzero is the whole (n+1)b x (n+1)a matrix laid out and eliminated.
-    The point is checked to order n in every case.  A matrix without rows
-    or columns has rank 0 at any point, and any other matrix is evaluated
-    by eval_matrix."""
+    The point is checked to order n in every case; generic_rank ranks L
+    alone and so never lays the matrix out.  A matrix without rows or
+    columns has rank 0 at any point, and any other matrix is evaluated by
+    eval_matrix."""
     if mx.rows == 0 or mx.cols == 0:
         return 0
     if not isinstance(mx, DnMatrix):
         return rank(eval_matrix(mx, point))
-    series = jet_series(point, mx.spec, mx.s, mx.n)
-    return _dn_rank(mx, series, rank(eval_matrix(mx.L, point)))
-
-
-def _dn_rank(D: DnMatrix, series: dict[int, list], r0: int) -> int:
-    # rank_at of D at the jet of `series`, given r0 = rank A_0
-    n = D.n
-    if r0 == min(D.L.rows, D.L.cols) or not any(any(v[1:]) for v in series.values()):
+    n, L = mx.n, mx.L
+    series = jet_series(point, mx.spec, mx.s, n)
+    r0 = rank(eval_matrix(L, point))
+    if r0 == min(L.rows, L.cols) or not any(any(v[1:]) for v in series.values()):
         return (n + 1) * r0
-    values = _series_values(D, series, n)
+    values = _series_values(mx, series, n)
     if not any(any(v[1:]) for v in values):
         return (n + 1) * r0
-    return rank(_block_layout(D, values))
+    return rank(_block_layout(mx, values))
 
 
 def _integer_row(fracs) -> list[int]:
@@ -406,36 +405,32 @@ def trial_rng(seed: int, trial: int, label: str = "trial") -> random.Random:
 
 
 def generic_rank(mx: PolyMatrix | JacmMatrix | DnMatrix, trials: int = 20, seed: int = 0) -> int:
-    """Rank at a random point, maximized over seeded trials.  The points
-    are drawn over mx.variables(), so a DnMatrix or a JacmMatrix gives the
-    same result as the dn_matrix or jac_m it stands for.  A DnMatrix
-    draws its s base coordinates first and ranks A_0 = L(a_0); the s n
-    coordinates of positive order follow from the same rng, in the same
-    order, only when A_0 is deficient, since rank_at reads (n+1) rank A_0
-    off a full A_0 alone.
+    """Rank at a random point, maximized over seeded trials; each point
+    is drawn over mx.variables(), so a JacmMatrix gives the same result
+    as the jac_m it stands for.  A DnMatrix D_n(L) is ranked as
+    (n+1) times the generic rank of L, drawn over L.variables(), its base
+    coordinates.  If r is the generic rank of L and the base block A_0 =
+    L(a_0) of a jet a has rank r, then D_n(L) has rank (n+1) r at a, in
+    every characteristic: over k[[t]] the Smith form of L(a(t)) has at
+    most r nonzero invariant factors, since every (r+1)-minor of L
+    vanishes, and its first r are units, since some r-minor is nonzero
+    at a_0; each unit contributes n + 1 to the rank of D_n(L)(a).
 
     This is a probabilistic lower bound for the rank over the fraction
-    field; it equals it with high probability.  Deterministic in seed.
+    field; it equals it with high probability.  Over a small GF(p) every
+    point can miss it.  Deterministic in seed.
     """
     if trials < 1:
         raise BadTrialCount("trials must be >= 1")
-    dn = isinstance(mx, DnMatrix)
-    spec, p = mx.spec, mx.spec.characteristic
-    variables = jet_grid(mx.s, 0) if dn else mx.variables()
+    factor = 1
+    if isinstance(mx, DnMatrix):
+        factor, mx = mx.n + 1, mx.L
+    spec, variables = mx.spec, mx.variables()
     best = 0
     limit = min(mx.rows, mx.cols)
     for t in range(trials):
-        rng = trial_rng(seed, t, "generic-rank")
-        point = random_point(spec, variables, rng)
-        if not dn:
-            r = rank_at(mx, point)
-        elif (r0 := rank(eval_matrix(mx.L, point))) == min(mx.L.rows, mx.L.cols):
-            r = (mx.n + 1) * r0
-        else:
-            values = dict(point.values)
-            values.update(((k, i), draw(rng, p)) for k in range(1, mx.n + 1) for i in range(1, mx.s + 1))
-            r = _dn_rank(mx, jet_series(Point._make(spec, values), spec, mx.s, mx.n), r0)
-        best = max(best, r)
+        point = random_point(spec, variables, trial_rng(seed, t, "generic-rank"))
+        best = max(best, rank_at(mx, point))
         if best == limit:
             break
-    return best
+    return factor * best

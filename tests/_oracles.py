@@ -307,12 +307,11 @@ def rational_roots_divisors(coeffs) -> list[Fraction]:
 
 
 def transpose(mx):
-    """The transpose of a PolyMatrix, which keeps its grid_order, or of a
-    ScalarMatrix."""
+    """The transpose of a PolyMatrix or of a ScalarMatrix."""
     flat = mx.entries if isinstance(mx, PolyMatrix) else mx.values
     swapped = tuple(flat[i * mx.cols + j] for j in range(mx.cols) for i in range(mx.rows))
     if isinstance(mx, PolyMatrix):
-        return PolyMatrix(mx.cols, mx.rows, swapped, mx.grid_order)
+        return PolyMatrix(mx.cols, mx.rows, swapped)
     return ScalarMatrix(mx.cols, mx.rows, swapped, mx.spec)
 
 

@@ -279,10 +279,27 @@ PROBES = [
         1,
         error="TooManyTerms",
     ),
-    # A_0 = Jac_1(x1*x2) has full rank at the first point: no coordinate of positive order is drawn
+    # D_n(L) is ranked as n + 1 times L, drawn over the base coordinates alone:
+    # Jac_1(x1*x2) has full rank at the first point, which ends the loop
     Probe(
         cli("generic-rank", "--matrix", "dnl:10000000:1:x1*x2"),
         5,
+        lines=(re.compile(r"\A" + re.escape("generic rank = 10000001 (probabilistic; trials=20, seed=0)\n")),),
+    ),
+    # L deficient: no jet of order n is drawn or laid out, in any of the 20 trials
+    Probe(
+        cli("generic-rank", "--matrix", f"dnl:40:3:{QUARTIC},{QUARTIC}"),
+        3,
+        lines=(re.compile(r"\A" + re.escape("generic rank = 410 (probabilistic; trials=20, seed=0)\n")),),
+    ),
+    Probe(
+        cli("generic-rank", "--matrix", "dnl:300000:1:x1*x2,x1*x2"),
+        3,
+        lines=(re.compile(r"\A" + re.escape("generic rank = 300001 (probabilistic; trials=20, seed=0)\n")),),
+    ),
+    Probe(
+        cli("generic-rank", "--matrix", "dnl:10000000:1:x1*x2,x1*x2"),
+        3,
         lines=(re.compile(r"\A" + re.escape("generic rank = 10000001 (probabilistic; trials=20, seed=0)\n")),),
     ),
 ]

@@ -174,7 +174,7 @@ class TestDerivationCommands:
             direct = jet_jacobian(fs, n)
             entries = list(direct.entries)
             entries[1 * direct.cols + 4] += 1
-            return PolyMatrix(direct.rows, direct.cols, tuple(entries), grid_order=n)
+            return PolyMatrix(direct.rows, direct.cols, tuple(entries))
 
         monkeypatch.setattr(jetmatrix, "jet_jacobian", perturbed)
         code, out, err = invoke(capsys, "check-fdbd", "--f", CUSP_SOURCE, "--n", "2")

@@ -234,7 +234,7 @@ class TestJacMHandover:
                     assert mx.distinct == walked.distinct
                     assert [id(g) for g in mx.distinct] == [id(g) for g in walked.distinct]
                     assert mx.layout == walked.layout
-                    assert mx == walked and mx.grid_order == 0
+                    assert mx == walked
 
     def test_one_variable_has_no_zero_cell(self):
         # s = 1, m = 2: the 2 x 2 block holds f' and f'' in row 0 and f, f' in row 1

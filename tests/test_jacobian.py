@@ -29,7 +29,6 @@ from jetjac import (
     index_families,
     jac,
     jac_m,
-    jet_grid,
     parse_poly,
     rank,
     rank_at,
@@ -386,11 +385,6 @@ class TestPolyMatrix:
         table = mx.rendered()
         assert len(printed) == 21
         assert table == [[printer(e) for e in mx.row(i)] for i in range(mx.rows)]
-
-    def test_grid_order_adds_every_jet_variable_up_to_it(self):
-        mx = PolyMatrix(1, 1, (parse_poly("x2", 2, Q),), grid_order=1)
-        assert mx.variables() == jet_grid(2, 1)
-        assert transpose(mx).grid_order == 1
 
 
 class TestNumericJacm:

@@ -191,7 +191,8 @@ class TestDnMatrixAt:
         D = dn_matrix(L, n)
         lazy = DnMatrix(L, n)
         s = max(v.base for v in L.variables())
-        assert D.variables() == lazy.variables() == jet_grid(s, n)
+        assert lazy.variables() == jet_grid(s, n)
+        assert set(D.variables()) <= set(lazy.variables())
         assert (D.rows, D.cols, D.spec) == (lazy.rows, lazy.cols, lazy.spec)
 
     def test_p_th_powers_over_gf2(self):

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from jetjac import (
     DnMatrix,
     FieldSpec,
+    JacmMatrix,
     JetVariable,
     MissingCoordinate,
     MixedFields,
@@ -34,7 +35,7 @@ from jetjac import (
 from jetjac import linalg
 from jetjac.linalg import random_point, trial_rng
 
-from _corpus import GF2, GF5, Q, base_polynomials, poly_from_int_terms, random_base_polynomial
+from _corpus import GF2, GF5, GF32003, Q, base_polynomials, poly_from_int_terms, random_base_polynomial
 from _oracles import laplace_walk_polynomials, leibniz_det, transpose
 
 CUSP = parse_poly("x1^3 - x2^2", 2, Q)
@@ -624,21 +625,50 @@ class TestGenericRank:
             generic_rank(jac_m([CUSP], 2), trials=0)
 
     @pytest.mark.parametrize("spec", [Q, GF2, GF5], ids=str)
-    def test_a_dn_matrix_ranks_the_points_drawn_over_its_variables(self, spec):
-        # a trial draws the base block first and the coordinates of positive
-        # order after it, from the same rng, only when A_0 is deficient; the
-        # rank is still rank_at at the point drawn over D.variables()
-        deficient = 0
+    def test_a_dn_matrix_ranks_as_n_plus_one_times_its_l(self, spec):
+        # D_n(L) is ranked as L, over the same seeded base draws
         for sources, b in ((["x1^3 - x2^2"], 1), (["x1"], 1), (["x1", "x2", "x1^2", "x1*x2"], 2)):
             entries = [parse_poly(src, 2, spec) for src in sources]
             for L in (jac_m(entries[:1], 2), PolyMatrix(b, len(entries) // b, tuple(entries))):
                 for n in (0, 1, 3):
-                    D = DnMatrix(L, n)
-                    for seed in range(8):
-                        point = random_point(spec, D.variables(), trial_rng(seed, 0, "generic-rank"))
-                        assert generic_rank(D, trials=1, seed=seed) == rank_at(D, point), (sources, n, seed)
-                        deficient += rank(eval_matrix(L, point)) < min(L.rows, L.cols)
-        assert deficient
+                    for trials in (1, 20):
+                        for seed in range(8):
+                            got = generic_rank(DnMatrix(L, n), trials, seed)
+                            assert got == (n + 1) * generic_rank(L, trials, seed), (sources, n, trials, seed)
+
+    @pytest.mark.parametrize("spec", [Q, GF5, GF32003], ids=str)
+    def test_the_dense_rank_at_a_jet_is_n_plus_one_times_r_where_a0_reaches_r(self, spec):
+        # r, the generic rank of L, is below min(b, a), so at a jet with
+        # nonzero coordinates of positive order the block rule does not
+        # decide the rank; the dense layout is the oracle.  It is at most
+        # (n+1) r at every jet, and equal to it wherever rank A_0 = r
+        f = parse_poly("x1^3 - x2^2 + x1*x2", 2, spec)
+        cases = (
+            jac_m([f, f], 2),
+            PolyMatrix(2, 2, tuple(parse_poly(src, 2, spec) for src in ("x1", "x2", "x1^2", "x1*x2"))),
+        )
+        reached = deficient = 0
+        for L in cases:
+            symbolic = L.symbolic if isinstance(L, JacmMatrix) else L
+            r = max(k for k in range(min(L.rows, L.cols) + 1) if any(minors(symbolic, k).values))
+            assert r < min(L.rows, L.cols)
+            for n in (1, 2, 3):
+                D = DnMatrix(L, n)
+                for trial in range(12):
+                    jet = random_point(spec, D.variables(), trial_rng(trial, n, "dense-rank"))
+                    if trial % 3 == 0:
+                        # over the singular origin, where A_0 drops rank
+                        jet = Point._make(spec, {**jet.values, (0, 1): 0, (0, 2): 0})
+                    if not any(x for (order, _), x in jet.values.items() if order):
+                        continue
+                    dense = rank(at_point(D, jet))
+                    assert dense <= (n + 1) * r, (str(L), n, trial)
+                    if rank(eval_matrix(L, jet)) == r:
+                        assert dense == (n + 1) * r, (str(L), n, trial)
+                        reached += 1
+                    else:
+                        deficient += 1
+        assert reached and deficient
 
     def test_a_full_base_block_draws_no_coordinate_of_positive_order(self, monkeypatch):
         drawn = []
@@ -651,6 +681,10 @@ class TestGenericRank:
         monkeypatch.setattr(linalg, "draw", counted)
         D = DnMatrix(jac_m([parse_poly("x1*x2", 2, Q)], 1), 10**7)
         assert generic_rank(D) == 10**7 + 1 and len(drawn) == 2
+        # a deficient L draws its two base coordinates in each of 20 trials
+        drawn.clear()
+        D = DnMatrix(jac_m([parse_poly("x1*x2", 2, Q)] * 2, 1), 10**7)
+        assert generic_rank(D) == 10**7 + 1 and len(drawn) == 40
 
 
 # -- every minor against the Leibniz formula ----------------------------
