@@ -97,7 +97,6 @@ from .linalg import (
 from .poly import (
     BadBaseCount,
     BadExponent,
-    BadMultiIndex,
     BadPower,
     CoefficientTooLong,
     JetVariable,

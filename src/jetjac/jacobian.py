@@ -8,21 +8,22 @@ Both index families are enumerated by degree and then lexicographically
 descending with x1 heaviest, which pins the matrix layout; other sources
 may order them differently.
 
-jac_m reads each f once: divided_partials takes every Delta^delta f with
-|delta| <= m from one pass over the terms of f, by Taylor's formula.  The
-cells (beta, alpha = beta + delta) depend on (s, m) alone, and so does
-the plan that lays them out (_block_plan, kept for the last few (s, m)):
-each row is the row of beta - e_i read through one index list.
-
-At a point a the entry (beta, beta + delta) is Delta^delta f(a), the
-y^delta coefficient of f(a + y), in every characteristic.  So a point
-query needs no symbolic partial: taylor_coefficients reads the terms of
-f once and returns every such coefficient with |delta| <= m, and
-JacmMatrix, which stands for Jac_m(fs) unexpanded with the shape,
-variables and errors of jac_m, lays them out by the same plan
-(linalg.eval_matrix).  The symbolic jac_m is built only where a matrix
-is printed or expanded.  Budget messages print a count while int()
-converts it to text, and otherwise say how many digits it has.
+Delta^delta f is the y^delta coefficient of f(x + y), in every
+characteristic, and taylor_terms is the one pass over the terms of f that
+takes every such coefficient with |delta| <= m, each coordinate kept as a
+variable or substituted by a value.  Its readers keep every variable
+(divided_partials, for the symbolic jac_m), substitute every one
+(taylor_coefficients, for a point query, which needs no symbolic
+partial), or keep one with m = 0 (a coordinate line of
+jetscheme.find_smooth_point).  The cells (beta, alpha = beta + delta)
+depend on (s, m) alone, and so does the plan that lays them out
+(_block_plan, kept for the last few (s, m)): each row is the row of
+beta - e_i read through one index list.  JacmMatrix stands for Jac_m(fs)
+unexpanded, with the shape, variables and errors of jac_m, and lays out
+taylor_coefficients by the same plan (linalg.eval_matrix); the symbolic
+jac_m is built only where a matrix is printed or expanded.  Budget
+messages print a count while int() converts it to text, and otherwise
+say how many digits it has.
 
 PolyMatrix and ScalarMatrix are the dense matrix types of the package:
 polynomial entries, and raw field values such as a matrix at a point.
@@ -291,97 +292,82 @@ def jac(fs: list[Polynomial]) -> PolyMatrix:
     return jac_m(fs, 1)
 
 
-def divided_partials(f: Polynomial, s: int, m: int) -> dict[MultiIndex, Polynomial]:
-    """{delta: Delta^delta f}, the divided-power (Hasse) derivatives of f,
-    for every delta in N^s with |delta| <= m, from one pass over its terms.
+def taylor_terms(f: Polynomial, vals, s: int, m: int) -> dict[tuple, object]:
+    """The y^delta coefficients of f(x + y), |delta| <= m, as raw terms
+    from one pass over the terms of f: {delta + key: c} for each nonzero
+    term c*x^key of the coefficient of y^delta, delta in N^s and key
+    canonical, as in Polynomial.terms.
 
-    By Taylor's formula f(x + y) = sum_delta (Delta^delta f)(x) y^delta, a
-    term c*x^g adds c*prod_i C(g_i, delta_i)*x^(g - delta) to Delta^delta f
-    for each delta <= g with |delta| <= m; for one delta no two terms of f
-    meet on a monomial.  Jet variables, and base variables past x_s, are
-    left as they are.  The binomials are integers reduced into the field,
-    so one that vanishes mod p drops its term.  Every partial
-    keeps f's base_count and max_order; delta = 0 gives f itself.
-    """
-    p = f.spec.characteristic
-    found: dict[MultiIndex, dict] = {}
-    for key, c in f.terms.items():
-        # states (i, left, coefficient, delta, lowered): delta <= g is chosen
-        # on the triples before i, with norm m - left, and lowered holds those
-        # triples divided by it.  Each state made gives Delta^delta f the
-        # term lowered + key[i:], then grows on the triples from i on
-        states = [(0, m, c, (0,) * s, ())]
-        for j, (order, b, g) in enumerate(key):
-            if order or b > s:
-                break
-            for i, left, cc, delta, low in states[:]:
-                head = low + key[i:j]
-                for d in range(1, min(g, left) + 1):
-                    cd = cc * math.comb(g, d)
-                    cd = cd % p if p else _rational(cd)
-                    if not cd:
-                        continue
-                    lowered = head + ((0, b, g - d),) if d < g else head
-                    dd = delta[: b - 1] + (d,) + delta[b:]
-                    terms = found.get(dd)
-                    if terms is None:
-                        terms = found[dd] = {}
-                    terms[lowered + key[j + 1 :]] = cd
-                    if d < left:
-                        states.append((j + 1, left - d, cd, dd, lowered))
-    partials = {(0,) * s: f}
-    for d in range(1, m + 1):
-        for delta in exponent_vectors(d, s):
-            partials[delta] = Polynomial._make(f.spec, found.get(delta, {}), f.base_count, f.max_order)
-    return partials
-
-
-def taylor_coefficients(f: Polynomial, vals, s: int, m: int) -> dict[MultiIndex, object]:
-    """The nonzero y^delta coefficients, |delta| <= m, of f(a + y) at the
-    point of raw coordinates vals[(j, i)], keyed by delta in N^s: the
-    values at a of the divided_partials of f, order 0 being f(a).
-
-    The formula of divided_partials, read once per term of f: a term
-    c*x^g adds c*prod_i C(g_i, delta_i)*a_i^(g_i - delta_i) for each
-    delta <= g with |delta| <= m, only delta_i = g_i where a_i = 0, and a
-    binomial that vanishes mod p drops its contribution.  Jet variables,
-    and base variables past x_s, are multiplied in as constants.  Each
-    sum is reduced mod p, or made an int when integral over Q, once, so
-    it holds in every characteristic.  No Polynomial is built.
-    MissingCoordinate when vals lacks a variable of f."""
+    vals decides each variable of f by what it holds for its (j, i) key:
+    a raw scalar is substituted, None keeps the variable, and no entry
+    raises MissingCoordinate.  By Taylor's formula f(x + y) = sum_delta
+    (Delta^delta f)(x) y^delta, a term c*x^g adds c*prod_i C(g_i,
+    delta_i)*x^(g - delta) for each delta <= g with |delta| <= m, only
+    delta_i = g_i where x_i = 0.  The binomials are integers reduced into
+    the field, so one that vanishes mod p drops its contribution.  Jet
+    variables, and base variables past x_s, are factors of each delta's
+    term.  Each sum is reduced mod p, or made an int when integral over
+    Q, once, so it holds in every characteristic."""
     p = f.spec.characteristic
     sums: dict = {}
-    options: dict = {}  # per key triple, its (delta_i, factor) choices
+    options: dict = {}  # per key triple, its (delta_i, factor, kept triples) choices
     for key, c in f.terms.items():
-        parts = [((0,) * s, c, m)]  # (delta so far, coefficient, norm left)
+        parts = [((0,) * s, c, m)]  # (delta + the key so far, coefficient, norm left)
         for t in key:
             choices = options.get(t)
             if choices is None:
                 order, b, g = t
-                x = vals.get((order, b))
-                if x is None:
+                if (order, b) not in vals:
                     raise MissingCoordinate(f"point assigns no value to {_name(order, b)}")
-                if order or b > s:  # a constant factor
-                    choices = [(0, pow(x, g, p) if p else x**g)]
+                x = vals[order, b]
+                if order or b > s:  # a factor
+                    choices = [(0, 1, (t,)) if x is None else (0, pow(x, g, p) if p else x**g, ())]
                 else:
                     choices = [
-                        (e, k * (pow(x, g - e, p) if p else x ** (g - e)))
-                        for e in range(0 if x else g, min(g, m) + 1)
+                        (e, k, ((0, b, g - e),) if e < g else ())
+                        if x is None
+                        else (e, k * (pow(x, g - e, p) if p else x ** (g - e)), ())
+                        for e in range(0 if x is None or x else g, min(g, m) + 1)
                         if (k := math.comb(g, e) % p if p else math.comb(g, e))
                     ]
                 options[t] = choices
             i = t[1] - 1
             parts = [
-                (delta[:i] + (e,) + delta[i + 1 :] if e else delta, cc * k, left - e)
-                for delta, cc, left in parts
-                for e, k in choices
+                ((dk[:i] + (e,) + dk[i + 1 :] if e else dk) + kept, cc * k, left - e)
+                for dk, cc, left in parts
+                for e, k, kept in choices
                 if e <= left
             ]
-        for delta, cc, _ in parts:
-            sums[delta] = sums.get(delta, 0) + cc
+        for dk, cc, _ in parts:
+            sums[dk] = sums.get(dk, 0) + cc
     if p:
-        return {delta: v for delta, acc in sums.items() if (v := acc % p)}
-    return {delta: _rational(acc) for delta, acc in sums.items() if acc}
+        return {dk: v for dk, acc in sums.items() if (v := acc % p)}
+    return {dk: _rational(acc) for dk, acc in sums.items() if acc}
+
+
+def divided_partials(f: Polynomial, s: int, m: int) -> dict[MultiIndex, Polynomial]:
+    """{delta: Delta^delta f}, the divided-power (Hasse) derivatives of f,
+    for every delta in N^s with |delta| <= m: the taylor_terms of f with
+    every variable kept, so jet variables, and base variables past x_s,
+    are not differentiated.  Every partial keeps f's base_count and
+    max_order; delta = 0 gives f itself."""
+    found = {delta: {} for d in range(m + 1) for delta in exponent_vectors(d, s)}
+    for dk, c in taylor_terms(f, dict.fromkeys(t[:2] for key in f.terms for t in key), s, m).items():
+        found[dk[:s]][dk[s:]] = c
+    return {
+        delta: Polynomial._make(f.spec, terms, f.base_count, f.max_order) if any(delta) else f
+        for delta, terms in found.items()
+    }
+
+
+def taylor_coefficients(f: Polynomial, vals, s: int, m: int) -> dict[MultiIndex, object]:
+    """The nonzero y^delta coefficients, |delta| <= m, of f(a + y) at the
+    point of raw coordinates vals[(j, i)], keyed by delta in N^s: the
+    taylor_terms of f with every variable substituted, each key delta +
+    (), so the values at a of the divided_partials of f, order 0 being
+    f(a).  No Polynomial is built.  MissingCoordinate when vals lacks a
+    variable of f."""
+    return taylor_terms(f, vals, s, m)
 
 
 @functools.lru_cache(maxsize=8)

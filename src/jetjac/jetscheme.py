@@ -18,13 +18,13 @@ rank criteria rank D_n(Jac_m f) at the jet with linalg.rank_at, which
 reads the rank off the diagonal block Jac_m f(a_0) when it has full rank
 (at a smooth base) or when the jet is a zero jet; that block is one
 Taylor pass over f (jacobian.taylor_coefficients), with no symbolic
-partial.  A certificate builds
-no matrix.  Its fact (ii) evaluates a proven formula: the rank at the
-zero jet over a base of multiplicity mu is (n+1) C(m - mu + s, s), and 0
-when mu > m, as the row space of Jac_m f(a) is the ideal of f(a + y) in
-k[y]/(y)^(m+1); singular-check there is the independent matrix check.
-The symbolic equations and presentation matrices are built only when a
-caller reads them.
+partial, and so is the univariate of a coordinate line.  A certificate
+builds no matrix.  Its fact (ii) evaluates a proven formula: the rank at
+the zero jet over a base of multiplicity mu is (n+1) C(m - mu + s, s),
+and 0 when mu > m, as the row space of Jac_m f(a) is the ideal of
+f(a + y) in k[y]/(y)^(m+1); singular-check there is the independent
+matrix check.  The symbolic equations and presentation matrices are
+built only when a caller reads them.
 
 Smooth points are sampled on lines P + t v through a given point P, the
 certificate's singular base, and by solving f for one coordinate with the
@@ -57,6 +57,7 @@ from .jacobian import (
     exponent_vectors,
     jac_m,
     taylor_coefficients,
+    taylor_terms,
 )
 from .jetmatrix import DnMatrix, dn_matrix
 from .linalg import BadTrialCount, draw, eval_matrix, rank, rank_at, trial_rng
@@ -243,23 +244,13 @@ def zero_jet_over(base: Point, n: int) -> Point:
 # -- smooth point and smooth jet sampling -----------------------------
 
 
-def _univariate_in(f: Polynomial, target: int, vals: dict):
-    """Coefficients (ascending) of f as a univariate polynomial in the
-    base variable x_target, every other x_i frozen at the raw scalar
-    vals[(0, i)]."""
-    p = f.spec.characteristic
-    coeffs: dict[int, object] = {}
-    for key, c in f.terms.items():
-        t, k = c, 0
-        for _, i, e in key:
-            if i == target:
-                k = e
-            else:
-                t = t * pow(vals[0, i], e, p) if p else t * vals[0, i] ** e
-        acc = coeffs.get(k, 0) + t
-        coeffs[k] = acc % p if p else acc
-    top = max(coeffs, default=0)
-    return [coeffs.get(k, 0) for k in range(top + 1)]
+def _univariate_in(f: Polynomial, vals: dict) -> list:
+    """Coefficients (ascending) of f as a univariate polynomial in the base
+    variable x_i with vals[(0, i)] None, every other x_i frozen at its raw
+    value: order 0 of taylor_terms, whose keys end in x_i^e or in ()."""
+    s = f.base_count
+    coeffs = {dk[s][2] if len(dk) > s else 0: c for dk, c in taylor_terms(f, vals, s, 0).items()}
+    return [coeffs.get(k, 0) for k in range(max(coeffs, default=0) + 1)]
 
 
 @functools.lru_cache(maxsize=8)
@@ -354,8 +345,9 @@ def find_smooth_point(f: Polynomial, seed=0, through: Point | None = None) -> Po
     made from that dict when found.  At a root r, g'(r) is the partial by
     the solved coordinate, so a simple root is smooth; only a multiple
     root reads the s first partials, as order 1 of taylor_coefficients,
-    with no Polynomial built.
+    with no Polynomial built.  NotBasePolynomial when f has a jet variable.
     """
+    _require_base(f)
     s = f.base_count
     spec = f.spec
     p = spec.characteristic
@@ -383,7 +375,7 @@ def find_smooth_point(f: Polynomial, seed=0, through: Point | None = None) -> Po
         rng = trial_rng(seed, t, "smooth-point")
         solve = t % s + 1  # x_solve is solved for
         vals = {(0, i): None if i == solve else draw(rng, p) for i in range(1, s + 1)}
-        coeffs = _univariate_in(f, solve, vals)
+        coeffs = _univariate_in(f, vals)
         slope = _derivative(coeffs)
         roots = _residue_roots(coeffs, p) if p else _rational_roots(coeffs)
         for root in roots:

@@ -82,10 +82,6 @@ class BadPower(ValueError):
     """A polynomial power whose exponent is not a natural number."""
 
 
-class BadMultiIndex(ValueError):
-    """A multi-index with a negative entry."""
-
-
 class MalformedMonomial(ValueError):
     """A monomial with a negative exponent, a base index below 1 or a
     negative jet order."""

@@ -7,7 +7,6 @@ from fractions import Fraction
 
 from jetjac import (
     BadCoordinate,
-    BadMultiIndex,
     BadExponent,
     CokernelReport,
     DnMatrix,
@@ -38,6 +37,10 @@ from jetjac import (
 from jetjac.field import check_coordinate
 from jetjac.jetscheme import HYPERSURFACE_ASSUMPTION, IRREDUCIBILITY_ASSUMPTION, NORMALITY_ASSUMPTION
 from jetjac.poly import _rational
+
+
+class BadMultiIndex(ValueError):
+    """A multi-index with a negative entry, given to divided_partial."""
 
 
 def divided_partial(f: Polynomial, delta) -> Polynomial:

@@ -666,7 +666,7 @@ class TestErrorHandling:
 
     # raised only by a misuse of the library, never by a CLI input
     LIBRARY_MISUSE = {
-        "ShapeMismatch", "BadPower", "BadMultiIndex", "MalformedMonomial", "NotSquare",
+        "ShapeMismatch", "BadPower", "MalformedMonomial", "NotSquare",
         "NotBasePoint", "BadBaseCount", "BadCharacteristic", "BadFieldSelector",
     }
 

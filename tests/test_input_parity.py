@@ -16,7 +16,6 @@ import pytest
 import jetjac
 from jetjac import (
     BadBaseCount,
-    BadMultiIndex,
     BadPower,
     FieldSpec,
     MixedFields,
@@ -27,7 +26,7 @@ from jetjac import (
 from jetjac.cli import parse_point
 
 from _corpus import GF2, Q
-from _oracles import divided_partial, parse_point_by_fractions, parse_poly_by_tokens
+from _oracles import BadMultiIndex, divided_partial, parse_point_by_fractions, parse_poly_by_tokens
 
 GF101 = FieldSpec.prime_field(101)
 GF32003 = FieldSpec.prime_field(32003)

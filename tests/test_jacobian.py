@@ -5,6 +5,8 @@ import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from jetjac import (
     BadDifferentialOrder,
@@ -36,8 +38,9 @@ from jetjac import (
 
 from jetjac import jacobian, linalg
 from jetjac.cli import matrix_argument, run
+from jetjac.poly import _rational
 
-from _corpus import GF2, GF3, ORACLE_FIELDS, Q, random_base_polynomial
+from _corpus import GF2, GF3, ORACLE_FIELDS, Q, _coefficients, base_polynomials, random_base_polynomial
 from jetjac import FieldSpec
 from _oracles import divided_partial, exponent_vectors_recursive, jac_m_by_cells, transpose
 
@@ -288,6 +291,33 @@ class TestOnePass:
         assert str(partials[(1, 0)]) == "x2"
         assert partials[(2, 0)].is_zero
         assert str(partials[(1, 1)]) == "1"
+
+    @pytest.mark.parametrize("spec", ORACLE_FIELDS, ids=str)
+    @given(data=st.data())
+    def test_a_mixed_assignment_is_the_taylor_pass_at_the_point(self, spec, data):
+        # each coordinate is kept (None) or substituted; the kept ones, put
+        # at their drawn values afterwards, give the pass at the full point,
+        # and with every coordinate kept each delta's terms are its partial.
+        # x1^3*x2 has C(3, 1) = C(3, 2) = 0 mod 3
+        p = spec.characteristic
+        s = data.draw(st.integers(1, 3))
+        f = data.draw(base_polynomials(spec, s)) + parse_poly("x1^3*x2" if s > 1 else "x1^3", s, spec)
+        m = data.draw(st.integers(0, 4))
+        point = {(0, i): spec.raw(data.draw(_coefficients(spec))) for i in range(1, s + 1)}
+        kept = {key for key in point if data.draw(st.booleans())}
+        sums = {}
+        for dk, c in jacobian.taylor_terms(f, {key: None if key in kept else x for key, x in point.items()}, s, m).items():
+            delta, key = dk[:s], dk[s:]
+            assert {(j, i) for j, i, _ in key} <= kept and sum(delta) <= m
+            for j, i, e in key:
+                c *= pow(point[j, i], e, p) if p else point[j, i] ** e
+            sums[delta] = sums.get(delta, 0) + c
+        reduced = {delta: acc % p if p else _rational(acc) for delta, acc in sums.items()}
+        assert {delta: c for delta, c in reduced.items() if c} == jacobian.taylor_coefficients(f, point, s, m)
+        symbolic = jacobian.taylor_terms(f, dict.fromkeys(point), s, m)
+        for delta in (d for k in range(m + 1) for d in exponent_vectors(k, s)):
+            terms = {dk[s:]: c for dk, c in symbolic.items() if dk[:s] == delta}
+            assert Polynomial._make(spec, terms, s, 0) == divided_partial(f, delta)
 
 
 class TestCellCap:

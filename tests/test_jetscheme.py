@@ -271,6 +271,14 @@ class TestSmoothSampling:
         point = find_smooth_point(f, seed=1)
         assert f.evaluate(point).is_zero
 
+    def test_jet_variables_rejected(self):
+        # a coordinate line must not read x1_1 as x1, which gave (x1=2, x2=1)
+        for f in (parse_poly("x1_1 - x2^2 - 1", 2, Q), parse_poly("x1^3 - x2^2 + x2_2", 2, GF5)):
+            with pytest.raises(NotBasePolynomial):
+                find_smooth_point(f, seed=0)
+            with pytest.raises(NotBasePolynomial):
+                find_smooth_point(f, seed=0, through=Point.from_base([0, 0], f.spec))
+
     def test_degenerate_equation_fails(self, monkeypatch):
         # x^2 over GF(2) is a square: V(f) = {0} and the derivative vanishes
         f = parse_poly("x1^2", 1, GF2)
