@@ -86,7 +86,6 @@ from .linalg import (
     ScalarMatrix,
     TooManyMinorTerms,
     TooManyMinors,
-    at_point,
     eval_matrix,
     generic_rank,
     minors,

@@ -9,21 +9,21 @@ descending with x1 heaviest, which pins the matrix layout; other sources
 may order them differently.
 
 Delta^delta f is the y^delta coefficient of f(x + y), in every
-characteristic, and taylor_terms is the one pass over the terms of f that
-takes every such coefficient with |delta| <= m, each coordinate kept as a
-variable or substituted by a value.  Its readers keep every variable
-(divided_partials, for the symbolic jac_m), substitute every one
-(taylor_coefficients, for a point query, which needs no symbolic
-partial), or keep one with m = 0 (a coordinate line of
+characteristic, and taylor_coefficients is the one pass over the terms
+of f that takes every such coefficient with |delta| <= m, each
+coordinate kept as a variable or substituted by a value.  Its readers
+keep every variable (divided_partials, for the symbolic jac_m),
+substitute every one (a point query, which needs no symbolic partial),
+or keep one with m = 0 (a coordinate line of
 jetscheme.find_smooth_point).  The cells (beta, alpha = beta + delta)
 depend on (s, m) alone, and so does the plan that lays them out
 (_block_plan, kept for the last few (s, m)): each row is the row of
 beta - e_i read through one index list.  JacmMatrix stands for Jac_m(fs)
 unexpanded, with the shape, variables and errors of jac_m, and lays out
-taylor_coefficients by the same plan (linalg.eval_matrix); the symbolic
-jac_m is built only where a matrix is printed or expanded.  Budget
-messages print a count while int() converts it to text, and otherwise
-say how many digits it has.
+its values at a point by the same plan; the symbolic jac_m is built
+only where a matrix is printed or expanded.  Budget messages print a
+count while int() converts it to text, and otherwise say how many
+digits it has.
 
 PolyMatrix and ScalarMatrix are the dense matrix types of the package:
 polynomial entries, and raw field values such as a matrix at a point.
@@ -31,7 +31,9 @@ A PolyMatrix knows which entries share one object (jac_m repeats one
 object per delta, and D_n(L) one per block), so every pass that reads
 entry contents (evaluation, expansion, printing, the variables and
 dims) reads each distinct object once and lays the results out by
-`layout`.
+`layout`.  Each matrix kind gives its raw values at a point, row by row,
+by values_at, which makes its own field and coordinate checks;
+linalg.eval_matrix wraps them in a ScalarMatrix.
 """
 
 from __future__ import annotations
@@ -44,7 +46,7 @@ from dataclasses import dataclass, field
 from operator import itemgetter
 
 from .field import DomainError, FieldElement, FieldSpec, MixedFields
-from .poly import JetVariable, MissingCoordinate, MultiIndex, Polynomial, _name, _rational, jet_grid
+from .poly import JetVariable, MissingCoordinate, MultiIndex, Point, Polynomial, _name, _rational, _raw_value, jet_grid
 
 # at most this many exponents in the row and column families together
 INDEX_CAP = 2_000_000
@@ -70,7 +72,8 @@ class TooManyMultiIndices(ValueError, DomainError):
 
 
 class TooManyCells(ValueError, DomainError):
-    """A symbolic matrix would have more than CELL_CAP cells."""
+    """A matrix would have more cells than its budget: CELL_CAP for a
+    symbolic one, jetmatrix.DENSE_CAP for D_n(L) at a jet."""
 
 
 class ShapeMismatch(ValueError):
@@ -94,9 +97,10 @@ def _shown(count: int) -> str:
     return f"10^{limit} or more"
 
 
-def _check_cells(rows: int, cols: int):
-    if rows * cols > CELL_CAP:
-        raise TooManyCells(f"a {_shown(rows)} x {_shown(cols)} matrix has {_shown(rows * cols)} cells (cap {CELL_CAP})")
+def _check_cells(rows: int, cols: int, cap: int | None = None):
+    cap = CELL_CAP if cap is None else cap  # read when called
+    if rows * cols > cap:
+        raise TooManyCells(f"a {_shown(rows)} x {_shown(cols)} matrix has {_shown(rows * cols)} cells (cap {cap})")
 
 
 def _bracketed(table: list[list[str]]) -> str:
@@ -241,6 +245,16 @@ class PolyMatrix:
         used = {v for g in self.distinct for v in g.variables()}
         return tuple(sorted(used.union(jet_grid(self.dims[0], 0))))
 
+    def values_at(self, point: Point) -> tuple:
+        """The raw values at the point, row by row: each distinct entry object
+        evaluated once by poly._raw_value, with one table of powers for all
+        (MixedFields or MissingCoordinate where the point does not fit)."""
+        if self.entries and self.spec != point.spec:
+            raise MixedFields(f"point over {point.spec}, polynomial over {self.spec}")
+        p, powers = point.spec.characteristic, {}
+        distinct = [_raw_value(g, point.values, p, powers) for g in self.distinct]
+        return tuple(map(distinct.__getitem__, self.layout))
+
     def rendered(self) -> list[list[str]]:
         """The rows of the matrix as printed entries, each distinct object
         printed once."""
@@ -292,7 +306,7 @@ def jac(fs: list[Polynomial]) -> PolyMatrix:
     return jac_m(fs, 1)
 
 
-def taylor_terms(f: Polynomial, vals, s: int, m: int) -> dict[tuple, object]:
+def taylor_coefficients(f: Polynomial, vals, s: int, m: int) -> dict[tuple, object]:
     """The y^delta coefficients of f(x + y), |delta| <= m, as raw terms
     from one pass over the terms of f: {delta + key: c} for each nonzero
     term c*x^key of the coefficient of y^delta, delta in N^s and key
@@ -307,7 +321,10 @@ def taylor_terms(f: Polynomial, vals, s: int, m: int) -> dict[tuple, object]:
     the field, so one that vanishes mod p drops its contribution.  Jet
     variables, and base variables past x_s, are factors of each delta's
     term.  Each sum is reduced mod p, or made an int when integral over
-    Q, once, so it holds in every characteristic."""
+    Q, once, so it holds in every characteristic.  With every variable
+    substituted each key is delta alone and its value that of the
+    divided partial at the point, order 0 being f(a); no Polynomial is
+    built."""
     p = f.spec.characteristic
     sums: dict = {}
     options: dict = {}  # per key triple, its (delta_i, factor, kept triples) choices
@@ -347,27 +364,17 @@ def taylor_terms(f: Polynomial, vals, s: int, m: int) -> dict[tuple, object]:
 
 def divided_partials(f: Polynomial, s: int, m: int) -> dict[MultiIndex, Polynomial]:
     """{delta: Delta^delta f}, the divided-power (Hasse) derivatives of f,
-    for every delta in N^s with |delta| <= m: the taylor_terms of f with
+    for every delta in N^s with |delta| <= m: the taylor_coefficients of f with
     every variable kept, so jet variables, and base variables past x_s,
     are not differentiated.  Every partial keeps f's base_count and
     max_order; delta = 0 gives f itself."""
     found = {delta: {} for d in range(m + 1) for delta in exponent_vectors(d, s)}
-    for dk, c in taylor_terms(f, dict.fromkeys(t[:2] for key in f.terms for t in key), s, m).items():
+    for dk, c in taylor_coefficients(f, dict.fromkeys(t[:2] for key in f.terms for t in key), s, m).items():
         found[dk[:s]][dk[s:]] = c
     return {
         delta: Polynomial._make(f.spec, terms, f.base_count, f.max_order) if any(delta) else f
         for delta, terms in found.items()
     }
-
-
-def taylor_coefficients(f: Polynomial, vals, s: int, m: int) -> dict[MultiIndex, object]:
-    """The nonzero y^delta coefficients, |delta| <= m, of f(a + y) at the
-    point of raw coordinates vals[(j, i)], keyed by delta in N^s: the
-    taylor_terms of f with every variable substituted, each key delta +
-    (), so the values at a of the divided_partials of f, order 0 being
-    f(a).  No Polynomial is built.  MissingCoordinate when vals lacks a
-    variable of f."""
-    return taylor_terms(f, vals, s, m)
 
 
 @functools.lru_cache(maxsize=8)
@@ -425,9 +432,9 @@ def jac_m(fs: list[Polynomial], m: int) -> PolyMatrix:
 class JacmMatrix:
     """Jac_m(fs) left unexpanded: rows, cols, spec, dims and variables()
     are those of jac_m(fs, m), and building it makes the checks of jac_m.
-    linalg.eval_matrix puts it at a point from one taylor_coefficients
-    pass per distinct f, laid out by _block_plan; `entries`, `distinct`,
-    `layout` and printing read the symbolic matrix, built on first read."""
+    values_at puts it at a point from one taylor_coefficients pass per
+    distinct f, laid out by _block_plan; `entries`, `distinct`, `layout`
+    and printing read the symbolic matrix, built on first read."""
 
     fs: tuple[Polynomial, ...]
     m: int
@@ -474,12 +481,15 @@ class JacmMatrix:
     def variables(self) -> tuple[JetVariable, ...]:
         return tuple(JetVariable(b, o) for o, b in self._keys[0])
 
-    def values_at(self, vals) -> tuple:
-        """The raw values of Jac_m(fs) at the point of raw coordinates
-        vals, row by row: MissingCoordinate unless vals assigns every
-        variable of variables(); a variable of fs outside them occurs in
-        no entry, and is read as 0."""
-        used, unused = self._keys
+    def values_at(self, point: Point) -> tuple:
+        """The raw values of Jac_m(fs) at the point, row by row, from one
+        taylor_coefficients pass per distinct f: MixedFields unless the
+        point is over the field of fs, MissingCoordinate unless it assigns
+        every variable of variables(); a variable of fs outside them
+        occurs in no entry, and is read as 0."""
+        if self.spec != point.spec:
+            raise MixedFields(f"point over {point.spec}, polynomial over {self.spec}")
+        used, unused, vals = *self._keys, point.values
         for key in used:
             if key not in vals:
                 raise MissingCoordinate(f"point assigns no value to {_name(*key)}")

@@ -7,18 +7,19 @@ out lower block-triangular.  The two constructions contain the same data:
 reversing the block order on both axes of one of them makes them equal
 entrywise, and check_fdbd verifies exactly that.
 
-DnMatrix stands for D_n(L) until it is put at a point; linalg.at_point
-then gives D_n(L) there by Taylor mode, from the values of d_0, ..., d_n
-of each entry of L at the jet, and never builds the symbolic blocks; the
-entries share one series cache, so a power or monomial is built once.
-L may be a jacobian.JacmMatrix, Jac_m(fs) unexpanded: DnMatrix checks
-its fs, and its base block A_0 is one Taylor pass per f, so only the
-series of L, and printing, read the symbolic Jac_m.
-At a jet a the result is block upper-triangular and Toeplitz: block
-(i, j) is A_(j-i), the t^(j-i) coefficient of L(a(t)), and every
-diagonal block is A_0 = L(a_0).  linalg.rank_at reads the rank off A_0
-where that decides it, so the series values and their block layout are
-kept apart; linalg.generic_rank ranks L alone and draws no jet.
+DnMatrix stands for D_n(L) until it is put at a point; its values_at
+then gives D_n(L) there by Taylor mode, laying out the values of d_0,
+..., d_n of each entry of L at the jet (series_at), and never builds the
+symbolic blocks; the entries share one series cache, so a power or
+monomial is built once.  L may be a jacobian.JacmMatrix, Jac_m(fs)
+unexpanded: DnMatrix checks its fs, and its base block A_0 is one Taylor
+pass per f, so only the series of L, and printing, read the symbolic
+Jac_m.  At a jet a the result is block upper-triangular and Toeplitz:
+block (i, j) is A_(j-i), the t^(j-i) coefficient of L(a(t)), and every
+diagonal block is A_0 = L(a_0).  linalg.rank_at reads the rank off A_0,
+or off the series where every A_k with k >= 1 vanishes, before any
+layout; values_at counts its (n+1)b x (n+1)a cells against DENSE_CAP
+first.  linalg.generic_rank ranks L alone and draws no jet.
 dn_matrix, the symbolic construction, serves printing and the tests; it
 counts its (n+1)^2 b a cells against jacobian.CELL_CAP before it builds
 any.
@@ -29,9 +30,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .field import FieldSpec
-from .hasse import BadJetOrder, _require_base, _substituted, hs_components
-from .jacobian import JacmMatrix, PolyMatrix, ScalarMatrix, ShapeMismatch, _check_cells, jac
-from .poly import JetVariable, Polynomial, jet_grid
+from .hasse import BadJetOrder, _require_base, _substituted, hs_components, jet_series
+from .jacobian import JacmMatrix, PolyMatrix, ShapeMismatch, _check_cells, jac
+from .poly import JetVariable, Point, Polynomial, jet_grid
+
+# at most this many cells in D_n(L) laid out at a jet
+DENSE_CAP = 50_000_000
 
 
 def dn_matrix(L: PolyMatrix, n: int) -> PolyMatrix:
@@ -61,23 +65,6 @@ def _blocks(series: list, n: int, b: int, a: int, zero) -> list:
     return out
 
 
-def _series_values(D: DnMatrix, series: dict[int, list], n: int) -> list[list]:
-    # [d_0(g)(a), ..., d_n(g)(a)] per entry g of L, row by row: the
-    # t-series g(a(t)) truncated after t^n, from the jet series of
-    # hasse.jet_series to order n, once per distinct entry object
-    p = D.spec.characteristic
-    cache: dict = {}
-    distinct = [_substituted(g, n, series, cache, p) for g in D.L.distinct]
-    return list(map(distinct.__getitem__, D.L.layout))
-
-
-def _block_layout(D: DnMatrix, entry_values: list[list]) -> ScalarMatrix:
-    # D_n(L) at the point from its series values: block (i, j) holds the
-    # t^(j-i) coefficients A_(j-i) for j >= i
-    values = _blocks(entry_values, D.n, D.L.rows, D.L.cols, D.spec.zero.value)
-    return ScalarMatrix(D.rows, D.cols, tuple(values), D.spec)
-
-
 @dataclass(frozen=True)
 class DnMatrix:
     """D_n(L) left unexpanded: rows, cols, spec and dims are those of
@@ -86,9 +73,9 @@ class DnMatrix:
     n).variables() is a subset.  Building it checks n and each distinct
     entry object of L once (each f of a JacmMatrix, whose entries keep
     the jet order of their f) and keeps s, the largest base index of L, so
-    linalg.at_point and linalg.rank_at put it at any number of points by
-    Taylor mode without checking L again; a value at a point is computed
-    once per object of L and laid out through L.layout."""
+    series_at and values_at put it at any number of points by Taylor mode
+    without checking L again; a value at a point is computed once per
+    object of L and laid out through L.layout."""
 
     L: PolyMatrix
     n: int
@@ -119,6 +106,23 @@ class DnMatrix:
 
     def variables(self) -> tuple[JetVariable, ...]:
         return jet_grid(self.s, self.n)
+
+    def series_at(self, point: Point) -> list[list]:
+        """[d_0(g)(a), ..., d_n(g)(a)] per entry g of L, row by row: g(a(t))
+        truncated after t^n, once per distinct entry object, from one series
+        cache (MixedFields or MissingCoordinate unless the point is a jet
+        over the field of L to order n)."""
+        series = jet_series(point, self.spec, self.s, self.n)
+        cache: dict = {}
+        distinct = [_substituted(g, self.n, series, cache, self.spec.characteristic) for g in self.L.distinct]
+        return list(map(distinct.__getitem__, self.L.layout))
+
+    def values_at(self, point: Point) -> tuple:
+        """The raw values of D_n(L) at the jet, row by row: block (i, j) holds
+        the t^(j-i) coefficients of series_at for j >= i.  At most DENSE_CAP
+        cells, counted before any value (TooManyCells otherwise)."""
+        _check_cells(self.rows, self.cols, DENSE_CAP)
+        return tuple(_blocks(self.series_at(point), self.n, self.L.rows, self.L.cols, self.spec.zero.value))
 
 
 def jet_jacobian(fs: list[Polynomial], n: int) -> PolyMatrix:

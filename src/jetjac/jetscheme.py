@@ -57,7 +57,6 @@ from .jacobian import (
     exponent_vectors,
     jac_m,
     taylor_coefficients,
-    taylor_terms,
 )
 from .jetmatrix import DnMatrix, dn_matrix
 from .linalg import BadTrialCount, draw, eval_matrix, rank, rank_at, trial_rng
@@ -247,9 +246,9 @@ def zero_jet_over(base: Point, n: int) -> Point:
 def _univariate_in(f: Polynomial, vals: dict) -> list:
     """Coefficients (ascending) of f as a univariate polynomial in the base
     variable x_i with vals[(0, i)] None, every other x_i frozen at its raw
-    value: order 0 of taylor_terms, whose keys end in x_i^e or in ()."""
+    value: order 0 of taylor_coefficients, whose keys end in x_i^e or in ()."""
     s = f.base_count
-    coeffs = {dk[s][2] if len(dk) > s else 0: c for dk, c in taylor_terms(f, vals, s, 0).items()}
+    coeffs = {dk[s][2] if len(dk) > s else 0: c for dk, c in taylor_coefficients(f, vals, s, 0).items()}
     return [coeffs.get(k, 0) for k in range(max(coeffs, default=0) + 1)]
 
 

@@ -1,25 +1,25 @@
 """Exact linear algebra over the coefficient field.
 
 A matrix at a point is a ScalarMatrix of raw scalars, which rank reads
-without wrapping them in field elements.  at_point puts a DnMatrix
-D_n(L) at a point by Taylor mode; eval_matrix puts a JacmMatrix there
-by one Taylor pass per distinct f (jacobian.taylor_coefficients), with
-no symbolic partial, and any other polynomial matrix once per distinct
-entry object.  Rank uses one elimination routine per scalar kind: over
-Q each row is cleared of denominators (a row of ints is taken as it is)
-and integer Bareiss elimination runs with exact integer division; over
+without wrapping them in field elements.  eval_matrix wraps the
+values_at of each matrix kind: a DnMatrix D_n(L) by Taylor mode, a
+JacmMatrix by one Taylor pass per distinct f (jacobian.taylor_coefficients),
+with no symbolic partial, and any other polynomial matrix once per
+distinct entry object.  Rank uses one elimination routine per scalar
+kind: over Q each row is cleared of denominators (a row of ints is taken
+as it is) and integer Bareiss elimination runs with exact integer division; over
 GF(p) plain Gaussian elimination runs with one inverse per pivot.  Both
 leave a row whose head is zero untouched.  rank_at ranks D_n(L) at a
 jet by the block rule: every diagonal block is the b x a matrix
 A_0 = L(a_0), so when A_0 has full row or column rank, or every block
 above the diagonal vanishes, the rank is (n+1) rank(A_0);
-only otherwise is the whole (n+1)b x (n+1)a matrix eliminated.  A_0 =
-eval_matrix(L, a) is ranked first: by the Taylor pass when L is a
-JacmMatrix, and otherwise each distinct entry object of L is evaluated
-once by poly._raw_value, the evaluator that Polynomial.evaluate wraps
-too, with one table of powers for all of them.  The series of L to
-order n, which reads the symbolic L, is computed only when A_0 does not
-decide the rank.
+only otherwise is the whole (n+1)b x (n+1)a matrix laid out by
+DnMatrix.values_at and eliminated.  A_0 = eval_matrix(L, a) is ranked
+first: by the Taylor pass when L is a JacmMatrix, and otherwise each
+distinct entry object of L is evaluated once by poly._raw_value, the
+evaluator that Polynomial.evaluate wraps too, with one table of powers
+for all of them.  The series of L to order n, which reads the symbolic
+L, is computed only when A_0 does not decide the rank.
 Minors and determinants of polynomial matrices come from one
 division-free Laplace expansion, shared between all row selections with
 a common prefix.  It multiplies and adds raw term dicts whose monomials
@@ -42,11 +42,11 @@ import math
 import random
 from dataclasses import dataclass
 
-from .field import DomainError, FieldSpec, MixedFields
+from .field import DomainError, FieldSpec
 from .hasse import jet_series
 from .jacobian import JacmMatrix, PolyMatrix, ScalarMatrix
-from .jetmatrix import DnMatrix, _block_layout, _series_values
-from .poly import Point, Polynomial, _Memo, _rational, _raw_value
+from .jetmatrix import DnMatrix
+from .poly import Point, Polynomial, _Memo, _rational
 
 MINOR_CAP = 100_000
 MINOR_TERM_CAP = 2_000_000
@@ -88,30 +88,10 @@ class BadTrialCount(ValueError, DomainError):
     """A sampling budget of fewer than one trial."""
 
 
-def eval_matrix(mx: PolyMatrix | JacmMatrix, point: Point) -> ScalarMatrix:
-    """Entrywise evaluation of a polynomial matrix at a point, by
-    poly._raw_value on the raw coordinates, read once for all entries;
-    each distinct entry object is evaluated once.  A JacmMatrix is read
-    off one Taylor pass per distinct f instead (JacmMatrix.values_at)."""
-    if isinstance(mx, JacmMatrix):
-        if mx.spec != point.spec:
-            raise MixedFields(f"point over {point.spec}, polynomial over {mx.spec}")
-        return ScalarMatrix(mx.rows, mx.cols, mx.values_at(point.values), point.spec)
-    if mx.entries and mx.spec != point.spec:
-        raise MixedFields(f"point over {point.spec}, polynomial over {mx.spec}")
-    p = point.spec.characteristic
-    powers: dict = {}
-    distinct = [_raw_value(g, point.values, p, powers) for g in mx.distinct]
-    values = tuple(map(distinct.__getitem__, mx.layout))
-    return ScalarMatrix(mx.rows, mx.cols, values, point.spec)
-
-
-def at_point(mx: PolyMatrix | JacmMatrix | DnMatrix, point: Point) -> ScalarMatrix:
-    """A matrix at a point: a DnMatrix by Taylor mode, without checking L
-    again, and any other matrix by eval_matrix."""
-    if isinstance(mx, DnMatrix):
-        return _block_layout(mx, _series_values(mx, jet_series(point, mx.spec, mx.s, mx.n), mx.n))
-    return eval_matrix(mx, point)
+def eval_matrix(mx: PolyMatrix | JacmMatrix | DnMatrix, point: Point) -> ScalarMatrix:
+    """A matrix at a point, from the raw values of mx.values_at(point),
+    which makes the field and coordinate checks of its kind."""
+    return ScalarMatrix(mx.rows, mx.cols, mx.values_at(point), point.spec)
 
 
 def rank(mx: ScalarMatrix) -> int:
@@ -128,7 +108,7 @@ def rank(mx: ScalarMatrix) -> int:
 
 
 def rank_at(mx: PolyMatrix | JacmMatrix | DnMatrix, point: Point) -> int:
-    """rank(at_point(mx, point)), read off the diagonal block of a
+    """rank(eval_matrix(mx, point)), read off the diagonal block of a
     DnMatrix where the block rule decides it.
 
     At a jet a, D = D_n(L) is block upper-triangular with block (i, j) =
@@ -142,14 +122,14 @@ def rank_at(mx: PolyMatrix | JacmMatrix | DnMatrix, point: Point) -> int:
       - every A_k with k >= 1 is zero, as at every zero jet: D is then
         block diagonal with n + 1 copies of A_0.
     A_0 = eval_matrix(L, a) comes first; L holds base variables alone.
-    The series of L(a(t)) to order n is computed only when A_0 is
-    deficient and some coordinate of positive order is nonzero, so
+    The series of L(a(t)) to order n (D.series_at) is computed only when
+    A_0 is deficient and some coordinate of positive order is nonzero, so
     a zero jet takes no series of L at all; only when some A_k is then
-    nonzero is the whole (n+1)b x (n+1)a matrix laid out and eliminated.
-    The point is checked to order n in every case; generic_rank ranks L
-    alone and so never lays the matrix out.  A matrix without rows or
-    columns has rank 0 at any point, and any other matrix is evaluated by
-    eval_matrix."""
+    nonzero is the whole (n+1)b x (n+1)a matrix laid out (D.values_at,
+    within DENSE_CAP cells) and eliminated.  The point is checked to order
+    n in every case; generic_rank ranks L alone and so never lays the
+    matrix out.  A matrix without rows or columns has rank 0 at any point,
+    and any other matrix is evaluated by eval_matrix."""
     if mx.rows == 0 or mx.cols == 0:
         return 0
     if not isinstance(mx, DnMatrix):
@@ -159,10 +139,10 @@ def rank_at(mx: PolyMatrix | JacmMatrix | DnMatrix, point: Point) -> int:
     r0 = rank(eval_matrix(L, point))
     if r0 == min(L.rows, L.cols) or not any(any(v[1:]) for v in series.values()):
         return (n + 1) * r0
-    values = _series_values(mx, series, n)
-    if not any(any(v[1:]) for v in values):
+    if not any(any(v[1:]) for v in mx.series_at(point)):
         return (n + 1) * r0
-    return rank(_block_layout(mx, values))
+    # not through eval_matrix, whose benchmark span counts the terms of mx.entries
+    return rank(ScalarMatrix(mx.rows, mx.cols, mx.values_at(point), mx.spec))
 
 
 def _integer_row(fracs) -> list[int]:

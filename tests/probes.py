@@ -64,6 +64,12 @@ def readme_example() -> str:
     return "".join(re.findall(r"^```python\n(.*?)^```$", (ROOT / "README.md").read_text(), re.M | re.S))
 
 
+def x1_1_jet(n: int) -> str:
+    """The jet of order n over x1, x2, x3 with x1_1 = 1 and every other
+    coordinate 0, as a --point list."""
+    return ",".join(["0", "0", "0", "1"] + ["0"] * (3 * n - 1))
+
+
 # a jet lifted to order 120 over Q, order by order on one set of series,
 # in O(n^2) coefficient products
 LIFT_120 = f"""
@@ -122,6 +128,10 @@ PROBES = [
         3,
         lines=("rank = 2001",),
     ),
+    # over the singular origin at x1_1 = 1, A_0 is deficient and A_1 is not, so D_n(Jac_3 f) is laid out:
+    # its 1,938,190 cells at n = 100 answer, and its 190,380,190 at n = 1000 pass DENSE_CAP before any is laid out
+    Probe(cli("rank-at-point", "--matrix", f"dnl:100:3:{QUARTIC}", "--point=" + x1_1_jet(100)), 3, lines=("rank = 996",)),
+    Probe(cli("rank-at-point", "--matrix", f"dnl:1000:3:{QUARTIC}", "--point=" + x1_1_jet(1000)), 3, 1, error="TooManyCells"),
     # Jac_16 f, 816 x 968 cells, is the largest Jac_m of f under CELL_CAP: one pass over f, dominated cells only
     Probe(
         cli("singular-check", "--field", "Fp:32003", "--f", QUARTIC, "--n", "1", "--m", "16", "--point=0,0,0,0,0,0"),

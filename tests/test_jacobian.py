@@ -306,7 +306,7 @@ class TestOnePass:
         point = {(0, i): spec.raw(data.draw(_coefficients(spec))) for i in range(1, s + 1)}
         kept = {key for key in point if data.draw(st.booleans())}
         sums = {}
-        for dk, c in jacobian.taylor_terms(f, {key: None if key in kept else x for key, x in point.items()}, s, m).items():
+        for dk, c in jacobian.taylor_coefficients(f, {key: None if key in kept else x for key, x in point.items()}, s, m).items():
             delta, key = dk[:s], dk[s:]
             assert {(j, i) for j, i, _ in key} <= kept and sum(delta) <= m
             for j, i, e in key:
@@ -314,7 +314,7 @@ class TestOnePass:
             sums[delta] = sums.get(delta, 0) + c
         reduced = {delta: acc % p if p else _rational(acc) for delta, acc in sums.items()}
         assert {delta: c for delta, c in reduced.items() if c} == jacobian.taylor_coefficients(f, point, s, m)
-        symbolic = jacobian.taylor_terms(f, dict.fromkeys(point), s, m)
+        symbolic = jacobian.taylor_coefficients(f, dict.fromkeys(point), s, m)
         for delta in (d for k in range(m + 1) for d in exponent_vectors(k, s)):
             terms = {dk[s:]: c for dk, c in symbolic.items() if dk[:s] == delta}
             assert Polynomial._make(spec, terms, s, 0) == divided_partial(f, delta)

@@ -19,7 +19,6 @@ from jetjac import (
     Polynomial,
     ShapeMismatch,
     TooManyCells,
-    at_point,
     check_fdbd,
     dn_matrix,
     eval_matrix,
@@ -157,7 +156,7 @@ class TestExactScalarsOverQ:
         for comp in components:
             v = comp.evaluate(point).value
             assert type(v) is int or (type(v) is Fraction and v.denominator > 1)
-        assert all(type(v) in exact for v in at_point(DnMatrix(jac_m([f], 2), n), point).values)
+        assert all(type(v) in exact for v in eval_matrix(DnMatrix(jac_m([f], 2), n), point).values)
 
 
 @st.composite
@@ -179,7 +178,7 @@ class TestDnMatrixAt:
     @given(dn_cases())
     def test_matches_the_symbolic_path_entry_for_entry(self, case):
         L, n, point = case
-        got = at_point(DnMatrix(L, n), point)
+        got = eval_matrix(DnMatrix(L, n), point)
         want = eval_matrix(dn_matrix(L, n), point)
         assert got == want
         assert all(type(v) in (int, Fraction) for v in got.values + want.values)
@@ -200,7 +199,7 @@ class TestDnMatrixAt:
         # = x1^2 + x1_1^2 t^2, so d_1(x1^2) vanishes
         L = jac_m([parse_poly("x1^2*x2", 2, GF2)], 1)
         point = Point.from_flat([1, 1, 1, 0, 1, 1], 2, 2, GF2)
-        got = at_point(DnMatrix(L, 2), point)
+        got = eval_matrix(DnMatrix(L, 2), point)
         assert got == eval_matrix(dn_matrix(L, 2), point)
         assert str(got) == "\n".join(
             ["[0, 1, 0, 0, 0, 1]", "[0, 0, 0, 1, 0, 0]", "[0, 0, 0, 0, 0, 1]"]
@@ -214,7 +213,7 @@ class TestDnMatrixAt:
             with pytest.raises(error):
                 eval_matrix(dn_matrix(L, 1), point)
             with pytest.raises(error):
-                at_point(DnMatrix(L, 1), point)
+                eval_matrix(DnMatrix(L, 1), point)
         jet_entry = PolyMatrix(1, 1, (jp("x1_1", 1),))
         for build in (dn_matrix, DnMatrix):
             with pytest.raises(NotBasePolynomial):
@@ -222,7 +221,7 @@ class TestDnMatrixAt:
             with pytest.raises(ValueError):
                 build(L, -1)
         with pytest.raises(NotBasePolynomial):
-            at_point(DnMatrix(jet_entry, 1), Point.from_flat([0, 0], 1, 1, Q))
+            eval_matrix(DnMatrix(jet_entry, 1), Point.from_flat([0, 0], 1, 1, Q))
 
     def test_checks_each_entry_object_once(self, monkeypatch):
         # Jac_3 of the quartic has 190 entries but 21 distinct objects

@@ -26,7 +26,6 @@ from jetjac import (
     PointNotOnScheme,
     Polynomial,
     RankTooLong,
-    at_point,
     dn_matrix,
     eval_matrix,
     extend_to_jet,
@@ -685,7 +684,7 @@ class TestGenericCokernelRank:
         for t in range(trials):
             base = find_smooth_point(pres.f, seed=f"{seed}:{t}")
             jet = extend_to_jet(pres.f, base, pres.n, seed=f"{seed}:{t}")
-            samples.append(D.cols - rank(at_point(D, jet)))
+            samples.append(D.cols - rank(eval_matrix(D, jet)))
             bases.append(base)
         return tuple(samples), bases[samples.index(min(samples))]
 
@@ -706,7 +705,7 @@ class TestGenericCokernelRank:
             assert report.samples == samples, (str(pres.f), pres.n, pres.m, seed)
             assert report.witness == base
             D = DnMatrix(pres.L, pres.n)
-            assert rank(at_point(D, zero_jet_over(report.witness, pres.n))) == D.cols - min(samples)
+            assert rank(eval_matrix(D, zero_jet_over(report.witness, pres.n))) == D.cols - min(samples)
 
     def test_a_default_certificate_extends_no_jet(self, monkeypatch):
         calls = []
@@ -734,7 +733,7 @@ class TestGenericCokernelRank:
             assert calls == {"eval_matrix": 3, "rank": 3}
             calls.update(eval_matrix=0, rank=0)
             D = DnMatrix(pres.L, pres.n)
-            sample = D.cols - rank(at_point(D, zero_jet_over(origin, pres.n)))
+            sample = D.cols - rank(eval_matrix(D, zero_jet_over(origin, pres.n)))
             assert cert.cokernel.samples == (sample,) * 3
             assert not cert.cokernel.all_match and not cert.rank_jump
             assert cert.verdict == "inconclusive: some certificate fact failed"
@@ -888,7 +887,7 @@ class TestNobileCertificate:
         cert = nobile_certificate(CUSP, 1, 2, ORIGIN, trials=8, seed=0)
         pres = presentation_of(CUSP, 1, 2)
         assert on_jet_scheme(jet_equations(CUSP, 1), cert.witness_jet)
-        witness_rank = rank(at_point(DnMatrix(pres.L, 1), cert.witness_jet))
+        witness_rank = rank(eval_matrix(DnMatrix(pres.L, 1), cert.witness_jet))
         assert witness_rank == cert.witness_rank == pres.gens - cert.cokernel.cokernel_rank
         assert cert.witness_rank == cert.bound
 

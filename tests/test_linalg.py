@@ -20,7 +20,6 @@ from jetjac import (
     ScalarMatrix,
     TooManyMinorTerms,
     TooManyMinors,
-    at_point,
     dn_matrix,
     eval_matrix,
     generic_rank,
@@ -32,7 +31,7 @@ from jetjac import (
     rank,
     rank_at,
 )
-from jetjac import linalg
+from jetjac import jacobian, linalg
 from jetjac.linalg import random_point, trial_rng
 
 from _corpus import GF2, GF5, GF32003, Q, base_polynomials, poly_from_int_terms, random_base_polynomial
@@ -86,13 +85,13 @@ class TestEvalMatrix:
     def test_evaluates_each_entry_object_once(self, monkeypatch):
         # Jac_3 of the quartic has 190 entries but 21 distinct objects
         evaluated = []
-        raw_value = linalg._raw_value
+        raw_value = jacobian._raw_value
 
         def counting_raw_value(g, *args):
             evaluated.append(g)
             return raw_value(g, *args)
 
-        monkeypatch.setattr(linalg, "_raw_value", counting_raw_value)
+        monkeypatch.setattr(jacobian, "_raw_value", counting_raw_value)
         mx = jac_m([parse_poly(QUARTIC, 3, Q)], 3)
         point = Point.from_base([1, Fraction(-2, 3), 5], Q)
         got = eval_matrix(mx, point)
@@ -324,7 +323,7 @@ def block_rule_branch(D, jet):
     jet, read off the dense matrix: "full" when the diagonal block A_0 has
     rank min(b, a), "diagonal" when every block A_k with k >= 1 vanishes,
     "dense" otherwise."""
-    mx = at_point(D, jet)
+    mx = eval_matrix(D, jet)
     b, a = D.L.rows, D.L.cols
     top = [mx.values[r * mx.cols : (r + 1) * mx.cols] for r in range(b)]
     a0 = ScalarMatrix(b, a, tuple(v for row in top for v in row[:a]), jet.spec)
@@ -387,17 +386,17 @@ def rank_at_corpus(spec):
 
 
 class TestRankAt:
-    """rank_at against the dense reference rank(at_point(...)), on a
+    """rank_at against the dense reference rank(eval_matrix(...)), on a
     corpus that reaches each case of the block rule."""
 
     @pytest.mark.parametrize("spec", [Q, GF2, GF101], ids=str)
     def test_matches_the_dense_rank(self, spec, monkeypatch):
         laid_out = []
-        layout = linalg._block_layout
+        layout = DnMatrix.values_at
 
-        def counting_layout(*args):
-            laid_out.append(args[0])
-            return layout(*args)
+        def counting_layout(D, point):
+            laid_out.append(D)
+            return layout(D, point)
 
         reached = set()
         for label, D, jet in rank_at_corpus(spec):
@@ -406,11 +405,11 @@ class TestRankAt:
                 # point; A_0 is b x a with min(b, a) = 0
                 want, branch = 0, "full"
             else:
-                want, branch = rank(at_point(D, jet)), block_rule_branch(D, jet)
+                want, branch = rank(eval_matrix(D, jet)), block_rule_branch(D, jet)
             reached.add(branch)
             laid_out.clear()
             with monkeypatch.context() as patched:
-                patched.setattr(linalg, "_block_layout", counting_layout)
+                patched.setattr(DnMatrix, "values_at", counting_layout)
                 got = rank_at(D, jet)
             assert got == want, (label, str(D.L), D.n, str(jet))
             # the dense matrix is laid out exactly when the rule does not decide
@@ -429,21 +428,21 @@ class TestRankAt:
         # rank from A_0, which is evaluated at the base point without any
         # series of L
         orders = []
-        values = linalg._series_values
+        values = DnMatrix.series_at
 
-        def recording_values(D, series, n):
-            orders.append(n)
-            return values(D, series, n)
+        def recording_values(D, point):
+            orders.append(D.n)
+            return values(D, point)
 
         for src, s in (("x1^3 - x2^2", 2), ("x1^3 - x2^2 + x1*x2*x3 + x3^4", 3)):
             f = parse_poly(src, s, spec)
             for m, n in ((1, 0), (2, 3), (3, 5)):
                 D = DnMatrix(jac_m([f], m), n)
                 zero_jet = Point.from_flat([0] * (s * (n + 1)), s, n, spec)
-                want = rank(at_point(D, zero_jet))
+                want = rank(eval_matrix(D, zero_jet))
                 orders.clear()
                 with monkeypatch.context() as patched:
-                    patched.setattr(linalg, "_series_values", recording_values)
+                    patched.setattr(DnMatrix, "series_at", recording_values)
                     assert rank_at(D, zero_jet) == want < min(D.rows, D.cols)
                 assert orders == [], (src, m, n)
 
@@ -453,7 +452,7 @@ class TestRankAt:
         # by Taylor mode at the base point
         for label, D, jet in rank_at_corpus(spec):
             base = Point(D.spec, {v: x for v, x in jet.coords.items() if v.order == 0})
-            want = rank(at_point(DnMatrix(D.L, 0), base))
+            want = rank(eval_matrix(DnMatrix(D.L, 0), base))
             got = rank(eval_matrix(D.L, jet))
             assert got == want, (label, str(D.L), str(jet))
 
@@ -661,7 +660,7 @@ class TestGenericRank:
                         jet = Point._make(spec, {**jet.values, (0, 1): 0, (0, 2): 0})
                     if not any(x for (order, _), x in jet.values.items() if order):
                         continue
-                    dense = rank(at_point(D, jet))
+                    dense = rank(eval_matrix(D, jet))
                     assert dense <= (n + 1) * r, (str(L), n, trial)
                     if rank(eval_matrix(L, jet)) == r:
                         assert dense == (n + 1) * r, (str(L), n, trial)
@@ -882,7 +881,7 @@ def test_rank_matches_sympy(p):
             lambda: rng.randrange(p) if p else Fraction(rng.randint(-9, 9), rng.randint(1, 4)),
         )[trial % 3]
         point = Point(spec, {v: spec.element(draw()) for v in jet_grid(s, n)})
-        mx = at_point(DnMatrix(jac_m([f], m), n), point)
+        mx = eval_matrix(DnMatrix(jac_m([f], m), n), point)
         if p:
             rows = [[sympy.ZZ(v) for v in mx.values[i * mx.cols : (i + 1) * mx.cols]] for i in range(mx.rows)]
             want = DomainMatrix(rows, (mx.rows, mx.cols), sympy.ZZ).convert_to(sympy.GF(p)).rank()
