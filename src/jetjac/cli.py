@@ -12,6 +12,11 @@ x<i>_<j> grammar, points are flat comma-separated coordinate lists in
 canonical order (all base coordinates, then all order-1 coordinates, and
 so on), and the number of base variables is the highest base index
 that a variable of the polynomials names (poly.parse_polys).
+
+build_parser() declares every flag.  Well-formed argv, a subcommand and
+exact flag names with their values, is read off a flag table built once
+from that parser (_read_argv); argparse reads the rest, and owns --help,
+abbreviated flags and every usage message.
 """
 
 from __future__ import annotations
@@ -23,6 +28,7 @@ import os
 import re
 import sys
 from dataclasses import asdict
+from typing import NamedTuple
 
 from .field import _COORDINATE, DomainError, FieldError, FieldSpec, check_coordinate
 from .hasse import check_commutation, hs_components
@@ -41,7 +47,11 @@ class BadMatrixJSON(ValueError, DomainError):
 _COORDINATE_FLAGS = ("--point", "--base")
 
 
+@functools.lru_cache
 def parse_field(text: str) -> FieldSpec:
+    """The --field type.  Memoized: FieldSpec(p) tests p for primality,
+    and a query names the same field again and again.  An error is not
+    cached, so a bad selector is refused with the same message each time."""
     try:
         return FieldSpec.parse(text)
     except (ValueError, FieldError) as exc:
@@ -364,10 +374,116 @@ def attach_coordinates(argv: list[str]) -> list[str]:
     return out
 
 
-def run(argv: list[str]) -> int:
+class _Subcommand(NamedTuple):
+    """What _read_argv needs of one subparser of build_parser()."""
+
+    parser: argparse.ArgumentParser
+    actions: dict[str, argparse.Action | None]  # option string -> action; None: argparse reads it
+    defaults: dict[str, object]  # the namespace before any flag is read
+    required: frozenset[str]  # the dests of the required flags
+    negative_number: re.Pattern  # argparse takes a match as a value, not as a flag
+
+
+def _readable(action: argparse.Action) -> bool:
+    # a flag with one value and no choices, or a store_true flag; --help,
+    # and any other kind of action, is left to argparse
+    if type(action) is argparse._StoreAction:
+        return action.nargs is None and action.choices is None
+    return type(action) is argparse._StoreTrueAction
+
+
+@functools.cache
+def _flag_table() -> dict[str, _Subcommand]:
+    """The flags of each subcommand, read once off build_parser(), which
+    stays the only place a flag is declared."""
     parser = build_parser()
+    (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    table = {}
+    for name, sub in commands.choices.items():
+        actions = {option: a if _readable(a) else None for a in sub._actions for option in a.option_strings}
+        defaults = {commands.dest: name, **sub._defaults}
+        defaults.update((a.dest, a.default) for a in sub._actions if a.default is not argparse.SUPPRESS)
+        required = frozenset(a.dest for a in sub._actions if a.required)
+        table[name] = _Subcommand(sub, actions, defaults, required, sub._negative_number_matcher)
+    return table
+
+
+def _taken_as_value(text: str, command: _Subcommand) -> bool:
+    """Whether argparse reads `text` after a flag as its value.  A text
+    that opens with "-" is a value only where argparse's _parse_optional
+    says so: a negative number, or a text with a space whose first two
+    characters are no option string.  A text that also holds "=" is left
+    to argparse, which may split it as option=value."""
+    if not text.startswith("-"):
+        return True
+    if command.negative_number.match(text):
+        return True
+    return " " in text and "=" not in text and not text.startswith("--") and text[:2] not in command.actions
+
+
+def _read_argv(argv: list[str]) -> argparse.Namespace | None:
+    """The namespace build_parser().parse_args(argv) returns, read off the
+    flag table, or None to leave argv to argparse.  It reads a subcommand
+    followed by exact flag names only, as "--flag value" or "--flag=value"
+    (a store_true flag without "="), each value converted by its action's
+    own type.  Anything else is left to argparse: help, an unknown or
+    abbreviated flag, a positional, a flag without its value, a value the
+    type refuses, or a required flag left out."""
+    command = _flag_table().get(argv[0]) if argv else None
+    if command is None:
+        return None
+    values = dict(command.defaults)
+    seen = set()
+    rest = iter(argv[1:])
+    for arg in rest:
+        flag, eq, text = arg.partition("=")
+        action = command.actions.get(flag)
+        if action is None:
+            return None
+        if action.nargs == 0:
+            if eq:
+                return None
+            value = action.const
+        else:
+            if not eq:
+                text = next(rest, None)
+                if text is None or not _taken_as_value(text, command):
+                    return None
+            value = text
+            if action.type is not None:
+                try:
+                    value = action.type(text)
+                except (argparse.ArgumentTypeError, TypeError, ValueError):
+                    return None
+        values[action.dest] = value
+        seen.add(action.dest)
+    if not command.required <= seen:
+        return None
+    return argparse.Namespace(**values)
+
+
+def _parse_args(argv: list[str]) -> argparse.Namespace:
+    """build_parser().parse_args(argv), with "--flag=--" read as the text
+    "--" on every Python.  Before 3.13 argparse strips that "--" and
+    stores [] as the value; no flag takes nargs, so a list comes only from
+    this.  The text goes through the flag's type, as in 3.13, so an
+    integer flag refuses it as a usage error."""
+    args = build_parser().parse_args(argv)
+    command = _flag_table()[args.command]
+    for dest, value in vars(args).items():
+        if value == []:
+            (action,) = {a for a in command.actions.values() if a is not None and a.dest == dest}
+            try:
+                setattr(args, dest, command.parser._get_value(action, "--"))
+            except argparse.ArgumentError as exc:
+                command.parser.error(str(exc))
+    return args
+
+
+def run(argv: list[str]) -> int:
+    argv = attach_coordinates(argv)
     try:
-        args = parser.parse_args(attach_coordinates(argv))
+        args = _read_argv(argv) or _parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:

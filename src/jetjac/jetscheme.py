@@ -502,8 +502,8 @@ def generic_cokernel_rank(pres: Presentation, trials: int = 20, seed=0, through:
         vals, powers = base.values, {}
         smooth = not _raw_value(f, vals, p, powers) and any(_raw_value(g, vals, p, powers) for g in partials)
         sample = expected if smooth else pres.gens - (pres.n + 1) * rank(eval_matrix(pres.L, base))
-        if not samples or sample < min(samples):
-            witness = base
+        if not samples or sample < least:
+            witness, least = base, sample
         samples.append(sample)
     return CokernelReport(
         expected=expected,

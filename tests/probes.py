@@ -312,6 +312,20 @@ PROBES = [
         3,
         lines=(re.compile(r"\A" + re.escape("generic rank = 10000001 (probabilistic; trials=20, seed=0)\n")),),
     ),
+    # the certificate's cokernel samples keep a running minimum: 50,000 trials are linear work
+    Probe(
+        cli("nobile", "--f", "x1^3-x2^2", "--n", "1", "--m", "2", "--base=0,0", "--trials", "50000"),
+        15,
+        lines=(f"verdict: {VERDICT}",),
+    ),
+    # "--flag=--" passes the text "--" on every Python: before 3.13 argparse stores [] there
+    Probe(cli("hs-derive", "--f=--", "--n", "1"), 2, 1, error="ParseError"),
+    Probe(cli("rank-at-point", "--matrix=--", "--point", "1"), 2, 1, error="BadMatrixJSON"),
+    Probe(cli("rank-at-point", "--matrix", "jacm:1:x1", "--point=--"), 2, 1, error="BadCoordinate"),
+    # an abbreviated flag is left to argparse, and reads as the full one
+    Probe(cli("hs-derive", "--fi", "Q", "--f", "x1", "--n", "1"), 2, lines=("d_0 = x1", "d_1 = x1_1")),
+    # a negative number after a flag is its value
+    Probe(cli("hs-derive", "--f", "x1", "--n", "-1"), 2, 1, error="BadJetOrder"),
 ]
 
 

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import re
@@ -27,6 +29,9 @@ from jetjac import (
     parse_polys,
 )
 from jetjac.cli import build_matrix, build_parser, matrix_argument, matrix_dims, run
+
+from _argv_corpus import NEGATIVE_LEADING, WELL_FORMED, argparse_reading, corpus, deferred, disagreements, fuzz_argv
+from test_golden import CASES as GOLDEN_CASES
 
 Q = FieldSpec.rationals()
 GF2 = FieldSpec.prime_field(2)
@@ -800,13 +805,7 @@ class TestCoordinateGrammar:
 
 
 class TestNegativeLeadingCoordinate:
-    CASES = [
-        ("rank-at-point", "--matrix", "jacm:1:x1^2-x2", "--point", "-9,1"),
-        ("singular-check", "--f", "x1^2 - x2", "--n", "1", "--point", "-1,1,1,-2"),
-        ("nobile", "--f", "x1^2 + 2*x1 + 1 - x2^3", "--n", "1", "--base", "-1,0", "--json"),
-    ]
-
-    @pytest.mark.parametrize("argv", CASES, ids=lambda argv: argv[0])
+    @pytest.mark.parametrize("argv", NEGATIVE_LEADING, ids=lambda argv: argv[0])
     def test_space_form_matches_equals_form(self, capsys, argv):
         joined = list(argv)
         flag = joined.index("--point" if "--point" in joined else "--base")
@@ -851,3 +850,128 @@ class TestInlineMatrixSchema:
         matrix = json.dumps({"rows": 0, "cols": 0, "entries": []})
         code, out, _ = invoke(capsys, "rank-at-point", "--matrix", matrix, "--point", "1")
         assert (code, out) == (0, "rank = 0\n")
+
+
+def argparse_output(argv):
+    """(code, stdout, stderr) of a freshly built parser reading argv
+    alone, as run() reads it before any subcommand runs."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            build_parser.__wrapped__().parse_args(cli.attach_coordinates(list(argv)))
+            code = None
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+class TestFlagTable:
+    """run() reads well-formed argv off a flag table built from the parser
+    (cli._read_argv), and leaves the rest to argparse (cli._parse_args),
+    which is the table's oracle."""
+
+    def test_the_table_reads_what_argparse_reads_or_defers(self):
+        assert disagreements([argv for group in corpus().values() for argv in group]) == []
+
+    def test_golden_and_benchmark_argv_are_read_off_the_table(self):
+        groups = corpus()
+        assert deferred([argv for group in WELL_FORMED for argv in groups[group]]) == []
+
+    # values with a leading "-" that argparse takes as values, and "--flag=--"
+    DASHED_VALUES = [
+        ["hs-derive", "--f", "x1", "--n", "-1"],
+        ["generic-rank", "--matrix", "jacm:1:x1", "--seed", "-5", "--trials", "-3"],
+        ["jacm", "--f", "-x1 - 1", "--m", "1"],
+        ["hs-derive", "--f=--", "--n", "1"],
+    ]
+
+    def test_dashed_values_are_read_off_the_table(self):
+        assert deferred(self.DASHED_VALUES) == []
+        assert disagreements(self.DASHED_VALUES) == []
+
+    def test_the_fuzz_reaches_both_readers(self):
+        fuzz = fuzz_argv(3000)
+        assert 0.2 < len(deferred(fuzz)) / len(fuzz) < 0.8
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN_CASES))
+    def test_golden_output_is_the_same_through_argparse(self, capsys, monkeypatch, name):
+        read = invoke(capsys, *GOLDEN_CASES[name])
+        monkeypatch.setattr(cli, "_read_argv", lambda argv: None)
+        assert invoke(capsys, *GOLDEN_CASES[name]) == read
+
+    # usage errors: argparse's own message, the same on every supported Python
+    USAGE = {
+        "unknown flag": (["jacm", "--f", "x1", "--m", "1", "--bogus"], "jetjac: error: unrecognized arguments: --bogus"),
+        "missing flag": (["hs-derive", "--f", "x1"], "jetjac hs-derive: error: the following arguments are required: --n"),
+        "no subcommand": ([], "jetjac: error: the following arguments are required: command"),
+        "no value": (
+            ["rank-at-point", "--matrix", "jacm:1:x1", "--point"],
+            "jetjac rank-at-point: error: argument --point: expected one argument",
+        ),
+        "a flag as the value": (
+            ["hs-derive", "--f", "x1", "--n", "1", "--field", "--"],
+            "jetjac hs-derive: error: argument --field: expected one argument",
+        ),
+        "an option string opens the value": (
+            ["hs-derive", "--f", "-h x", "--n", "1"],
+            "jetjac hs-derive: error: argument --f: expected one argument",
+        ),
+        "not an int": (["hs-derive", "--f", "x1", "--n", "-.5"], "jetjac hs-derive: error: argument --n: invalid int value: '-.5'"),
+        "a value for store_true": (
+            ["rank-remark", "--json=1"],
+            "jetjac rank-remark: error: argument --json: ignored explicit argument '1'",
+        ),
+        "not a prime": (
+            ["jacm", "--f", "x1", "--m", "1", "--field", "Fp:6"],
+            "jetjac jacm: error: argument --field: characteristic must be 0 or a prime, got 6",
+        ),
+    }
+
+    @pytest.mark.parametrize("case", sorted(USAGE))
+    def test_a_usage_error_is_argparse_s_message(self, capsys, case):
+        argv, last_line = self.USAGE[case]
+        code, out, err = invoke(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.endswith(f"\n{last_line}\n")
+        assert (code, out, err) == argparse_output(argv)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["-h"], ["hs-derive", "-h"], ["nobile", "--f", "x1", "--help"], ["singular-check", "--he"], ["jacm", "--f", "x1", "-h"]],
+    )
+    def test_help_is_argparse_s_help(self, capsys, argv):
+        code, out, err = invoke(capsys, *argv)
+        assert (code, err) == (0, "") and out.startswith("usage: jetjac")
+        assert (code, out, err) == argparse_output(argv)
+
+    def test_a_bad_field_is_refused_alike_twice(self, capsys):
+        # parse_field is memoized, and an error is not cached
+        argv = ["jacm", "--f", "x1", "--m", "1", "--field", "Fp:6"]
+        first = invoke(capsys, *argv)
+        assert first[0] == 2 and "characteristic must be 0 or a prime, got 6" in first[2]
+        assert invoke(capsys, *argv) == first
+        assert cli.parse_field("Fp:32003") is cli.parse_field("Fp:32003")
+
+    # before Python 3.13 argparse reads "--flag=--" as [], which ended in a traceback
+    DASH_DASH = {
+        "--f": (["hs-derive", "--f=--", "--n", "1"], "ParseError"),
+        "--matrix": (["rank-at-point", "--matrix=--", "--point", "1"], "BadMatrixJSON"),
+        "--point": (["rank-at-point", "--matrix", "jacm:1:x1", "--point=--"], "BadCoordinate"),
+        "--base": (["nobile", "--f", "x1^2", "--n", "1", "--base=--"], "BadCoordinate"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(DASH_DASH))
+    @pytest.mark.parametrize("reader", ["table", "argparse"])
+    def test_a_dash_dash_value_is_the_text(self, capsys, monkeypatch, case, reader):
+        argv, error = self.DASH_DASH[case]
+        if reader == "argparse":
+            monkeypatch.setattr(cli, "_read_argv", lambda argv: None)
+        code, out, err = invoke(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert err.startswith(f"{error}: ") and err.count("\n") == 1
+
+    def test_a_dash_dash_int_is_a_usage_error(self, capsys):
+        code, out, err = invoke(capsys, "hs-derive", "--f", "x1", "--n=--")
+        assert (code, out) == (2, "")
+        assert err.endswith("\njetjac hs-derive: error: argument --n: invalid int value: '--'\n")
+        assert argparse_reading(["hs-derive", "--f", "x1", "--n=--"]) is None
