@@ -1,13 +1,15 @@
 """Command-line front end.
 
-Every subcommand builds one deterministic report, a (text, payload) pair
-made from a single rendering of each polynomial, and run() prints one of
-the two: the plain text, or the payload as a JSON object with --json.
-Reports whose dataclass fields are already their JSON keys serialize
-with dataclasses.asdict.  A report exits 0; domain errors print the error
-name on stderr and exit 1; usage errors exit 2.  A reader that closes
-stdout before the report is written ends the run with exit 1 and nothing
-on stderr.  Polynomials use the x<i> /
+Every subcommand handler returns one deterministic report: its JSON
+payload, built from a single rendering of each polynomial.  Where the
+keys are the fields of a report dataclass, the payload is that report's
+own field dict (vars), not a copy.  run() prints the payload as a JSON
+object with --json, and otherwise the text that the subcommand's
+renderer, declared with its handler, writes from the payload alone, so
+only this module decides how a report reads.  A report exits 0; domain
+errors print the error name on stderr and exit 1; usage errors exit 2.
+A reader that closes stdout before the report is written ends the run
+with exit 1 and nothing on stderr.  Polynomials use the x<i> /
 x<i>_<j> grammar, points are flat comma-separated coordinate lists in
 canonical order (all base coordinates, then all order-1 coordinates, and
 so on), and the number of base variables is the highest base index
@@ -27,7 +29,6 @@ import json
 import os
 import re
 import sys
-from dataclasses import asdict
 from typing import NamedTuple
 
 from .field import _COORDINATE, DomainError, FieldError, FieldSpec, check_coordinate
@@ -133,11 +134,10 @@ def _matrix_json_fields(text: str) -> tuple[int, int, list[str]]:
     return rows, cols, flat
 
 
-def _matrix_report(mx: PolyMatrix) -> tuple[str, dict]:
-    """The "[a, b]" rows and the {rows, cols, entries} object of a
-    matrix, from one rendering of its entries."""
-    table = mx.rendered()
-    return _bracketed(table), {"rows": mx.rows, "cols": mx.cols, "entries": table}
+def _matrix_payload(mx: PolyMatrix) -> dict:
+    """The {rows, cols, entries} object of a matrix, each distinct entry
+    rendered once."""
+    return {"rows": mx.rows, "cols": mx.cols, "entries": mx.rendered()}
 
 
 def _numbered(values: list[str]) -> str:
@@ -145,98 +145,104 @@ def _numbered(values: list[str]) -> str:
     return "\n".join(f"d_{k} = {v}" for k, v in enumerate(values))
 
 
-# -- subcommand handlers: each returns its report as (text, payload) ---
+# -- subcommand handlers: each returns its JSON payload; a text renderer
+# that is more than a lambda in build_parser() follows its handler
 
 
-def cmd_hs_derive(args) -> tuple[str, dict]:
+def cmd_hs_derive(args) -> dict:
     (f,) = parse_polys([args.f], args.field)
-    components = [str(c) for c in hs_components(f, args.n)]
-    return _numbered(components), {"n": args.n, "components": components}
+    return {"n": args.n, "components": [str(c) for c in hs_components(f, args.n)]}
 
 
-def cmd_verify_identities(args) -> tuple[str, dict]:
+def cmd_verify_identities(args) -> dict:
     (f,) = parse_polys([args.f], args.field)
-    report = check_commutation(f, args.n)
-    return str(report), asdict(report)
+    return vars(check_commutation(f, args.n))
 
 
-def cmd_jacm(args) -> tuple[str, dict]:
-    return _matrix_report(jac_m(parse_polys(args.f.split(","), args.field), args.m))
+def _text_verify_identities(r: dict) -> str:
+    if r["ok"]:
+        return f"PASS: derivative interchange holds in all {r['cases_checked']} cases"
+    i, j, k = r["counterexample"]
+    return f"FAIL: partial_(x{i}^({j})) d_{k} != d_{k - j} partial_(x{i}) (after {r['cases_checked']} cases)"
 
 
-def cmd_dnl(args) -> tuple[str, dict]:
-    return _matrix_report(dn_matrix(jac_m(parse_polys(args.f.split(","), args.field), args.m), args.n))
+def cmd_jacm(args) -> dict:
+    return _matrix_payload(jac_m(parse_polys(args.f.split(","), args.field), args.m))
 
 
-def cmd_check_fdbd(args) -> tuple[str, dict]:
-    report = check_fdbd(parse_polys(args.f.split(","), args.field), args.n)
-    return str(report), asdict(report)
+def cmd_dnl(args) -> dict:
+    return _matrix_payload(dn_matrix(jac_m(parse_polys(args.f.split(","), args.field), args.m), args.n))
 
 
-def cmd_jet_equations(args) -> tuple[str, dict]:
+def cmd_check_fdbd(args) -> dict:
+    return vars(check_fdbd(parse_polys(args.f.split(","), args.field), args.n))
+
+
+def _text_check_fdbd(r: dict) -> str:
+    if not r["ok"]:
+        i, j = r["first_mismatch"]
+        return f"FAIL: entry mismatch at ({i}, {j})"
+    b, a = r["block_shape"]
+    return (
+        f"PASS: block matrix of the Jacobian equals the jet Jacobian after {r['permutation']} "
+        f"({r['n'] + 1} blocks of {b}x{a} per axis)"
+    )
+
+
+def cmd_jet_equations(args) -> dict:
     (f,) = parse_polys([args.f], args.field)
     desc = jet_equations(f, args.n)
-    equations = [str(eq) for eq in desc.equations]
-    return _numbered(equations), {"s": desc.s, "n": desc.n, "equations": equations}
+    return {"s": desc.s, "n": desc.n, "equations": [str(eq) for eq in desc.equations]}
 
 
-def cmd_rank_at_point(args) -> tuple[str, dict]:
+def cmd_rank_at_point(args) -> dict:
     mx = matrix_argument(args.matrix, args.field)
     s, order = matrix_dims(mx)
     point = parse_point(args.point, s, order, args.field)
-    r = rank_at(mx, point)
-    return f"rank = {r}", {"rank": r}
+    return {"rank": rank_at(mx, point)}
 
 
-def cmd_minors(args) -> tuple[str, dict]:
+def cmd_minors(args) -> dict:
     """The count and the list of the k x k minors, each with its row and
     column selections.  The minors of one matrix share most of their
-    monomials, so poly.render writes them all at once, for the text and
-    the JSON alike."""
+    monomials, so poly.render writes them all at once."""
     found = minors(build_matrix(args.matrix, args.field), args.k)
     listed = [
         {"rows": list(r), "cols": list(c), "value": v}
         for (r, c), v in zip(found.selections, render(found.values))
     ]
-    lines = [f"count = {len(found)}"]
-    lines += [f"rows {m['rows']} cols {m['cols']}: {m['value']}" for m in listed]
-    return "\n".join(lines), {"k": found.k, "count": len(found), "minors": listed}
+    return {"k": found.k, "count": len(found), "minors": listed}
 
 
-def cmd_generic_rank(args) -> tuple[str, dict]:
+def _text_minors(r: dict) -> str:
+    lines = [f"rows {m['rows']} cols {m['cols']}: {m['value']}" for m in r["minors"]]
+    return "\n".join([f"count = {r['count']}", *lines])
+
+
+def cmd_generic_rank(args) -> dict:
     mx = matrix_argument(args.matrix, args.field)
     r = generic_rank(mx, trials=args.trials, seed=args.seed)
-    return (
-        f"generic rank = {r} (probabilistic; trials={args.trials}, seed={args.seed})",
-        {"generic_rank": r, "probabilistic": True, "trials": args.trials, "seed": args.seed},
-    )
+    return {"generic_rank": r, "probabilistic": True, "trials": args.trials, "seed": args.seed}
 
 
-def cmd_singular_check(args) -> tuple[str, dict]:
+def cmd_singular_check(args) -> dict:
     (f,) = parse_polys([args.f], args.field)
     desc = jet_equations(f, args.n)
     point = parse_point(args.point, desc.s, desc.n, args.field)
     # higher_rank_test raises PointNotOnScheme off the jet scheme
-    report = higher_rank_test(desc, point, args.m)
-    text = "\n".join(
-        [
-            "on_scheme = true",
-            f"rank = {report.rank}",
-            f"bound = {report.bound}",
-            f"full = {str(report.full).lower()}",
-            "assumptions: " + "; ".join(report.assumptions),
-        ]
-    )
-    return text, {"on_scheme": True, **asdict(report)}
+    return {"on_scheme": True, **vars(higher_rank_test(desc, point, args.m))}
 
 
-def cmd_nobile(args) -> tuple[str, dict]:
+def _text_singular_check(r: dict) -> str:
+    lines = [f"{key} = {json.dumps(r[key])}" for key in ("on_scheme", "rank", "bound", "full")]
+    return "\n".join(lines + ["assumptions: " + "; ".join(r["assumptions"])])
+
+
+def cmd_nobile(args) -> dict:
     (f,) = parse_polys([args.f], args.field)
     base = parse_point(args.base, f.base_count, 0, args.field)
-    cert = nobile_certificate(
-        f, args.n, args.m, base, trials=args.trials, seed=args.seed
-    )
-    payload = {
+    cert = nobile_certificate(f, args.n, args.m, base, trials=args.trials, seed=args.seed)
+    return {
         "f": str(cert.f),
         "n": cert.n,
         "m": cert.m,
@@ -255,12 +261,37 @@ def cmd_nobile(args) -> tuple[str, dict]:
         "trials": cert.trials,
         "seed": cert.seed,
     }
-    return str(cert), payload
 
 
-def cmd_rank_remark(args) -> tuple[str, dict]:
+def _text_nobile(r: dict) -> str:
+    # the base coordinates are x1..xs in order; fact (iii) matches when every sample does
+    base = ", ".join(f"x{i}={x}" for i, x in enumerate(r["base"], 1))
+    matches = "matches" if all(x == r["expected"] for x in r["cokernel_samples"]) else "DIFFERS from"
+    return "\n".join(
+        [
+            f"singularity certificate for f = {r['f']}, n = {r['n']}, m = {r['m']}",
+            f"base point: ({base})",
+            f"(i)   zero jet on the jet scheme: {r['membership']}",
+            f"(ii)  rank at the zero jet: {r['rank']} < bound {r['bound']}: {r['rank'] < r['bound']}",
+            f"(iii) generic cokernel rank {r['cokernel_rank']} {matches} the expected {r['expected']} "
+            f"(probabilistic; trials={r['trials']}, seed={r['seed']})",
+            f"(iv)  rank jump at a smooth jet (rank {r['witness_rank']}): {r['rank_jump']}",
+            "assumptions: " + "; ".join(r["assumptions"]),
+            f"verdict: {r['verdict']}",
+        ]
+    )
+
+
+def cmd_rank_remark(args) -> dict:
     report = rank_counterexample_check(args.n, args.m)
-    return str(report), {**asdict(report), "verdict": report.verdict}
+    return {**vars(report), "verdict": report.verdict}
+
+
+def _text_rank_remark(r: dict) -> str:
+    return (
+        f"free rank over the jet polynomial ring: {r['jet_ring_rank']}; "
+        f"free rank of the tensored module: {r['tensor_rank']}; {r['verdict']}"
+    )
 
 
 # -- parser wiring -----------------------------------------------------
@@ -294,70 +325,73 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("hs-derive", help="derivation components d_0..d_n of f")
     common(p)
     p.add_argument("--n", type=int, required=True)
-    p.set_defaults(func=cmd_hs_derive)
+    p.set_defaults(func=cmd_hs_derive, text=lambda r: _numbered(r["components"]))
 
     p = sub.add_parser("verify-identities", help="derivative interchange report")
     common(p)
     p.add_argument("--n", type=int, required=True)
-    p.set_defaults(func=cmd_verify_identities)
+    p.set_defaults(func=cmd_verify_identities, text=_text_verify_identities)
 
     p = sub.add_parser("jacm", help="order-m Jacobian matrix")
     common(p)
     p.add_argument("--m", type=int, required=True)
-    p.set_defaults(func=cmd_jacm)
+    p.set_defaults(func=cmd_jacm, text=lambda r: _bracketed(r["entries"]))
 
     p = sub.add_parser("dnl", help="block matrix of the order-m Jacobian")
     common(p)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--m", type=int, default=1)
-    p.set_defaults(func=cmd_dnl)
+    p.set_defaults(func=cmd_dnl, text=lambda r: _bracketed(r["entries"]))
 
     p = sub.add_parser("check-fdbd", help="block matrix vs jet Jacobian equality")
     common(p)
     p.add_argument("--n", type=int, required=True)
-    p.set_defaults(func=cmd_check_fdbd)
+    p.set_defaults(func=cmd_check_fdbd, text=_text_check_fdbd)
 
     p = sub.add_parser("jet-equations", help="equations of the order-n jet scheme")
     common(p)
     p.add_argument("--n", type=int, required=True)
-    p.set_defaults(func=cmd_jet_equations)
+    p.set_defaults(func=cmd_jet_equations, text=lambda r: _numbered(r["equations"]))
 
     p = sub.add_parser("rank-at-point", help="exact rank of a matrix at a point")
     common(p, poly_flag=False)
     p.add_argument("--matrix", required=True, help="jacm:<m>:<polys> | dnl:<n>:<m>:<polys> | inline JSON")
     p.add_argument("--point", required=True, help="comma-separated coordinates")
-    p.set_defaults(func=cmd_rank_at_point)
+    p.set_defaults(func=cmd_rank_at_point, text=lambda r: f"rank = {r['rank']}")
 
     p = sub.add_parser("minors", help="all k x k minors of a matrix")
     common(p, poly_flag=False)
     p.add_argument("--matrix", required=True)
     p.add_argument("--k", type=int, required=True)
-    p.set_defaults(func=cmd_minors)
+    p.set_defaults(func=cmd_minors, text=_text_minors)
 
     p = sub.add_parser("generic-rank", help="probabilistic rank at random points")
     common(p, poly_flag=False, seeded=True)
     p.add_argument("--matrix", required=True)
-    p.set_defaults(func=cmd_generic_rank)
+    p.set_defaults(
+        func=cmd_generic_rank,
+        text=lambda r: f"generic rank = {r['generic_rank']} (probabilistic; trials={r['trials']}, seed={r['seed']})",
+    )
 
     p = sub.add_parser("singular-check", help="rank criterion at a point of the jet scheme")
     common(p)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--m", type=int, default=1)
     p.add_argument("--point", required=True)
-    p.set_defaults(func=cmd_singular_check)
+    p.set_defaults(func=cmd_singular_check, text=_text_singular_check)
 
     p = sub.add_parser("nobile", help="singularity certificate over a singular base point")
     common(p, seeded=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--m", type=int, default=1)
     p.add_argument("--base", required=True, help="base-point coordinates")
-    p.set_defaults(func=cmd_nobile)
+    p.set_defaults(func=cmd_nobile, text=_text_nobile)
 
     p = sub.add_parser("rank-remark", help="free-rank comparison for the affine line")
     p.add_argument("--n", type=int, default=1)
     p.add_argument("--m", type=int, default=2)
     p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_rank_remark)
+    p.set_defaults(func=cmd_rank_remark, text=_text_rank_remark)
 
     return parser
 
@@ -487,12 +521,12 @@ def run(argv: list[str]) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
-        text, payload = args.func(args)
+        report = args.func(args)
     except DomainError as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
     try:
-        print(json.dumps(payload, indent=2) if args.json else text, flush=True)
+        print(json.dumps(report, indent=2) if args.json else args.text(report), flush=True)
     except BrokenPipeError:
         # The reader closed the pipe.  Point stdout at the null device, so
         # that the interpreter's own flush at exit has nowhere to fail.

@@ -334,15 +334,6 @@ class CommutationReport:
     cases_checked: int
     counterexample: tuple[int, int, int] | None  # (i, j, k)
 
-    def __str__(self):
-        if self.ok:
-            return f"PASS: derivative interchange holds in all {self.cases_checked} cases"
-        i, j, k = self.counterexample
-        return (
-            f"FAIL: partial_(x{i}^({j})) d_{k} != d_{k - j} partial_(x{i}) "
-            f"(after {self.cases_checked} cases)"
-        )
-
 
 def check_commutation(f: Polynomial, n: int) -> CommutationReport:
     """Check partial_{x_i^(j)} d_k(f) == d_{k-j}(partial_{x_i} f) exactly

@@ -171,15 +171,6 @@ class FdbdReport:
     permutation: str
     first_mismatch: tuple[int, int] | None
 
-    def __str__(self):
-        b, a = self.block_shape
-        if self.ok:
-            return (
-                f"PASS: block matrix of the Jacobian equals the jet Jacobian "
-                f"after {self.permutation} ({self.n + 1} blocks of {b}x{a} per axis)"
-            )
-        return f"FAIL: entry mismatch at {self.first_mismatch}"
-
 
 def check_fdbd(fs: list[Polynomial], n: int) -> FdbdReport:
     """Verify that applying the block construction to the Jacobian of fs

@@ -136,10 +136,6 @@ class RankReport:
     full: bool
     assumptions: tuple[str, ...] = ()
 
-    def __str__(self):
-        status = "full" if self.full else "deficient"
-        return f"rank {self.rank} of bound {self.bound} ({status})"
-
 
 def higher_rank_test(desc: JetSchemeDesc, point: Point, m: int) -> RankReport:
     """Rank of the blocked order-m Jacobian at a point of the jet scheme;
@@ -459,13 +455,6 @@ class CokernelReport:
     seed: object
     witness: Point
 
-    def __str__(self):
-        verdict = "matches" if self.all_match else "DIFFERS from"
-        return (
-            f"generic cokernel rank {self.cokernel_rank} {verdict} the expected "
-            f"{self.expected} (probabilistic; trials={self.trials}, seed={self.seed})"
-        )
-
 
 def generic_cokernel_rank(pres: Presentation, trials: int = 20, seed=0, through: Point | None = None) -> CokernelReport:
     """Sample jets over smooth base points of V(f), read the rank of the
@@ -531,12 +520,6 @@ class FreeRankComparison:
     @property
     def verdict(self) -> str:
         return "consistent with an isomorphism" if self.isomorphic else "not isomorphic"
-
-    def __str__(self):
-        return (
-            f"free rank over the jet polynomial ring: {self.jet_ring_rank}; "
-            f"free rank of the tensored module: {self.tensor_rank}; {self.verdict}"
-        )
 
 
 def rank_counterexample_check(n: int = 1, m: int = 2) -> FreeRankComparison:
@@ -610,19 +593,6 @@ class NobileCertificate:
         if self.all_facts_hold:
             return "blowup not an isomorphism (under stated assumptions)"
         return "inconclusive: some certificate fact failed"
-
-    def __str__(self):
-        lines = [
-            f"singularity certificate for f = {self.f}, n = {self.n}, m = {self.m}",
-            f"base point: {self.base}",
-            f"(i)   zero jet on the jet scheme: {self.membership}",
-            f"(ii)  rank at the zero jet: {self.rank} < bound {self.bound}: {self.rank < self.bound}",
-            f"(iii) {self.cokernel}",
-            f"(iv)  rank jump at a smooth jet (rank {self.witness_rank}): {self.rank_jump}",
-            "assumptions: " + "; ".join(self.assumptions),
-            f"verdict: {self.verdict}",
-        ]
-        return "\n".join(lines)
 
 
 def nobile_certificate(

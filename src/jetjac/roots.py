@@ -11,7 +11,10 @@ it squarefree are lifted by Newton steps until the modulus exceeds
 2 |g_0 g_d|, read back as fractions by rational reconstruction and each
 confirmed by exact integer evaluation (Modern Computer Algebra, ch. 15
 and section 5.10; Loos 1983), so the cost grows with the bit length of
-the coefficients, not with their size.
+the coefficients, not with their size.  A prime that keeps g itself
+squarefree proves g squarefree, so the pseudo-remainder sequence that
+computes the squarefree part runs only when no odd prime up to
+SQUAREFREE_PRIMES_UP_TO does.
 """
 
 from __future__ import annotations
@@ -20,6 +23,8 @@ import math
 from fractions import Fraction
 
 from .field import is_prime
+
+SQUAREFREE_PRIMES_UP_TO = 23  # the 8 odd primes tried on g before its squarefree part is computed
 
 
 # Dense univariate polynomials over GF(p): coefficient lists, ascending,
@@ -179,12 +184,12 @@ def _squarefree_part(g: list[int]) -> list[int]:
     return g if len(a) == 1 else _primitive(_pseudo_divmod(g, a)[0])
 
 
-def _lifting_prime(g: list[int], dg: list[int]) -> int:
-    """The smallest odd prime p that does not divide the leading
-    coefficient of the squarefree g, with derivative dg, and keeps g
-    squarefree mod p."""
+def _lifting_prime(g: list[int], dg: list[int], last: float = math.inf) -> int | None:
+    """The smallest odd prime p, up to `last`, that does not divide the
+    leading coefficient of g, with derivative dg, and keeps g squarefree
+    mod p, or None if there is none.  Such a p proves g squarefree over Q."""
     p = 3
-    while True:
+    while p <= last:
         if g[-1] % p:
             gp = _trim([c % p for c in g])
             if len(_gcd(gp, _trim([c % p for c in dg]), p)) == 1:
@@ -192,6 +197,7 @@ def _lifting_prime(g: list[int], dg: list[int]) -> int:
         p += 2
         while not is_prime(p):
             p += 2
+    return None
 
 
 def _eval_mod(a: list, x, m: int):
@@ -238,10 +244,14 @@ def _rational_roots(coeffs: list[Fraction]) -> list[Fraction]:
     if len(coeffs) == 1:
         return roots
     den = math.lcm(*(c.denominator for c in coeffs))
-    g = _squarefree_part(_primitive([c.numerator * (den // c.denominator) for c in coeffs]))
+    g = _primitive([c.numerator * (den // c.denominator) for c in coeffs])
     dg = _derivative(g)
+    p = _lifting_prime(g, dg, SQUAREFREE_PRIMES_UP_TO)
+    if p is None:
+        g = _squarefree_part(g)
+        dg = _derivative(g)
+        p = _lifting_prime(g, dg)
     bound = abs(g[0])
-    p = _lifting_prime(g, dg)
     found = []
     for r in _residue_roots(g, p):
         m = p

@@ -326,6 +326,35 @@ PROBES = [
     Probe(cli("hs-derive", "--fi", "Q", "--f", "x1", "--n", "1"), 2, lines=("d_0 = x1", "d_1 = x1_1")),
     # a negative number after a flag is its value
     Probe(cli("hs-derive", "--f", "x1", "--n", "-1"), 2, 1, error="BadJetOrder"),
+    # over Q the coordinate trials solve x1^2000 = c: a small prime proves that univariate
+    # squarefree, and no pseudo-remainder sequence runs on it
+    Probe(
+        cli("nobile", "--json", "--f", "x1^2000 - x2^2", "--n", "1", "--m", "2", "--base=0,0"),
+        5,
+        lines=json_lines(rank=2, bound=6, cokernel_rank=4, witness_rank=6, verdict=VERDICT),
+    ),
+    Probe(
+        cli("nobile", "--json", "--f", "x1^2000 - x2^3", "--n", "1", "--m", "2", "--base=0,0"),
+        10,
+        lines=json_lines(rank=0, bound=6, cokernel_rank=4, witness_rank=6, verdict=VERDICT),
+    ),
+    # no trial finds a smooth rational point on these, so all 200 attempts solve their univariates, of
+    # degree up to 5000; a small prime proves each squarefree one so, with no pseudo-remainder sequence
+    Probe(
+        cli("nobile", "--f", "x1^2 - x2^2*x3^2 + x3^997", "--n", "1", "--m", "2", "--base=0,0,0"),
+        5,
+        1,
+        error="NoSmoothPointFound",
+    ),
+    Probe(
+        cli("nobile", "--f", "7*x1^3 - x1^5000", "--n", "5", "--m", "3", "--base=0"), 5, 1, error="NoSmoothPointFound"
+    ),
+    Probe(
+        cli("nobile", "--f", "7*x1^4*x2^999 - 3*x1^4*x2^33 - x1^4*x2^4", "--n", "1", "--m", "1", "--base=0,0"),
+        5,
+        1,
+        error="NoSmoothPointFound",
+    ),
 ]
 
 

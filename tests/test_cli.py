@@ -2,7 +2,6 @@ import contextlib
 import io
 import json
 import os
-import re
 import subprocess
 import sys
 from pathlib import Path
@@ -14,6 +13,7 @@ from jetjac import (
     DnMatrix,
     DomainError,
     FieldSpec,
+    Point,
     PolyMatrix,
     Polynomial,
     UnknownVariable,
@@ -24,6 +24,7 @@ from jetjac import (
     jac_m,
     jet_jacobian,
     jetmatrix,
+    jetscheme,
     linalg,
     parse_poly,
     parse_polys,
@@ -50,6 +51,18 @@ def invoke(capsys, *argv):
     code = run(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def rendered_from_json(capsys, *argv):
+    """The text report and the JSON payload of argv, run with and without
+    --json, after checking that the text is the subcommand's renderer
+    applied to the payload read back from its JSON."""
+    text_run = invoke(capsys, *argv)
+    code, out, err = invoke(capsys, *argv, "--json")
+    payload = json.loads(out)
+    renderer = build_parser().parse_args(list(argv)).text
+    assert text_run == (code, renderer(payload) + "\n", err) and (code, err) == (0, "")
+    return text_run[1], payload
 
 
 def cli_subprocess(*argv, **kwargs):
@@ -168,10 +181,9 @@ class TestDerivationCommands:
             return hasse.HSExpansion(g, n, tuple(components))
 
         monkeypatch.setattr(hasse, "hs_components", perturbed)
-        code, out, err = invoke(capsys, "verify-identities", "--f", CUSP_SOURCE, "--n", "2")
-        assert (code, out, err) == (0, "FAIL: partial_(x1^(1)) d_1 != d_0 partial_(x1) (after 3 cases)\n", "")
-        code, out, _ = invoke(capsys, "verify-identities", "--f", CUSP_SOURCE, "--n", "2", "--json")
-        assert json.loads(out) == {"ok": False, "cases_checked": 3, "counterexample": [1, 1, 1]}
+        text, payload = rendered_from_json(capsys, "verify-identities", "--f", CUSP_SOURCE, "--n", "2")
+        assert text == "FAIL: partial_(x1^(1)) d_1 != d_0 partial_(x1) (after 3 cases)\n"
+        assert payload == {"ok": False, "cases_checked": 3, "counterexample": [1, 1, 1]}
 
     def test_check_fdbd_reports_a_failure(self, capsys, monkeypatch):
         # one cell of the 3 x 6 jet Jacobian plus 1: the first mismatch in row order
@@ -182,10 +194,9 @@ class TestDerivationCommands:
             return PolyMatrix(direct.rows, direct.cols, tuple(entries))
 
         monkeypatch.setattr(jetmatrix, "jet_jacobian", perturbed)
-        code, out, err = invoke(capsys, "check-fdbd", "--f", CUSP_SOURCE, "--n", "2")
-        assert (code, out, err) == (0, "FAIL: entry mismatch at (1, 4)\n", "")
-        code, out, _ = invoke(capsys, "check-fdbd", "--f", CUSP_SOURCE, "--n", "2", "--json")
-        assert json.loads(out)["first_mismatch"] == [1, 4] and not json.loads(out)["ok"]
+        text, payload = rendered_from_json(capsys, "check-fdbd", "--f", CUSP_SOURCE, "--n", "2")
+        assert text == "FAIL: entry mismatch at (1, 4)\n"
+        assert payload["first_mismatch"] == [1, 4] and not payload["ok"]
 
 
 class TestRankCommands:
@@ -332,6 +343,14 @@ class TestOneRendering:
         assert (done.returncode, done.stderr) == (1, b"")
 
 
+class TestTextIsRenderedFromJSON:
+    """Text and JSON cannot drift: each golden case, run in both modes."""
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN_CASES))
+    def test_golden_case(self, capsys, name):
+        rendered_from_json(capsys, *(arg for arg in GOLDEN_CASES[name] if arg != "--json"))
+
+
 class TestSchemeCommands:
     def test_singular_check_smooth_jet(self, capsys):
         code, out, _ = invoke(
@@ -368,25 +387,6 @@ class TestSchemeCommands:
         assert code == 0
         assert "full = false" in out
 
-    def test_text_and_json_agree(self, capsys):
-        args = [
-            "singular-check",
-            "--f",
-            "x1^3 - x2^2",
-            "--n",
-            "1",
-            "--m",
-            "2",
-            "--point",
-            "1,1,2,3",
-        ]
-        _, text_out, _ = invoke(capsys, *args)
-        _, json_out, _ = invoke(capsys, *args, "--json")
-        payload = json.loads(json_out)
-        assert int(re.search(r"rank = (\d+)", text_out).group(1)) == payload["rank"]
-        assert int(re.search(r"bound = (\d+)", text_out).group(1)) == payload["bound"]
-        assert (f"full = {str(payload['full']).lower()}") in text_out
-
     def test_nobile_json(self, capsys):
         code, out, _ = invoke(
             capsys,
@@ -419,6 +419,50 @@ class TestSchemeCommands:
         _, first, _ = invoke(capsys, *args)
         _, second, _ = invoke(capsys, *args)
         assert first == second
+
+    def test_an_inconclusive_certificate(self, capsys, monkeypatch):
+        # every sampled base is the singular origin, where each sample is the
+        # cokernel rank 8 of the deficient base block: (iii) and (iv) fail
+        origin = Point.from_base([0, 0], Q)
+        monkeypatch.setattr(jetscheme, "find_smooth_point", lambda f, seed, through=None: origin)
+        argv = ["nobile", "--f", CUSP_SOURCE, "--n", "1", "--m", "2", "--base=0,0", "--trials", "3"]
+        text, payload = rendered_from_json(capsys, *argv)
+        assumptions = [
+            "hypersurface irreducible (user assertion)",
+            "jet scheme irreducible (user assertion)",
+            "jet scheme normal (user assertion)",
+        ]
+        verdict = "inconclusive: some certificate fact failed"
+        assert text.splitlines() == [
+            "singularity certificate for f = x1^3-x2^2, n = 1, m = 2",
+            "base point: (x1=0, x2=0)",
+            "(i)   zero jet on the jet scheme: True",
+            "(ii)  rank at the zero jet: 2 < bound 6: True",
+            "(iii) generic cokernel rank 8 DIFFERS from the expected 4 (probabilistic; trials=3, seed=0)",
+            "(iv)  rank jump at a smooth jet (rank 2): False",
+            "assumptions: " + "; ".join(assumptions),
+            f"verdict: {verdict}",
+        ]
+        want = {
+            "f": "x1^3-x2^2",
+            "n": 1,
+            "m": 2,
+            "base": ["0", "0"],
+            "membership": True,
+            "rank": 2,
+            "bound": 6,
+            "full": False,
+            "cokernel_rank": 8,
+            "expected": 4,
+            "cokernel_samples": [8, 8, 8],
+            "rank_jump": False,
+            "witness_rank": 2,
+            "assumptions": assumptions,
+            "verdict": verdict,
+            "trials": 3,
+            "seed": 0,
+        }
+        assert list(payload.items()) == list(want.items())  # key order too
 
     @staticmethod
     def assert_verdict_within_10s(*argv):

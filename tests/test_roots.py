@@ -35,6 +35,7 @@ from jetjac import (
     jetscheme,
     nobile_certificate,
     parse_poly,
+    roots,
 )
 from jetjac.linalg import trial_rng
 from jetjac.roots import _divmod, _linear_power, _rational_roots, _residue_roots
@@ -359,6 +360,18 @@ def test_rational_roots_contracts():
     assert _rational_roots([Fraction(5)]) == []
     assert _rational_roots([Fraction(0), Fraction(0), Fraction(3)]) == [0]
     assert _rational_roots([Fraction(-1), Fraction(0), Fraction(4)]) == [Fraction(1, 2), Fraction(-1, 2)]
+
+
+def test_only_a_g_that_no_small_prime_keeps_squarefree_runs_the_remainder_sequence(monkeypatch):
+    # (x - 1)^2 (x + 2) is squarefree modulo no prime, so its squarefree
+    # part is computed; (x - 1)(x + 2) is proved squarefree by a small prime
+    calls = []
+    squarefree_part = roots._squarefree_part
+    monkeypatch.setattr(roots, "_squarefree_part", lambda g: calls.append(g) or squarefree_part(g))
+    assert _rational_roots([Fraction(c) for c in (2, -3, 0, 1)]) == [Fraction(1), Fraction(-2)]
+    assert calls == [[2, -3, 0, 1]]
+    assert _rational_roots([Fraction(c) for c in (-2, 1, 1)]) == [Fraction(1), Fraction(-2)]
+    assert calls == [[2, -3, 0, 1]]
 
 
 def test_rational_root_with_a_22_digit_numerator():
